@@ -1,0 +1,806 @@
+//! Incremental state evaluation: the one machine under the what-if
+//! sweeper and the rollout planner.
+//!
+//! Both [`crate::whatif`] (k-failure sweeps) and [`crate::rollout`]
+//! (change-ordering search) ask the same question of many perturbed
+//! fabrics: "which contracts break in *this* state?" They differ only
+//! in which states they visit. Everything else lives here, once:
+//!
+//! * an [`Anchor`] is a converged routing fixed point with every
+//!   device validated — [`Explorer::converge`] is the only place one is
+//!   built, reusing the root's verdict for every table whose content
+//!   hash did not move and the caller's memo for the rest;
+//! * [`Explorer::restart`] prices a fault set from an anchor: the
+//!   fixed point is patched ([`Baseline::resimulate`]), only the
+//!   devices whose FIBs changed come back, and each is delta-validated
+//!   against its anchor report ([`DeltaMap::revalidate`]) unless the
+//!   cross-state `(device, fib hash)` [`VerdictMemo`] already holds its
+//!   verdict;
+//! * a [`Judge`] reads the resulting reports against a
+//!   [`FailCondition`], and a [`Tally`] turns "which devices changed"
+//!   into the fabric-wide count by subtracting the anchor's share and
+//!   adding the new one;
+//! * [`cold`] is the from-scratch reference path (simulate, validate
+//!   everything) behind the §2.7 pre-checker and the planner's
+//!   final-state pass.
+//!
+//! The explorers are search policies over this module: they lower
+//! their own vocabulary (failure elements, configuration changes) to a
+//! topology + config for `converge` and a [`FaultSpec`] for `restart`,
+//! and keep only enumeration, ordering and pruning to themselves.
+
+use crate::contracts::{ContractKind, DeviceContracts};
+use crate::engine::Engine;
+use crate::report::{risk_of, Risk, ValidationReport, Violation, ViolationReason};
+use crate::runner::{run_pass, validate_jobs, DatacenterReport};
+use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
+use bgpsim::{simulate, Fib, SimConfig};
+use dctopo::{DeviceId, MetadataService, Topology};
+use netprim::wire::FibDelta;
+use netprim::Prefix;
+use obskit::{Counter, Histogram, Registry};
+use parking_lot::RwLock;
+use std::collections::{HashMap, HashSet};
+
+/// `(address, length)` preorder key — the order the trie engine sweeps
+/// contracts in, reused here for the locator's binary searches.
+#[inline]
+fn locator_key(addr: u32, len: u8) -> u64 {
+    (u64::from(addr) << 6) | u64::from(len)
+}
+
+/// Per-device contract index for the delta hot path: finds the
+/// contracts a touched-prefix set can affect by binary search instead
+/// of scanning the whole contract list once per scenario. The
+/// affectedness criterion is exactly [`Engine::validate_delta`]'s —
+/// prefix overlap for specifics, a touched default route for default
+/// contracts — so validating just the located subset against a clean
+/// prior yields the same report as the engine's own full scan (gated
+/// by the equivalence suites and the difftest oracles).
+#[derive(PartialEq, Eq, Hash)]
+struct ContractLocator {
+    /// Specific contracts as `(locator_key, contract index)`, sorted.
+    specs: Vec<(u64, u32)>,
+    /// Distinct specific-contract prefix lengths, descending.
+    lengths: Vec<u8>,
+    /// Default-kind contract indices.
+    defaults: Vec<u32>,
+}
+
+impl ContractLocator {
+    fn build(dc: &DeviceContracts) -> ContractLocator {
+        let mut specs = Vec::new();
+        let mut defaults = Vec::new();
+        let mut lengths: Vec<u8> = Vec::new();
+        for (i, c) in dc.contracts.iter().enumerate() {
+            match c.kind {
+                ContractKind::Default => defaults.push(i as u32),
+                ContractKind::Specific => {
+                    specs.push((locator_key(c.prefix.addr().0, c.prefix.len()), i as u32));
+                    if !lengths.contains(&c.prefix.len()) {
+                        lengths.push(c.prefix.len());
+                    }
+                }
+            }
+        }
+        specs.sort_unstable();
+        lengths.sort_unstable_by(|a, b| b.cmp(a));
+        ContractLocator {
+            specs,
+            lengths,
+            defaults,
+        }
+    }
+
+    /// Indices of the contracts a delta over `touched` can affect,
+    /// ascending (= contract order) and deduplicated.
+    fn affected(&self, touched: &[Prefix]) -> Vec<u32> {
+        let mut out: Vec<u32> = Vec::new();
+        for &p in touched {
+            if p.is_default() {
+                out.extend_from_slice(&self.defaults);
+            }
+            // Contracts whose address lies inside the touched block
+            // all overlap it: an aligned block no larger than `p`'s
+            // starting inside it is contained, and a larger one can
+            // only start at `p`'s own address, where it contains `p`.
+            let lo = u64::from(p.addr().0) << 6;
+            let hi = (u64::from(p.addr().0) + (1u64 << (32 - p.len()))) << 6;
+            let a = self.specs.partition_point(|&(k, _)| k < lo);
+            let b = a + self.specs[a..].partition_point(|&(k, _)| k < hi);
+            out.extend(self.specs[a..b].iter().map(|&(_, i)| i));
+            // Strictly-shorter containing contracts sit at the touched
+            // address truncated to each contract length (same-prefix
+            // contracts share a key, so take the whole key run).
+            for &l in &self.lengths {
+                if l >= p.len() {
+                    continue;
+                }
+                let mask = if l == 0 { 0 } else { u32::MAX << (32 - l) };
+                let k = locator_key(p.addr().0 & mask, l);
+                let a = self.specs.partition_point(|&(k2, _)| k2 < k);
+                let b = a + self.specs[a..].partition_point(|&(k2, _)| k2 <= k);
+                out.extend(self.specs[a..b].iter().map(|&(_, i)| i));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+/// Per-(locator, touched list) memo of affected-contract indices; on
+/// symmetric fabrics most devices share a contract layout, so one
+/// lookup serves many devices.
+type AffectedCache = Vec<HashMap<Vec<Prefix>, Vec<u32>>>;
+
+/// Cross-state verdict memo: validation is pure in the FIB bytes and
+/// the contract set, so `(device, fib content hash)` fully determines
+/// the report no matter which fault or change context produced the
+/// table — the same argument that makes the pipeline's `VerdictCache`
+/// `(fib_hash, epoch)` key sound across scenarios.
+pub(crate) type VerdictMemo = RwLock<HashMap<(u32, u64), ValidationReport>>;
+
+/// The deduplicated per-device contract locators, built once per
+/// [`Explorer`] (they depend only on the contract set).
+struct DeltaMap {
+    /// `locator_of[device]` picks the device's representative locator.
+    locator_of: Vec<u32>,
+    /// Deduplicated locators. Equal locators are pure-function-equal:
+    /// `affected` depends only on the locator content and the touched
+    /// list, so one representative serves every device with that
+    /// layout.
+    locators: Vec<ContractLocator>,
+}
+
+impl DeltaMap {
+    fn build(contracts: &[DeviceContracts]) -> DeltaMap {
+        // Ids in first-seen order, so the layout is deterministic.
+        let mut ids: HashMap<ContractLocator, u32> = HashMap::with_capacity(contracts.len());
+        let locator_of: Vec<u32> = contracts
+            .iter()
+            .map(|dc| {
+                let next = ids.len() as u32;
+                *ids.entry(ContractLocator::build(dc)).or_insert(next)
+            })
+            .collect();
+        let mut locators: Vec<(ContractLocator, u32)> = ids.into_iter().collect();
+        locators.sort_unstable_by_key(|&(_, id)| id);
+        DeltaMap {
+            locator_of,
+            locators: locators.into_iter().map(|(loc, _)| loc).collect(),
+        }
+    }
+
+    /// A fresh (empty) per-evaluation affected-contract cache.
+    fn new_cache(&self) -> AffectedCache {
+        (0..self.locators.len()).map(|_| HashMap::new()).collect()
+    }
+
+    /// Delta-validate one changed device against its prior.
+    ///
+    /// With a clean prior (the overwhelmingly common case — healthy
+    /// fabrics validate clean), unaffected contracts carry nothing
+    /// over, so the locator's affected subset is validated on its own:
+    /// the engine sees only the contracts it would have re-checked
+    /// anyway, and the subset's clean prior is the genuine prior of
+    /// those contracts. Violations come back ordered by subset index,
+    /// which is ascending original contract order — exactly the full
+    /// scan's emission order. A non-clean prior falls back to the
+    /// engine's own carry logic.
+    #[allow(clippy::too_many_arguments)]
+    fn revalidate(
+        &self,
+        engine: &dyn Engine,
+        contracts: &[DeviceContracts],
+        prior: &ValidationReport,
+        du: usize,
+        fib: &Fib,
+        touched: &[Prefix],
+        aff_cache: &mut AffectedCache,
+    ) -> ValidationReport {
+        // `validate_delta` only consumes the delta's prefix set (which
+        // contracts are affected) and its rule count (the full-churn
+        // fallback heuristic) — never the rule payloads. The restart
+        // already hands us the touched prefixes, so the delta is
+        // synthesized without re-searching either table; which bucket
+        // the prefixes land in is immaterial.
+        let delta = FibDelta {
+            device: fib.device().0,
+            removed: touched.to_vec(),
+            ..FibDelta::default()
+        };
+        if !prior.violations.is_empty() {
+            return engine.validate_delta(fib, &contracts[du], &delta, prior);
+        }
+        let loc = self.locator_of[du] as usize;
+        if !aff_cache[loc].contains_key(touched) {
+            let v = self.locators[loc].affected(touched);
+            aff_cache[loc].insert(touched.to_vec(), v);
+        }
+        let aff = &aff_cache[loc][touched];
+        if aff.is_empty() {
+            return prior.clone();
+        }
+        let pruned = DeviceContracts {
+            contracts: aff
+                .iter()
+                .map(|&i| contracts[du].contracts[i as usize].clone())
+                .collect(),
+        };
+        let clean = ValidationReport {
+            violations: Vec::new(),
+            contracts_checked: pruned.len(),
+            solver_stats: Default::default(),
+        };
+        let sub = engine.validate_delta(fib, &pruned, &delta, &clean);
+        ValidationReport {
+            contracts_checked: contracts[du].len(),
+            ..sub
+        }
+    }
+}
+
+/// What makes a state count as a failure of the fabric.
+///
+/// Contracts are derived from the *expected* topology, so almost any
+/// physical failure leaves some contract unsatisfied (a dead link
+/// shrinks an ECMP set somewhere). The policy picks which violations
+/// disqualify a state, which is what makes `Robust(k)` — and "every
+/// intermediate rollout state is safe" — a meaningful certificate
+/// rather than a tautology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailCondition {
+    /// Any violation at all (the strictest reading).
+    AnyViolation,
+    /// Any violation at or above this risk rank (§2.6.4), judged
+    /// against the metadata service.
+    AtLeast(Risk),
+    /// Traffic is actually lost: a device misses its default route
+    /// (the last-resort path out), so packets to unknown destinations
+    /// blackhole instead of detouring.
+    Blackhole,
+}
+
+impl std::str::FromStr for FailCondition {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "any" => Ok(FailCondition::AnyViolation),
+            "blackhole" => Ok(FailCondition::Blackhole),
+            "low" => Ok(FailCondition::AtLeast(Risk::Low)),
+            "medium" => Ok(FailCondition::AtLeast(Risk::Medium)),
+            "high" => Ok(FailCondition::AtLeast(Risk::High)),
+            other => Err(format!(
+                "unknown fail condition {other:?} (expected any|low|medium|high|blackhole)"
+            )),
+        }
+    }
+}
+
+impl std::fmt::Display for FailCondition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FailCondition::AnyViolation => write!(f, "any"),
+            FailCondition::AtLeast(Risk::Low) => write!(f, "low"),
+            FailCondition::AtLeast(Risk::Medium) => write!(f, "medium"),
+            FailCondition::AtLeast(Risk::High) => write!(f, "high"),
+            FailCondition::Blackhole => write!(f, "blackhole"),
+        }
+    }
+}
+
+/// A [`FailCondition`] resolved against the metadata it needs, so the
+/// per-violation test cannot fail.
+enum Test<'a> {
+    Any,
+    Blackhole,
+    AtLeast(Risk, &'a MetadataService),
+}
+
+/// Reads validation reports against one condition: a violation
+/// *offends* when it matches the condition and is not in the allowed
+/// set. The sweeper allows nothing (every matching violation counts);
+/// the planner allows what production and, optionally, the final state
+/// already show (only violations transient to the rollout count).
+pub(crate) struct Judge<'a> {
+    test: Test<'a>,
+    allowed: HashSet<Violation>,
+}
+
+impl<'a> Judge<'a> {
+    /// Resolve `condition`. Risk-ranked conditions need the metadata
+    /// service; asking for one without it is the caller's
+    /// configuration error and is reported here, before any state is
+    /// evaluated, rather than at the first violation judged.
+    pub(crate) fn new(
+        condition: FailCondition,
+        meta: Option<&'a MetadataService>,
+        allowed: HashSet<Violation>,
+    ) -> Result<Judge<'a>, String> {
+        let test = match (condition, meta) {
+            (FailCondition::AnyViolation, _) => Test::Any,
+            (FailCondition::Blackhole, _) => Test::Blackhole,
+            (FailCondition::AtLeast(min), Some(meta)) => Test::AtLeast(min, meta),
+            (FailCondition::AtLeast(_), None) => {
+                return Err(
+                    "risk-ranked fail conditions require metadata: construct the \
+                            explorer via Validator::new(&meta) or attach it with .metadata(&meta)"
+                        .to_string(),
+                )
+            }
+        };
+        Ok(Judge { test, allowed })
+    }
+
+    /// The offending violations of one report, in report order.
+    pub(crate) fn offending<'r>(
+        &'r self,
+        report: &'r ValidationReport,
+    ) -> impl Iterator<Item = &'r Violation> {
+        report.violations.iter().filter(move |v| {
+            let matches = match self.test {
+                Test::Any => true,
+                Test::Blackhole => matches!(v.reason, ViolationReason::MissingDefault),
+                Test::AtLeast(min, meta) => risk_of(v, meta) >= min,
+            };
+            matches && !self.allowed.contains(v)
+        })
+    }
+
+    /// How many violations of `report` offend.
+    pub(crate) fn count(&self, report: &ValidationReport) -> usize {
+        self.offending(report).count()
+    }
+}
+
+/// One anchor's offending-violation counts under one [`Judge`],
+/// computed once so that judging a restarted state touches only the
+/// devices that changed.
+pub(crate) struct Tally {
+    per_device: Vec<u32>,
+    /// Offending violations across the whole anchor.
+    pub(crate) total: usize,
+}
+
+impl Tally {
+    /// Count every device report of an anchor.
+    pub(crate) fn of(judge: &Judge, reports: &[ValidationReport]) -> Tally {
+        let per_device: Vec<u32> = reports.iter().map(|r| judge.count(r) as u32).collect();
+        let total = per_device.iter().map(|&c| c as usize).sum();
+        Tally { per_device, total }
+    }
+
+    /// The fabric-wide count once `changed` replaces the anchor's
+    /// reports for those devices: subtract each changed device's old
+    /// share, add its new one.
+    pub(crate) fn spliced(&self, judge: &Judge, changed: &[(DeviceId, ValidationReport)]) -> usize {
+        changed.iter().fold(self.total, |total, (d, report)| {
+            total - self.per_device[d.0 as usize] as usize + judge.count(report)
+        })
+    }
+}
+
+/// The four metric families both explorers export, under the
+/// explorer's own prefix (`rcdc_whatif_*`, `rcdc_rollout_*`).
+pub(crate) struct ExploreMetrics {
+    ok: Counter,
+    bad: Counter,
+    latency: Histogram,
+    revalidated: Counter,
+    reused: Counter,
+}
+
+impl ExploreMetrics {
+    /// Resolve the families for `explorer` (`"whatif"` or `"rollout"`).
+    /// The sweeper's unit of work is a scenario that passes or fails,
+    /// the planner's a state that is safe or unsafe; the families are
+    /// otherwise the same.
+    pub(crate) fn new(registry: &Registry, explorer: &str) -> ExploreMetrics {
+        let (unit, ok, bad) = match explorer {
+            "whatif" => ("scenario", "pass", "fail"),
+            _ => ("state", "safe", "unsafe"),
+        };
+        let outcome = |o| {
+            registry.counter(
+                &format!("rcdc_{explorer}_{unit}s_total"),
+                &format!("{unit}s evaluated, by outcome"),
+                &[("outcome", o)],
+            )
+        };
+        ExploreMetrics {
+            ok: outcome(ok),
+            bad: outcome(bad),
+            latency: registry.histogram(
+                &format!("rcdc_{explorer}_{unit}_latency_ns"),
+                &format!("per-{unit} incremental evaluation latency in nanoseconds"),
+                &[],
+            ),
+            revalidated: registry.counter(
+                &format!("rcdc_{explorer}_devices_revalidated_total"),
+                "per-device delta validations performed",
+                &[],
+            ),
+            reused: registry.counter(
+                &format!("rcdc_{explorer}_verdicts_reused_total"),
+                &format!("per-device verdicts answered from the cross-{unit} memo"),
+                &[],
+            ),
+        }
+    }
+}
+
+/// A converged fixed point with every device validated: what fault
+/// sets restart from and what their changed devices are judged
+/// against.
+pub(crate) struct Anchor {
+    /// The converged routing solution, ready to answer fault sets.
+    pub(crate) baseline: Baseline,
+    /// Per-device validation reports of the converged tables.
+    pub(crate) reports: Vec<ValidationReport>,
+    /// Per-device FIB content hashes, indexed like `reports`.
+    pub(crate) hashes: Vec<u64>,
+    /// Devices the engine validated while building this anchor; the
+    /// rest were answered by the root-hash or memo shortcut.
+    pub(crate) revalidated: usize,
+}
+
+/// What one [`Explorer::restart`] found: only the devices whose FIBs
+/// differ from the anchor's, with their new reports, and the work it
+/// took.
+#[derive(Default)]
+pub(crate) struct StateDelta {
+    /// Changed devices and their new reports, ascending by device id.
+    pub(crate) changed: Vec<(DeviceId, ValidationReport)>,
+    /// Fixed-point restart work counters.
+    pub(crate) stats: RestartStats,
+    /// Devices delta-validated; the rest of `changed` were answered
+    /// from the verdict memo.
+    pub(crate) revalidated: usize,
+}
+
+impl StateDelta {
+    /// Devices answered from the verdict memo.
+    pub(crate) fn reused(&self) -> usize {
+        self.changed.len() - self.revalidated
+    }
+}
+
+/// Running totals over the states an exploration evaluated — the
+/// counters both explorers report.
+#[derive(Default)]
+pub(crate) struct Totals {
+    /// States evaluated.
+    pub(crate) states: usize,
+    /// Per-device validations performed.
+    pub(crate) revalidated: usize,
+    /// Per-device verdicts reused.
+    pub(crate) reused: usize,
+    /// Summed restart work counters.
+    pub(crate) restart: RestartStats,
+}
+
+impl Totals {
+    /// Account for one evaluated state.
+    pub(crate) fn add(&mut self, delta: &StateDelta) {
+        self.states += 1;
+        self.revalidated += delta.revalidated;
+        self.reused += delta.reused();
+        self.restart.absorb(&delta.stats);
+    }
+
+    /// Fold in another worker's totals.
+    pub(crate) fn merge(&mut self, other: &Totals) {
+        self.states += other.states;
+        self.revalidated += other.revalidated;
+        self.reused += other.reused;
+        self.restart.absorb(&other.restart);
+    }
+}
+
+/// Converge a network and validate every device, reusing `root`'s
+/// verdict wherever a table's content hash matches the root's and
+/// `memo`'s wherever it holds one; fresh verdicts are added to `memo`.
+fn converge_anchor(
+    engine: &(dyn Engine + Sync),
+    threads: usize,
+    contracts: &[DeviceContracts],
+    root: Option<&Anchor>,
+    memo: Option<&VerdictMemo>,
+    topology: &Topology,
+    config: &SimConfig,
+) -> Anchor {
+    let baseline = Baseline::converge(topology, config);
+    let fibs = baseline.healthy_fibs();
+    let hashes: Vec<u64> = fibs.iter().map(Fib::content_hash).collect();
+    let mut reports = vec![ValidationReport::default(); fibs.len()];
+    let mut todo: Vec<usize> = Vec::new();
+    {
+        let memo = memo.map(|m| m.read());
+        for (du, &h) in hashes.iter().enumerate() {
+            let known = match root {
+                Some(root) if root.hashes[du] == h => Some(&root.reports[du]),
+                _ => memo.as_ref().and_then(|m| m.get(&(du as u32, h))),
+            };
+            match known {
+                Some(r) => reports[du] = r.clone(),
+                None => todo.push(du),
+            }
+        }
+    }
+    let jobs: Vec<(&Fib, &DeviceContracts)> =
+        todo.iter().map(|&du| (&fibs[du], &contracts[du])).collect();
+    let fresh = validate_jobs(engine, threads, &jobs);
+    if let Some(memo) = memo {
+        let mut memo = memo.write();
+        for (&du, r) in todo.iter().zip(&fresh) {
+            memo.insert((du as u32, hashes[du]), r.clone());
+        }
+    }
+    let revalidated = todo.len();
+    for (du, r) in todo.into_iter().zip(fresh) {
+        reports[du] = r;
+    }
+    Anchor {
+        baseline,
+        reports,
+        hashes,
+        revalidated,
+    }
+}
+
+/// From-scratch evaluation of one network state: simulate the control
+/// plane to its fixed point and validate every device. The reference
+/// the incremental path is tested against, and the §2.7 pre-check.
+pub(crate) fn cold(
+    engine: &(dyn Engine + Sync),
+    threads: usize,
+    contracts: &[DeviceContracts],
+    topology: &Topology,
+    config: &SimConfig,
+) -> DatacenterReport {
+    run_pass(
+        engine,
+        threads,
+        &simulate(topology, config),
+        contracts,
+        1,
+        None,
+        None,
+    )
+}
+
+/// The state-evaluation core: a validated root [`Anchor`] plus what it
+/// takes to evaluate perturbed states against the same contracts with
+/// the same engine.
+pub(crate) struct Explorer {
+    root: Anchor,
+    contracts: Vec<DeviceContracts>,
+    engine: Box<dyn Engine + Sync>,
+    threads: usize,
+    meta: Option<MetadataService>,
+    metrics: Option<ExploreMetrics>,
+    delta: DeltaMap,
+}
+
+impl Explorer {
+    /// Converge and validate `topology` under `config` as the root
+    /// anchor.
+    pub(crate) fn new(
+        topology: &Topology,
+        config: &SimConfig,
+        contracts: Vec<DeviceContracts>,
+        engine: Box<dyn Engine + Sync>,
+        threads: usize,
+        meta: Option<MetadataService>,
+        metrics: Option<ExploreMetrics>,
+    ) -> Explorer {
+        let root = converge_anchor(
+            engine.as_ref(),
+            threads,
+            &contracts,
+            None,
+            None,
+            topology,
+            config,
+        );
+        Explorer {
+            root,
+            delta: DeltaMap::build(&contracts),
+            contracts,
+            engine,
+            threads,
+            meta,
+            metrics,
+        }
+    }
+
+    /// The root anchor.
+    pub(crate) fn root(&self) -> &Anchor {
+        &self.root
+    }
+
+    /// The contract sets being validated against (indexed by device).
+    pub(crate) fn contracts(&self) -> &[DeviceContracts] {
+        &self.contracts
+    }
+
+    /// The verification engine.
+    pub(crate) fn engine(&self) -> &(dyn Engine + Sync) {
+        self.engine.as_ref()
+    }
+
+    /// `requested` worker threads, or the configured count when 0.
+    pub(crate) fn threads_or(&self, requested: usize) -> usize {
+        if requested > 0 {
+            requested
+        } else {
+            self.threads.max(1)
+        }
+    }
+
+    /// A judge for `condition` over this explorer's metadata.
+    pub(crate) fn judge(
+        &self,
+        condition: FailCondition,
+        allowed: HashSet<Violation>,
+    ) -> Result<Judge<'_>, String> {
+        Judge::new(condition, self.meta.as_ref(), allowed)
+    }
+
+    /// Count one judged state in the outcome family.
+    pub(crate) fn record_outcome(&self, fails: bool) {
+        if let Some(m) = &self.metrics {
+            if fails { &m.bad } else { &m.ok }.inc();
+        }
+    }
+
+    /// Converge another network over the same devices into an anchor.
+    /// Tables equal to the root's keep the root's verdicts; with a
+    /// memo, tables seen in earlier states keep theirs.
+    pub(crate) fn converge(
+        &self,
+        topology: &Topology,
+        config: &SimConfig,
+        memo: Option<&VerdictMemo>,
+    ) -> Anchor {
+        converge_anchor(
+            self.engine.as_ref(),
+            self.threads,
+            &self.contracts,
+            Some(&self.root),
+            memo,
+            topology,
+            config,
+        )
+    }
+
+    /// Evaluate `fault` from `anchor`: restart the fixed point and
+    /// revalidate exactly the devices whose FIBs changed, each against
+    /// its anchor report. A table is hashed only when there is a memo
+    /// to key; a one-shot evaluation skips it.
+    pub(crate) fn restart(
+        &self,
+        anchor: &Anchor,
+        fault: &FaultSpec,
+        memo: Option<&VerdictMemo>,
+    ) -> StateDelta {
+        let _timer = self.metrics.as_ref().map(|m| m.latency.start_timer());
+        let out = anchor.baseline.resimulate(fault);
+        // State-local: devices sharing a contract layout and a touched
+        // list share their affected-contract indices.
+        let mut aff_cache = self.delta.new_cache();
+        let mut delta = StateDelta {
+            changed: Vec::with_capacity(out.changed.len()),
+            stats: out.stats,
+            ..StateDelta::default()
+        };
+        for ((d, fib), touched) in out.changed.into_iter().zip(out.touched) {
+            let du = d.0 as usize;
+            let key = memo.map(|m| (m, (d.0, fib.content_hash())));
+            let hit = key.and_then(|(m, k)| m.read().get(&k).cloned());
+            let report = hit.unwrap_or_else(|| {
+                delta.revalidated += 1;
+                let r = self.delta.revalidate(
+                    self.engine.as_ref(),
+                    &self.contracts,
+                    &anchor.reports[du],
+                    du,
+                    &fib,
+                    &touched,
+                    &mut aff_cache,
+                );
+                if let Some((m, k)) = key {
+                    m.write().insert(k, r.clone());
+                }
+                r
+            });
+            delta.changed.push((d, report));
+        }
+        if let Some(m) = &self.metrics {
+            m.revalidated.add(delta.revalidated as u64);
+            m.reused.add(delta.reused() as u64);
+        }
+        delta
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rollout::{ConfigChange, ManagedNetwork, PlanOptions};
+    use crate::validator::Validator;
+    use crate::whatif::SweepOptions;
+    use dctopo::generator::figure3;
+    use dctopo::LinkState;
+
+    #[test]
+    fn both_explorers_export_the_shared_families_under_their_own_names() {
+        // The family names are public surface (dashboards, the CLI's
+        // `--metrics`); one handle struct now serves both explorers,
+        // so pin every name, and tie the shared counters to the
+        // reports they summarize.
+        let f = figure3();
+        let meta = MetadataService::from_topology(&f.topology);
+        let registry = Registry::new();
+        let sweeper = Validator::new(&meta)
+            .metrics(&registry)
+            .build_whatif(&f.topology, &SimConfig::healthy());
+        let sweep = sweeper.sweep(&SweepOptions {
+            k: 1,
+            exhaustive: true,
+            condition: FailCondition::Blackhole,
+            ..SweepOptions::default()
+        });
+        let planner = Validator::new(&meta)
+            .metrics(&registry)
+            .build_planner(&ManagedNetwork::new(f.topology.clone()));
+        let shuts: Vec<ConfigChange> = [f.a[0], f.a[1]]
+            .iter()
+            .map(|&leaf| ConfigChange::SetLinkState {
+                link: f.topology.link_between(f.tors[0], leaf).unwrap().id,
+                state: LinkState::AdminShut,
+            })
+            .collect();
+        let plan = planner.plan(&shuts, &PlanOptions::default()).unwrap();
+
+        let snap = registry.snapshot();
+        for family in [
+            "rcdc_whatif_scenarios_total",
+            "rcdc_whatif_scenario_latency_ns",
+            "rcdc_whatif_devices_revalidated_total",
+            "rcdc_whatif_verdicts_reused_total",
+            "rcdc_whatif_delta_devices",
+            "rcdc_rollout_states_total",
+            "rcdc_rollout_state_latency_ns",
+            "rcdc_rollout_devices_revalidated_total",
+            "rcdc_rollout_verdicts_reused_total",
+            "rcdc_rollout_backtracks_total",
+            "rcdc_rollout_dead_prefix_hits_total",
+            "rcdc_rollout_anchors_total",
+        ] {
+            assert!(snap.has_family(family), "missing {family}");
+        }
+        let count = |name: &str, outcome: &str| {
+            snap.counter(name, &[("outcome", outcome)])
+                .unwrap_or_else(|| panic!("{name}{{outcome={outcome}}} missing"))
+        };
+        // The sweep's level scenarios, plus ddmin's probes of the
+        // first failing one.
+        let scenarios = count("rcdc_whatif_scenarios_total", "pass")
+            + count("rcdc_whatif_scenarios_total", "fail");
+        assert!(scenarios >= sweep.scenarios_checked as u64);
+        assert!(!sweep.failing.is_empty(), "figure 3 blackholes at k=1");
+        assert!(count("rcdc_whatif_scenarios_total", "fail") >= sweep.failing.len() as u64);
+        assert_eq!(
+            count("rcdc_rollout_states_total", "safe")
+                + count("rcdc_rollout_states_total", "unsafe"),
+            plan.states_evaluated as u64
+        );
+        assert_eq!(
+            snap.counter("rcdc_rollout_devices_revalidated_total", &[]),
+            Some(plan.devices_revalidated as u64)
+        );
+    }
+}

@@ -43,17 +43,21 @@
 //! 8. **Ops simulation** ([`burndown`]): the prioritized remediation
 //!    process whose output is the paper's Figure 6 burndown graph.
 //! 9. **K-failure robustness sweeps** ([`whatif`]): enumerate failure
-//!    scenarios over the fabric, restart the routing fixed point from
-//!    the healthy solution per scenario, revalidate only the changed
-//!    devices, and answer with a `Robust(k)` certificate or a
-//!    ddmin-minimal counterexample ([`shrink`]).
+//!    scenarios over the fabric — exhaustive at k ≤ 2, sampled beyond,
+//!    optionally pruned by symmetry — and answer with a `Robust(k)`
+//!    certificate or a ddmin-minimal counterexample ([`shrink`]).
 //! 10. **Change pre-checks and rollout planning** ([`rollout`]): the
 //!     §2.7 emulator pre-check ([`Prechecker`]) and a Snowcap-style
 //!     ordering search ([`RolloutPlanner`]) that finds a sequence of
 //!     per-device changes whose every intermediate fixed point
 //!     satisfies the contracts — or a ddmin-minimal unsafe subset when
-//!     none does — over the same restart + delta-revalidation +
-//!     verdict-memo stack as the what-if sweeps.
+//!     none does.
+//!
+//! Items 9 and 10 are two search policies over one crate-private
+//! state-evaluation core (`explore`): a converged, validated anchor;
+//! a fixed-point restart per fault set that revalidates only the
+//! devices whose FIBs changed; a cross-state `(device, FIB hash)`
+//! verdict memo; and one judge of which violations count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,8 +66,8 @@ pub mod burndown;
 pub mod classify;
 pub mod clock;
 pub mod contracts;
-pub(crate) mod delta;
 pub mod engine;
+mod explore;
 pub mod framework;
 pub mod global_baseline;
 pub mod pipeline;

@@ -9,28 +9,24 @@
 //! finishes. Snowcap (SIGCOMM 2021) frames this as a search over
 //! per-device reconfiguration sequences; Plankton shows the search
 //! scales when each explored state is checked *incrementally* rather
-//! than rebuilt. That is exactly the stack PR 9 built for what-if
-//! sweeps, reused here:
+//! than rebuilt. The incremental check is `crate::explore`'s — the
+//! same anchor / restart / memo / judge machine the what-if sweeps run
+//! on; what this module owns is the *search policy* over it:
 //!
 //! * Changes are absolute-state writes to **distinct targets** (a
 //!   classification error otherwise), so they commute: the network
 //!   state after applying a subset is a function of the *set*, not the
 //!   order. The search therefore explores subsets (`u128` masks), not
 //!   sequences — a plan is a path through the subset lattice.
-//! * Each subset splits into its *general* part (link bring-ups,
-//!   override edits — anything `bgpsim::restart` cannot patch) and its
-//!   *fault* part (links going down). The general part keys a converged
-//!   **anchor** ([`bgpsim::Baseline`] + full validation); the fault
-//!   part is evaluated from that anchor by
-//!   [`resimulate`](bgpsim::Baseline::resimulate) + touched-device-only
-//!   revalidation ([`crate::delta`]). Anchors never bake faults in, so
-//!   one anchor serves every fault combination above it — and ddmin can
+//! * Each subset is lowered to the explorer's two inputs: its
+//!   *general* part (link bring-ups, override edits — anything a
+//!   fixed-point restart cannot patch) is a network to converge into
+//!   an anchor, its *fault* part (links going down) a fault set to
+//!   restart from that anchor. Anchors never bake faults in, so one
+//!   anchor serves every fault combination above it — and ddmin can
 //!   evaluate *arbitrary* subsets, not just search prefixes.
-//! * Per-device verdicts are memoized across the whole search frontier
-//!   by `(device, fib content hash)` ([`crate::delta::VerdictMemo`]):
-//!   validation is pure in the FIB bytes and the contract set, so a
-//!   content hit is a correct verdict no matter which ordering
-//!   produced the table.
+//! * One verdict memo spans the whole search frontier, so a table seen
+//!   under one ordering is never validated again under another.
 //!
 //! A state is *safe* when every condition-matching violation in it is
 //! **allowed** — present in the production baseline (pre-existing
@@ -47,27 +43,27 @@
 //! Build a planner with
 //! [`ValidatorBuilder::build_planner`](crate::ValidatorBuilder::build_planner),
 //! a plain §2.7 pre-checker with
-//! [`build_precheck`](crate::ValidatorBuilder::build_precheck); the
-//! `dcemu` crate's old free functions are deprecated shims over these.
+//! [`build_precheck`](crate::ValidatorBuilder::build_precheck).
 
 use crate::contracts::DeviceContracts;
-use crate::delta::{DeltaMap, VerdictMemo};
 use crate::engine::Engine;
+use crate::explore::{
+    self, Anchor, Explorer, FailCondition, Judge, StateDelta, Tally, Totals, VerdictMemo,
+};
 use crate::report::{ValidationReport, Violation};
-use crate::runner::run_pass;
+use crate::runner::{DatacenterReport, EngineChoice};
 use crate::shrink::shrink_list;
-use crate::whatif::FailCondition;
-use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
-use bgpsim::{simulate, DeviceOverride, Fib, SimConfig};
-use dctopo::{DeviceId, LinkId, LinkState, MetadataService, Topology};
+use bgpsim::restart::{FaultSpec, RestartStats};
+use bgpsim::{DeviceOverride, SimConfig};
+use dctopo::{DeviceId, LinkId, LinkState, Topology};
 use obskit::Registry;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// One configuration change under review — the shared change
-/// vocabulary of the pre-checker, the rollout planner, and `dcemu`.
-#[derive(Debug, Clone, PartialEq)]
+/// vocabulary of the pre-checker and the rollout planner.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ConfigChange {
     /// Replace a device's configuration overrides (route maps, ECMP
     /// settings, ASN) — the §2.6.2 "policy error" and "migration"
@@ -86,6 +82,19 @@ pub enum ConfigChange {
         /// New state.
         state: LinkState,
     },
+}
+
+impl ConfigChange {
+    /// What the change writes to, as `(kind, id)`. Changes of one
+    /// batch must have distinct targets — that is what makes them
+    /// commute — so sorting by target puts a change *set* into one
+    /// canonical sequence.
+    fn target(&self) -> (&'static str, u32) {
+        match self {
+            ConfigChange::SetLinkState { link, .. } => ("link", link.0),
+            ConfigChange::SetOverride { device, .. } => ("device", device.0),
+        }
+    }
 }
 
 /// The production network being managed: the model the emulator
@@ -122,19 +131,27 @@ impl ManagedNetwork {
 
     /// Converge the control plane and validate every device; returns
     /// all violations (the flattened datacenter report). Convenience
-    /// over a default [`crate::Validator`]; construct a
+    /// over the default engine on the current thread; construct a
     /// [`Prechecker`] to pick the engine and thread count.
     pub fn validate(&self, contracts: &[DeviceContracts]) -> Vec<Violation> {
-        let fibs = simulate(&self.topology, &self.config);
-        let report = crate::Validator::with_contracts(contracts.to_vec())
-            .build()
-            .run(&fibs);
-        report
-            .reports
-            .into_iter()
-            .flat_map(|r| r.violations)
-            .collect()
+        let engine = EngineChoice::default().instantiate();
+        violations(explore::cold(
+            engine.as_ref(),
+            0,
+            contracts,
+            &self.topology,
+            &self.config,
+        ))
     }
+}
+
+/// Every violation of a datacenter report, in device order.
+fn violations(report: DatacenterReport) -> Vec<Violation> {
+    report
+        .reports
+        .into_iter()
+        .flat_map(|r| r.violations)
+        .collect()
 }
 
 /// A seeded rollout-scenario shape, shared by the `validatedc plan`
@@ -292,34 +309,16 @@ impl Prechecker {
         &self.production
     }
 
-    /// Surrender the production network (e.g. to hand the deployed
-    /// state to a deprecated-shim caller).
-    pub fn into_production(self) -> ManagedNetwork {
-        self.production
-    }
-
-    /// The contract sets being validated against (indexed by device).
-    pub fn contracts(&self) -> &[DeviceContracts] {
-        &self.contracts
-    }
-
     /// Converge and validate a network with this checker's engine and
     /// thread count; returns the flattened violation list.
     pub fn validate(&self, network: &ManagedNetwork) -> Vec<Violation> {
-        let fibs = simulate(&network.topology, &network.config);
-        run_pass(
+        violations(explore::cold(
             self.engine.as_ref(),
             self.threads,
-            &fibs,
             &self.contracts,
-            1,
-            None,
-            None,
-        )
-        .reports
-        .into_iter()
-        .flat_map(|r| r.violations)
-        .collect()
+            &network.topology,
+            &network.config,
+        ))
     }
 
     /// Run the emulator pre-check for a change set: clone production,
@@ -438,7 +437,11 @@ impl std::fmt::Display for PlanVerdict {
         match self {
             PlanVerdict::Safe(steps) => write!(f, "safe plan of {} step(s)", steps.len()),
             PlanVerdict::Unsafe(u) => {
-                write!(f, "unsafe: minimal unsafe subset of {} change(s)", u.prefix.len())
+                write!(
+                    f,
+                    "unsafe: minimal unsafe subset of {} change(s)",
+                    u.prefix.len()
+                )
             }
         }
     }
@@ -495,12 +498,9 @@ pub struct OrderCheck {
     pub states_evaluated: usize,
 }
 
+/// The families only the planner exports; the four it shares with the
+/// sweeper are [`ExploreMetrics`].
 struct RolloutMetrics {
-    safe: obskit::Counter,
-    unsafe_states: obskit::Counter,
-    state_latency: obskit::Histogram,
-    revalidated: obskit::Counter,
-    reused: obskit::Counter,
     backtracks: obskit::Counter,
     dead_hits: obskit::Counter,
     anchors: obskit::Counter,
@@ -508,31 +508,7 @@ struct RolloutMetrics {
 
 impl RolloutMetrics {
     fn new(registry: &Registry) -> RolloutMetrics {
-        let outcome = |o| {
-            registry.counter(
-                "rcdc_rollout_states_total",
-                "intermediate rollout states evaluated, by outcome",
-                &[("outcome", o)],
-            )
-        };
         RolloutMetrics {
-            safe: outcome("safe"),
-            unsafe_states: outcome("unsafe"),
-            state_latency: registry.histogram(
-                "rcdc_rollout_state_latency_ns",
-                "per-state incremental check latency in nanoseconds",
-                &[],
-            ),
-            revalidated: registry.counter(
-                "rcdc_rollout_devices_revalidated_total",
-                "per-device delta validations performed by the planner",
-                &[],
-            ),
-            reused: registry.counter(
-                "rcdc_rollout_verdicts_reused_total",
-                "per-device verdicts answered from the cross-state memo",
-                &[],
-            ),
             backtracks: registry.counter(
                 "rcdc_rollout_backtracks_total",
                 "subsets proven dead during ordering search",
@@ -561,65 +537,85 @@ enum Shape {
     /// No routing effect (override equal to current, or a link-state
     /// write that does not change session liveness).
     Noop,
-    /// A live session going down — exactly what
-    /// [`bgpsim::Baseline::resimulate`] patches.
+    /// A live session going down — exactly what a fixed-point restart
+    /// patches.
     Fault(LinkId),
     /// Everything else (link bring-up, override edit): needs a fresh
     /// converged anchor.
     General,
 }
 
+/// A classified change list: the subset lattice the search walks, and
+/// the lowering of a subset (`u128` mask over the list) to what
+/// `crate::explore` evaluates — a network to converge for its general
+/// part, a [`FaultSpec`] to restart for its fault part.
+struct Lattice<'a> {
+    changes: &'a [ConfigChange],
+    shapes: Vec<Shape>,
+    noop_mask: u128,
+    general_mask: u128,
+    /// All submitted changes (raw mask, noops included).
+    full: u128,
+}
+
+impl Lattice<'_> {
+    /// Canonical state key: noop changes have no routing effect, so
+    /// masks differing only in noop bits denote the same state.
+    fn canon(&self, m: u128) -> u128 {
+        m & !self.noop_mask
+    }
+
+    /// The changes selected by `m`, with their submission indices.
+    fn picked(&self, m: u128) -> impl Iterator<Item = (usize, &ConfigChange)> {
+        let picked = move |(i, _): &(usize, &ConfigChange)| m & (1u128 << i) != 0;
+        self.changes.iter().enumerate().filter(picked)
+    }
+
+    /// `m`'s fault-shaped part: the live links it takes down.
+    fn fault(&self, m: u128) -> FaultSpec {
+        FaultSpec::links(self.picked(m).filter_map(|(i, _)| match self.shapes[i] {
+            Shape::Fault(l) => Some(l),
+            _ => None,
+        }))
+    }
+
+    /// `production` with the changes selected by `m` applied.
+    fn applied(&self, production: &ManagedNetwork, m: u128) -> ManagedNetwork {
+        let mut net = production.clone();
+        for (_, c) in self.picked(m) {
+            net.apply(c);
+        }
+        net
+    }
+
+    /// The selected changes as plan steps, ascending by index.
+    fn steps(&self, m: u128) -> Vec<PlanStep> {
+        self.picked(m).map(|(i, _)| self.step(i)).collect()
+    }
+
+    fn step(&self, index: usize) -> PlanStep {
+        PlanStep {
+            index,
+            change: self.changes[index].clone(),
+        }
+    }
+}
+
 /// The safe change-rollout planner. Build one with
 /// [`ValidatorBuilder::build_planner`](crate::ValidatorBuilder::build_planner).
 pub struct RolloutPlanner {
     production: ManagedNetwork,
-    baseline: Baseline,
-    root_reports: Vec<ValidationReport>,
-    root_hashes: Vec<u64>,
-    contracts: Vec<DeviceContracts>,
-    engine: Box<dyn Engine + Sync>,
-    threads: usize,
-    meta: Option<MetadataService>,
+    /// The shared state-evaluation core; its root anchor is production.
+    explorer: Explorer,
     metrics: Option<RolloutMetrics>,
-    /// Shared delta-revalidation core ([`crate::delta`]), built once.
-    delta: DeltaMap,
     /// Cross-call memo for [`Self::state_reports`], keyed by the
-    /// canonical change *set*. Changes commute (classify rejects
-    /// duplicate targets), so a subset's fixed point — and therefore
-    /// its report vector — is independent of the order the subset was
-    /// reached in; candidate orderings of one rollout revisit the same
-    /// lattice states over and over, and each distinct state is only
-    /// ever evaluated once per planner.
-    state_memo: RwLock<HashMap<Vec<ChangeKey>, std::sync::Arc<Vec<ValidationReport>>>>,
-}
-
-/// Canonical identity of one change in the [`RolloutPlanner`]
-/// state-report memo: the exact payload, keyed by target so a change
-/// set sorts into one canonical sequence (targets are distinct by
-/// construction).
-#[derive(PartialEq, Eq, Hash)]
-enum ChangeKey {
-    Link(u32, LinkState),
-    Override(u32, DeviceOverride),
-}
-
-impl ChangeKey {
-    fn of(c: &ConfigChange) -> ChangeKey {
-        match c {
-            ConfigChange::SetLinkState { link, state } => ChangeKey::Link(link.0, *state),
-            ConfigChange::SetOverride { device, config } => {
-                ChangeKey::Override(device.0, config.clone())
-            }
-        }
-    }
-
-    /// `(kind, target)` — unique within one change set.
-    fn slot(&self) -> (u8, u32) {
-        match self {
-            ChangeKey::Link(id, _) => (0, *id),
-            ChangeKey::Override(id, _) => (1, *id),
-        }
-    }
+    /// canonical change *set* (the changes sorted by target). Changes
+    /// commute (classify rejects duplicate targets), so a subset's
+    /// fixed point — and therefore its report vector — is independent
+    /// of the order the subset was reached in; candidate orderings of
+    /// one rollout revisit the same lattice states over and over, and
+    /// each distinct state is only ever evaluated once per planner.
+    state_memo: RwLock<HashMap<Vec<ConfigChange>, std::sync::Arc<Vec<ValidationReport>>>>,
 }
 
 /// Entries kept in the state-report memo before it is wiped; a plan
@@ -631,34 +627,13 @@ const STATE_MEMO_CAP: usize = 4096;
 impl RolloutPlanner {
     pub(crate) fn new(
         production: ManagedNetwork,
-        contracts: Vec<DeviceContracts>,
-        engine: Box<dyn Engine + Sync>,
-        threads: usize,
-        meta: Option<MetadataService>,
+        explorer: Explorer,
         registry: Option<&Registry>,
     ) -> RolloutPlanner {
-        let baseline = Baseline::converge(&production.topology, &production.config);
-        let root = run_pass(
-            engine.as_ref(),
-            threads,
-            baseline.healthy_fibs(),
-            &contracts,
-            1,
-            None,
-            None,
-        );
-        let delta = DeltaMap::build(&contracts);
         RolloutPlanner {
             production,
-            baseline,
-            root_hashes: root.fib_hashes,
-            root_reports: root.reports,
-            contracts,
-            engine,
-            threads,
-            meta,
+            explorer,
             metrics: registry.map(RolloutMetrics::new),
-            delta,
             state_memo: RwLock::new(HashMap::new()),
         }
     }
@@ -670,85 +645,73 @@ impl RolloutPlanner {
 
     /// The production baseline's per-device validation reports.
     pub fn baseline_reports(&self) -> &[ValidationReport] {
-        &self.root_reports
+        &self.explorer.root().reports
     }
 
     /// The contract sets being validated against (indexed by device).
     pub fn contracts(&self) -> &[DeviceContracts] {
-        &self.contracts
+        self.explorer.contracts()
     }
 
     /// Classify each change against production. Errors on duplicate
     /// targets (changes must commute for subset-keyed evaluation to be
     /// sound) and on change sets too large for the mask width.
-    fn classify(&self, changes: &[ConfigChange]) -> Result<Vec<Shape>, String> {
-        if changes.len() > 128 {
-            return Err(format!(
-                "at most 128 changes per plan (got {})",
-                changes.len()
-            ));
+    fn classify<'a>(&self, changes: &'a [ConfigChange]) -> Result<Lattice<'a>, String> {
+        let n = changes.len();
+        if n > 128 {
+            return Err(format!("at most 128 changes per plan (got {n})"));
         }
-        let mut links_seen: HashSet<LinkId> = HashSet::new();
-        let mut devices_seen: HashSet<DeviceId> = HashSet::new();
-        changes
+        let mut seen = HashSet::new();
+        let shapes = changes
             .iter()
-            .map(|c| match c {
-                ConfigChange::SetLinkState { link, state } => {
-                    if !links_seen.insert(*link) {
-                        return Err(format!(
-                            "duplicate change target: link {} appears twice",
-                            link.0
-                        ));
+            .map(|c| {
+                let (kind, id) = c.target();
+                if !seen.insert((kind, id)) {
+                    return Err(format!(
+                        "duplicate change target: {kind} {id} appears twice"
+                    ));
+                }
+                Ok(match c {
+                    ConfigChange::SetLinkState { link, state } => {
+                        let current = self.production.topology.link(*link).state;
+                        if current.session_up() == state.session_up() {
+                            // Up→up is the same state; down→down (e.g.
+                            // OperDown → AdminShut) changes bookkeeping
+                            // but not the session graph the fixed
+                            // point reads.
+                            Shape::Noop
+                        } else if current.session_up() {
+                            Shape::Fault(*link)
+                        } else {
+                            Shape::General
+                        }
                     }
-                    let current = self.production.topology.link(*link).state;
-                    Ok(if current.session_up() == state.session_up() {
-                        // Up→up is the same state; down→down (e.g.
-                        // OperDown → AdminShut) changes bookkeeping
-                        // but not the session graph the fixed point
-                        // reads.
-                        Shape::Noop
-                    } else if current.session_up() {
-                        Shape::Fault(*link)
-                    } else {
-                        Shape::General
-                    })
-                }
-                ConfigChange::SetOverride { device, config } => {
-                    if !devices_seen.insert(*device) {
-                        return Err(format!(
-                            "duplicate change target: device {} appears twice",
-                            device.0
-                        ));
+                    ConfigChange::SetOverride { device, config } => {
+                        let current = self.production.config.device(*device);
+                        if current.cloned().unwrap_or_default() == *config {
+                            Shape::Noop
+                        } else {
+                            Shape::General
+                        }
                     }
-                    let current = self
-                        .production
-                        .config
-                        .device(*device)
-                        .cloned()
-                        .unwrap_or_default();
-                    Ok(if current == *config {
-                        Shape::Noop
-                    } else {
-                        Shape::General
-                    })
-                }
+                })
             })
-            .collect()
-    }
-
-    /// Validate a full FIB vector with the root-hash shortcut:
-    /// devices whose tables match production reuse the root verdict.
-    fn cold_reports(&self, fibs: &[Fib]) -> Vec<ValidationReport> {
-        fibs.iter()
-            .enumerate()
-            .map(|(du, fib)| {
-                if fib.content_hash() == self.root_hashes[du] {
-                    self.root_reports[du].clone()
-                } else {
-                    self.engine.validate_device(fib, &self.contracts[du])
-                }
-            })
-            .collect()
+            .collect::<Result<Vec<Shape>, String>>()?;
+        let (mut noop_mask, mut general_mask) = (0u128, 0u128);
+        for (i, s) in shapes.iter().enumerate() {
+            match s {
+                Shape::Noop => noop_mask |= 1u128 << i,
+                Shape::General => general_mask |= 1u128 << i,
+                Shape::Fault(_) => {}
+            }
+        }
+        Ok(Lattice {
+            changes,
+            shapes,
+            noop_mask,
+            general_mask,
+            full: if n == 0 { 0 } else { (!0u128) >> (128 - n) },
+        })
     }
 
     /// The full per-device report vector after applying `changes` (as
@@ -761,52 +724,27 @@ impl RolloutPlanner {
     /// oracle byte-compares this against a from-scratch simulate +
     /// cold validation of the same state.
     pub fn state_reports(&self, changes: &[ConfigChange]) -> Result<Vec<ValidationReport>, String> {
-        let shapes = self.classify(changes)?;
-        let mut key: Vec<ChangeKey> = changes.iter().map(ChangeKey::of).collect();
-        key.sort_by_key(ChangeKey::slot);
+        let lattice = self.classify(changes)?;
+        let mut key = changes.to_vec();
+        key.sort_by_key(ConfigChange::target);
         if let Some(hit) = self.state_memo.read().get(&key) {
             return Ok((**hit).clone());
         }
-        let generals: Vec<usize> = shapes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Shape::General))
-            .map(|(i, _)| i)
-            .collect();
-        let links: Vec<LinkId> = shapes
-            .iter()
-            .filter_map(|s| match s {
-                Shape::Fault(l) => Some(*l),
-                _ => None,
-            })
-            .collect();
-        let (anchor, mut reports) = if generals.is_empty() {
-            (None, self.root_reports.clone())
+        let root = self.explorer.root();
+        let built = (lattice.general_mask != 0).then(|| {
+            let net = lattice.applied(&self.production, lattice.general_mask);
+            self.explorer.converge(&net.topology, &net.config, None)
+        });
+        let fault = lattice.fault(lattice.full);
+        let changed = if fault.is_empty() {
+            Vec::new()
         } else {
-            let mut net = self.production.clone();
-            for &i in &generals {
-                net.apply(&changes[i]);
-            }
-            let baseline = Baseline::converge(&net.topology, &net.config);
-            let reports = self.cold_reports(baseline.healthy_fibs());
-            (Some(baseline), reports)
+            let anchor = built.as_ref().unwrap_or(root);
+            self.explorer.restart(anchor, &fault, None).changed
         };
-        if !links.is_empty() {
-            let base = anchor.as_ref().unwrap_or(&self.baseline);
-            let out = base.resimulate(&FaultSpec::links(links));
-            let mut aff_cache = self.delta.new_cache();
-            for ((d, fib), touched) in out.changed.iter().zip(&out.touched) {
-                let du = d.0 as usize;
-                reports[du] = self.delta.revalidate(
-                    self.engine.as_ref(),
-                    &self.contracts,
-                    &reports[du],
-                    du,
-                    fib,
-                    touched,
-                    &mut aff_cache,
-                );
-            }
+        let mut reports = built.map_or_else(|| root.reports.clone(), |a| a.reports);
+        for (d, r) in changed {
+            reports[d.0 as usize] = r;
         }
         let mut memo = self.state_memo.write();
         if memo.len() >= STATE_MEMO_CAP {
@@ -825,14 +763,13 @@ impl RolloutPlanner {
     /// chosen).
     pub fn plan(&self, changes: &[ConfigChange], opts: &PlanOptions) -> Result<PlanReport, String> {
         let start = Instant::now();
-        let shapes = self.classify(changes)?;
-        let n = changes.len();
-        let mut search = Search::new(self, changes, shapes, opts);
-        let full = search.ctx.full;
+        let mut search = Search::new(self, self.classify(changes)?, opts)?;
+        let full = search.lattice.full;
         let mut order: Vec<usize> = Vec::new();
-        let safe = if n == 0 {
-            true
-        } else if search.final_transient == 0 {
+        // The final state's eval is pre-seeded. (An empty submission is
+        // its own final state: `dfs` returns at once with the empty
+        // order.)
+        let safe = if search.eval_of(full) == 0 {
             search.dfs(0, &mut order)
         } else {
             // Even the complete change set violates the condition —
@@ -841,25 +778,9 @@ impl RolloutPlanner {
             search.first_unsafe = Some(full);
             false
         };
-        let steps = |mask: u128| -> Vec<PlanStep> {
-            (0..n)
-                .filter(|&i| mask & (1u128 << i) != 0)
-                .map(|i| PlanStep {
-                    index: i,
-                    change: changes[i].clone(),
-                })
-                .collect()
-        };
         let verdict = if safe {
-            PlanVerdict::Safe(
-                order
-                    .iter()
-                    .map(|&i| PlanStep {
-                        index: i,
-                        change: changes[i].clone(),
-                    })
-                    .collect(),
-            )
+            let lattice = &search.lattice;
+            PlanVerdict::Safe(order.iter().map(|&i| lattice.step(i)).collect())
         } else {
             // A failed search always evaluated at least one unsafe
             // state: the dead-prefix memo starts empty, so the first
@@ -867,36 +788,33 @@ impl RolloutPlanner {
             let found = search
                 .first_unsafe
                 .expect("failed search must have recorded an unsafe state");
-            let found_idx: Vec<usize> = (0..n).filter(|&i| found & (1u128 << i) != 0).collect();
-            let mut minimized = shrink_list(&found_idx, |subset| {
-                let m = subset.iter().fold(0u128, |m, &i| m | (1u128 << i));
-                search.eval_of(m).transient > 0
-            });
-            minimized.sort_unstable();
-            let mmask = minimized.iter().fold(0u128, |m, &i| m | (1u128 << i));
-            let transient = search.transient_violations(mmask);
+            let mask_of = |subset: &[usize]| subset.iter().fold(0u128, |m, &i| m | (1u128 << i));
+            let found_idx: Vec<usize> = search.lattice.picked(found).map(|(i, _)| i).collect();
+            let minimized = shrink_list(&found_idx, |subset| search.eval_of(mask_of(subset)) > 0);
+            let minimal = mask_of(&minimized);
+            let transient = search.transient_violations(minimal);
             PlanVerdict::Unsafe(UnsafePrefix {
-                prefix: steps(mmask),
-                found: steps(found),
+                prefix: search.lattice.steps(minimal),
+                found: search.lattice.steps(found),
                 transient,
             })
         };
         if let Some(m) = &self.metrics {
             m.backtracks.add(search.backtracks as u64);
             m.dead_hits.add(search.dead_hits as u64);
-            m.anchors.add(search.anchors_built as u64);
+            m.anchors.add(search.anchors.len() as u64);
         }
         Ok(PlanReport {
             verdict,
             condition: opts.condition,
-            states_evaluated: search.states_evaluated,
-            devices_revalidated: search.devices_revalidated,
-            verdicts_reused: search.verdicts_reused,
-            anchors_built: search.anchors_built,
+            states_evaluated: search.totals.states,
+            devices_revalidated: search.totals.revalidated,
+            verdicts_reused: search.totals.reused,
+            anchors_built: search.anchors.len(),
             dead_prefix_hits: search.dead_hits,
             backtracks: search.backtracks,
             search_exhausted: !search.aborted,
-            restart: search.restart,
+            restart: search.totals.restart,
             elapsed: start.elapsed(),
         })
     }
@@ -908,421 +826,173 @@ impl RolloutPlanner {
         changes: &[ConfigChange],
         opts: &PlanOptions,
     ) -> Result<OrderCheck, String> {
-        let shapes = self.classify(changes)?;
-        if changes.is_empty() {
-            return Ok(OrderCheck {
-                first_unsafe: None,
-                transient: 0,
-                states_evaluated: 0,
-            });
-        }
-        let mut search = Search::new(self, changes, shapes, opts);
-        let mut mask = 0u128;
-        for i in 0..changes.len() {
-            mask |= 1u128 << i;
-            let ev = search.eval_of(mask);
-            if ev.transient > 0 {
-                return Ok(OrderCheck {
-                    first_unsafe: Some(i),
-                    transient: ev.transient,
-                    states_evaluated: search.states_evaluated,
-                });
-            }
-        }
+        let mut search = Search::new(self, self.classify(changes)?, opts)?;
+        // Step i's post-state is the first i + 1 changes applied.
+        let first_unsafe = (0..changes.len()).find_map(|i| {
+            let transient = search.eval_of(u128::MAX >> (127 - i));
+            (transient > 0).then_some((i, transient))
+        });
         Ok(OrderCheck {
-            first_unsafe: None,
-            transient: 0,
-            states_evaluated: search.states_evaluated,
+            first_unsafe: first_unsafe.map(|(i, _)| i),
+            transient: first_unsafe.map_or(0, |(_, t)| t),
+            states_evaluated: search.totals.states,
         })
     }
 }
 
-/// A converged general-change subset the fault-shaped remainder
-/// restarts from. `None` fields mean "the planner's own root" —
-/// borrowed, not cloned.
-struct Anchor {
-    baseline: Option<Baseline>,
-    reports: Option<Vec<ValidationReport>>,
-    /// Per-device transient-violation counts under this anchor (the
-    /// subtraction side of the delta arithmetic).
-    dev_matching: Vec<u32>,
-    /// Sum of `dev_matching`.
-    transient: usize,
-}
-
-/// One evaluated state's verdict (memoized by canonical mask).
-#[derive(Clone, Copy)]
-struct StateEval {
-    /// Condition-matching, not-allowed violations in the state.
-    transient: usize,
-}
-
-/// The raw outcome of one fault-set evaluation from an anchor.
-struct FaultEval {
-    eval: StateEval,
-    stats: RestartStats,
-    revalidated: usize,
-    reused: usize,
-    /// Changed devices' reports (only populated in collect mode).
-    changed: Vec<(DeviceId, ValidationReport)>,
-}
-
-/// Immutable search context, separable from the mutable search state
-/// so parallel frontier workers can borrow it alongside one anchor.
-struct Ctx<'a> {
+/// One search over a classified change list: the judge and verdict
+/// memo its states share, the memoized evals, anchors and dead
+/// prefixes, and the exploration counters. Evaluating a state from
+/// its anchor needs only `&self`, so parallel frontier workers share
+/// the search while nothing mutates it.
+struct Search<'a> {
     p: &'a RolloutPlanner,
-    changes: &'a [ConfigChange],
-    shapes: Vec<Shape>,
-    condition: FailCondition,
-    /// Baseline ∪ (optionally) final-state violations: present in
-    /// states the operator already accepts, so never transient.
-    allowed: HashSet<Violation>,
-    noop_mask: u128,
-    general_mask: u128,
-    /// All submitted changes (raw mask, noops included).
-    full: u128,
+    lattice: Lattice<'a>,
+    /// Judges a state's *transient* violations: condition-matching and
+    /// not allowed, where allowed = baseline ∪ (optionally) final-state
+    /// violations — present in states the operator already accepts.
+    judge: Judge<'a>,
     threads: usize,
     /// Cross-state `(device, fib content hash)` verdict memo shared
     /// across the whole search frontier.
     memo: VerdictMemo,
     max_backtracks: usize,
-}
-
-impl Ctx<'_> {
-    /// Canonical state key: noop changes have no routing effect, so
-    /// masks differing only in noop bits denote the same state.
-    fn canon(&self, m: u128) -> u128 {
-        m & !self.noop_mask
-    }
-
-    fn fault_links(&self, m: u128) -> Vec<LinkId> {
-        self.shapes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Shape::Fault(l) if m & (1u128 << i) != 0 => Some(*l),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn matches(&self, v: &Violation) -> bool {
-        crate::delta::violation_matches(v, self.condition, self.p.meta.as_ref(), "planner")
-    }
-
-    /// Condition-matching violations in `r` that are not allowed.
-    fn transient_count(&self, r: &ValidationReport) -> usize {
-        r.violations
-            .iter()
-            .filter(|v| self.matches(v) && !self.allowed.contains(v))
-            .count()
-    }
-
-    fn anchor_baseline<'b>(&'b self, a: &'b Anchor) -> &'b Baseline {
-        a.baseline.as_ref().unwrap_or(&self.p.baseline)
-    }
-
-    fn anchor_reports<'b>(&'b self, a: &'b Anchor) -> &'b [ValidationReport] {
-        a.reports.as_deref().unwrap_or(&self.p.root_reports)
-    }
-
-    /// Evaluate a fault set from an anchor: restart the fixed point,
-    /// revalidate only changed devices (memo first), and patch the
-    /// anchor's transient count — subtract the changed devices' old
-    /// contributions, add their new ones.
-    fn eval_fault(&self, anchor: &Anchor, links: &[LinkId], collect: bool) -> FaultEval {
-        if links.is_empty() {
-            return FaultEval {
-                eval: StateEval {
-                    transient: anchor.transient,
-                },
-                stats: RestartStats::default(),
-                revalidated: 0,
-                reused: 0,
-                changed: Vec::new(),
-            };
-        }
-        let timer = self.p.metrics.as_ref().map(|m| m.state_latency.start_timer());
-        let reports = self.anchor_reports(anchor);
-        let out = self
-            .anchor_baseline(anchor)
-            .resimulate(&FaultSpec::links(links.iter().copied()));
-        let mut transient = anchor.transient;
-        let mut aff_cache = self.p.delta.new_cache();
-        let mut revalidated = 0usize;
-        let mut reused = 0usize;
-        let mut changed = Vec::new();
-        for ((d, fib), touched) in out.changed.iter().zip(&out.touched) {
-            let du = d.0 as usize;
-            let h = fib.content_hash();
-            let hit = self.memo.read().get(&(d.0, h)).cloned();
-            let r = match hit {
-                Some(r) => {
-                    reused += 1;
-                    r
-                }
-                None => {
-                    revalidated += 1;
-                    let r = self.p.delta.revalidate(
-                        self.p.engine.as_ref(),
-                        &self.p.contracts,
-                        &reports[du],
-                        du,
-                        fib,
-                        touched,
-                        &mut aff_cache,
-                    );
-                    self.memo.write().insert((d.0, h), r.clone());
-                    r
-                }
-            };
-            transient -= anchor.dev_matching[du] as usize;
-            transient += self.transient_count(&r);
-            if collect {
-                changed.push((*d, r));
-            }
-        }
-        if let Some(t) = timer {
-            t.stop();
-        }
-        FaultEval {
-            eval: StateEval { transient },
-            stats: out.stats,
-            revalidated,
-            reused,
-            changed,
-        }
-    }
-}
-
-/// Mutable search state: memoized evals, anchors, dead prefixes, and
-/// the exploration counters.
-struct Search<'a> {
-    ctx: Ctx<'a>,
-    evals: HashMap<u128, StateEval>,
-    anchors: HashMap<u128, Anchor>,
+    /// Transient-violation count per evaluated canonical mask.
+    evals: HashMap<u128, usize>,
+    /// Converged anchors by general-change mask (the empty mask is the
+    /// explorer's root and is never stored).
+    anchors: HashMap<u128, (Anchor, Tally)>,
+    root_tally: Tally,
     /// Canonical masks from which no safe completion exists.
     dead: HashSet<u128>,
     first_unsafe: Option<u128>,
-    final_transient: usize,
-    states_evaluated: usize,
-    devices_revalidated: usize,
-    verdicts_reused: usize,
-    anchors_built: usize,
+    totals: Totals,
     dead_hits: usize,
     backtracks: usize,
     aborted: bool,
-    restart: RestartStats,
 }
 
 impl<'a> Search<'a> {
     fn new(
         p: &'a RolloutPlanner,
-        changes: &'a [ConfigChange],
-        shapes: Vec<Shape>,
+        lattice: Lattice<'a>,
         opts: &PlanOptions,
-    ) -> Search<'a> {
-        let n = changes.len();
-        let full: u128 = if n == 0 { 0 } else { (!0u128) >> (128 - n) };
-        let mut noop_mask = 0u128;
-        let mut general_mask = 0u128;
-        for (i, s) in shapes.iter().enumerate() {
-            match s {
-                Shape::Noop => noop_mask |= 1u128 << i,
-                Shape::General => general_mask |= 1u128 << i,
-                Shape::Fault(_) => {}
-            }
-        }
-        let threads = if opts.threads > 0 {
-            opts.threads
-        } else {
-            p.threads.max(1)
-        };
+    ) -> Result<Search<'a>, String> {
+        let threads = p.explorer.threads_or(opts.threads);
+        let root = p.explorer.root();
         // The final state, computed once from scratch: it defines the
         // allowed set (with `accept_final`) and pre-seeds the full
         // mask's eval and the verdict memo.
-        let canon_full = full & !noop_mask;
+        let canon_full = lattice.canon(lattice.full);
         let final_pass = (canon_full != 0).then(|| {
-            let mut net = p.production.clone();
-            for c in changes {
-                net.apply(c);
-            }
-            let fibs = simulate(&net.topology, &net.config);
-            run_pass(p.engine.as_ref(), threads, &fibs, &p.contracts, 1, None, None)
+            let net = lattice.applied(&p.production, lattice.full);
+            let (engine, contracts) = (p.explorer.engine(), p.explorer.contracts());
+            explore::cold(engine, threads, contracts, &net.topology, &net.config)
         });
-        let mut allowed: HashSet<Violation> = p
-            .root_reports
-            .iter()
-            .flat_map(|r| r.violations.iter().cloned())
-            .collect();
         let finals: &[ValidationReport] = final_pass
             .as_ref()
-            .map(|dr| dr.reports.as_slice())
-            .unwrap_or(&p.root_reports);
-        if opts.accept_final {
-            allowed.extend(finals.iter().flat_map(|r| r.violations.iter().cloned()));
-        }
-        let ctx = Ctx {
-            p,
-            changes,
-            shapes,
-            condition: opts.condition,
-            allowed,
-            noop_mask,
-            general_mask,
-            full,
-            threads,
-            memo: RwLock::new(HashMap::new()),
-            max_backtracks: opts.max_backtracks,
-        };
+            .map_or(root.reports.as_slice(), |dr| dr.reports.as_slice());
+        let accepted: &[ValidationReport] = if opts.accept_final { finals } else { &[] };
+        let allowed: HashSet<Violation> = root
+            .reports
+            .iter()
+            .chain(accepted)
+            .flat_map(|r| r.violations.iter().cloned())
+            .collect();
+        let judge = p.explorer.judge(opts.condition, allowed)?;
         // Seed the memo with the final state's verdicts: deep search
         // states share most tables with it.
+        let mut memo = HashMap::new();
         if let Some(dr) = &final_pass {
-            let mut memo = ctx.memo.write();
             for (du, (&h, r)) in dr.fib_hashes.iter().zip(&dr.reports).enumerate() {
-                if h != p.root_hashes[du] {
+                if h != root.hashes[du] {
                     memo.insert((du as u32, h), r.clone());
                 }
             }
         }
-        // Root anchor (mask 0): borrows the planner's own baseline.
-        let dev_matching: Vec<u32> = p
-            .root_reports
-            .iter()
-            .map(|r| ctx.transient_count(r) as u32)
-            .collect();
-        let root_transient: usize = dev_matching.iter().map(|&c| c as usize).sum();
-        let final_transient: usize = finals.iter().map(|r| ctx.transient_count(r)).sum();
-        let mut anchors = HashMap::new();
-        anchors.insert(
-            0u128,
-            Anchor {
-                baseline: None,
-                reports: None,
-                dev_matching,
-                transient: root_transient,
-            },
-        );
-        let mut evals = HashMap::new();
-        evals.insert(
-            0u128,
-            StateEval {
-                transient: root_transient,
-            },
-        );
-        evals.insert(
-            canon_full,
-            StateEval {
-                transient: final_transient,
-            },
-        );
-        Search {
-            ctx,
+        let root_tally = Tally::of(&judge, &root.reports);
+        let final_transient: usize = finals.iter().map(|r| judge.count(r)).sum();
+        let evals = HashMap::from([(0, root_tally.total), (canon_full, final_transient)]);
+        Ok(Search {
+            p,
+            lattice,
+            judge,
+            threads,
+            memo: RwLock::new(memo),
+            max_backtracks: opts.max_backtracks,
             evals,
-            anchors,
+            anchors: HashMap::new(),
+            root_tally,
             dead: HashSet::new(),
             first_unsafe: None,
-            final_transient,
-            states_evaluated: 0,
-            devices_revalidated: 0,
-            verdicts_reused: 0,
-            anchors_built: 0,
+            totals: Totals::default(),
             dead_hits: 0,
             backtracks: 0,
             aborted: false,
-            restart: RestartStats::default(),
-        }
+        })
     }
 
-    fn absorb(&mut self, fe: &FaultEval) {
-        self.states_evaluated += 1;
-        self.devices_revalidated += fe.revalidated;
-        self.verdicts_reused += fe.reused;
-        self.restart.absorb(&fe.stats);
-        if let Some(m) = &self.ctx.p.metrics {
-            m.revalidated.add(fe.revalidated as u64);
-            m.reused.add(fe.reused as u64);
-            if fe.eval.transient > 0 {
-                m.unsafe_states.inc();
-            } else {
-                m.safe.inc();
-            }
-        }
+    /// Evaluate a fault set from an anchor: the state's transient
+    /// count (the anchor's, patched with the changed devices) and its
+    /// delta. The empty fault set is the anchor itself.
+    fn eval_fault(&self, anchor: &Anchor, tally: &Tally, fault: &FaultSpec) -> (usize, StateDelta) {
+        let delta = if fault.is_empty() {
+            StateDelta::default()
+        } else {
+            self.p.explorer.restart(anchor, fault, Some(&self.memo))
+        };
+        (tally.spliced(&self.judge, &delta.changed), delta)
+    }
+
+    /// Account for one evaluated state.
+    fn absorb(&mut self, transient: usize, delta: &StateDelta) {
+        self.totals.add(delta);
+        self.p.explorer.record_outcome(transient > 0);
     }
 
     /// Build (or reuse) the converged anchor for a general-change
     /// subset. Devices whose tables match production or an earlier
     /// state reuse their memoized verdicts.
     fn ensure_anchor(&mut self, g: u128) {
-        if self.anchors.contains_key(&g) {
+        if g == 0 || self.anchors.contains_key(&g) {
             return;
         }
-        let ctx = &self.ctx;
-        let p = ctx.p;
-        let mut net = p.production.clone();
-        for (i, c) in ctx.changes.iter().enumerate() {
-            if g & (1u128 << i) != 0 {
-                net.apply(c);
-            }
-        }
-        let baseline = Baseline::converge(&net.topology, &net.config);
-        let mut revalidated = 0usize;
-        let mut reused = 0usize;
-        let reports: Vec<ValidationReport> = baseline
-            .healthy_fibs()
-            .iter()
-            .enumerate()
-            .map(|(du, fib)| {
-                let h = fib.content_hash();
-                if h == p.root_hashes[du] {
-                    reused += 1;
-                    return p.root_reports[du].clone();
-                }
-                if let Some(r) = ctx.memo.read().get(&(du as u32, h)) {
-                    reused += 1;
-                    return r.clone();
-                }
-                revalidated += 1;
-                let r = p.engine.validate_device(fib, &p.contracts[du]);
-                ctx.memo.write().insert((du as u32, h), r.clone());
-                r
-            })
-            .collect();
-        let dev_matching: Vec<u32> = reports
-            .iter()
-            .map(|r| ctx.transient_count(r) as u32)
-            .collect();
-        let transient: usize = dev_matching.iter().map(|&c| c as usize).sum();
-        self.devices_revalidated += revalidated;
-        self.verdicts_reused += reused;
-        self.anchors_built += 1;
-        self.anchors.insert(
-            g,
-            Anchor {
-                baseline: Some(baseline),
-                reports: Some(reports),
-                dev_matching,
-                transient,
-            },
-        );
+        let net = self.lattice.applied(&self.p.production, g);
+        let explorer = &self.p.explorer;
+        let anchor = explorer.converge(&net.topology, &net.config, Some(&self.memo));
+        self.totals.revalidated += anchor.revalidated;
+        self.totals.reused += anchor.reports.len() - anchor.revalidated;
+        let tally = Tally::of(&self.judge, &anchor.reports);
+        self.anchors.insert(g, (anchor, tally));
     }
 
-    /// The (memoized) verdict for a subset state.
-    fn eval_of(&mut self, raw: u128) -> StateEval {
-        let m = self.ctx.canon(raw);
+    /// The anchor a canonical mask restarts from, with its tally.
+    fn anchored(&self, m: u128) -> (&Anchor, &Tally) {
+        match self.anchors.get(&(m & self.lattice.general_mask)) {
+            Some((anchor, tally)) => (anchor, tally),
+            None => (self.p.explorer.root(), &self.root_tally),
+        }
+    }
+
+    /// Evaluate a canonical mask's state from its anchor, bypassing
+    /// the eval memo.
+    fn eval_state(&mut self, m: u128) -> (usize, StateDelta) {
+        self.ensure_anchor(m & self.lattice.general_mask);
+        let (anchor, tally) = self.anchored(m);
+        let (transient, delta) = self.eval_fault(anchor, tally, &self.lattice.fault(m));
+        self.absorb(transient, &delta);
+        (transient, delta)
+    }
+
+    /// The (memoized) transient-violation count of a subset state.
+    fn eval_of(&mut self, raw: u128) -> usize {
+        let m = self.lattice.canon(raw);
         if let Some(&e) = self.evals.get(&m) {
             return e;
         }
-        let g = m & self.ctx.general_mask;
-        self.ensure_anchor(g);
-        let links = self.ctx.fault_links(m);
-        let fe = {
-            let anchor = &self.anchors[&g];
-            self.ctx.eval_fault(anchor, &links, false)
-        };
-        self.absorb(&fe);
-        self.evals.insert(m, fe.eval);
-        fe.eval
+        let (transient, _) = self.eval_state(m);
+        self.evals.insert(m, transient);
+        transient
     }
 
     /// Pre-evaluate a frontier chunk in parallel. Only fault-shaped
@@ -1331,43 +1001,44 @@ impl<'a> Search<'a> {
     /// scan that follows picks candidates exactly as it would have
     /// single-threaded.
     fn eval_chunk(&mut self, mask: u128, block: &[usize]) {
-        if self.ctx.threads <= 1 {
+        if self.threads <= 1 {
             return;
         }
-        let todo: Vec<(u128, Vec<LinkId>)> = block
+        let lattice = &self.lattice;
+        let todo: Vec<(u128, FaultSpec)> = block
             .iter()
             .filter_map(|&i| {
-                if !matches!(self.ctx.shapes[i], Shape::Fault(_)) {
+                if !matches!(lattice.shapes[i], Shape::Fault(_)) {
                     return None;
                 }
-                let child = self.ctx.canon(mask | (1u128 << i));
+                let child = lattice.canon(mask | (1u128 << i));
                 if self.evals.contains_key(&child) || self.dead.contains(&child) {
                     return None;
                 }
-                Some((child, self.ctx.fault_links(child)))
+                Some((child, lattice.fault(child)))
             })
             .collect();
         if todo.len() < 2 {
             return;
         }
-        let g = self.ctx.canon(mask) & self.ctx.general_mask;
-        self.ensure_anchor(g);
-        let results: Vec<(u128, FaultEval)> = {
-            let anchor = &self.anchors[&g];
-            let ctx = &self.ctx;
+        let m = lattice.canon(mask);
+        self.ensure_anchor(m & lattice.general_mask);
+        let results: Vec<(u128, (usize, StateDelta))> = {
+            let (anchor, tally) = self.anchored(m);
+            let search = &*self;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = todo
                     .iter()
-                    .map(|(child, links)| {
-                        scope.spawn(move || (*child, ctx.eval_fault(anchor, links, false)))
+                    .map(|(child, fault)| {
+                        scope.spawn(move || (*child, search.eval_fault(anchor, tally, fault)))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             })
         };
-        for (child, fe) in results {
-            self.absorb(&fe);
-            self.evals.insert(child, fe.eval);
+        for (child, (transient, delta)) in results {
+            self.absorb(transient, &delta);
+            self.evals.insert(child, transient);
         }
     }
 
@@ -1375,25 +1046,21 @@ impl<'a> Search<'a> {
     /// with `order` extended by a safe completion, or `false` after
     /// marking the subset dead (or aborting on backtrack budget).
     fn dfs(&mut self, mask: u128, order: &mut Vec<usize>) -> bool {
-        if mask == self.ctx.full {
+        if mask == self.lattice.full {
             return true;
         }
-        let n = self.ctx.changes.len();
+        let n = self.lattice.changes.len();
         let candidates: Vec<usize> = (0..n).filter(|&i| mask & (1u128 << i) == 0).collect();
-        let chunk = self.ctx.threads.max(1);
+        let chunk = self.threads.max(1);
         for block in candidates.chunks(chunk) {
             self.eval_chunk(mask, block);
             for &i in block {
                 let child = mask | (1u128 << i);
-                if self.dead.contains(&self.ctx.canon(child)) {
+                if self.dead.contains(&self.lattice.canon(child)) {
                     self.dead_hits += 1;
-                    if let Some(m) = &self.ctx.p.metrics {
-                        m.dead_hits.inc();
-                    }
                     continue;
                 }
-                let ev = self.eval_of(child);
-                if ev.transient > 0 {
+                if self.eval_of(child) > 0 {
                     if self.first_unsafe.is_none() {
                         self.first_unsafe = Some(child);
                     }
@@ -1409,9 +1076,9 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        self.dead.insert(self.ctx.canon(mask));
+        self.dead.insert(self.lattice.canon(mask));
         self.backtracks += 1;
-        if self.backtracks > self.ctx.max_backtracks {
+        if self.backtracks > self.max_backtracks {
             self.aborted = true;
         }
         false
@@ -1420,29 +1087,19 @@ impl<'a> Search<'a> {
     /// The transient violations present in a subset's state (spliced
     /// full view), for unsafe-prefix reporting.
     fn transient_violations(&mut self, raw: u128) -> Vec<Violation> {
-        let m = self.ctx.canon(raw);
-        let g = m & self.ctx.general_mask;
-        self.ensure_anchor(g);
-        let links = self.ctx.fault_links(m);
-        let fe = {
-            let anchor = &self.anchors[&g];
-            self.ctx.eval_fault(anchor, &links, true)
-        };
-        self.absorb(&fe);
-        let anchor = &self.anchors[&g];
-        let reports = self.ctx.anchor_reports(anchor);
-        let changed: HashMap<u32, &ValidationReport> =
-            fe.changed.iter().map(|(d, r)| (d.0, r)).collect();
-        let mut out = Vec::new();
-        for (du, base) in reports.iter().enumerate() {
-            let r = changed.get(&(du as u32)).copied().unwrap_or(base);
-            for v in &r.violations {
-                if self.ctx.matches(v) && !self.ctx.allowed.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
+        let m = self.lattice.canon(raw);
+        let changed: HashMap<DeviceId, ValidationReport> =
+            self.eval_state(m).1.changed.into_iter().collect();
+        let (anchor, _) = self.anchored(m);
+        anchor
+            .reports
+            .iter()
+            .enumerate()
+            .flat_map(|(du, base)| {
+                let report = changed.get(&DeviceId(du as u32)).unwrap_or(base);
+                self.judge.offending(report).cloned()
+            })
+            .collect()
     }
 }
 
@@ -1452,7 +1109,9 @@ mod tests {
     use crate::report::ViolationReason;
     use crate::validator::Validator;
     use crate::TrieEngine;
+    use bgpsim::simulate;
     use dctopo::generator::{figure3, Figure3};
+    use dctopo::MetadataService;
 
     fn planner_for(net: &ManagedNetwork) -> RolloutPlanner {
         let meta = MetadataService::from_topology(&net.topology);
@@ -1743,6 +1402,102 @@ mod tests {
             .map(|(du, fib)| engine.validate_device(fib, &planner.contracts()[du]))
             .collect();
         assert_eq!(incremental, cold);
+    }
+
+    /// The counters a plan reports, as one comparable tuple.
+    fn counters(r: &PlanReport) -> (usize, usize, usize, usize, usize, usize, RestartStats) {
+        (
+            r.states_evaluated,
+            r.devices_revalidated,
+            r.verdicts_reused,
+            r.anchors_built,
+            r.dead_prefix_hits,
+            r.backtracks,
+            r.restart,
+        )
+    }
+
+    #[test]
+    fn plan_counters_are_pinned() {
+        // Golden values: the ledger's `rollout_plan` throughput is
+        // states per second, so a change that silently visits other
+        // states must fail here rather than read as a change in speed.
+        let blackhole = |accept_final| PlanOptions {
+            condition: FailCondition::Blackhole,
+            accept_final,
+            threads: 1,
+            ..PlanOptions::default()
+        };
+        let (_f, net, changes) = migrate();
+        let planner = planner_for(&net);
+        let restart = |prefixes, patched, repropagated, devices_changed| RestartStats {
+            prefixes,
+            patched,
+            repropagated,
+            devices_changed,
+        };
+        let naive = planner.check_order(&changes, &blackhole(true)).unwrap();
+        assert_eq!(naive.states_evaluated, 2);
+        let report = planner.plan(&changes, &blackhole(true)).unwrap();
+        assert_eq!(
+            counters(&report),
+            (4, 26, 40, 1, 0, 0, restart(20, 12, 4, 46))
+        );
+
+        let topology = dctopo::build_clos(&dctopo::ClosParams {
+            clusters: 2,
+            tors_per_cluster: 2,
+            leaves_per_cluster: 4,
+            spines: 4,
+            regional_spines: 2,
+            regional_groups: 1,
+            prefixes_per_tor: 1,
+        });
+        let (net, changes) = seeded_scenario(&topology, RolloutScenario::Decommission, 2, 3);
+        let planner = planner_for(&net);
+        let accepted = planner.plan(&changes, &blackhole(true)).unwrap();
+        assert!(accepted.is_safe());
+        assert_eq!(
+            counters(&accepted),
+            (7, 50, 58, 0, 0, 0, restart(35, 21, 10, 108))
+        );
+        let strict = planner.plan(&changes, &blackhole(false)).unwrap();
+        assert!(!strict.is_safe());
+        assert_eq!(
+            counters(&strict),
+            (8, 53, 67, 0, 0, 0, restart(40, 24, 8, 120))
+        );
+        let order = planner.check_order(&changes, &blackhole(true)).unwrap();
+        assert_eq!(order.states_evaluated, 7);
+    }
+
+    #[test]
+    fn risk_ranked_condition_without_metadata_is_an_error() {
+        // A planner built from bare contracts cannot rank risk: both
+        // entry points must say so before evaluating any state, with
+        // the fix in the message — not panic at the first violation.
+        let (_f, net, changes) = migrate();
+        let meta = MetadataService::from_topology(&net.topology);
+        let planner =
+            Validator::with_contracts(crate::generate_contracts(&meta)).build_planner(&net);
+        let opts = PlanOptions {
+            condition: FailCondition::AtLeast(crate::Risk::High),
+            ..PlanOptions::default()
+        };
+        for err in [
+            planner.plan(&changes, &opts).unwrap_err(),
+            planner.check_order(&changes, &opts).unwrap_err(),
+            planner.check_order(&[], &opts).unwrap_err(),
+        ] {
+            assert!(err.contains("Validator::new(&meta)"), "{err}");
+            assert!(err.contains(".metadata(&meta)"), "{err}");
+        }
+        // The same planner still serves conditions that need no metadata.
+        let blackhole = PlanOptions {
+            condition: FailCondition::Blackhole,
+            ..PlanOptions::default()
+        };
+        assert!(planner.plan(&changes, &blackhole).unwrap().is_safe());
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl Observer for DatacenterReport {
 /// independent and uniform enough that a static partition beats the
 /// old per-slot mutex vector (which serialized on lock metadata and
 /// put every report behind a lock nobody contended).
-fn validate_jobs(
+pub(crate) fn validate_jobs(
     engine: &(dyn Engine + Sync),
     threads: usize,
     jobs: &[(&Fib, &DeviceContracts)],

@@ -33,6 +33,7 @@
 
 use crate::contracts::{generate_contracts, DeviceContracts};
 use crate::engine::Engine;
+use crate::explore::{ExploreMetrics, Explorer};
 use crate::pipeline::SnapshotSource;
 use crate::runner::{run_pass, DatacenterReport, EngineChoice, PassMetrics};
 use crate::service::{ServiceConfig, ValidationService};
@@ -125,10 +126,7 @@ impl ValidatorBuilder {
 
     /// [`from_env`](Self::from_env) over an injectable lookup, so
     /// tests exercise parsing without touching process globals.
-    pub fn from_env_lookup(
-        mut self,
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<Self, String> {
+    pub fn from_env_lookup(mut self, get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         if let Some(v) = get("RCDC_ENGINE") {
             self.engine = v
                 .parse::<EngineChoice>()
@@ -165,16 +163,21 @@ impl ValidatorBuilder {
         self
     }
 
-    /// Finish: instantiate the engine and fix the initial contract
-    /// epoch. With a metrics registry attached, the engine is wrapped
-    /// in [`crate::engine::ObservedEngine`] so per-device checks also
-    /// feed the `rcdc_engine_*` families.
-    pub fn build(self) -> Validator {
+    /// Instantiate the chosen engine. With a metrics registry attached
+    /// it is wrapped in [`crate::engine::ObservedEngine`], so
+    /// per-device checks also feed the `rcdc_engine_*` families.
+    fn observed_engine(&self) -> Box<dyn Engine + Sync> {
         let engine = self.engine.instantiate();
-        let engine: Box<dyn Engine + Sync> = match &self.registry {
+        match &self.registry {
             Some(registry) => Box::new(crate::engine::ObservedEngine::new(engine, registry)),
             None => engine,
-        };
+        }
+    }
+
+    /// Finish: instantiate the engine (observed when a metrics
+    /// registry is attached) and fix the initial contract epoch.
+    pub fn build(self) -> Validator {
+        let engine = self.observed_engine();
         Validator {
             contracts: self.contracts,
             engine,
@@ -183,6 +186,34 @@ impl ValidatorBuilder {
             epoch: 1,
             metrics: self.registry.as_ref().map(PassMetrics::new),
         }
+    }
+
+    /// Finish the state-evaluation core both explorers search over:
+    /// converge and validate `topology` under `config` as its root,
+    /// against this builder's contracts and (observed) engine, with
+    /// the shared explorer families under `rcdc_<family>_*`. Hands the
+    /// registry back for the families only one explorer exports.
+    fn build_explorer(
+        self,
+        topology: &dctopo::Topology,
+        config: &bgpsim::SimConfig,
+        family: &str,
+    ) -> (Explorer, Option<Registry>) {
+        let engine = self.observed_engine();
+        let metrics = self
+            .registry
+            .as_ref()
+            .map(|r| ExploreMetrics::new(r, family));
+        let explorer = Explorer::new(
+            topology,
+            config,
+            self.contracts,
+            engine,
+            self.threads,
+            self.meta,
+            metrics,
+        );
+        (explorer, self.registry)
     }
 
     /// Finish as a k-failure robustness sweeper ([`crate::whatif`]):
@@ -200,35 +231,16 @@ impl ValidatorBuilder {
         topology: &dctopo::Topology,
         config: &bgpsim::SimConfig,
     ) -> crate::WhatIfSweeper {
-        let engine = self.engine.instantiate();
-        let engine: Box<dyn Engine + Sync> = match &self.registry {
-            Some(registry) => Box::new(crate::engine::ObservedEngine::new(engine, registry)),
-            None => engine,
-        };
-        let baseline = bgpsim::Baseline::converge(topology, config);
-        crate::whatif::WhatIfSweeper::new(
-            baseline,
-            self.contracts,
-            engine,
-            self.threads,
-            self.meta,
-            self.registry.as_ref(),
-        )
+        let (explorer, registry) = self.build_explorer(topology, config, "whatif");
+        crate::whatif::WhatIfSweeper::new(explorer, registry.as_ref())
     }
 
     /// Finish as a §2.7 change pre-checker ([`crate::Prechecker`]):
     /// the emulator pre-check and Figure-7 workflow over a clone of
     /// `production`, validating with this builder's contracts, engine,
-    /// and thread count. This (and
-    /// [`build_planner`](Self::build_planner)) is the construction
-    /// route that replaced `dcemu`'s free-standing `precheck()` and
-    /// `ChangeWorkflow`.
+    /// and thread count.
     pub fn build_precheck(self, production: &crate::ManagedNetwork) -> crate::Prechecker {
-        let engine = self.engine.instantiate();
-        let engine: Box<dyn Engine + Sync> = match &self.registry {
-            Some(registry) => Box::new(crate::engine::ObservedEngine::new(engine, registry)),
-            None => engine,
-        };
+        let engine = self.observed_engine();
         crate::rollout::Prechecker::new(production.clone(), self.contracts, engine, self.threads)
     }
 
@@ -242,19 +254,9 @@ impl ValidatorBuilder {
     /// in the `rcdc_rollout_*` families (and the engine is observed,
     /// as in [`build`](Self::build)).
     pub fn build_planner(self, production: &crate::ManagedNetwork) -> crate::RolloutPlanner {
-        let engine = self.engine.instantiate();
-        let engine: Box<dyn Engine + Sync> = match &self.registry {
-            Some(registry) => Box::new(crate::engine::ObservedEngine::new(engine, registry)),
-            None => engine,
-        };
-        crate::rollout::RolloutPlanner::new(
-            production.clone(),
-            self.contracts,
-            engine,
-            self.threads,
-            self.meta,
-            self.registry.as_ref(),
-        )
+        let (explorer, registry) =
+            self.build_explorer(&production.topology, &production.config, "rollout");
+        crate::rollout::RolloutPlanner::new(production.clone(), explorer, registry.as_ref())
     }
 
     /// Finish as a long-running [`ValidationService`]: the contracts
@@ -312,17 +314,22 @@ impl Validator {
         }
     }
 
-    /// Cold pass: validate every device.
-    pub fn run(&self, fibs: &[Fib]) -> DatacenterReport {
+    /// One pass under the current contracts, cold or warm-started.
+    fn pass(&self, fibs: &[Fib], warm: Option<&DatacenterReport>) -> DatacenterReport {
         run_pass(
             self.engine.as_ref(),
             self.threads,
             fibs,
             &self.contracts,
             self.epoch,
-            None,
+            warm,
             self.metrics.as_ref(),
         )
+    }
+
+    /// Cold pass: validate every device.
+    pub fn run(&self, fibs: &[Fib]) -> DatacenterReport {
+        self.pass(fibs, None)
     }
 
     /// Warm pass: carry verdicts over from `warm` for every device
@@ -333,15 +340,7 @@ impl Validator {
     /// epoch — e.g. taken before [`republish`](Self::republish)) or a
     /// different device range is ignored and the pass runs cold.
     pub fn run_incremental(&self, fibs: &[Fib], warm: &DatacenterReport) -> DatacenterReport {
-        run_pass(
-            self.engine.as_ref(),
-            self.threads,
-            fibs,
-            &self.contracts,
-            self.epoch,
-            Some(warm),
-            self.metrics.as_ref(),
-        )
+        self.pass(fibs, Some(warm))
     }
 
     /// Replace the contract set, bumping the epoch: reports produced

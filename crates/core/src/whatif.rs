@@ -8,20 +8,13 @@
 //! is evaluated as a delta against the healthy fixed point, not a
 //! fresh build of the world.
 //!
-//! Per scenario, the [`WhatIfSweeper`]:
-//!
-//! 1. restarts the BGP fixed point from the healthy solution
-//!    ([`bgpsim::Baseline::resimulate`]) — only the prefixes routed
-//!    through the dead elements are touched, and only the devices
-//!    whose FIBs actually change come back;
-//! 2. revalidates exactly those devices via [`Engine::validate_delta`]
-//!    against their healthy priors (the SMT engine's assumption
-//!    sessions make each delta a `check_assuming` against the shared
-//!    encoding), memoizing verdicts by `(device, fib_hash)` across
-//!    scenarios — symmetric failures keep producing the same few
-//!    tables, and validation is pure in the FIB bytes, so a content
-//!    hit is a correct verdict regardless of which fault produced it;
-//! 3. judges the fabric against the sweep's [`FailCondition`].
+//! The evaluation itself is `crate::explore`'s: a scenario is a
+//! [`FaultSpec`] restarted from the healthy root anchor — only the
+//! devices whose FIBs change come back, delta-validated against their
+//! healthy reports or answered from the sweep's cross-scenario verdict
+//! memo — and judged against the sweep's [`FailCondition`]. What this
+//! module owns is the *search policy*: which scenarios to visit, in
+//! which order, and which to skip.
 //!
 //! Scenarios of size 1 and 2 are enumerated exhaustively, larger sizes
 //! are sampled (seeded, deterministic); opt-in symmetry pruning
@@ -32,16 +25,11 @@
 //! removing any single failure from the reported set makes the
 //! contracts pass again.
 
-use crate::contracts::DeviceContracts;
-use crate::delta::{DeltaMap, VerdictMemo};
-use crate::engine::Engine;
-use crate::report::{Risk, ValidationReport, Violation};
-use crate::runner::run_pass;
+use crate::explore::{Explorer, Judge, StateDelta, Tally, Totals, VerdictMemo};
+use crate::report::ValidationReport;
 use crate::shrink::shrink_list;
 use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
-use bgpsim::Fib;
-use dctopo::{DeviceId, LinkId, MetadataService, Topology};
-use netprim::Prefix;
+use dctopo::{DeviceId, LinkId, Topology};
 use obskit::Registry;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -50,6 +38,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+pub use crate::explore::FailCondition;
 
 /// One element of a failure scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,11 +55,7 @@ impl FailureElement {
         match self {
             FailureElement::Link(l) => {
                 let link = t.link(*l);
-                format!(
-                    "link {}~{}",
-                    t.device(link.lo).name,
-                    t.device(link.hi).name
-                )
+                format!("link {}~{}", t.device(link.lo).name, t.device(link.hi).name)
             }
             FailureElement::Device(d) => format!("device {}", t.device(*d).name),
         }
@@ -94,55 +79,6 @@ fn to_fault(elems: &[FailureElement]) -> FaultSpec {
         }
     }
     fault
-}
-
-/// What makes a scenario count as a failure of the fabric.
-///
-/// Contracts are derived from the *expected* topology, so almost any
-/// physical failure leaves some contract unsatisfied (a dead link
-/// shrinks an ECMP set somewhere). The policy picks which violations
-/// disqualify a scenario, which is what makes `Robust(k)` a meaningful
-/// certificate rather than a tautology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailCondition {
-    /// Any violation at all (the strictest reading).
-    AnyViolation,
-    /// Any violation at or above this risk rank (§2.6.4), judged
-    /// against the metadata service.
-    AtLeast(Risk),
-    /// Traffic is actually lost: a device misses its default route
-    /// (the last-resort path out), so packets to unknown destinations
-    /// blackhole instead of detouring.
-    Blackhole,
-}
-
-impl std::str::FromStr for FailCondition {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "any" => Ok(FailCondition::AnyViolation),
-            "blackhole" => Ok(FailCondition::Blackhole),
-            "low" => Ok(FailCondition::AtLeast(Risk::Low)),
-            "medium" => Ok(FailCondition::AtLeast(Risk::Medium)),
-            "high" => Ok(FailCondition::AtLeast(Risk::High)),
-            other => Err(format!(
-                "unknown fail condition {other:?} (expected any|low|medium|high|blackhole)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for FailCondition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailCondition::AnyViolation => write!(f, "any"),
-            FailCondition::AtLeast(Risk::Low) => write!(f, "low"),
-            FailCondition::AtLeast(Risk::Medium) => write!(f, "medium"),
-            FailCondition::AtLeast(Risk::High) => write!(f, "high"),
-            FailCondition::Blackhole => write!(f, "blackhole"),
-        }
-    }
 }
 
 /// Sweep configuration.
@@ -272,139 +208,65 @@ pub struct ScenarioCheck {
     pub reused: usize,
 }
 
-struct WhatIfMetrics {
-    pass: obskit::Counter,
-    fail: obskit::Counter,
-    latency: obskit::Histogram,
-    delta_devices: obskit::Histogram,
-    revalidated: obskit::Counter,
-    reused: obskit::Counter,
-}
-
-impl WhatIfMetrics {
-    fn new(registry: &Registry) -> WhatIfMetrics {
-        let outcome = |o| {
-            registry.counter(
-                "rcdc_whatif_scenarios_total",
-                "failure scenarios evaluated, by outcome",
-                &[("outcome", o)],
-            )
-        };
-        WhatIfMetrics {
-            pass: outcome("pass"),
-            fail: outcome("fail"),
-            latency: registry.histogram(
-                "rcdc_whatif_scenario_latency_ns",
-                "per-scenario evaluation latency in nanoseconds",
-                &[],
-            ),
-            delta_devices: registry.histogram(
-                "rcdc_whatif_delta_devices",
-                "devices whose FIB changed per scenario",
-                &[],
-            ),
-            revalidated: registry.counter(
-                "rcdc_whatif_devices_revalidated_total",
-                "per-device delta validations performed by the sweeper",
-                &[],
-            ),
-            reused: registry.counter(
-                "rcdc_whatif_verdicts_reused_total",
-                "per-device verdicts answered from the cross-scenario memo",
-                &[],
-            ),
-        }
-    }
-}
-
 /// The k-failure robustness sweeper. Build one with
 /// [`ValidatorBuilder::build_whatif`](crate::ValidatorBuilder::build_whatif).
 pub struct WhatIfSweeper {
-    baseline: Baseline,
-    contracts: Vec<DeviceContracts>,
-    engine: Box<dyn Engine + Sync>,
-    threads: usize,
-    meta: Option<MetadataService>,
-    metrics: Option<WhatIfMetrics>,
-    healthy_reports: Vec<ValidationReport>,
-    /// Shared delta-revalidation core: deduplicated per-device
-    /// contract locators ([`crate::delta`]), built once so each
-    /// scenario's delta devices skip the O(contracts) scan.
-    delta: DeltaMap,
+    /// The shared state-evaluation core; its root anchor is the
+    /// healthy fabric every scenario restarts from.
+    explorer: Explorer,
+    /// `rcdc_whatif_delta_devices` (the one family only sweeps export).
+    delta_devices: Option<obskit::Histogram>,
+}
+
+/// What one `sweep` / `check_scenario` call judges scenarios with.
+struct Scope<'a> {
+    judge: Judge<'a>,
+    /// The healthy fabric's offending counts, computed once per call
+    /// so a scenario only recounts its changed devices.
+    healthy: Tally,
+    memo: Option<&'a VerdictMemo>,
 }
 
 impl WhatIfSweeper {
-    pub(crate) fn new(
-        baseline: Baseline,
-        contracts: Vec<DeviceContracts>,
-        engine: Box<dyn Engine + Sync>,
-        threads: usize,
-        meta: Option<MetadataService>,
-        registry: Option<&Registry>,
-    ) -> WhatIfSweeper {
-        let healthy = run_pass(
-            engine.as_ref(),
-            threads,
-            baseline.healthy_fibs(),
-            &contracts,
-            1,
-            None,
-            None,
-        );
-        let delta = DeltaMap::build(&contracts);
+    pub(crate) fn new(explorer: Explorer, registry: Option<&Registry>) -> WhatIfSweeper {
         WhatIfSweeper {
-            baseline,
-            contracts,
-            engine,
-            threads,
-            meta,
-            metrics: registry.map(WhatIfMetrics::new),
-            healthy_reports: healthy.reports,
-            delta,
+            explorer,
+            delta_devices: registry.map(|r| {
+                r.histogram(
+                    "rcdc_whatif_delta_devices",
+                    "devices whose FIB changed per scenario",
+                    &[],
+                )
+            }),
         }
     }
 
     /// The healthy baseline the scenarios restart from.
     pub fn baseline(&self) -> &Baseline {
-        &self.baseline
+        &self.explorer.root().baseline
     }
 
     /// The healthy per-device validation reports (scenario priors).
     pub fn healthy_reports(&self) -> &[ValidationReport] {
-        &self.healthy_reports
+        &self.explorer.root().reports
     }
 
-    /// Does this violation disqualify a scenario under `condition`?
-    fn violation_matches(&self, v: &Violation, condition: FailCondition) -> bool {
-        crate::delta::violation_matches(v, condition, self.meta.as_ref(), "sweeper")
-    }
-
-    fn matching_count(&self, report: &ValidationReport, condition: FailCondition) -> usize {
-        report
-            .violations
-            .iter()
-            .filter(|v| self.violation_matches(v, condition))
-            .count()
-    }
-
-    /// Delta-validate one changed device against its healthy prior
-    /// (the shared [`crate::delta`] clean-prior fast path).
-    fn revalidate(
-        &self,
-        du: usize,
-        fib: &Fib,
-        touched: &[Prefix],
-        aff_cache: &mut crate::delta::AffectedCache,
-    ) -> ValidationReport {
-        self.delta.revalidate(
-            self.engine.as_ref(),
-            &self.contracts,
-            &self.healthy_reports[du],
-            du,
-            fib,
-            touched,
-            aff_cache,
-        )
+    /// Resolve `condition` once, on the caller's thread.
+    ///
+    /// # Panics
+    ///
+    /// On a risk-ranked condition without metadata (`sweep` and
+    /// `check_scenario` have no error channel).
+    fn scope<'a>(&'a self, condition: FailCondition, memo: Option<&'a VerdictMemo>) -> Scope<'a> {
+        let judge = self
+            .explorer
+            .judge(condition, HashSet::new())
+            .unwrap_or_else(|e| panic!("{e}"));
+        Scope {
+            healthy: Tally::of(&judge, self.healthy_reports()),
+            judge,
+            memo,
+        }
     }
 
     /// Evaluate one scenario incrementally: restart the fixed point,
@@ -414,93 +276,44 @@ impl WhatIfSweeper {
         elems: &[FailureElement],
         condition: FailCondition,
     ) -> ScenarioCheck {
-        self.eval_scenario(elems, condition, None)
+        let (matching, delta) = self.eval(elems, &self.scope(condition, None));
+        ScenarioCheck {
+            fails: matching > 0,
+            matching_violations: matching,
+            reused: delta.reused(),
+            changed: delta.changed,
+            stats: delta.stats,
+            revalidated: delta.revalidated,
+        }
     }
 
     /// The full per-device report vector a scenario induces: the
     /// healthy reports with the changed devices' verdicts spliced in.
     pub fn spliced_reports(&self, check: &ScenarioCheck) -> Vec<ValidationReport> {
-        let mut out = self.healthy_reports.clone();
+        let mut out = self.healthy_reports().to_vec();
         for (d, r) in &check.changed {
             out[d.0 as usize] = r.clone();
         }
         out
     }
 
-    fn eval_scenario(
-        &self,
-        elems: &[FailureElement],
-        condition: FailCondition,
-        memo: Option<&VerdictMemo>,
-    ) -> ScenarioCheck {
-        let timer = self.metrics.as_ref().map(|m| m.latency.start_timer());
-        let out = self.baseline.resimulate(&to_fault(elems));
-        let mut matching: usize = self
-            .healthy_reports
-            .iter()
-            .map(|r| self.matching_count(r, condition))
-            .sum();
-        let mut changed = Vec::with_capacity(out.changed.len());
-        // Scenario-local memo: devices sharing a contract layout and a
-        // touched list share their affected-contract indices.
-        let mut aff_cache = self.delta.new_cache();
-        let mut revalidated = 0usize;
-        let mut reused = 0usize;
-        for ((d, fib), touched) in out.changed.into_iter().zip(out.touched) {
-            let du = d.0 as usize;
-            // Hashing the full table is only worth it when there is a
-            // memo to key; a one-shot scenario check skips it.
-            let hash = memo.map(|_| fib.content_hash());
-            let hit = match (memo, hash) {
-                (Some(m), Some(h)) => m.read().get(&(d.0, h)).cloned(),
-                _ => None,
-            };
-            let report = match hit {
-                Some(r) => {
-                    reused += 1;
-                    r
-                }
-                None => {
-                    revalidated += 1;
-                    let r = self.revalidate(du, &fib, &touched, &mut aff_cache);
-                    if let (Some(m), Some(h)) = (memo, hash) {
-                        m.write().insert((d.0, h), r.clone());
-                    }
-                    r
-                }
-            };
-            matching -= self.matching_count(&self.healthy_reports[du], condition);
-            matching += self.matching_count(&report, condition);
-            changed.push((d, report));
+    /// One scenario's offending-violation count and state delta.
+    fn eval(&self, elems: &[FailureElement], scope: &Scope) -> (usize, StateDelta) {
+        let delta = self
+            .explorer
+            .restart(self.explorer.root(), &to_fault(elems), scope.memo);
+        let matching = scope.healthy.spliced(&scope.judge, &delta.changed);
+        self.explorer.record_outcome(matching > 0);
+        if let Some(h) = &self.delta_devices {
+            h.record(delta.changed.len() as u64);
         }
-        let fails = matching > 0;
-        if let Some(m) = &self.metrics {
-            m.delta_devices.record(changed.len() as u64);
-            m.revalidated.add(revalidated as u64);
-            m.reused.add(reused as u64);
-            if fails {
-                m.fail.inc();
-            } else {
-                m.pass.inc();
-            }
-        }
-        if let Some(t) = timer {
-            t.stop();
-        }
-        ScenarioCheck {
-            fails,
-            matching_violations: matching,
-            changed,
-            stats: out.stats,
-            revalidated,
-            reused,
-        }
+        (matching, delta)
     }
 
     /// The failure universe: every session-up link, plus (optionally)
     /// every device.
     pub fn universe(&self, include_devices: bool) -> Vec<FailureElement> {
-        let t = self.baseline.topology();
+        let t = self.baseline().topology();
         let mut u: Vec<FailureElement> = t
             .links()
             .iter()
@@ -520,95 +333,56 @@ impl WhatIfSweeper {
     pub fn sweep(&self, opts: &SweepOptions) -> SweepReport {
         let start = Instant::now();
         let memo: VerdictMemo = RwLock::new(HashMap::new());
-        let threads = if opts.threads > 0 {
-            opts.threads
-        } else {
-            self.threads.max(1)
-        };
-        let mut checked = 0usize;
+        let scope = self.scope(opts.condition, Some(&memo));
+        let threads = self.explorer.threads_or(opts.threads);
+        let mut totals = Totals::default();
         let mut pruned = 0usize;
-        let mut revalidated = 0usize;
-        let mut reused = 0usize;
-        let mut restart = RestartStats::default();
         let mut failing: Vec<Vec<FailureElement>> = Vec::new();
-        let mut first_failing: Option<Vec<FailureElement>> = None;
-
-        let mut absorb = |c: &ScenarioCheck| {
-            restart.absorb(&c.stats);
-        };
 
         // Level 0: the healthy fabric itself (k=0 ≡ a plain sweep).
-        let healthy = self.eval_scenario(&[], opts.condition, Some(&memo));
-        checked += 1;
-        revalidated += healthy.revalidated;
-        reused += healthy.reused;
-        absorb(&healthy);
-        if healthy.fails {
+        let (matching, healthy) = self.eval(&[], &scope);
+        totals.add(&healthy);
+        if matching > 0 {
             failing.push(Vec::new());
-            first_failing = Some(Vec::new());
         }
 
-        if first_failing.is_none() || opts.exhaustive {
+        if failing.is_empty() || opts.exhaustive {
             let universe = self.universe(opts.include_devices);
-            let colors = opts
-                .symmetry
-                .then(|| wl_colors(self.baseline.topology()));
-            'levels: for size in 1..=opts.k {
-                let mut combos = level_combos(universe.len(), size, opts);
+            let colors = opts.symmetry.then(|| wl_colors(self.baseline().topology()));
+            for size in 1..=opts.k {
+                let mut scenarios: Vec<Vec<FailureElement>> =
+                    level_combos(universe.len(), size, opts)
+                        .iter()
+                        .map(|c| c.iter().map(|&i| universe[i as usize]).collect())
+                        .collect();
                 if let Some(colors) = &colors {
+                    let enumerated = scenarios.len();
                     let mut seen: HashSet<Vec<u64>> = HashSet::new();
-                    combos.retain(|c| {
-                        let elems: Vec<FailureElement> =
-                            c.iter().map(|&i| universe[i as usize]).collect();
-                        let sig = self.scenario_signature(&elems, colors);
-                        if seen.insert(sig) {
-                            true
-                        } else {
-                            pruned += 1;
-                            false
-                        }
-                    });
+                    scenarios.retain(|s| seen.insert(self.scenario_signature(s, colors)));
+                    pruned += enumerated - scenarios.len();
                 }
-                let scenarios: Vec<Vec<FailureElement>> = combos
-                    .iter()
-                    .map(|c| c.iter().map(|&i| universe[i as usize]).collect())
-                    .collect();
-                let level = self.run_level(
-                    &scenarios,
-                    opts.condition,
-                    threads,
-                    opts.exhaustive,
-                    &memo,
-                );
-                checked += level.checked;
-                revalidated += level.revalidated;
-                reused += level.reused;
-                restart.absorb(&level.restart);
-                if let Some(&first) = level.failing.first() {
-                    if first_failing.is_none() {
-                        first_failing = Some(scenarios[first].clone());
-                    }
-                    failing.extend(level.failing.iter().map(|&i| scenarios[i].clone()));
-                    if !opts.exhaustive {
-                        break 'levels;
-                    }
+                let level = self.run_level(&scenarios, &scope, threads, opts.exhaustive);
+                totals.merge(&level.totals);
+                failing.extend(level.failing.iter().map(|&i| scenarios[i].clone()));
+                if !failing.is_empty() && !opts.exhaustive {
+                    break;
                 }
             }
         }
 
-        let verdict = match first_failing {
+        // Failing scenarios are recorded in enumeration order, so the
+        // first is the one every thread count agrees on.
+        let verdict = match failing.first().cloned() {
             None => RobustnessVerdict::Robust(opts.k),
             Some(found) => {
-                let mut minimized = shrink_list(&found, |subset| {
-                    self.eval_scenario(subset, opts.condition, Some(&memo)).fails
-                });
+                let mut minimized = shrink_list(&found, |subset| self.eval(subset, &scope).0 > 0);
                 minimized.sort_by_key(FailureElement::sort_key);
-                let final_check = self.eval_scenario(&minimized, opts.condition, Some(&memo));
+                let (violations, delta) = self.eval(&minimized, &scope);
                 RobustnessVerdict::Counterexample(Counterexample {
                     scenario: minimized,
                     found,
-                    violations: final_check.matching_violations,
-                    changed_devices: final_check.changed.len(),
+                    violations,
+                    changed_devices: delta.changed.len(),
                 })
             }
         };
@@ -616,12 +390,12 @@ impl WhatIfSweeper {
             verdict,
             k: opts.k,
             condition: opts.condition,
-            scenarios_checked: checked,
+            scenarios_checked: totals.states,
             scenarios_pruned: pruned,
             failing,
-            devices_revalidated: revalidated,
-            verdicts_reused: reused,
-            restart,
+            devices_revalidated: totals.revalidated,
+            verdicts_reused: totals.reused,
+            restart: totals.restart,
             elapsed: start.elapsed(),
         }
     }
@@ -633,10 +407,9 @@ impl WhatIfSweeper {
     fn run_level(
         &self,
         scenarios: &[Vec<FailureElement>],
-        condition: FailCondition,
+        scope: &Scope,
         threads: usize,
         exhaustive: bool,
-        memo: &VerdictMemo,
     ) -> LevelResult {
         let threads = threads.max(1).min(scenarios.len().max(1));
         let run_worker = |worker: usize, first_fail: &AtomicUsize| -> LevelResult {
@@ -646,12 +419,9 @@ impl WhatIfSweeper {
                 if !exhaustive && i > first_fail.load(Ordering::Relaxed) {
                     break;
                 }
-                let check = self.eval_scenario(&scenarios[i], condition, Some(memo));
-                out.checked += 1;
-                out.revalidated += check.revalidated;
-                out.reused += check.reused;
-                out.restart.absorb(&check.stats);
-                if check.fails {
+                let (matching, delta) = self.eval(&scenarios[i], scope);
+                out.totals.add(&delta);
+                if matching > 0 {
                     if !exhaustive {
                         first_fail.fetch_min(i, Ordering::Relaxed);
                     }
@@ -666,18 +436,15 @@ impl WhatIfSweeper {
             run_worker(0, &first_fail)
         } else {
             let (run_worker, first_fail) = (&run_worker, &first_fail);
-            let results: Vec<LevelResult> = std::thread::scope(|scope| {
+            let results: Vec<LevelResult> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..threads)
-                    .map(|w| scope.spawn(move || run_worker(w, first_fail)))
+                    .map(|w| s.spawn(move || run_worker(w, first_fail)))
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
             let mut merged = LevelResult::default();
             for r in results {
-                merged.checked += r.checked;
-                merged.revalidated += r.revalidated;
-                merged.reused += r.reused;
-                merged.restart.absorb(&r.restart);
+                merged.totals.merge(&r.totals);
                 merged.failing.extend(r.failing);
             }
             merged
@@ -692,7 +459,7 @@ impl WhatIfSweeper {
     /// signatures are structurally interchangeable on a generated
     /// fabric, so one representative decides for the class.
     fn scenario_signature(&self, elems: &[FailureElement], colors: &[u64]) -> Vec<u64> {
-        let t = self.baseline.topology();
+        let t = self.baseline().topology();
         let endpoints = |e: &FailureElement| -> Vec<DeviceId> {
             match e {
                 FailureElement::Link(l) => {
@@ -750,12 +517,11 @@ impl WhatIfSweeper {
     }
 }
 
+/// One size level's outcome: the work done and the failing scenario
+/// indices, ascending.
 #[derive(Default)]
 struct LevelResult {
-    checked: usize,
-    revalidated: usize,
-    reused: usize,
-    restart: RestartStats,
+    totals: Totals,
     failing: Vec<usize>,
 }
 
@@ -892,8 +658,9 @@ fn level_combos(n: usize, size: usize, opts: &SweepOptions) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::ViolationReason;
+    use crate::engine::Engine;
     use crate::pipeline::VerdictCache;
+    use crate::report::{Risk, ViolationReason};
     use crate::validator::Validator;
     use bgpsim::{simulate, SimConfig};
     use dctopo::generator::figure3;
@@ -1120,6 +887,97 @@ mod tests {
             .expect("identical content must hit");
         assert_eq!(hit, engine.validate_device(&fib_b, &contracts[du]));
         assert_eq!(hit, stored);
+    }
+
+    /// The counters a sweep reports, as one comparable tuple.
+    fn counters(r: &SweepReport) -> (usize, usize, usize, usize, RestartStats) {
+        (
+            r.scenarios_checked,
+            r.scenarios_pruned,
+            r.devices_revalidated,
+            r.verdicts_reused,
+            r.restart,
+        )
+    }
+
+    #[test]
+    fn sweep_counters_are_pinned() {
+        // Golden values: the ledger's `whatif_k2` throughput is
+        // scenarios per second, so a change that silently visits other
+        // states, or revalidates more of them, must fail here rather
+        // than read as a change in speed.
+        let (_f, sweeper) = fig3_sweeper();
+        let exhaustive = sweeper.sweep(&SweepOptions {
+            k: 2,
+            exhaustive: true,
+            threads: 1,
+            condition: FailCondition::Blackhole,
+            ..SweepOptions::default()
+        });
+        let restart = |prefixes, patched, repropagated, devices_changed| RestartStats {
+            prefixes,
+            patched,
+            repropagated,
+            devices_changed,
+        };
+        assert_eq!(
+            counters(&exhaustive),
+            (529, 0, 1588, 4160, restart(2645, 1120, 1504, 5748))
+        );
+        let topology = dctopo::build_clos(&dctopo::ClosParams {
+            clusters: 2,
+            tors_per_cluster: 4,
+            leaves_per_cluster: 4,
+            spines: 12,
+            regional_spines: 4,
+            regional_groups: 2,
+            prefixes_per_tor: 1,
+        });
+        let meta = MetadataService::from_topology(&topology);
+        let sweeper = Validator::new(&meta).build_whatif(&topology, &SimConfig::healthy());
+        let sampled = sweeper.sweep(&SweepOptions {
+            k: 2,
+            sample: Some(12),
+            seed: 7,
+            threads: 1,
+            condition: FailCondition::Blackhole,
+            ..SweepOptions::default()
+        });
+        assert_eq!(sampled.verdict, RobustnessVerdict::Robust(2));
+        assert_eq!(
+            counters(&sampled),
+            (25, 0, 224, 21, restart(225, 174, 42, 245))
+        );
+    }
+
+    /// A sweeper built from bare contracts: no metadata to rank risk.
+    fn fig3_sweeper_without_metadata() -> WhatIfSweeper {
+        let f = figure3();
+        let meta = MetadataService::from_topology(&f.topology);
+        Validator::with_contracts(crate::generate_contracts(&meta))
+            .build_whatif(&f.topology, &SimConfig::healthy())
+    }
+
+    #[test]
+    #[should_panic(expected = "risk-ranked fail conditions require metadata")]
+    fn risk_ranked_sweep_without_metadata_fails_on_the_callers_thread() {
+        // The healthy fabric has no violation to judge, so the first
+        // violation is judged inside a level worker at `threads: 4`. A
+        // panic there reaches the caller as `join().unwrap()` on `Any`;
+        // the condition must be rejected before any worker starts.
+        fig3_sweeper_without_metadata().sweep(&SweepOptions {
+            k: 1,
+            threads: 4,
+            condition: FailCondition::AtLeast(Risk::High),
+            ..SweepOptions::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "risk-ranked fail conditions require metadata")]
+    fn risk_ranked_scenario_check_without_metadata_panics_up_front() {
+        // No failure at all: nothing would ever have been judged.
+        fig3_sweeper_without_metadata().check_scenario(&[], FailCondition::AtLeast(Risk::Low));
     }
 
     #[test]

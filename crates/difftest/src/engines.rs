@@ -20,8 +20,6 @@ use crate::gen::{
     build_contracts, build_fib, random_contract_specs, random_fib_specs, render_case,
     ContractSpec, FibSpec,
 };
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
 use bgpsim::{simulate, Fib, SimConfig};
 use dctopo::generator::figure3;
@@ -29,9 +27,11 @@ use dctopo::{DeviceId, LinkState, MetadataService};
 use netprim::Prefix;
 use rcdc::contracts::Expectation;
 use rcdc::global_baseline::{forwarding_analysis, PathInfo};
+use rcdc::shrink::shrink_list;
 use rcdc::{
     generate_contracts, Contract, ContractKind, Engine, ReferenceTrieEngine, SmtEngine, TrieEngine,
 };
+use simnet::rng::Rng;
 
 /// Violated-contract keys of a report: sorted, deduplicated
 /// `(prefix, kind)` pairs, the cross-engine agreement convention.

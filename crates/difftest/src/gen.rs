@@ -8,12 +8,12 @@
 //! disagree; and they keep the exhaustive per-address ground truth
 //! affordable.
 
-use crate::rng::Rng;
 use bgpsim::{Fib, FibBuilder};
 use dctopo::DeviceId;
 use netprim::{Ipv4, Prefix};
 use rcdc::contracts::Expectation;
 use rcdc::{Contract, ContractKind, DeviceContracts};
+use simnet::rng::Rng;
 use std::collections::HashSet;
 
 /// The base of the address universe (`10.0.0.0/24`).

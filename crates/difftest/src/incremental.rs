@@ -12,12 +12,12 @@ use crate::gen::{
     build_contracts, build_fib, random_contract_specs, random_fib_specs, random_hops,
     random_prefix, render_case, ContractSpec, FibSpec,
 };
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
 use bgpsim::Fib;
 use netprim::wire::FibDelta;
+use rcdc::shrink::shrink_list;
 use rcdc::{Engine, SmtEngine, TrieEngine};
+use simnet::rng::Rng;
 
 /// One churn step, as replayable data.
 #[derive(Debug, Clone)]

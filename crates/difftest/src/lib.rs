@@ -60,12 +60,10 @@
 mod engines;
 mod gen;
 mod incremental;
-mod rng;
 mod rollout_oracle;
 mod sat;
 mod secguru_oracle;
 mod session;
-mod shrink;
 mod simnet_oracle;
 mod whatif_oracle;
 mod wire;
@@ -175,7 +173,7 @@ impl Oracle {
     fn run(self, seed: u64) -> Result<(), Failure> {
         // Decorrelate oracles sharing a seed: each draws from its own
         // stream keyed by (seed, oracle tag).
-        let sub = rng::mix(seed, self as u64 + 1);
+        let sub = simnet::rng::mix(seed, self as u64 + 1);
         match self {
             Oracle::Sat => sat::run(sub),
             Oracle::Engines => engines::run(sub),

@@ -23,18 +23,18 @@
 //! * replays the plan serial and parallel — the verdict, step for
 //!   step, must not depend on the thread count.
 
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
 use bgpsim::{simulate, DeviceOverride};
 use dctopo::generator::figure3;
 use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService};
 use rcdc::report::risk_of;
 use rcdc::rollout::{seeded_scenario, RolloutScenario};
+use rcdc::shrink::shrink_list;
 use rcdc::{
     ConfigChange, FailCondition, ManagedNetwork, PlanOptions, PlanVerdict, Risk, RolloutPlanner,
     ValidationReport, Validator, Violation, ViolationReason,
 };
+use simnet::rng::Rng;
 use std::collections::HashSet;
 
 /// The oracle's own reading of a fail condition, recomputed from raw

@@ -8,9 +8,9 @@
 //! analysis — the regime where the historical false-UNSAT below the
 //! assumption frontier lived (see `smtkit::sat`'s regression tests).
 
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
+use rcdc::shrink::shrink_list;
+use simnet::rng::Rng;
 use smtkit::{Lit, SatResult, SatSolver, Var};
 
 /// A literal as a signed 1-based variable index (DIMACS style), so

@@ -12,12 +12,12 @@
 //! for both engines, and `semantic_diff` / `smt_confirms_equivalence`
 //! against ground-truth policy equivalence.
 
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
 use netprim::{HeaderSpace, HeaderTuple, IpRange, Ipv4, PortRange, Protocol};
+use rcdc::shrink::shrink_list;
 use secguru::diff::{semantic_diff, smt_confirms_equivalence};
 use secguru::{Action, Contract, Convention, IntervalEngine, Policy, Rule, SecGuru};
+use simnet::rng::Rng;
 
 const IPS: u32 = 16;
 const PORTS: u16 = 4;

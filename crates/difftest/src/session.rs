@@ -18,9 +18,9 @@
 //! the standard ddmin loop; a `pop` at scope depth zero is skipped
 //! during replay so every step subset remains a valid script.
 
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
+use rcdc::shrink::shrink_list;
+use simnet::rng::Rng;
 use smtkit::arena::{BoolId, TermArena, TermId};
 use smtkit::{Session, SmtResult};
 

@@ -21,17 +21,17 @@
 //!   including the exact minimized counterexample, must not depend on
 //!   the thread count.
 
-use crate::rng::Rng;
-use crate::shrink::shrink_list;
 use crate::Failure;
 use bgpsim::{simulate, FaultSpec, SimConfig};
 use dctopo::generator::figure3;
 use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Topology};
 use rcdc::report::risk_of;
+use rcdc::shrink::shrink_list;
 use rcdc::{
     FailCondition, FailureElement, Risk, RobustnessVerdict, SweepOptions, Validator,
     ValidationReport, Violation, ViolationReason, WhatIfSweeper,
 };
+use simnet::rng::Rng;
 
 /// A replayable fabric choice.
 #[derive(Debug, Clone)]

@@ -12,11 +12,11 @@
 //! to make sure a hostile snapshot can be rejected but never panic the
 //! store.
 
-use crate::rng::Rng;
 use crate::Failure;
 use bgpsim::Fib;
 use netprim::wire::{DeltaRule, FibDelta, WireEntry, WireSnapshot};
 use netprim::{Ipv4, Prefix};
+use simnet::rng::Rng;
 
 fn random_prefix(r: &mut Rng) -> Prefix {
     let len = r.range(0, 32) as u8;

@@ -15,7 +15,7 @@
 //! frames, and convergence invariants are checked at the end.
 //!
 //! When an invariant breaks, the schedule is minimized with the same
-//! ddmin machinery the differential fuzzer uses ([`shrink`]) and the
+//! ddmin machinery the differential fuzzer uses ([`rcdc::shrink`]) and the
 //! report ends with a replay command — the seed IS the reproduction.
 //!
 //! ```
@@ -26,7 +26,6 @@
 pub mod gen;
 pub mod rng;
 pub mod script;
-pub mod shrink;
 pub mod sim;
 
 use script::Script;
@@ -82,7 +81,7 @@ pub fn check_seed_with(env: &SimEnv, seed: u64, flaws: Flaws) -> Option<SimFailu
         Ok(_) => return None,
         Err(v) => v,
     };
-    let events = shrink::shrink_list(&script.events, |sub| {
+    let events = rcdc::shrink::shrink_list(&script.events, |sub| {
         run_script_with(
             env,
             &Script {

@@ -13,7 +13,6 @@
 //! | [`bgpsim`] | EBGP convergence producing per-device FIBs |
 //! | [`rcdc`] | local contracts, verification engines, monitoring pipeline |
 //! | [`secguru`] | ACL/NSG/firewall verification and change gating |
-//! | [`dcemu`] | emulated-network pre-checks for configuration changes |
 //! | [`obskit`] | dependency-free metrics: counters, gauges, histograms, exporters |
 //!
 //! ## Quickstart
@@ -47,7 +46,6 @@ pub mod render;
 pub mod serve;
 
 pub use bgpsim;
-pub use dcemu;
 pub use dctopo;
 pub use netprim;
 pub use obskit;

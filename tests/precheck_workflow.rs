@@ -13,6 +13,110 @@ fn prechecker(production: ManagedNetwork) -> Prechecker {
 }
 
 #[test]
+fn healthy_baseline_validates_clean() {
+    let f = figure3();
+    let w = prechecker(ManagedNetwork::new(f.topology));
+    assert!(w.validate(w.production()).is_empty());
+}
+
+#[test]
+fn route_map_regression_names_the_tor_default() {
+    // The §2.6.2 "policy error": a route map rejecting default
+    // announcements. The rejection must carry the regression that
+    // explains it — the ToR's default contract.
+    let f = figure3();
+    let mut w = prechecker(ManagedNetwork::new(f.topology.clone()));
+    let outcome = w.submit(&[ConfigChange::SetOverride {
+        device: f.tors[0],
+        config: DeviceOverride {
+            reject_default_import: true,
+            ..DeviceOverride::default()
+        },
+    }]);
+    match outcome {
+        WorkflowOutcome::RejectedAtPrecheck(report) => {
+            assert!(!report.passed());
+            assert!(report
+                .regressions()
+                .iter()
+                .any(|v| v.device == f.tors[0] && v.prefix.is_default()));
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn asn_collision_migration_rejected_at_precheck() {
+    let f = figure3();
+    let mut w = prechecker(ManagedNetwork::new(f.topology.clone()));
+    let asn = f.topology.device(f.a[0]).asn;
+    let changes: Vec<ConfigChange> = f
+        .b
+        .iter()
+        .map(|&leaf| ConfigChange::SetOverride {
+            device: leaf,
+            config: DeviceOverride {
+                asn_override: Some(asn),
+                ..DeviceOverride::default()
+            },
+        })
+        .collect();
+    assert!(matches!(
+        w.submit(&changes),
+        WorkflowOutcome::RejectedAtPrecheck(_)
+    ));
+}
+
+#[test]
+fn link_shutdown_for_maintenance_is_caught() {
+    // Shutting a ToR uplink violates the ToR's default contract
+    // (reduced ECMP) — precheck rejects; the operator knows the
+    // maintenance will reduce redundancy before touching anything.
+    let f = figure3();
+    let mut w = prechecker(ManagedNetwork::new(f.topology.clone()));
+    let link = f.topology.link_between(f.tors[0], f.a[0]).unwrap().id;
+    let outcome = w.submit(&[ConfigChange::SetLinkState {
+        link,
+        state: LinkState::AdminShut,
+    }]);
+    match outcome {
+        WorkflowOutcome::RejectedAtPrecheck(report) => {
+            let regs = report.regressions();
+            assert!(regs.iter().any(|v| v.device == f.tors[0]));
+            // The leaf loses its route toward the ToR's prefix.
+            assert!(regs.iter().any(|v| v.device == f.a[0]));
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn precheck_ignores_preexisting_violations() {
+    // Production already has a fault; an unrelated benign change
+    // must not be blamed for it. Contracts come from the intended
+    // topology, so the fault shows in the baseline.
+    let f = figure3();
+    let mut production = ManagedNetwork::new(f.topology.clone());
+    let link = production
+        .topology
+        .link_between(f.tors[1], f.a[3])
+        .unwrap()
+        .id;
+    production.topology.set_link_state(link, LinkState::OperDown);
+    let meta = MetadataService::from_topology(&f.topology);
+    let mut w = Validator::new(&meta).build_precheck(&production);
+    assert!(
+        !w.validate(w.production()).is_empty(),
+        "pre-existing fault is visible"
+    );
+    let outcome = w.submit(&[ConfigChange::SetOverride {
+        device: f.tors[0],
+        config: DeviceOverride::default(),
+    }]);
+    assert!(matches!(outcome, WorkflowOutcome::Deployed));
+}
+
+#[test]
 fn route_map_bug_blocked_before_production() {
     let f = figure3();
     let mut w = prechecker(ManagedNetwork::new(f.topology.clone()));
