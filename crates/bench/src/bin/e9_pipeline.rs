@@ -3,19 +3,19 @@
 //! milliseconds. … Each service instance is configured to monitor
 //! O(10K) devices."
 //!
-//! Runs a monitoring sweep with simulated pull latency and reports the
-//! sustained device throughput and the extrapolated sweep period for a
-//! 10k-device instance.
+//! Runs a one-shot monitoring sweep (`pull_all` + `drain` on the
+//! sharded service, shards = concurrent pulls) with simulated pull
+//! latency and reports the sustained device throughput and the
+//! extrapolated sweep period for a 10k-device instance.
 
 use bgpsim::{simulate, SimConfig};
 use dctopo::{build_clos, ClosParams, DeviceId, MetadataService};
-use obskit::Registry;
+use obskit::HistogramSnapshot;
 use rcdc::contracts::generate_contracts;
-use rcdc::pipeline::{
-    run_sweep, ContractStore, FibStore, PipelineMetrics, PipelineResult, SimulatedSource,
-    StreamAnalytics, ValidateMode, VerdictCache,
-};
+use rcdc::pipeline::{PipelineResult, SimulatedSource, StreamAnalytics, ValidateMode};
 use rcdc::report::{Risk, ValidationReport, Violation, ViolationReason};
+use rcdc::Validator;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -31,56 +31,43 @@ fn main() {
     let topology = build_clos(&params);
     let fibs = simulate(&topology, &SimConfig::healthy());
     let meta = MetadataService::from_topology(&topology);
-
-    let contract_store = ContractStore::default();
-    for (i, dc) in generate_contracts(&meta).into_iter().enumerate() {
-        contract_store.put(DeviceId(i as u32), dc);
-    }
     let devices: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
 
-    println!("pull_workers,devices,pull_latency_ms,sweep_s,devices_per_s,mean_validate_ms,p50_validate_ms,p99_validate_ms,extrapolated_10k_sweep_s");
-    for pull_workers in [8usize, 32, 64] {
+    println!("shards,devices,pull_latency_ms,sweep_s,devices_per_s,mean_validate_ms,p50_validate_ms,p99_validate_ms,extrapolated_10k_sweep_s");
+    for shards in [8usize, 32, 64] {
         // §2.6.1's 200–800 ms pull latency, scaled down 10x so the
         // bench finishes quickly; the throughput math scales linearly.
         let source = SimulatedSource::new(fibs.clone())
             .with_latency(Duration::from_millis(20), Duration::from_millis(80));
-        let fib_store = FibStore::default();
-        let cache = VerdictCache::default();
-        let analytics = StreamAnalytics::default();
-        let registry = Registry::new();
-        let metrics = PipelineMetrics::new(&registry);
+        let service = Validator::new(&meta)
+            .shards(shards)
+            .build_service(Arc::new(source));
         let t0 = Instant::now();
-        run_sweep(
-            &devices,
-            &source,
-            &contract_store,
-            &fib_store,
-            &cache,
-            &analytics,
-            pull_workers,
-            2,
-            Some(&metrics),
-        );
+        service.pull_all(&devices);
+        service.drain();
         let sweep = t0.elapsed();
         let rate = devices.len() as f64 / sweep.as_secs_f64();
         // At 10x the latency, per-worker throughput drops 10x.
         let extrapolated = 10_000.0 / (rate / 10.0);
-        // Quantiles come from the exported validate-latency histogram
-        // (a cold sweep validates everything in full mode).
-        let snap = registry.observe_and_snapshot(&[&analytics]);
-        let quantile_ms = |q: f64| {
-            snap.histogram("rcdc_validate_latency_ns", &[("mode", "full")])
-                .and_then(|h| h.quantile(q))
-                .map(|ns| ns as f64 / 1e6)
-                .unwrap_or(f64::NAN)
-        };
+        // Quantiles come from the exported validate-latency histograms
+        // (a cold sweep validates everything in full mode), merged
+        // across the shards.
+        let snap = service.handle().snapshot();
+        let mut full = HistogramSnapshot::default();
+        for shard in 0..shards {
+            let labels = [("mode", "full"), ("shard", &shard.to_string())];
+            if let Some(h) = snap.histogram("rcdc_validate_latency_ns", &labels) {
+                full.merge(h);
+            }
+        }
+        let quantile_ms = |q: f64| full.quantile(q).map_or(f64::NAN, |ns| ns as f64 / 1e6);
         println!(
             "{},{},20-80,{:.2},{:.1},{:.3},{:.3},{:.3},{:.1}",
-            pull_workers,
+            shards,
             devices.len(),
             sweep.as_secs_f64(),
             rate,
-            analytics.mean_validate_time().as_secs_f64() * 1000.0,
+            full.mean().map_or(f64::NAN, |ns| ns / 1e6),
             quantile_ms(0.50),
             quantile_ms(0.99),
             extrapolated

@@ -32,7 +32,7 @@
 use crate::contracts::{ContractKind, DeviceContracts};
 use crate::engine::Engine;
 use crate::report::{risk_of, Risk, ValidationReport, Violation, ViolationReason};
-use crate::runner::{run_pass, validate_jobs, DatacenterReport};
+use crate::runner::{run_pass, validate_fleet, DatacenterReport};
 use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
 use bgpsim::{simulate, Fib, SimConfig};
 use dctopo::{DeviceId, MetadataService, Topology};
@@ -512,41 +512,27 @@ fn converge_anchor(
     config: &SimConfig,
 ) -> Anchor {
     let baseline = Baseline::converge(topology, config);
-    let fibs = baseline.healthy_fibs();
-    let hashes: Vec<u64> = fibs.iter().map(Fib::content_hash).collect();
-    let mut reports = vec![ValidationReport::default(); fibs.len()];
-    let mut todo: Vec<usize> = Vec::new();
-    {
-        let memo = memo.map(|m| m.read());
-        for (du, &h) in hashes.iter().enumerate() {
-            let known = match root {
-                Some(root) if root.hashes[du] == h => Some(&root.reports[du]),
-                _ => memo.as_ref().and_then(|m| m.get(&(du as u32, h))),
-            };
-            match known {
-                Some(r) => reports[du] = r.clone(),
-                None => todo.push(du),
-            }
-        }
-    }
-    let jobs: Vec<(&Fib, &DeviceContracts)> =
-        todo.iter().map(|&du| (&fibs[du], &contracts[du])).collect();
-    let fresh = validate_jobs(engine, threads, &jobs);
+    let fleet = validate_fleet(
+        engine,
+        threads,
+        baseline.healthy_fibs(),
+        contracts,
+        |du, h| match root {
+            Some(root) if root.hashes[du] == h => Some(root.reports[du].clone()),
+            _ => memo.and_then(|m| m.read().get(&(du as u32, h)).cloned()),
+        },
+    );
     if let Some(memo) = memo {
         let mut memo = memo.write();
-        for (&du, r) in todo.iter().zip(&fresh) {
-            memo.insert((du as u32, hashes[du]), r.clone());
+        for &du in &fleet.validated {
+            memo.insert((du as u32, fleet.fib_hashes[du]), fleet.reports[du].clone());
         }
-    }
-    let revalidated = todo.len();
-    for (du, r) in todo.into_iter().zip(fresh) {
-        reports[du] = r;
     }
     Anchor {
         baseline,
-        reports,
-        hashes,
-        revalidated,
+        reports: fleet.reports,
+        hashes: fleet.fib_hashes,
+        revalidated: fleet.validated.len(),
     }
 }
 

@@ -30,13 +30,16 @@
 //!    verification oracle for Claim 1 ("local contracts imply global
 //!    reachability"), which [`framework`] states and the integration
 //!    tests establish constructively.
-//! 6. **Live monitoring** ([`pipeline`]): the §2.6.1 microservice
+//! 6. **Live monitoring** ([`service`]): the §2.6.1 microservice
 //!    architecture — contract generator, FIB puller, validator workers,
-//!    stream-analytics sink — as an in-process, multi-threaded system.
-//!    The always-on form is [`service`]: the device space partitioned
-//!    across shard-local store sets ([`shard`]), bounded ingest queues
-//!    with back-pressure, and a [`ServiceHandle`] answering verdict and
-//!    alert queries concurrently with in-flight sweeps.
+//!    stream-analytics sink — as one in-process sharded service. The
+//!    device space is partitioned across shard-local store sets
+//!    ([`shard`]); each shard's worker is the pull → park → validate →
+//!    sink loop over the stores, verdict cache and per-notification
+//!    validator step of [`pipeline`], fed by a bounded ingest queue
+//!    with back-pressure, while a [`ServiceHandle`] answers verdict
+//!    and alert queries concurrently. A one-shot sweep is the same
+//!    service driven once: `pull_all`, `drain`, read the handle.
 //! 7. **Triage** ([`triage`]): the automated remediation-queue routing
 //!    of §2.6.4 — classified errors land in per-action queues drained
 //!    high-risk first.

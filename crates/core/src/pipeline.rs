@@ -2,15 +2,18 @@
 //!
 //! "RCDC comprises 3 micro services, namely a device contract
 //! generator, a forwarding table puller, and a routing table
-//! validator." This module realizes that architecture in-process:
+//! validator." This module holds the parts of that architecture; the
+//! loop that drives them — pull, park, validate, push to the sink — is
+//! the shard worker of [`crate::service`], and nowhere else:
 //!
 //! * [`ContractStore`] / [`FibStore`] — the NoSQL stores, as
 //!   concurrent maps;
-//! * [`FibPuller`] — pulls FIB snapshots (optionally with simulated
-//!   200–800 ms device latency, matching §2.6.1's measurements), parks
-//!   them in the store, and posts a notification to the work queue;
-//! * validator workers — consume notifications, validate with the trie
-//!   engine, and push results to the [`StreamAnalytics`] sink;
+//! * [`SnapshotSource`] — where tables are pulled from
+//!   ([`SimulatedSource`] optionally charges the 200–800 ms device
+//!   latency §2.6.1 measured);
+//! * [`validate_notification`] — the per-device validator step: the
+//!   single cache-hit / incremental / full decision, shared by the
+//!   shard worker and the `simnet` fault-injection harness;
 //! * [`StreamAnalytics`] — the queryable result store that alerting and
 //!   the triage process (see [`crate::classify`]) read from.
 //!
@@ -26,18 +29,17 @@
 //! which invalidates every cached verdict for it.
 //!
 //! The pipeline is horizontally scalable: one instance is "configured
-//! to monitor O(10K) devices"; scaling out is running more instances
-//! over disjoint device sets.
+//! to monitor O(10K) devices"; scaling out is more shards over
+//! disjoint device sets ([`crate::shard`]).
 
 use crate::clock::{Clock, RealClock};
 use crate::contracts::DeviceContracts;
-use crate::engine::{trie::TrieEngine, Engine};
+use crate::engine::Engine;
 use crate::report::{risk_of, Risk, ValidationReport};
 use bgpsim::Fib;
-use crossbeam::channel;
 use dctopo::{DeviceId, MetadataService};
 use netprim::wire::WireSnapshot;
-use obskit::{Counter, Gauge, Histogram, MetricsSnapshot, Observer, Registry};
+use obskit::{Counter, Histogram, MetricsSnapshot, Observer, Registry};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -300,48 +302,6 @@ impl SnapshotSource for SimulatedSource {
     }
 }
 
-/// The FIB puller service: pulls snapshots, parks them, notifies.
-pub struct FibPuller<'a> {
-    source: &'a dyn SnapshotSource,
-    store: &'a FibStore,
-    queue: channel::Sender<DeviceId>,
-    clock: Arc<dyn Clock>,
-}
-
-impl<'a> FibPuller<'a> {
-    /// Build a puller over a source and store, notifying `queue`.
-    pub fn new(
-        source: &'a dyn SnapshotSource,
-        store: &'a FibStore,
-        queue: channel::Sender<DeviceId>,
-    ) -> Self {
-        FibPuller {
-            source,
-            store,
-            queue,
-            clock: Arc::new(RealClock::new()),
-        }
-    }
-
-    /// Measure pull durations on `clock` instead of the wall clock
-    /// (pair it with the clock given to the source so simulated
-    /// latency is observed, not slept).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Pull one device: fetch, decode, store, notify.
-    pub fn pull_device(&self, device: DeviceId) -> Duration {
-        let t0 = self.clock.now();
-        let wire = self.source.pull(device);
-        let fib = Fib::from_wire(&wire).expect("snapshot source produced invalid wire data");
-        self.store.put(fib);
-        self.queue.send(device).expect("validator hung up");
-        self.clock.now() - t0
-    }
-}
-
 /// How a validator worker arrived at a verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidateMode {
@@ -575,15 +535,14 @@ impl Observer for StreamAnalytics {
     }
 }
 
-/// Pre-resolved metric handles for the pipeline's hot path.
+/// Pre-resolved `rcdc_validate_mode_total{mode}` handles.
 ///
-/// Workers touch these on every notification, so the handles are
+/// [`validate_notification`] counts every verdict, so the handles are
 /// created once (a few registry lookups) and then cost one atomic op
 /// each — no name hashing or lock acquisition per event.
 #[derive(Clone)]
 pub struct PipelineMetrics {
     mode_totals: [Counter; 3],
-    queue_depth: Gauge,
 }
 
 impl PipelineMetrics {
@@ -603,22 +562,12 @@ impl PipelineMetrics {
                 mode_counter(ValidateMode::Incremental),
                 mode_counter(ValidateMode::CacheHit),
             ],
-            queue_depth: registry.gauge(
-                "rcdc_queue_depth",
-                "validator work-queue depth sampled at dequeue",
-                &[],
-            ),
         }
-    }
-
-    /// Count one produced verdict.
-    fn record_mode(&self, mode: ValidateMode) {
-        self.mode_totals[latency_slot(mode)].inc();
     }
 }
 
 /// Process one validator-queue notification: the exact per-device step
-/// a `run_sweep` validator worker executes, factored out so other
+/// a [`crate::service`] shard worker executes, factored out so other
 /// drivers — the `simnet` deterministic fault-injection harness in
 /// particular — exercise the *same* code path instead of a
 /// reimplementation that could drift.
@@ -636,7 +585,7 @@ pub fn validate_notification(
     cache: &VerdictCache,
     engine: &dyn Engine,
     clock: &dyn Clock,
-    metrics: Option<&PipelineMetrics>,
+    metrics: &PipelineMetrics,
 ) -> Option<PipelineResult> {
     let (contracts, epoch) = contract_store.get_versioned(device)?;
     let fib = fib_store.get(device)?;
@@ -669,9 +618,7 @@ pub fn validate_notification(
             (report, mode)
         }
     };
-    if let Some(m) = metrics {
-        m.record_mode(mode);
-    }
+    metrics.mode_totals[latency_slot(mode)].inc();
     Some(PipelineResult {
         device,
         report,
@@ -680,253 +627,12 @@ pub fn validate_notification(
     })
 }
 
-/// Run one full monitoring sweep over `devices`: pull every device's
-/// FIB, validate against stored contracts, ingest into analytics.
-/// `pull_workers` and `validate_workers` control the two thread pools.
-///
-/// Validators consult `cache` before doing any work: an unchanged
-/// snapshot under unchanged contracts is a cache hit (one hash
-/// comparison); a churned snapshot whose predecessor is known takes
-/// the incremental delta path; everything else is validated in full.
-/// Passing a fresh [`VerdictCache`] per sweep degrades gracefully to
-/// all-full validation.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep(
-    devices: &[DeviceId],
-    source: &dyn SnapshotSource,
-    contract_store: &ContractStore,
-    fib_store: &FibStore,
-    cache: &VerdictCache,
-    analytics: &StreamAnalytics,
-    pull_workers: usize,
-    validate_workers: usize,
-    metrics: Option<&PipelineMetrics>,
-) {
-    let (tx, rx) = channel::unbounded::<DeviceId>();
-    let device_cursor = std::sync::atomic::AtomicUsize::new(0);
-
-    crossbeam::scope(|scope| {
-        // Pullers.
-        for _ in 0..pull_workers.max(1) {
-            let tx = tx.clone();
-            let cursor = &device_cursor;
-            scope.spawn(move |_| {
-                let puller = FibPuller::new(source, fib_store, tx);
-                loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= devices.len() {
-                        break;
-                    }
-                    puller.pull_device(devices[i]);
-                }
-            });
-        }
-        drop(tx); // validators stop when all pullers finish
-
-        // Validators.
-        for _ in 0..validate_workers.max(1) {
-            let rx = rx.clone();
-            scope.spawn(move |_| {
-                let engine = TrieEngine::new();
-                let clock = RealClock::new();
-                while let Ok(device) = rx.recv() {
-                    if let Some(m) = metrics {
-                        m.queue_depth.set(rx.len() as i64);
-                    }
-                    if let Some(result) = validate_notification(
-                        device,
-                        contract_store,
-                        fib_store,
-                        cache,
-                        &engine,
-                        &clock,
-                        metrics,
-                    ) {
-                        analytics.ingest(result);
-                    }
-                }
-            });
-        }
-    })
-    .expect("pipeline worker panicked");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contracts::generate_contracts;
     use crate::engine::testutil::{fig3_faulted, fig3_healthy};
-
-    fn stores_for(
-        contracts: Vec<DeviceContracts>,
-    ) -> (ContractStore, FibStore, VerdictCache, StreamAnalytics) {
-        let cs = ContractStore::default();
-        for (i, dc) in contracts.into_iter().enumerate() {
-            cs.put(DeviceId(i as u32), dc);
-        }
-        (
-            cs,
-            FibStore::default(),
-            VerdictCache::default(),
-            StreamAnalytics::default(),
-        )
-    }
-
-    #[test]
-    fn sweep_over_healthy_network_is_clean() {
-        let (f, fibs, contracts, _meta) = fig3_healthy();
-        let devices: Vec<DeviceId> = f.topology.devices().iter().map(|d| d.id).collect();
-        let source = SimulatedSource::new(fibs);
-        let (cs, fs, cache, analytics) = stores_for(contracts);
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics, 2, 2, None);
-        assert_eq!(analytics.len(), devices.len());
-        assert!(analytics.dirty_devices().is_empty());
-        // The trie-backed sweep never touches a solver.
-        assert_eq!(analytics.solver_totals(), smtkit::SessionStats::default());
-    }
-
-    #[test]
-    fn sweep_over_faulted_network_raises_alerts() {
-        let (f, fibs, contracts, meta) = fig3_faulted();
-        let devices: Vec<DeviceId> = f.topology.devices().iter().map(|d| d.id).collect();
-        let source = SimulatedSource::new(fibs);
-        let (cs, fs, cache, analytics) = stores_for(contracts);
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics, 3, 2, None);
-        let dirty = analytics.dirty_devices();
-        assert_eq!(dirty.len(), 16);
-        // High-risk alerts must include both ToRs (default degraded to
-        // 2 hops is Medium; spine failures are High) — check spines.
-        let high = analytics.alerts(&meta, Risk::High);
-        for d in f.d {
-            assert!(high.contains(&d), "{d:?} must alert at high risk");
-        }
-        // Medium alerts include the ToRs with the degraded defaults.
-        let medium = analytics.alerts(&meta, Risk::Medium);
-        assert!(medium.contains(&f.tors[0]));
-        assert!(medium.contains(&f.tors[1]));
-    }
-
-    #[test]
-    fn repeated_sweep_is_served_from_the_verdict_cache() {
-        let (f, fibs, contracts, _meta) = fig3_healthy();
-        let devices: Vec<DeviceId> = f.topology.devices().iter().map(|d| d.id).collect();
-        let source = SimulatedSource::new(fibs);
-        let (cs, fs, cache, analytics) = stores_for(contracts);
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics, 2, 2, None);
-        let contracted = devices.iter().filter(|d| cs.get(**d).is_some()).count();
-        let (full, incr, hit) = analytics.mode_counts();
-        assert_eq!((full, incr, hit), (contracted, 0, 0));
-
-        // Same snapshots, same contracts: every verdict is one hash
-        // comparison away.
-        let analytics2 = StreamAnalytics::default();
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics2, 2, 2, None);
-        let (full, incr, hit) = analytics2.mode_counts();
-        assert_eq!((full, incr, hit), (0, 0, contracted));
-        assert_eq!(
-            cache.snapshot().counter("rcdc_verdict_cache_hits_total", &[]),
-            Some(contracted as u64)
-        );
-        for d in &devices {
-            let (a, b) = (analytics.result(*d), analytics2.result(*d));
-            assert_eq!(a.map(|r| r.report), b.map(|r| r.report));
-        }
-    }
-
-    #[test]
-    fn churned_device_takes_the_incremental_path() {
-        let (f, fibs, contracts, _meta) = fig3_healthy();
-        let devices: Vec<DeviceId> = f.topology.devices().iter().map(|d| d.id).collect();
-        let (cs, fs, cache, analytics) = stores_for(contracts);
-        run_sweep(
-            &devices,
-            &SimulatedSource::new(fibs.clone()),
-            &cs,
-            &fs,
-            &cache,
-            &analytics,
-            2,
-            2,
-            None,
-        );
-
-        // Drop one specific from one ToR between sweeps.
-        let tor = f.tors[0];
-        let mut churned = fibs.clone();
-        let old = &fibs[tor.0 as usize];
-        let mut b = bgpsim::FibBuilder::new(tor);
-        for e in old.entries() {
-            if e.prefix == f.prefixes[1] {
-                continue;
-            }
-            b.push(e.prefix, old.next_hops(e).to_vec(), e.local);
-        }
-        churned[tor.0 as usize] = b.finish();
-
-        let analytics2 = StreamAnalytics::default();
-        run_sweep(
-            &devices,
-            &SimulatedSource::new(churned.clone()),
-            &cs,
-            &fs,
-            &cache,
-            &analytics2,
-            2,
-            2,
-            None,
-        );
-        let (full, incr, hit) = analytics2.mode_counts();
-        assert_eq!((full, incr), (0, 1));
-        assert!(hit > 0);
-        let r = analytics2.result(tor).unwrap();
-        assert_eq!(r.mode, ValidateMode::Incremental);
-        // The incremental verdict matches a from-scratch validation.
-        let fresh = TrieEngine::new()
-            .validate_device(&churned[tor.0 as usize], &cs.get(tor).unwrap());
-        assert_eq!(r.report, fresh);
-        assert!(!r.report.is_clean());
-    }
-
-    #[test]
-    fn republished_contracts_invalidate_cached_verdicts() {
-        let (f, fibs, contracts, _meta) = fig3_healthy();
-        let devices: Vec<DeviceId> = f.topology.devices().iter().map(|d| d.id).collect();
-        let source = SimulatedSource::new(fibs);
-        let (cs, fs, cache, analytics) = stores_for(contracts.clone());
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics, 2, 2, None);
-
-        // Republishing bumps the device's contract epoch, so the cached
-        // verdict — keyed on (fib hash, epoch) — no longer applies even
-        // though the FIB is unchanged.
-        let tor = f.tors[0];
-        cs.put(tor, contracts[tor.0 as usize].clone());
-        let analytics2 = StreamAnalytics::default();
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics2, 2, 2, None);
-        let r = analytics2.result(tor).unwrap();
-        assert_eq!(r.mode, ValidateMode::Full);
-        let (_, _, hit) = analytics2.mode_counts();
-        assert_eq!(hit, analytics2.len() - 1);
-        // The re-check under the fresh epoch repopulates the cache.
-        let analytics3 = StreamAnalytics::default();
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics3, 2, 2, None);
-        assert_eq!(analytics3.result(tor).unwrap().mode, ValidateMode::CacheHit);
-    }
-
-    #[test]
-    fn wire_round_trip_through_store() {
-        let (f, fibs, contracts, _meta) = fig3_healthy();
-        let tor = f.tors[0];
-        let source = SimulatedSource::new(fibs.clone());
-        let fs = FibStore::default();
-        let (tx, rx) = channel::unbounded();
-        let puller = FibPuller::new(&source, &fs, tx);
-        puller.pull_device(tor);
-        assert_eq!(rx.try_recv().unwrap(), tor);
-        let stored = fs.get(tor).unwrap();
-        // Wire format round-trips entries and hop sets exactly.
-        assert_eq!(stored.len(), fibs[tor.0 as usize].len());
-        let _ = contracts;
-    }
+    use crate::engine::trie::TrieEngine;
 
     #[test]
     fn simulated_latency_is_bounded_and_deterministic() {
@@ -939,12 +645,14 @@ mod tests {
         let source = SimulatedSource::new(fibs)
             .with_latency(Duration::from_millis(200), Duration::from_millis(800))
             .with_clock(clock.clone());
-        let fs = FibStore::default();
-        let (tx, _rx) = channel::unbounded();
-        let puller = FibPuller::new(&source, &fs, tx).with_clock(clock.clone());
-        let d1 = puller.pull_device(f.tors[0]);
-        let d2 = puller.pull_device(f.tors[0]);
-        let d3 = puller.pull_device(f.tors[1]);
+        let timed_pull = |device: DeviceId| {
+            let t0 = clock.now();
+            source.pull(device);
+            clock.now() - t0
+        };
+        let d1 = timed_pull(f.tors[0]);
+        let d2 = timed_pull(f.tors[0]);
+        let d3 = timed_pull(f.tors[1]);
         assert!((Duration::from_millis(200)..Duration::from_millis(800)).contains(&d1));
         assert!((Duration::from_millis(200)..Duration::from_millis(800)).contains(&d3));
         // Same device → identical deterministic jitter.
@@ -952,6 +660,17 @@ mod tests {
         // Virtual time advanced by exactly the three pulls; no wall
         // time was spent sleeping.
         assert_eq!(clock.now(), d1 + d2 + d3);
+    }
+
+    #[test]
+    fn wire_round_trip_through_store() {
+        let (f, fibs, _contracts, _meta) = fig3_healthy();
+        let tor = f.tors[0];
+        let wire = SimulatedSource::new(fibs.clone()).pull(tor);
+        let fs = FibStore::default();
+        fs.put(Fib::from_wire(&wire).unwrap());
+        // Wire format round-trips entries and hop sets exactly.
+        assert_eq!(fs.get(tor).unwrap().as_ref(), &fibs[tor.0 as usize]);
     }
 
     #[test]
@@ -1063,28 +782,5 @@ mod tests {
             .histogram("rcdc_validate_latency_ns", &[("mode", "incremental")])
             .unwrap();
         assert_eq!(incr.count, 1);
-    }
-
-    /// The sweep-facing hot-path handles: mode counters accumulate
-    /// across sweeps sharing one registry, and the queue-depth gauge
-    /// is sampled (present) after a sweep ran with metrics attached.
-    #[test]
-    fn pipeline_metrics_count_modes_across_sweeps() {
-        let (f, fibs, contracts, _meta) = fig3_healthy();
-        let devices: Vec<DeviceId> = f.topology.devices().iter().map(|d| d.id).collect();
-        let source = SimulatedSource::new(fibs);
-        let (cs, fs, cache, analytics) = stores_for(contracts);
-        let registry = Registry::new();
-        let metrics = PipelineMetrics::new(&registry);
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics, 2, 2, Some(&metrics));
-        run_sweep(&devices, &source, &cs, &fs, &cache, &analytics, 2, 2, Some(&metrics));
-        let snap = registry.snapshot();
-        let mode = |m| snap.counter("rcdc_validate_mode_total", &[("mode", m)]);
-        // Every device validates in full on the first sweep and is
-        // served from the cache on the identical second sweep.
-        assert_eq!(mode("full"), Some(devices.len() as u64));
-        assert_eq!(mode("cache_hit"), Some(devices.len() as u64));
-        assert_eq!(mode("incremental"), Some(0));
-        assert!(snap.gauge("rcdc_queue_depth", &[]).is_some());
     }
 }

@@ -15,7 +15,7 @@
 //! monitoring, where most snapshots between sweeps are identical.
 
 use crate::contracts::DeviceContracts;
-use crate::engine::{smt::SmtEngine, trie::TrieEngine, trie_reference::ReferenceTrieEngine, Engine};
+use crate::engine::{smt::SmtEngine, trie::TrieEngine, Engine};
 use crate::report::ValidationReport;
 use bgpsim::Fib;
 use obskit::{Counter, Histogram, Observer, Registry};
@@ -34,10 +34,6 @@ pub enum EngineChoice {
     Smt,
     /// The SMT encoding in semantic mode.
     SmtSemantic,
-    /// The frozen pre-flat-rewrite pointer trie (ablation baseline).
-    TrieReference,
-    /// The reference trie in semantic mode.
-    TrieReferenceSemantic,
 }
 
 impl EngineChoice {
@@ -53,8 +49,6 @@ impl EngineChoice {
             EngineChoice::TrieSemantic => Box::new(TrieEngine::semantic()),
             EngineChoice::Smt => Box::new(SmtEngine::new()),
             EngineChoice::SmtSemantic => Box::new(SmtEngine::semantic()),
-            EngineChoice::TrieReference => Box::new(ReferenceTrieEngine::new()),
-            EngineChoice::TrieReferenceSemantic => Box::new(ReferenceTrieEngine::semantic()),
         }
     }
 
@@ -66,19 +60,15 @@ impl EngineChoice {
             EngineChoice::TrieSemantic => "trie-semantic",
             EngineChoice::Smt => "smt",
             EngineChoice::SmtSemantic => "smt-semantic",
-            EngineChoice::TrieReference => "trie-ref",
-            EngineChoice::TrieReferenceSemantic => "trie-ref-semantic",
         }
     }
 
     /// Every backend, in registry order (for CLIs listing valid names).
-    pub const ALL: [EngineChoice; 6] = [
+    pub const ALL: [EngineChoice; 4] = [
         EngineChoice::Trie,
         EngineChoice::TrieSemantic,
         EngineChoice::Smt,
         EngineChoice::SmtSemantic,
-        EngineChoice::TrieReference,
-        EngineChoice::TrieReferenceSemantic,
     ];
 }
 
@@ -256,7 +246,7 @@ impl Observer for DatacenterReport {
 /// independent and uniform enough that a static partition beats the
 /// old per-slot mutex vector (which serialized on lock metadata and
 /// put every report behind a lock nobody contended).
-pub(crate) fn validate_jobs(
+fn validate_jobs(
     engine: &(dyn Engine + Sync),
     threads: usize,
     jobs: &[(&Fib, &DeviceContracts)],
@@ -282,6 +272,53 @@ pub(crate) fn validate_jobs(
     out
 }
 
+/// Every device's verdict and table hash, and which of them the
+/// engine was asked for.
+pub(crate) struct FleetVerdicts {
+    /// Per-device reports, indexed by device id.
+    pub(crate) reports: Vec<ValidationReport>,
+    /// Per-device FIB content hashes, indexed like `reports`.
+    pub(crate) fib_hashes: Vec<u64>,
+    /// Devices the engine validated, ascending; the rest were `known`.
+    pub(crate) validated: Vec<usize>,
+}
+
+/// The one verdict-reuse partition of the batch side: hash every
+/// table, take the verdict `known(device, hash)` already holds for it
+/// or queue the device, validate the queue, scatter the results back.
+/// What counts as known — a warm-start report, an anchor's root, a
+/// cross-state memo, nothing — is the caller's policy.
+pub(crate) fn validate_fleet(
+    engine: &(dyn Engine + Sync),
+    threads: usize,
+    fibs: &[Fib],
+    contracts: &[DeviceContracts],
+    known: impl Fn(usize, u64) -> Option<ValidationReport>,
+) -> FleetVerdicts {
+    assert_eq!(fibs.len(), contracts.len(), "fibs and contracts must align");
+    let fib_hashes: Vec<u64> = fibs.iter().map(Fib::content_hash).collect();
+    let mut reports = vec![ValidationReport::default(); fibs.len()];
+    let mut validated: Vec<usize> = Vec::new();
+    for (i, &hash) in fib_hashes.iter().enumerate() {
+        match known(i, hash) {
+            Some(report) => reports[i] = report,
+            None => validated.push(i),
+        }
+    }
+    let jobs: Vec<(&Fib, &DeviceContracts)> = validated
+        .iter()
+        .map(|&i| (&fibs[i], &contracts[i]))
+        .collect();
+    for (&i, report) in validated.iter().zip(validate_jobs(engine, threads, &jobs)) {
+        reports[i] = report;
+    }
+    FleetVerdicts {
+        reports,
+        fib_hashes,
+        validated,
+    }
+}
+
 /// One validation pass, cold or warm. Shared implementation behind the
 /// [`crate::Validator`] facade.
 pub(crate) fn run_pass(
@@ -293,47 +330,23 @@ pub(crate) fn run_pass(
     warm: Option<&DatacenterReport>,
     metrics: Option<&PassMetrics>,
 ) -> DatacenterReport {
-    assert_eq!(fibs.len(), contracts.len(), "fibs and contracts must align");
     let start = Instant::now();
     let n = fibs.len();
-    let fib_hashes: Vec<u64> = fibs.iter().map(Fib::content_hash).collect();
-
     // A warm-start report is only usable if it covers the same device
     // range and the same contract epoch; otherwise run cold.
     let warm = warm.filter(|w| {
         w.contract_epoch == contract_epoch && w.fib_hashes.len() == n && w.reports.len() == n
     });
-
-    let mut reports: Vec<ValidationReport> = vec![ValidationReport::default(); n];
-    let mut todo_idx: Vec<usize> = Vec::new();
-    let mut jobs: Vec<(&Fib, &DeviceContracts)> = Vec::new();
-    match warm {
-        Some(w) => {
-            for i in 0..n {
-                if w.fib_hashes[i] == fib_hashes[i] {
-                    reports[i] = w.reports[i].clone();
-                } else {
-                    todo_idx.push(i);
-                    jobs.push((&fibs[i], &contracts[i]));
-                }
-            }
-        }
-        None => {
-            todo_idx.extend(0..n);
-            jobs.extend(fibs.iter().zip(contracts));
-        }
-    }
-    let reused = n - jobs.len();
-    for (i, r) in todo_idx.into_iter().zip(validate_jobs(engine, threads, &jobs)) {
-        reports[i] = r;
-    }
-
+    let fleet = validate_fleet(engine, threads, fibs, contracts, |i, hash| {
+        warm.filter(|w| w.fib_hashes[i] == hash)
+            .map(|w| w.reports[i].clone())
+    });
     let report = DatacenterReport {
-        reports,
+        reused: n - fleet.validated.len(),
+        reports: fleet.reports,
         elapsed: start.elapsed(),
-        fib_hashes,
+        fib_hashes: fleet.fib_hashes,
         contract_epoch,
-        reused,
     };
     if let Some(m) = metrics {
         m.record(&report);
@@ -409,9 +422,18 @@ mod tests {
             assert_eq!(choice.to_string(), choice.name());
             assert_eq!(choice.name().parse::<EngineChoice>(), Ok(choice));
         }
-        let err = "z3".parse::<EngineChoice>().unwrap_err();
-        assert!(err.contains("unknown engine"), "{err}");
-        assert!(err.contains("trie-semantic"), "{err}");
+        assert_eq!(EngineChoice::ALL.len(), 4);
+        // The frozen reference trie is a test oracle, not a selectable
+        // backend: its name is an unknown engine like any other.
+        let oracle = crate::ReferenceTrieEngine::new();
+        for unknown in ["z3", oracle.name()] {
+            let err = unknown.parse::<EngineChoice>().unwrap_err();
+            assert!(err.contains("unknown engine"), "{err}");
+            assert!(
+                err.ends_with("expected one of trie, trie-semantic, smt, smt-semantic"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! The long-running sharded validation service: the §2.6.1 pipeline
-//! as an always-on system instead of a one-shot sweep.
+//! as an always-on system. Its shard worker is the only
+//! pull → park → validate → sink loop in the repository; a one-shot
+//! sweep is the same service driven once
+//! ([`pull_all`](ValidationService::pull_all) +
+//! [`drain`](ValidationService::drain)), with
+//! [`shards`](crate::ValidatorBuilder::shards) as its pull concurrency.
 //!
 //! A [`ValidationService`] partitions the device space across N worker
 //! shards (a [`ShardRouter`]): each shard owns its own stores, engine
@@ -12,7 +17,10 @@
 //! `rcdc_service_backpressure_total`: ingest can never outrun
 //! validation by more than the configured capacity, the same
 //! back-pressure discipline the paper's pipeline needs to survive
-//! churn storms.
+//! churn storms. A pull the source answers with an undecodable or
+//! mis-addressed snapshot is counted in
+//! `rcdc_service_pull_errors_total` and dropped: the device keeps its
+//! parked snapshot and verdict, and the shard keeps running.
 //!
 //! Reads never queue. A cloneable [`ServiceHandle`] answers
 //! [`verdict`](ServiceHandle::verdict), [`alerts`](ServiceHandle::alerts),
@@ -48,15 +56,16 @@
 //! ```
 
 use crate::clock::Clock;
-use crate::pipeline::{
-    validate_notification, CachedVerdict, FibPuller, PipelineMetrics, SnapshotSource,
-};
+use crate::engine::Engine;
+use crate::pipeline::{validate_notification, CachedVerdict, PipelineMetrics, SnapshotSource};
 use crate::report::Risk;
 use crate::runner::EngineChoice;
-use crate::shard::ShardRouter;
+use crate::shard::{ShardRouter, ShardStores};
+use bgpsim::Fib;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use dctopo::{DeviceId, MetadataService};
-use obskit::MetricsSnapshot;
+use netprim::ParseError;
+use obskit::{Counter, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -102,6 +111,9 @@ struct ShardLane {
     tx: Sender<Message>,
     submitted: AtomicU64,
     processed: AtomicU64,
+    /// The shard's `rcdc_service_backpressure_total`, resolved at
+    /// start so a healthy service exports the family at 0.
+    backpressure: Counter,
 }
 
 /// Everything the workers and handles share.
@@ -149,12 +161,17 @@ impl ValidationService {
 
         let mut lanes = Vec::with_capacity(shards);
         let mut receivers: Vec<Receiver<Message>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        for stores in router.iter() {
             let (tx, rx) = channel::bounded(config.ingest_capacity.max(1));
             lanes.push(ShardLane {
                 tx,
                 submitted: AtomicU64::new(0),
                 processed: AtomicU64::new(0),
+                backpressure: stores.registry.counter(
+                    "rcdc_service_backpressure_total",
+                    "ingest submits that blocked on a full shard queue",
+                    &[],
+                ),
             });
             receivers.push(rx);
         }
@@ -195,16 +212,7 @@ impl ValidationService {
         match lane.tx.try_send(msg) {
             Ok(()) => {}
             Err(TrySendError::Full(msg)) => {
-                self.inner
-                    .router
-                    .shard(shard)
-                    .registry
-                    .counter(
-                        "rcdc_service_backpressure_total",
-                        "ingest submits that blocked on a full shard queue",
-                        &[],
-                    )
-                    .inc();
+                lane.backpressure.inc();
                 if lane.tx.send(msg).is_err() {
                     panic!("shard worker hung up");
                 }
@@ -306,7 +314,53 @@ impl ServiceHandle {
     }
 }
 
-/// One shard's worker loop: drain the lane, validate, ingest, record.
+/// One ingest event on its owning shard — the pipeline's one step:
+/// a [`Pull`](IngestEvent::Pull) fetches, decodes and parks the
+/// device's snapshot first; then the parked snapshot is validated
+/// ([`validate_notification`] decides hit / incremental / full) and
+/// the verdict pushed to the sink.
+///
+/// A snapshot that does not decode, or that is another device's (it
+/// would be parked under that device's key), is an error, returned
+/// before anything is parked or validated.
+fn step(
+    event: IngestEvent,
+    source: &dyn SnapshotSource,
+    stores: &ShardStores,
+    engine: &dyn Engine,
+    clock: &dyn Clock,
+    metrics: &PipelineMetrics,
+) -> Result<(), ParseError> {
+    let device = event.device();
+    if let IngestEvent::Pull(_) = event {
+        let wire = source.pull(device);
+        if wire.device != device.0 {
+            return Err(ParseError::new(
+                "fib snapshot",
+                "<pull>",
+                format!(
+                    "pull of device {} answered for device {}",
+                    device.0, wire.device
+                ),
+            ));
+        }
+        stores.fibs.put(Fib::from_wire(&wire)?);
+    }
+    if let Some(result) = validate_notification(
+        device,
+        &stores.contracts,
+        &stores.fibs,
+        &stores.cache,
+        engine,
+        clock,
+        metrics,
+    ) {
+        stores.analytics.ingest(result);
+    }
+    Ok(())
+}
+
+/// One shard's worker loop: drain the lane, [`step`], record.
 fn shard_worker(
     shard: usize,
     rx: Receiver<Message>,
@@ -316,7 +370,7 @@ fn shard_worker(
 ) {
     let stores = inner.router.shard(shard);
     let engine = engine_choice.instantiate();
-    let clock = inner.clock.clone();
+    let clock = inner.clock.as_ref();
     let metrics = PipelineMetrics::new(&stores.registry);
     let latency = stores.registry.histogram(
         "rcdc_service_notify_latency_ns",
@@ -332,15 +386,16 @@ fn shard_worker(
     };
     let pulls = events("pull");
     let notifies = events("notify");
+    let pull_errors = stores.registry.counter(
+        "rcdc_service_pull_errors_total",
+        "pulls dropped because the snapshot was undecodable or another device's",
+        &[],
+    );
     let queue_depth = stores.registry.gauge(
         "rcdc_service_queue_depth",
         "shard ingest-queue depth sampled at dequeue",
         &[],
     );
-    // Real pulls on the real clock; a sweep re-uses the pipeline's
-    // puller so simulated sources charge their latency the same way.
-    let (fib_tx, fib_rx) = channel::unbounded::<DeviceId>();
-    let puller = FibPuller::new(source.as_ref(), &stores.fibs, fib_tx).with_clock(clock.clone());
 
     while let Ok(msg) = rx.recv() {
         let (event, enqueued_at) = match msg {
@@ -348,27 +403,21 @@ fn shard_worker(
             Message::Stop => break,
         };
         queue_depth.set(rx.len() as i64);
-        let device = event.device();
         match event {
-            IngestEvent::Pull(_) => {
-                pulls.inc();
-                puller.pull_device(device);
-                let _ = fib_rx.try_recv(); // puller's own notification
-            }
+            IngestEvent::Pull(_) => pulls.inc(),
             IngestEvent::Notify(_) => notifies.inc(),
         }
-        if let Some(result) = validate_notification(
-            device,
-            &stores.contracts,
-            &stores.fibs,
-            &stores.cache,
+        match step(
+            event,
+            source.as_ref(),
+            stores,
             engine.as_ref(),
-            clock.as_ref(),
-            Some(&metrics),
+            clock,
+            &metrics,
         ) {
-            stores.analytics.ingest(result);
+            Ok(()) => latency.record((clock.now() - enqueued_at).as_nanos() as u64),
+            Err(_) => pull_errors.inc(),
         }
-        latency.record((clock.now() - enqueued_at).as_nanos() as u64);
         inner.lanes[shard].processed.fetch_add(1, Ordering::Release);
     }
 }
@@ -377,36 +426,272 @@ fn shard_worker(
 mod tests {
     use super::*;
     use crate::engine::testutil::{fig3_faulted, fig3_healthy};
-    use crate::pipeline::SimulatedSource;
-    use crate::Validator;
+    use crate::pipeline::{SimulatedSource, ValidateMode};
+    use crate::{TrieEngine, Validator};
+    use netprim::wire::WireSnapshot;
+    use parking_lot::RwLock;
 
     fn devices(n: usize) -> Vec<DeviceId> {
         (0..n as u32).map(DeviceId).collect()
     }
 
+    /// A source whose answers a test rewrites between sweeps, down to
+    /// the wire snapshot — including ones no device would send.
+    struct WireSource(RwLock<Vec<WireSnapshot>>);
+
+    impl WireSource {
+        fn new(fibs: &[Fib]) -> Arc<WireSource> {
+            Arc::new(WireSource(RwLock::new(
+                fibs.iter().map(Fib::to_wire).collect(),
+            )))
+        }
+
+        fn set(&self, device: DeviceId, wire: WireSnapshot) {
+            self.0.write()[device.0 as usize] = wire;
+        }
+    }
+
+    impl SnapshotSource for WireSource {
+        fn pull(&self, device: DeviceId) -> WireSnapshot {
+            self.0.read()[device.0 as usize].clone()
+        }
+    }
+
+    /// The one-shot sweep: pull the fleet once, wait for the verdicts.
+    fn sweep(service: &ValidationService, devices: &[DeviceId]) {
+        service.pull_all(devices);
+        service.drain();
+    }
+
+    /// `fib` without its route for `prefix`.
+    fn without(fib: &Fib, prefix: netprim::Prefix) -> Fib {
+        let mut b = bgpsim::FibBuilder::new(fib.device());
+        for e in fib.entries().iter().filter(|e| e.prefix != prefix) {
+            b.push(e.prefix, fib.next_hops(e).to_vec(), e.local);
+        }
+        b.finish()
+    }
+
+    /// A one-shard service over `fibs`, swept once.
+    fn swept(meta: &MetadataService, fibs: &[Fib]) -> ValidationService {
+        let service =
+            Validator::new(meta).build_service(Arc::new(SimulatedSource::new(fibs.to_vec())));
+        sweep(&service, &devices(fibs.len()));
+        service
+    }
+
     #[test]
-    fn sharded_sweep_matches_unsharded_verdicts() {
+    fn sharded_sweep_matches_unsharded_and_batch_verdicts() {
         let (_f, fibs, _contracts, meta) = fig3_faulted();
         let ds = devices(fibs.len());
-        let run = |shards| {
-            let service = Validator::new(&meta)
-                .shards(shards)
-                .build_service(Arc::new(SimulatedSource::new(fibs.clone())));
-            service.pull_all(&ds);
-            service.drain();
-            let handle = service.handle();
-            (
-                handle.dirty_count(),
-                handle.alerts(Risk::High),
-                ds.iter()
-                    .map(|&d| handle.verdict(d).map(|v| v.report))
-                    .collect::<Vec<_>>(),
-            )
+        for engine in [EngineChoice::Trie, EngineChoice::Smt] {
+            let run = |shards| {
+                let service = Validator::new(&meta)
+                    .engine(engine)
+                    .shards(shards)
+                    .build_service(Arc::new(SimulatedSource::new(fibs.clone())));
+                sweep(&service, &ds);
+                let handle = service.handle();
+                (
+                    handle.dirty_count(),
+                    handle.alerts(Risk::High),
+                    ds.iter()
+                        .map(|&d| handle.verdict(d).map(|v| v.report))
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let single = run(1);
+            assert_eq!(single, run(4), "{engine}");
+            assert_eq!(single.0, 16, "fig3 fault set dirties 16 devices");
+            // The batch loop and the service loop agree, device by
+            // device.
+            let batch = Validator::new(&meta).engine(engine).build().run(&fibs);
+            let batch: Vec<_> = batch.reports.into_iter().map(Some).collect();
+            assert_eq!(single.2, batch, "{engine}");
+        }
+    }
+
+    #[test]
+    fn sweep_over_healthy_network_is_clean() {
+        let (_f, fibs, _contracts, meta) = fig3_healthy();
+        let service = swept(&meta, &fibs);
+        assert_eq!(service.router().shard(0).analytics.len(), fibs.len());
+        assert_eq!(service.handle().dirty_count(), 0);
+        // The trie-backed sweep never touches a solver.
+        assert_eq!(
+            service.handle().solver_totals(),
+            smtkit::SessionStats::default()
+        );
+    }
+
+    #[test]
+    fn sweep_over_faulted_network_raises_alerts() {
+        let (f, fibs, _contracts, meta) = fig3_faulted();
+        let handle = swept(&meta, &fibs).handle();
+        assert_eq!(handle.dirty_count(), 16);
+        // High-risk alerts must include both ToRs (default degraded to
+        // 2 hops is Medium; spine failures are High) — check spines.
+        let high = handle.alerts(Risk::High);
+        for d in f.d {
+            assert!(high.contains(&d), "{d:?} must alert at high risk");
+        }
+        // Medium alerts include the ToRs with the degraded defaults.
+        let medium = handle.alerts(Risk::Medium);
+        assert!(medium.contains(&f.tors[0]));
+        assert!(medium.contains(&f.tors[1]));
+    }
+
+    #[test]
+    fn repeated_sweep_is_served_from_the_verdict_cache() {
+        let (_f, fibs, _contracts, meta) = fig3_healthy();
+        let ds = devices(fibs.len());
+        let service = swept(&meta, &fibs);
+        let stores = service.router().shard(0);
+        let reports = || -> Vec<_> { ds.iter().map(|&d| stores.analytics.result(d)).collect() };
+        assert_eq!(stores.analytics.mode_counts(), (ds.len(), 0, 0));
+        let first = reports();
+
+        // Same snapshots, same contracts: every verdict is one hash
+        // comparison away.
+        sweep(&service, &ds);
+        assert_eq!(stores.analytics.mode_counts(), (0, 0, ds.len()));
+        assert_eq!(
+            stores
+                .cache
+                .snapshot()
+                .counter("rcdc_verdict_cache_hits_total", &[]),
+            Some(ds.len() as u64)
+        );
+        for (a, b) in first.into_iter().zip(reports()) {
+            assert_eq!(a.map(|r| r.report), b.map(|r| r.report));
+        }
+    }
+
+    /// Mode counters accumulate across the sweeps of one service, and
+    /// the queue-depth gauge is sampled (present) once a sweep ran.
+    #[test]
+    fn mode_counters_accumulate_across_sweeps() {
+        let (_f, fibs, _contracts, meta) = fig3_healthy();
+        let service = swept(&meta, &fibs);
+        sweep(&service, &devices(fibs.len()));
+        let snap = service.handle().snapshot();
+        let mode = |m| snap.counter("rcdc_validate_mode_total", &[("mode", m), ("shard", "0")]);
+        // Every device validates in full on the first sweep and is
+        // served from the cache on the identical second sweep.
+        assert_eq!(mode("full"), Some(fibs.len() as u64));
+        assert_eq!(mode("cache_hit"), Some(fibs.len() as u64));
+        assert_eq!(mode("incremental"), Some(0));
+        assert!(snap
+            .gauge("rcdc_service_queue_depth", &[("shard", "0")])
+            .is_some());
+    }
+
+    #[test]
+    fn churned_device_takes_the_incremental_path() {
+        let (f, fibs, contracts, meta) = fig3_healthy();
+        let ds = devices(fibs.len());
+        let source = WireSource::new(&fibs);
+        let service = Validator::new(&meta).build_service(source.clone());
+        sweep(&service, &ds);
+
+        // Drop one specific from one ToR between sweeps.
+        let tor = f.tors[0];
+        let churned = without(&fibs[tor.0 as usize], f.prefixes[1]);
+        source.set(tor, churned.to_wire());
+        sweep(&service, &ds);
+        let analytics = &service.router().shard(0).analytics;
+        assert_eq!(analytics.mode_counts(), (0, 1, ds.len() - 1));
+        let r = analytics.result(tor).unwrap();
+        assert_eq!(r.mode, ValidateMode::Incremental);
+        // The incremental verdict matches a from-scratch validation.
+        let fresh = TrieEngine::new().validate_device(&churned, &contracts[tor.0 as usize]);
+        assert_eq!(r.report, fresh);
+        assert!(!r.report.is_clean());
+    }
+
+    #[test]
+    fn republished_contracts_invalidate_cached_verdicts() {
+        let (f, fibs, contracts, meta) = fig3_healthy();
+        let ds = devices(fibs.len());
+        let service = swept(&meta, &fibs);
+
+        // Republishing bumps the device's contract epoch, so the cached
+        // verdict — keyed on (fib hash, epoch) — no longer applies even
+        // though the FIB is unchanged.
+        let tor = f.tors[0];
+        let stores = service.router().shard(0);
+        stores.contracts.put(tor, contracts[tor.0 as usize].clone());
+        sweep(&service, &ds);
+        assert_eq!(
+            stores.analytics.result(tor).unwrap().mode,
+            ValidateMode::Full
+        );
+        assert_eq!(stores.analytics.mode_counts(), (1, 0, ds.len() - 1));
+        // The re-check under the fresh epoch repopulates the cache.
+        sweep(&service, &ds);
+        assert_eq!(
+            stores.analytics.result(tor).unwrap().mode,
+            ValidateMode::CacheHit
+        );
+    }
+
+    #[test]
+    fn bad_pull_is_counted_and_dropped_without_killing_the_shard() {
+        let (f, fibs, _contracts, meta) = fig3_healthy();
+        let ds = devices(fibs.len());
+        let source = WireSource::new(&fibs);
+        let service = Validator::new(&meta)
+            .shards(2)
+            .build_service(source.clone());
+        sweep(&service, &ds);
+        let handle = service.handle();
+        let (bad, other) = (f.tors[0], f.tors[1]);
+        let prior = handle.verdict(bad).unwrap();
+        let errors = || {
+            let shard = service.router().shard_of(bad).to_string();
+            handle
+                .snapshot()
+                .counter("rcdc_service_pull_errors_total", &[("shard", &shard)])
         };
-        let single = run(1);
-        let sharded = run(4);
-        assert_eq!(single, sharded);
-        assert_eq!(single.0, 16, "fig3 fault set dirties 16 devices");
+        assert_eq!(errors(), Some(0), "exported before the first error");
+
+        // A snapshot listing one prefix twice does not decode.
+        let mut corrupt = fibs[bad.0 as usize].to_wire();
+        corrupt.entries.push(corrupt.entries[0].clone());
+        source.set(bad, corrupt);
+        sweep(&service, &ds);
+        assert_eq!(errors(), Some(1));
+        for &d in &ds {
+            assert!(handle.verdict(d).is_some(), "{d:?} lost its verdict");
+        }
+
+        // Another device's snapshot must not be parked under that
+        // device's key.
+        source.set(
+            bad,
+            without(&fibs[other.0 as usize], f.prefixes[0]).to_wire(),
+        );
+        service.submit(IngestEvent::Pull(bad));
+        service.drain();
+        assert_eq!(errors(), Some(2));
+        let parked = |d: DeviceId| {
+            service
+                .router()
+                .stores(d)
+                .fibs
+                .get(d)
+                .unwrap()
+                .content_hash()
+        };
+        assert_eq!(parked(other), fibs[other.0 as usize].content_hash());
+
+        // Through both, the bad device keeps serving its prior verdict.
+        assert_eq!(parked(bad), prior.fib_hash);
+        let served = handle.verdict(bad).unwrap();
+        assert_eq!(
+            (served.fib_hash, served.report),
+            (prior.fib_hash, prior.report)
+        );
     }
 
     #[test]
@@ -430,10 +715,24 @@ mod tests {
         let snap = handle.snapshot();
         let shard = service.router().shard_of(ds[0]).to_string();
         assert_eq!(
-            snap.counter("rcdc_service_events_total", &[("kind", "notify"), ("shard", &shard)]),
+            snap.counter(
+                "rcdc_service_events_total",
+                &[("kind", "notify"), ("shard", &shard)]
+            ),
             Some(1)
         );
-        assert!(snap.counter("rcdc_verdict_cache_hits_total", &[("shard", &shard)]).unwrap() >= 1);
+        assert!(
+            snap.counter("rcdc_verdict_cache_hits_total", &[("shard", &shard)])
+                .unwrap()
+                >= 1
+        );
+        // A service that never stalled says so, on every shard.
+        for shard in ["0", "1"] {
+            assert_eq!(
+                snap.counter("rcdc_service_backpressure_total", &[("shard", shard)]),
+                Some(0)
+            );
+        }
     }
 
     #[test]
@@ -452,12 +751,13 @@ mod tests {
         }
         service.drain();
         let snap = service.handle().snapshot();
-        let stalls = snap
-            .counter("rcdc_service_backpressure_total", &[("shard", "0")])
-            .unwrap_or(0);
-        assert!(stalls > 0, "capacity-1 lane must report stalls");
+        let stalls = snap.counter("rcdc_service_backpressure_total", &[("shard", "0")]);
+        assert!(stalls > Some(0), "capacity-1 lane must report stalls");
         assert_eq!(
-            snap.counter("rcdc_service_events_total", &[("kind", "pull"), ("shard", "0")]),
+            snap.counter(
+                "rcdc_service_events_total",
+                &[("kind", "pull"), ("shard", "0")]
+            ),
             Some(3 * ds.len() as u64),
             "every submit processed despite the full queue"
         );

@@ -15,8 +15,8 @@
 //! Fleet-wide views are produced by merging: [`merged_snapshot`]
 //! absorbs every shard's registry under a `shard` label, and the query
 //! helpers ([`verdict`], [`alerts`], [`solver_totals`]) fan out and
-//! combine. Single-shard construction is the existing pipeline
-//! unchanged — `ShardRouter::new(1)` routes everything to shard 0.
+//! combine. `ShardRouter::new(1)` routes everything to shard 0 — the
+//! unsharded pipeline is the one-shard case, not a separate one.
 //!
 //! [`merged_snapshot`]: ShardRouter::merged_snapshot
 //! [`verdict`]: ShardRouter::verdict
@@ -115,16 +115,6 @@ impl ShardRouter {
             let device = DeviceId(i as u32);
             self.stores(device).contracts.put(device, dc);
         }
-    }
-
-    /// Split `devices` into per-shard work lists, preserving order
-    /// within each shard.
-    pub fn partition(&self, devices: &[DeviceId]) -> Vec<Vec<DeviceId>> {
-        let mut parts = vec![Vec::new(); self.shards.len()];
-        for &d in devices {
-            parts[self.shard_of(d)].push(d);
-        }
-        parts
     }
 
     /// The device's cached verdict, from its owning shard. The
@@ -227,10 +217,6 @@ mod tests {
             assert!(shard < 4);
             assert_eq!(shard, router.shard_of(DeviceId(d)), "stable");
         }
-        // Round-robin ids spread evenly.
-        let devices: Vec<DeviceId> = (0..128).map(DeviceId).collect();
-        let parts = router.partition(&devices);
-        assert!(parts.iter().all(|p| p.len() == 32));
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub struct Validator {
 }
 
 /// Builder returned by [`Validator::new`] / [`Validator::with_contracts`]
-/// — the single construction path for both one-shot sweeps
-/// ([`build`](Self::build)) and the always-on sharded service
+/// — the single construction path for both batch passes
+/// ([`build`](Self::build)) and the sharded monitoring service
 /// ([`build_service`](Self::build_service)).
 pub struct ValidatorBuilder {
     contracts: Vec<DeviceContracts>,
@@ -82,8 +82,8 @@ impl ValidatorBuilder {
         self
     }
 
-    /// Worker shards for [`build_service`](Self::build_service)
-    /// (default 1 — the pre-sharding pipeline). One-shot
+    /// Worker shards for [`build_service`](Self::build_service) — how
+    /// many devices it pulls and validates at once (default 1). Batch
     /// [`build`](Self::build) passes ignore this.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);

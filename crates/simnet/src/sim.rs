@@ -335,7 +335,7 @@ impl<'e> Sim<'e> {
     /// The receiver side: decode the frame, apply deltas against the
     /// stored base, fall back to the full snapshot when anything about
     /// the frame is unusable, park the result, and run the validator
-    /// notification — the same code path `run_sweep`'s workers run.
+    /// notification — the same code path the service's shard workers run.
     fn deliver(&mut self, device: usize, frame: &[u8], payload: Fib) {
         self.out.deliveries += 1;
         self.registry
@@ -411,7 +411,7 @@ impl<'e> Sim<'e> {
             &stores.cache,
             &self.engine,
             &self.clock,
-            Some(&self.metrics),
+            &self.metrics,
         ) {
             self.out.completed += 1;
             self.completed_per_shard[shard] += 1;

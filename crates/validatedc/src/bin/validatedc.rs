@@ -182,9 +182,9 @@ fn cmd_validate(args: &[String]) -> Result<bool, String> {
         // the same FIBs (validate-latency histograms, verdict-cache
         // counters) alongside the batch pass's rcdc_pass_* /
         // rcdc_engine_* / rcdc_solver_* families.
-        let (cache, analytics) = validatedc::metrics::live_sweep(&meta, &fibs, &registry);
-        registry
-            .observe_and_snapshot(&[&cache, &analytics, &report])
+        let mut snapshot = registry.observe_and_snapshot(&[&report]);
+        snapshot.absorb(&validatedc::metrics::live_sweep(&meta, &fibs));
+        snapshot
             .write_to(dest)
             .map_err(|e| format!("cannot write metrics to {dest:?}: {e}"))?;
     }

@@ -1,55 +1,30 @@
 //! Support for the CLI `--metrics` export: drive the live monitoring
-//! pipeline over a set of FIBs so the exported registry carries the
-//! pipeline's metric families, not just the batch pass's.
+//! pipeline over a set of FIBs so the export carries the pipeline's
+//! metric families, not just the batch pass's.
 //!
 //! Shared between the `validatedc` binary and the integration tests so
 //! the exact bytes the CLI emits are what the tests validate.
 
 use dctopo::{DeviceId, MetadataService};
-use obskit::Registry;
-use rcdc::contracts::generate_contracts;
-use rcdc::pipeline::{
-    run_sweep, ContractStore, FibStore, PipelineMetrics, SimulatedSource, StreamAnalytics,
-    VerdictCache,
-};
+use obskit::MetricsSnapshot;
+use rcdc::pipeline::SimulatedSource;
+use rcdc::Validator;
+use std::sync::Arc;
 
-/// Run a cold + warm monitoring sweep over `fibs` with the pipeline's
-/// hot-path handles attached to `registry`: the cold sweep fills the
-/// verdict cache (all misses, all full validations) and the warm sweep
-/// is served from it (all hits), populating
-/// `rcdc_validate_latency_ns{mode}`, `rcdc_validate_mode_total{mode}`,
-/// and `rcdc_queue_depth`.
-///
-/// Returns the sweep's [`VerdictCache`] and [`StreamAnalytics`] so the
-/// caller can include them as observers in the final snapshot (the
-/// `rcdc_verdict_cache_*` counters and `rcdc_analytics_*` families).
-pub fn live_sweep(
-    meta: &MetadataService,
-    fibs: &[bgpsim::Fib],
-    registry: &Registry,
-) -> (VerdictCache, StreamAnalytics) {
-    let contract_store = ContractStore::default();
-    for (i, dc) in generate_contracts(meta).into_iter().enumerate() {
-        contract_store.put(DeviceId(i as u32), dc);
-    }
+/// Run a cold + warm monitoring sweep over `fibs` on a one-shard
+/// [`rcdc::ValidationService`] and return its merged snapshot: the
+/// cold sweep fills the verdict cache (all misses, all full
+/// validations) and the warm sweep is served from it (all hits),
+/// populating `rcdc_validate_latency_ns{mode}`,
+/// `rcdc_validate_mode_total{mode}`, the `rcdc_verdict_cache_*`
+/// counters and the `rcdc_analytics_*` and `rcdc_service_*` families,
+/// every sample labeled `shard="0"`.
+pub fn live_sweep(meta: &MetadataService, fibs: &[bgpsim::Fib]) -> MetricsSnapshot {
     let devices: Vec<DeviceId> = (0..fibs.len() as u32).map(DeviceId).collect();
-    let source = SimulatedSource::new(fibs.to_vec());
-    let fib_store = FibStore::default();
-    let cache = VerdictCache::default();
-    let analytics = StreamAnalytics::default();
-    let pipeline_metrics = PipelineMetrics::new(registry);
+    let service = Validator::new(meta).build_service(Arc::new(SimulatedSource::new(fibs.to_vec())));
     for _sweep in 0..2 {
-        run_sweep(
-            &devices,
-            &source,
-            &contract_store,
-            &fib_store,
-            &cache,
-            &analytics,
-            4,
-            2,
-            Some(&pipeline_metrics),
-        );
+        service.pull_all(&devices);
+        service.drain();
     }
-    (cache, analytics)
+    service.handle().snapshot()
 }

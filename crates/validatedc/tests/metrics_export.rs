@@ -24,8 +24,8 @@ fn exported_prometheus() -> (String, usize) {
         .metrics(&registry)
         .build();
     let report = validator.run(&fibs);
-    let (cache, analytics) = validatedc::metrics::live_sweep(&meta, &fibs, &registry);
-    let snapshot = registry.observe_and_snapshot(&[&cache, &analytics, &report]);
+    let mut snapshot = registry.observe_and_snapshot(&[&report]);
+    snapshot.absorb(&validatedc::metrics::live_sweep(&meta, &fibs));
     (snapshot.to_prometheus(), fibs.len())
 }
 
@@ -102,16 +102,13 @@ fn json_export_round_trips_same_families() {
     });
     let fibs = simulate(&topology, &SimConfig::healthy());
     let meta = MetadataService::from_topology(&topology);
-    let registry = Registry::new();
-    let (cache, analytics) = validatedc::metrics::live_sweep(&meta, &fibs, &registry);
-    let snapshot = registry.observe_and_snapshot(&[&cache, &analytics]);
-    let json = snapshot.to_json();
+    let json = validatedc::metrics::live_sweep(&meta, &fibs).to_json();
     for family in [
         "rcdc_validate_latency_ns",
         "rcdc_validate_mode_total",
         "rcdc_verdict_cache_hits_total",
         "rcdc_analytics_ingested_total",
-        "rcdc_queue_depth",
+        "rcdc_service_queue_depth",
     ] {
         assert!(json.contains(family), "JSON export missing {family}");
     }

@@ -5,10 +5,8 @@
 //! cargo run --release -p validatedc --example live_monitoring
 //! ```
 
-use rcdc::pipeline::{
-    run_sweep, ContractStore, FibStore, PipelineMetrics, SimulatedSource, StreamAnalytics,
-    VerdictCache,
-};
+use rcdc::pipeline::SimulatedSource;
+use std::sync::Arc;
 use validatedc::prelude::*;
 
 fn main() {
@@ -33,85 +31,67 @@ fn main() {
     let shut = topology.link_between(f.b[0], f.d[0]).unwrap().id;
     topology.set_link_state(shut, LinkState::AdminShut);
 
-    // The three microservices (§2.6.1).
+    // The three microservices (§2.6.1) are one sharded service: the
+    // builder publishes the generated contracts, each shard worker
+    // pulls, validates and feeds its stream-analytics sink.
     println!("== contract generator ==");
-    let contract_store = ContractStore::default();
-    for (i, dc) in generate_contracts(&meta).into_iter().enumerate() {
-        contract_store.put(DeviceId(i as u32), dc);
-    }
-    println!("contracts published for {} devices", contract_store.len());
+    let fibs = simulate(&topology, &config);
+    let service = Validator::new(&meta)
+        .shards(4)
+        .build_service(Arc::new(SimulatedSource::new(fibs)));
+    let published: usize = service.router().iter().map(|s| s.contracts.len()).sum();
+    println!("contracts published for {published} devices");
 
     println!("\n== puller + validator sweep ==");
-    let fibs = simulate(&topology, &config);
-    let source = SimulatedSource::new(fibs);
-    let fib_store = FibStore::default();
-    let cache = VerdictCache::default();
-    let analytics = StreamAnalytics::default();
     let devices: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
-    let registry = Registry::new();
-    let metrics = PipelineMetrics::new(&registry);
-    run_sweep(
-        &devices,
-        &source,
-        &contract_store,
-        &fib_store,
-        &cache,
-        &analytics,
-        4, // pull workers
-        2, // validate workers
-        Some(&metrics),
-    );
+    let handle = service.handle();
+    // Fleet-wide reading of a per-shard counter family.
+    let total = |name: &str, labels: &[(&str, &str)]| -> u64 {
+        let snap = handle.snapshot();
+        (0..service.shard_count())
+            .filter_map(|shard| {
+                let shard = shard.to_string();
+                let mut labels = labels.to_vec();
+                labels.push(("shard", shard.as_str()));
+                snap.counter(name, &labels)
+            })
+            .sum()
+    };
+    let verdicts = |mode| total("rcdc_validate_mode_total", &[("mode", mode)]);
+    service.pull_all(&devices);
+    service.drain();
     println!(
-        "swept {} devices, mean validation time {:?}",
-        analytics.len(),
-        analytics.mean_validate_time()
+        "swept {} devices: {} full / {} incremental / {} cached verdicts",
+        total("rcdc_analytics_ingested_total", &[]),
+        verdicts("full"),
+        verdicts("incremental"),
+        verdicts("cache_hit"),
     );
 
     // Steady state: the same snapshots arrive again; every verdict is
     // served from the cache at the cost of one hash comparison.
-    let analytics2 = StreamAnalytics::default();
-    run_sweep(
-        &devices,
-        &source,
-        &contract_store,
-        &fib_store,
-        &cache,
-        &analytics2,
-        4,
-        2,
-        Some(&metrics),
-    );
-    let (full, incremental, cached) = analytics2.mode_counts();
-    println!(
-        "second sweep: {full} full / {incremental} incremental / {cached} cached verdicts"
-    );
-
-    // The unified metrics surface: every counter the two sweeps
-    // touched, in one consistent snapshot.
-    let snap = registry.observe_and_snapshot(&[&cache]);
-    let counter = |name| snap.counter(name, &[]).unwrap_or(0);
+    service.pull_all(&devices);
+    service.drain();
+    println!("second sweep: {} cached verdicts", verdicts("cache_hit"));
     println!(
         "verdict cache: {} lookups, {} hits, {} misses",
-        counter("rcdc_verdict_cache_lookups_total"),
-        counter("rcdc_verdict_cache_hits_total"),
-        counter("rcdc_verdict_cache_misses_total"),
+        total("rcdc_verdict_cache_lookups_total", &[]),
+        total("rcdc_verdict_cache_hits_total", &[]),
+        total("rcdc_verdict_cache_misses_total", &[]),
     );
 
     println!("\n== alerts (high risk first) ==");
-    for d in analytics.alerts(&meta, Risk::High) {
+    for d in handle.alerts(Risk::High) {
         println!("  HIGH   {}", meta.device(d).name);
     }
-    for d in analytics.alerts(&meta, Risk::Medium) {
+    for d in handle.alerts(Risk::Medium) {
         println!("  MEDIUM {}", meta.device(d).name);
     }
 
     println!("\n== triage: root causes and remediation queues ==");
-    let engine = TrieEngine::new();
-    let fibs = simulate(&topology, &config);
     for d in topology.devices() {
-        let contracts = contract_store.get(d.id).unwrap();
-        let report = engine.validate_device(&fibs[d.id.0 as usize], &contracts);
-        if let Some(c) = classify_device(d.id, &report, &topology, &meta) {
+        let verdict = handle.verdict(d.id).expect("every device was swept");
+        if let Some(c) = classify_device(d.id, &verdict.report, &topology, &meta) {
             println!(
                 "  {:<12} {:?} -> {:?}",
                 d.name, c.cause, c.remediation
