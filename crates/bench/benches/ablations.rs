@@ -46,10 +46,8 @@ fn ablations(c: &mut Criterion) {
     group.bench_function("reencode_per_contract", |b| {
         let engine = SmtEngine::new();
         b.iter(|| {
-            for c in &contracts.contracts {
-                let single = DeviceContracts {
-                    contracts: vec![c.clone()],
-                };
+            for c in contracts.contracts() {
+                let single = DeviceContracts::new(vec![c.clone()]);
                 engine.validate_device(&fib, &single);
             }
         })

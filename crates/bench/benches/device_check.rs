@@ -52,9 +52,7 @@ fn device_check(c: &mut Criterion) {
     group.sample_size(10);
     for prefixes in [1000usize, 4000] {
         let (fib, contracts) = synth_device(prefixes, 4);
-        let one = DeviceContracts {
-            contracts: vec![contracts.contracts[1].clone()],
-        };
+        let one = DeviceContracts::new(vec![contracts.contracts()[1].clone()]);
         group.bench_with_input(
             BenchmarkId::new("smt_one_contract", prefixes),
             &prefixes,

@@ -88,9 +88,10 @@ fn run_point(label: &str, params: &dctopo::ClosParams, scenarios: usize, floor: 
 
     // Each arm runs its scenarios back to back — that is the shape of
     // a real sweep, and it is what the incremental path's warm caches
-    // (healthy fibs, locators, contract tables) are for. Results are
-    // dropped as they are produced: retaining hundreds of full report
-    // vectors would swamp the allocator with bench-only bookkeeping.
+    // (healthy fibs, contract indexes, contract tables) are for.
+    // Results are dropped as they are produced: retaining hundreds of
+    // full report vectors would swamp the allocator with bench-only
+    // bookkeeping.
     // Verdict identity is audited on a sample stride here (outside
     // both timed regions); the exhaustive byte-for-byte equivalence
     // claim is the difftest `whatif` oracle's and the proptest

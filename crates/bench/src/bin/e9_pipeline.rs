@@ -91,7 +91,7 @@ fn dashboard_query_regression(meta: &MetadataService) {
         let device = DeviceId(i);
         let report = if i < dirty {
             let contract = contracts[i as usize]
-                .contracts
+                .contracts()
                 .first()
                 .expect("every low-id device carries contracts")
                 .clone();

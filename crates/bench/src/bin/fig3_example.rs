@@ -26,7 +26,7 @@ fn main() {
     for &(d, label) in &[(f.tors[0], "ToR1"), (f.a[0], "A1"), (f.d[0], "D1")] {
         println!("\n{label} ({}) contracts:", name(d));
         println!("  {:<10} next hops", "prefix");
-        for c in &contracts[d.0 as usize].contracts {
+        for c in contracts[d.0 as usize].contracts() {
             let hops: Vec<String> = c
                 .next_hops()
                 .map(|hs| hs.iter().map(|&h| name(meta.owner_of(h).unwrap())).collect())

@@ -45,7 +45,7 @@ pub fn synth_device(prefixes: usize, hops: usize) -> (Fib, DeviceContracts) {
     }
     (
         fib.finish(),
-        DeviceContracts { contracts },
+        DeviceContracts::new(contracts),
     )
 }
 

@@ -2,7 +2,8 @@
 //!
 //! "The verification engine takes as input a prefix-based forwarding
 //! policy P and a contract C, and produces a list of rules in P that
-//! violate the contract" (§2.5). Two interchangeable backends:
+//! violate the contract" (§2.5). Two interchangeable backends, and the
+//! oracle one of them is held to:
 //!
 //! * [`smt::SmtEngine`] — the declarative bit-vector encoding of
 //!   §2.5.1, running on the `smtkit` solver ("flexible query language,
@@ -13,8 +14,8 @@
 //!   packs the trie into one arena and judges all contracts in a
 //!   single batched sweep.
 //! * [`trie_reference::ReferenceTrieEngine`] — the pre-rewrite
-//!   pointer trie, frozen as an ablation baseline and equivalence
-//!   oracle.
+//!   pointer trie, frozen as the equivalence oracle for the flat
+//!   engine; no [`crate::runner::EngineChoice`] selects it.
 //!
 //! All must produce semantically identical verdicts; the integration
 //! suite and proptest harness check them against each other.
@@ -27,6 +28,7 @@ use crate::contracts::DeviceContracts;
 use crate::report::ValidationReport;
 use bgpsim::Fib;
 use netprim::wire::FibDelta;
+use netprim::Prefix;
 
 /// A verification engine validating one device at a time — the unit of
 /// parallelism in local validation (§2.4).
@@ -34,15 +36,32 @@ pub trait Engine {
     /// Validate a device's FIB against its contract set.
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport;
 
-    /// Revalidate after an incremental FIB change.
+    /// Revalidate after an incremental FIB change — the primitive of
+    /// the delta path.
     ///
-    /// `fib` is the *new* table, `delta` the change that produced it
-    /// from the table `prior` was computed against, and `prior` the
-    /// report of the old table under the *same* contract set (epoch
-    /// checks are the caller's job — see `rcdc::pipeline`). The result
-    /// must be identical to `validate_device(fib, contracts)`; engines
-    /// without an incremental path inherit this default, which simply
-    /// revalidates in full.
+    /// `fib` is the *new* table, `touched` the prefixes whose rules
+    /// differ from the table `prior` was computed against (any order,
+    /// repeats allowed), and `prior` the report of the old table under
+    /// the *same* contract set (epoch checks are the caller's job — see
+    /// `rcdc::pipeline`). The result must be identical to
+    /// `validate_device(fib, contracts)`; engines without an
+    /// incremental path inherit this default, which simply revalidates
+    /// in full. A wrapper must forward this method, or it silently
+    /// turns every revalidation into a full one.
+    fn validate_touched(
+        &self,
+        fib: &Fib,
+        contracts: &DeviceContracts,
+        touched: &[Prefix],
+        prior: &ValidationReport,
+    ) -> ValidationReport {
+        let _ = (touched, prior);
+        self.validate_device(fib, contracts)
+    }
+
+    /// [`validate_touched`](Self::validate_touched) for a caller that
+    /// holds the change as a wire [`FibDelta`]: the rule payloads are
+    /// never read, only which prefixes they sit at.
     fn validate_delta(
         &self,
         fib: &Fib,
@@ -50,8 +69,8 @@ pub trait Engine {
         delta: &FibDelta,
         prior: &ValidationReport,
     ) -> ValidationReport {
-        let _ = (delta, prior);
-        self.validate_device(fib, contracts)
+        let touched: Vec<Prefix> = delta.touched_prefixes().collect();
+        self.validate_touched(fib, contracts, &touched, prior)
     }
 
     /// Engine name for logs and benchmark labels.
@@ -65,14 +84,14 @@ impl Engine for Box<dyn Engine + Sync> {
         (**self).validate_device(fib, contracts)
     }
 
-    fn validate_delta(
+    fn validate_touched(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        delta: &FibDelta,
+        touched: &[Prefix],
         prior: &ValidationReport,
     ) -> ValidationReport {
-        (**self).validate_delta(fib, contracts, delta, prior)
+        (**self).validate_touched(fib, contracts, touched, prior)
     }
 
     fn name(&self) -> &'static str {
@@ -138,16 +157,16 @@ impl<E: Engine> Engine for ObservedEngine<E> {
         report
     }
 
-    fn validate_delta(
+    fn validate_touched(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        delta: &FibDelta,
+        touched: &[Prefix],
         prior: &ValidationReport,
     ) -> ValidationReport {
         self.delta_checks.inc();
         let timer = self.delta_latency.start_timer();
-        let report = self.inner.validate_delta(fib, contracts, delta, prior);
+        let report = self.inner.validate_touched(fib, contracts, touched, prior);
         timer.stop();
         report
     }
@@ -190,5 +209,72 @@ pub(crate) mod testutil {
         let meta = MetadataService::from_topology(&f.topology);
         let contracts = generate_contracts(&meta);
         (f, fibs, contracts, meta)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::fig3_healthy;
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Counts which entry point each call arrived through.
+    #[derive(Default)]
+    struct Calls {
+        device: AtomicUsize,
+        touched: AtomicUsize,
+    }
+
+    struct CountingEngine(Arc<Calls>);
+
+    impl Engine for CountingEngine {
+        fn validate_device(&self, _: &Fib, _: &DeviceContracts) -> ValidationReport {
+            self.0.device.fetch_add(1, Ordering::Relaxed);
+            ValidationReport::default()
+        }
+
+        fn validate_touched(
+            &self,
+            _: &Fib,
+            _: &DeviceContracts,
+            _: &[Prefix],
+            prior: &ValidationReport,
+        ) -> ValidationReport {
+            self.0.touched.fetch_add(1, Ordering::Relaxed);
+            prior.clone()
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_the_delta_primitive() {
+        // `validate_touched` has a correct-but-slow default, so a
+        // wrapper that forgot to forward it would pass every
+        // equivalence suite while validating in full each time.
+        let (f, fibs, contracts, _meta) = fig3_healthy();
+        let tor = f.tors[0].0 as usize;
+        let (fib, dc) = (&fibs[tor], &contracts[tor]);
+        let calls = Arc::new(Calls::default());
+        let registry = obskit::Registry::new();
+        let boxed: Box<dyn Engine + Sync> = Box::new(CountingEngine(calls.clone()));
+        let engine = ObservedEngine::new(boxed, &registry);
+
+        let prior = ValidationReport::default();
+        engine.validate_touched(fib, dc, &[f.prefixes[1]], &prior);
+        engine.validate_delta(fib, dc, &Fib::delta(fib, fib), &prior);
+
+        assert_eq!(calls.touched.load(Ordering::Relaxed), 2);
+        assert_eq!(calls.device.load(Ordering::Relaxed), 0);
+        let checks = |op| {
+            registry
+                .snapshot()
+                .counter("rcdc_engine_checks_total", &[("engine", "counting"), ("op", op)])
+        };
+        assert_eq!(checks("delta"), Some(2));
+        assert_eq!(checks("full"), Some(0));
     }
 }

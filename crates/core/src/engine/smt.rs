@@ -133,7 +133,7 @@ impl Engine for SmtEngine {
         let mut violations = Vec::new();
         let mut stats = SessionStats::default();
 
-        for c in &contracts.contracts {
+        for c in contracts.contracts() {
             match c.kind {
                 // §2.5.1: "Validating a routing contract for the default
                 // route … is handled as a special case": compare the
@@ -361,14 +361,12 @@ mod tests {
         b.push("10.0.0.128/25".parse().unwrap(), wrong.clone(), false);
         b.push("0.0.0.0/0".parse().unwrap(), expected.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: dctopo::DeviceId(0),
-                prefix: "10.0.0.0/24".parse().unwrap(),
-                kind: ContractKind::Specific,
-                expectation: Expectation::NextHops(expected.into()),
-            }],
-        };
+        let dc = DeviceContracts::new(vec![Contract {
+            device: dctopo::DeviceId(0),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+            kind: ContractKind::Specific,
+            expectation: Expectation::NextHops(expected.into()),
+        }]);
         let r = SmtEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         match &r.violations[0].reason {
@@ -391,14 +389,12 @@ mod tests {
         b.push("10.0.0.0/25".parse().unwrap(), wrong_a, false);
         b.push("10.0.0.128/25".parse().unwrap(), wrong_b, false);
         let fib = b.finish();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: dctopo::DeviceId(0),
-                prefix: "10.0.0.0/24".parse().unwrap(),
-                kind: ContractKind::Specific,
-                expectation: Expectation::NextHops(expected.into()),
-            }],
-        };
+        let dc = DeviceContracts::new(vec![Contract {
+            device: dctopo::DeviceId(0),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+            kind: ContractKind::Specific,
+            expectation: Expectation::NextHops(expected.into()),
+        }]);
         let r = SmtEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 2, "{:?}", r.violations);
     }
@@ -412,14 +408,12 @@ mod tests {
         let mut b = FibBuilder::new(dctopo::DeviceId(0));
         b.push("10.0.0.0/25".parse().unwrap(), expected.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: dctopo::DeviceId(0),
-                prefix: "10.0.0.0/24".parse().unwrap(),
-                kind: ContractKind::Specific,
-                expectation: Expectation::NextHops(expected.into()),
-            }],
-        };
+        let dc = DeviceContracts::new(vec![Contract {
+            device: dctopo::DeviceId(0),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+            kind: ContractKind::Specific,
+            expectation: Expectation::NextHops(expected.into()),
+        }]);
         let r = SmtEngine::new().validate_device(&fib, &dc);
         assert!(r
             .violations

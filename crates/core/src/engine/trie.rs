@@ -43,23 +43,15 @@
 //! this engine is orders of magnitude faster than the SMT path
 //! (benchmarks E1, E17).
 
-use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
+use crate::contracts::{preorder_key, Contract, ContractKind, DeviceContracts, Expectation};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::{Fib, FibEntry};
-use netprim::wire::FibDelta;
 use netprim::{HopSet, IpRange, Ipv4, Prefix};
 use std::collections::HashMap;
 
-
 /// Sentinel for "no node" in the flat arena.
 const NONE: u32 = u32::MAX;
-
-/// DFS-preorder sort key: `(address, length)` packed into one word.
-#[inline]
-fn dfs_key(p: Prefix) -> u64 {
-    (u64::from(p.addr().0) << 6) | u64::from(p.len())
-}
 
 /// One rule in the flat trie arena.
 struct FlatNode {
@@ -115,11 +107,11 @@ impl FlatTrie {
         FlatTrie { nodes }
     }
 
-    /// Entry indices in DFS-preorder (`dfs_key`) order.
+    /// Entry indices in DFS-preorder (`preorder_key`) order.
     ///
     /// The FIB is sorted by (descending length, ascending address), so
-    /// each length run is already ascending in `dfs_key`; preorder is
-    /// their k-way merge over at most 33 runs (2–3 in real tables).
+    /// each length run is already ascending in `preorder_key`; preorder
+    /// is their k-way merge over at most 33 runs (2–3 in real tables).
     /// That makes ordering O(n·k) pointer bumps instead of a full
     /// comparison sort — `build` is the dominant per-device cost of a
     /// cold validation sweep after the batched-sweep rewrite.
@@ -146,7 +138,7 @@ impl FlatTrie {
                     .enumerate()
                     .filter(|(_, &(c, e))| c < e)
                     .min_by_key(|(_, &(c, _))| {
-                        dfs_key(entries[c as usize].prefix)
+                        preorder_key(entries[c as usize].prefix)
                     })
                     .map(|(r, _)| r)
                 {
@@ -157,11 +149,11 @@ impl FlatTrie {
                         .iter()
                         .enumerate()
                         .filter(|&(r, &(c2, e2))| r != best && c2 < e2)
-                        .map(|(_, &(c2, _))| dfs_key(entries[c2 as usize].prefix))
+                        .map(|(_, &(c2, _))| preorder_key(entries[c2 as usize].prefix))
                         .min()
                         .unwrap_or(u64::MAX);
                     let mut c = c;
-                    while c < e && dfs_key(entries[c as usize].prefix) < limit {
+                    while c < e && preorder_key(entries[c as usize].prefix) < limit {
                         order.push(c);
                         c += 1;
                     }
@@ -478,7 +470,7 @@ impl TrieEngine {
         specs: &mut [(u32, &Contract)],
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        specs.sort_by_key(|(_, c)| dfs_key(c.prefix));
+        specs.sort_by_key(|(_, c)| preorder_key(c.prefix));
         let mut codex = HopCodex::new(fib);
         let nodes = &trie.nodes;
         let n = nodes.len();
@@ -508,10 +500,10 @@ impl TrieEngine {
                 }
                 stack.pop();
             }
-            let target = dfs_key(c.prefix);
+            let target = preorder_key(c.prefix);
             while cursor < n {
                 let node = &nodes[cursor];
-                if dfs_key(node.prefix) >= target {
+                if preorder_key(node.prefix) >= target {
                     break;
                 }
                 if node.prefix.contains_prefix(c.prefix) {
@@ -565,7 +557,7 @@ impl TrieEngine {
     ) {
         // Same contract order as the sweep — the cross-contract
         // `MissingRoute` dedup must see the same neighbors.
-        specs.sort_by_key(|(_, c)| dfs_key(c.prefix));
+        specs.sort_by_key(|(_, c)| preorder_key(c.prefix));
         let entries = fib.entries();
         // Length-run boundaries in storage order (descending length).
         let mut runs: Vec<(u32, u32)> = Vec::new();
@@ -734,16 +726,27 @@ impl TrieEngine {
         }
     }
 
-    /// A contract's verdict can only change if the delta touched a rule
-    /// inside its candidate set `{r | C ⊆ r ∨ r ⊆ C}` — i.e. a rule
-    /// whose prefix overlaps the contract's (ancestor or descendant).
-    /// Default contracts are special-cased: [`Self::check_default`]
-    /// reads nothing but the `0.0.0.0/0` entry.
-    fn contract_affected(c: &Contract, touched: &[Prefix]) -> bool {
-        match c.kind {
-            ContractKind::Default => touched.iter().any(|p| p.is_default()),
-            ContractKind::Specific => touched.iter().any(|p| p.overlaps(c.prefix)),
+    /// Check the default contracts among `indices` on the spot and
+    /// hand back the specific ones for a batched judgement.
+    fn split<'c>(
+        fib: &Fib,
+        contracts: &'c DeviceContracts,
+        indices: impl Iterator<Item = u32>,
+        tagged: &mut Vec<(u32, Violation)>,
+    ) -> Vec<(u32, &'c Contract)> {
+        let mut specs: Vec<(u32, &Contract)> = Vec::new();
+        let mut buf: Vec<Violation> = Vec::new();
+        for i in indices {
+            let c = &contracts.contracts()[i as usize];
+            match c.kind {
+                ContractKind::Default => {
+                    Self::check_default(fib, c, &mut buf);
+                    tagged.extend(buf.drain(..).map(|v| (i, v)));
+                }
+                ContractKind::Specific => specs.push((i, c)),
+            }
         }
+        specs
     }
 
     fn finish(
@@ -762,17 +765,7 @@ impl TrieEngine {
 impl Engine for TrieEngine {
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
         let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let mut specs: Vec<(u32, &Contract)> = Vec::new();
-        let mut buf: Vec<Violation> = Vec::new();
-        for (i, c) in contracts.contracts.iter().enumerate() {
-            match c.kind {
-                ContractKind::Default => {
-                    Self::check_default(fib, c, &mut buf);
-                    tagged.extend(buf.drain(..).map(|v| (i as u32, v)));
-                }
-                ContractKind::Specific => specs.push((i as u32, c)),
-            }
-        }
+        let mut specs = Self::split(fib, contracts, 0..contracts.len() as u32, &mut tagged);
         if !specs.is_empty() {
             let trie = FlatTrie::build(fib);
             self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
@@ -781,52 +774,52 @@ impl Engine for TrieEngine {
     }
 
     /// The incremental path (§2.6.1's continuous monitoring workload):
-    /// re-check only contracts whose prefix space the delta touched and
-    /// carry every other contract's verdict over from `prior`. Verdicts
-    /// are emitted in contract order either way, so the result is
-    /// identical — violation for violation — to a full pass. (The
-    /// affected specifics go through the same batched sweep as a full
-    /// pass; same-prefix contracts are affected together, so the
-    /// sweep-local `MissingRoute` dedup sees the same neighbors.)
-    fn validate_delta(
+    /// locate the contracts whose prefix space the change touched,
+    /// judge only those, and splice their verdicts into `prior` by
+    /// contract index. Verdicts are emitted in contract order either
+    /// way, so the result is identical — violation for violation — to
+    /// a full pass. (Same-prefix contracts are affected together, so
+    /// the sweep-local `MissingRoute` dedup sees the same neighbors.)
+    fn validate_touched(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        delta: &FibDelta,
+        touched: &[Prefix],
         prior: &ValidationReport,
     ) -> ValidationReport {
         // A churn that rewrote a large share of the table re-checks
         // most contracts anyway; skip the bookkeeping and go full. The
         // same fallback covers a prior report from a different contract
         // set (republished contracts change the count).
-        if delta.rule_count() * 4 > fib.len().max(1)
-            || prior.contracts_checked != contracts.len()
-        {
+        if touched.len() * 4 > fib.len() || prior.contracts_checked != contracts.len() {
             return self.validate_device(fib, contracts);
         }
-        let touched: Vec<Prefix> = delta.touched_prefixes().collect();
-        // Prior verdicts by contract identity, in prior (= contract)
-        // order within each group.
-        let mut carry: HashMap<(Prefix, ContractKind), Vec<&Violation>> = HashMap::new();
-        for v in &prior.violations {
-            carry.entry((v.prefix, v.kind)).or_default().push(v);
+        let mut affected = contracts.affected(touched);
+        if affected.is_empty() {
+            return prior.clone();
         }
+        // A prior violation stays iff its contract is unaffected. It
+        // names its contract by `(prefix, kind)` only, so one raised
+        // by a duplicated contract cannot be pinned to an index: the
+        // duplicates are re-judged instead.
         let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let mut specs: Vec<(u32, &Contract)> = Vec::new();
-        let mut buf: Vec<Violation> = Vec::new();
-        for (i, c) in contracts.contracts.iter().enumerate() {
-            if Self::contract_affected(c, &touched) {
-                match c.kind {
-                    ContractKind::Default => {
-                        Self::check_default(fib, c, &mut buf);
-                        tagged.extend(buf.drain(..).map(|v| (i as u32, v)));
+        let mut duplicated: Vec<u32> = Vec::new();
+        for v in &prior.violations {
+            match *contracts.holders(v.prefix, v.kind) {
+                [i] => {
+                    if affected.binary_search(&i).is_err() {
+                        tagged.push((i, v.clone()));
                     }
-                    ContractKind::Specific => specs.push((i as u32, c)),
                 }
-            } else if let Some(prev) = carry.get(&(c.prefix, c.kind)) {
-                tagged.extend(prev.iter().map(|&v| (i as u32, v.clone())));
+                ref holders => duplicated.extend_from_slice(holders),
             }
         }
+        if !duplicated.is_empty() {
+            affected.extend(duplicated);
+            affected.sort_unstable();
+            affected.dedup();
+        }
+        let mut specs = Self::split(fib, contracts, affected.iter().copied(), &mut tagged);
         if !specs.is_empty() {
             // The trie costs O(table) to build; a handful of
             // re-checked contracts is cheaper to serve by binary
@@ -941,14 +934,12 @@ mod tests {
         b.push("10.0.0.0/31".parse().unwrap(), bad, false);
         b.push("10.0.0.0/30".parse().unwrap(), good.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: dctopo::DeviceId(0),
-                prefix: "10.0.0.0/30".parse().unwrap(),
-                kind: ContractKind::Specific,
-                expectation: Expectation::NextHops(good.into()),
-            }],
-        };
+        let dc = DeviceContracts::new(vec![Contract {
+            device: dctopo::DeviceId(0),
+            prefix: "10.0.0.0/30".parse().unwrap(),
+            kind: ContractKind::Specific,
+            expectation: Expectation::NextHops(good.into()),
+        }]);
         for eng in [TrieEngine::new(), TrieEngine::semantic()] {
             let r = eng.validate_device(&fib, &dc);
             assert!(r.is_clean(), "{:?}", r.violations);
@@ -1046,9 +1037,7 @@ mod tests {
             kind: ContractKind::Specific,
             expectation: Expectation::NextHops(expected.into()),
         };
-        let dc = DeviceContracts {
-            contracts: vec![contract],
-        };
+        let dc = DeviceContracts::new(vec![contract]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         match &r.violations[0].reason {
@@ -1079,9 +1068,7 @@ mod tests {
             kind: ContractKind::Specific,
             expectation: Expectation::NextHops(expected.into()),
         };
-        let dc = DeviceContracts {
-            contracts: vec![contract],
-        };
+        let dc = DeviceContracts::new(vec![contract]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].reason, VR::MissingRoute);
@@ -1277,18 +1264,16 @@ mod tests {
             kind: ContractKind::Specific,
             expectation: Expectation::NextHops(hops.to_vec().into()),
         };
-        let dc = DeviceContracts {
-            contracts: vec![
-                // Group 1: exact hit (fast path), default irrelevant.
-                spec("10.0.0.0/24", &good),
-                // Group 2: no specific at all — served entirely by the
-                // default route, whose hops match.
-                spec("15.0.0.0/24", &dflt),
-                // Group 3: /25 covers half, default (wrong hops for
-                // this contract) covers the other half.
-                spec("20.0.0.0/24", &good),
-            ],
-        };
+        let dc = DeviceContracts::new(vec![
+            // Group 1: exact hit (fast path), default irrelevant.
+            spec("10.0.0.0/24", &good),
+            // Group 2: no specific at all — served entirely by the
+            // default route, whose hops match.
+            spec("15.0.0.0/24", &dflt),
+            // Group 3: /25 covers half, default (wrong hops for
+            // this contract) covers the other half.
+            spec("20.0.0.0/24", &good),
+        ]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].prefix, "20.0.0.0/24".parse::<Prefix>().unwrap());

@@ -16,7 +16,6 @@ use crate::engine::trie::Coverage;
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::{Fib, FibEntry};
-use netprim::wire::FibDelta;
 use netprim::Prefix;
 use std::collections::HashMap;
 
@@ -243,7 +242,7 @@ impl Engine for ReferenceTrieEngine {
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
         let trie = Trie::build(fib);
         let mut violations = Vec::new();
-        for c in &contracts.contracts {
+        for c in contracts.contracts() {
             match c.kind {
                 ContractKind::Default => Self::check_default(fib, c, &mut violations),
                 ContractKind::Specific => self.check_specific(fib, &trie, c, &mut violations),
@@ -256,27 +255,31 @@ impl Engine for ReferenceTrieEngine {
         }
     }
 
-    fn validate_delta(
+    fn validate_touched(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        delta: &FibDelta,
+        touched: &[Prefix],
         prior: &ValidationReport,
     ) -> ValidationReport {
-        if delta.rule_count() * 4 > fib.len().max(1)
-            || prior.contracts_checked != contracts.len()
-        {
+        if touched.len() * 4 > fib.len() || prior.contracts_checked != contracts.len() {
             return self.validate_device(fib, contracts);
         }
-        let touched: Vec<Prefix> = delta.touched_prefixes().collect();
         let mut carry: HashMap<(Prefix, ContractKind), Vec<&Violation>> = HashMap::new();
         for v in &prior.violations {
             carry.entry((v.prefix, v.kind)).or_default().push(v);
         }
+        // The carry is keyed by what a violation says of its contract,
+        // which duplicated contracts share: carrying would hand each of
+        // them the whole group's violations, so they are re-checked.
+        let mut holders: HashMap<(Prefix, ContractKind), usize> = HashMap::new();
+        for c in contracts.contracts() {
+            *holders.entry((c.prefix, c.kind)).or_default() += 1;
+        }
         let mut trie = None;
         let mut violations = Vec::new();
-        for c in &contracts.contracts {
-            if Self::contract_affected(c, &touched) {
+        for c in contracts.contracts() {
+            if Self::contract_affected(c, touched) || holders[&(c.prefix, c.kind)] > 1 {
                 match c.kind {
                     ContractKind::Default => Self::check_default(fib, c, &mut violations),
                     ContractKind::Specific => {

@@ -12,8 +12,9 @@
 //!   hash did not move and the caller's memo for the rest;
 //! * [`Explorer::restart`] prices a fault set from an anchor: the
 //!   fixed point is patched ([`Baseline::resimulate`]), only the
-//!   devices whose FIBs changed come back, and each is delta-validated
-//!   against its anchor report ([`DeltaMap::revalidate`]) unless the
+//!   devices whose FIBs changed come back, each with the prefixes its
+//!   table differs at, and each is revalidated against its anchor
+//!   report ([`Engine::validate_touched`], clean or not) unless the
 //!   cross-state `(device, fib hash)` [`VerdictMemo`] already holds its
 //!   verdict;
 //! * a [`Judge`] reads the resulting reports against a
@@ -29,110 +30,16 @@
 //! topology + config for `converge` and a [`FaultSpec`] for `restart`,
 //! and keep only enumeration, ordering and pruning to themselves.
 
-use crate::contracts::{ContractKind, DeviceContracts};
+use crate::contracts::DeviceContracts;
 use crate::engine::Engine;
 use crate::report::{risk_of, Risk, ValidationReport, Violation, ViolationReason};
 use crate::runner::{run_pass, validate_fleet, DatacenterReport};
 use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
-use bgpsim::{simulate, Fib, SimConfig};
+use bgpsim::{simulate, SimConfig};
 use dctopo::{DeviceId, MetadataService, Topology};
-use netprim::wire::FibDelta;
-use netprim::Prefix;
 use obskit::{Counter, Histogram, Registry};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-
-/// `(address, length)` preorder key — the order the trie engine sweeps
-/// contracts in, reused here for the locator's binary searches.
-#[inline]
-fn locator_key(addr: u32, len: u8) -> u64 {
-    (u64::from(addr) << 6) | u64::from(len)
-}
-
-/// Per-device contract index for the delta hot path: finds the
-/// contracts a touched-prefix set can affect by binary search instead
-/// of scanning the whole contract list once per scenario. The
-/// affectedness criterion is exactly [`Engine::validate_delta`]'s —
-/// prefix overlap for specifics, a touched default route for default
-/// contracts — so validating just the located subset against a clean
-/// prior yields the same report as the engine's own full scan (gated
-/// by the equivalence suites and the difftest oracles).
-#[derive(PartialEq, Eq, Hash)]
-struct ContractLocator {
-    /// Specific contracts as `(locator_key, contract index)`, sorted.
-    specs: Vec<(u64, u32)>,
-    /// Distinct specific-contract prefix lengths, descending.
-    lengths: Vec<u8>,
-    /// Default-kind contract indices.
-    defaults: Vec<u32>,
-}
-
-impl ContractLocator {
-    fn build(dc: &DeviceContracts) -> ContractLocator {
-        let mut specs = Vec::new();
-        let mut defaults = Vec::new();
-        let mut lengths: Vec<u8> = Vec::new();
-        for (i, c) in dc.contracts.iter().enumerate() {
-            match c.kind {
-                ContractKind::Default => defaults.push(i as u32),
-                ContractKind::Specific => {
-                    specs.push((locator_key(c.prefix.addr().0, c.prefix.len()), i as u32));
-                    if !lengths.contains(&c.prefix.len()) {
-                        lengths.push(c.prefix.len());
-                    }
-                }
-            }
-        }
-        specs.sort_unstable();
-        lengths.sort_unstable_by(|a, b| b.cmp(a));
-        ContractLocator {
-            specs,
-            lengths,
-            defaults,
-        }
-    }
-
-    /// Indices of the contracts a delta over `touched` can affect,
-    /// ascending (= contract order) and deduplicated.
-    fn affected(&self, touched: &[Prefix]) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        for &p in touched {
-            if p.is_default() {
-                out.extend_from_slice(&self.defaults);
-            }
-            // Contracts whose address lies inside the touched block
-            // all overlap it: an aligned block no larger than `p`'s
-            // starting inside it is contained, and a larger one can
-            // only start at `p`'s own address, where it contains `p`.
-            let lo = u64::from(p.addr().0) << 6;
-            let hi = (u64::from(p.addr().0) + (1u64 << (32 - p.len()))) << 6;
-            let a = self.specs.partition_point(|&(k, _)| k < lo);
-            let b = a + self.specs[a..].partition_point(|&(k, _)| k < hi);
-            out.extend(self.specs[a..b].iter().map(|&(_, i)| i));
-            // Strictly-shorter containing contracts sit at the touched
-            // address truncated to each contract length (same-prefix
-            // contracts share a key, so take the whole key run).
-            for &l in &self.lengths {
-                if l >= p.len() {
-                    continue;
-                }
-                let mask = if l == 0 { 0 } else { u32::MAX << (32 - l) };
-                let k = locator_key(p.addr().0 & mask, l);
-                let a = self.specs.partition_point(|&(k2, _)| k2 < k);
-                let b = a + self.specs[a..].partition_point(|&(k2, _)| k2 <= k);
-                out.extend(self.specs[a..b].iter().map(|&(_, i)| i));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
-/// Per-(locator, touched list) memo of affected-contract indices; on
-/// symmetric fabrics most devices share a contract layout, so one
-/// lookup serves many devices.
-type AffectedCache = Vec<HashMap<Vec<Prefix>, Vec<u32>>>;
 
 /// Cross-state verdict memo: validation is pure in the FIB bytes and
 /// the contract set, so `(device, fib content hash)` fully determines
@@ -140,106 +47,6 @@ type AffectedCache = Vec<HashMap<Vec<Prefix>, Vec<u32>>>;
 /// table — the same argument that makes the pipeline's `VerdictCache`
 /// `(fib_hash, epoch)` key sound across scenarios.
 pub(crate) type VerdictMemo = RwLock<HashMap<(u32, u64), ValidationReport>>;
-
-/// The deduplicated per-device contract locators, built once per
-/// [`Explorer`] (they depend only on the contract set).
-struct DeltaMap {
-    /// `locator_of[device]` picks the device's representative locator.
-    locator_of: Vec<u32>,
-    /// Deduplicated locators. Equal locators are pure-function-equal:
-    /// `affected` depends only on the locator content and the touched
-    /// list, so one representative serves every device with that
-    /// layout.
-    locators: Vec<ContractLocator>,
-}
-
-impl DeltaMap {
-    fn build(contracts: &[DeviceContracts]) -> DeltaMap {
-        // Ids in first-seen order, so the layout is deterministic.
-        let mut ids: HashMap<ContractLocator, u32> = HashMap::with_capacity(contracts.len());
-        let locator_of: Vec<u32> = contracts
-            .iter()
-            .map(|dc| {
-                let next = ids.len() as u32;
-                *ids.entry(ContractLocator::build(dc)).or_insert(next)
-            })
-            .collect();
-        let mut locators: Vec<(ContractLocator, u32)> = ids.into_iter().collect();
-        locators.sort_unstable_by_key(|&(_, id)| id);
-        DeltaMap {
-            locator_of,
-            locators: locators.into_iter().map(|(loc, _)| loc).collect(),
-        }
-    }
-
-    /// A fresh (empty) per-evaluation affected-contract cache.
-    fn new_cache(&self) -> AffectedCache {
-        (0..self.locators.len()).map(|_| HashMap::new()).collect()
-    }
-
-    /// Delta-validate one changed device against its prior.
-    ///
-    /// With a clean prior (the overwhelmingly common case — healthy
-    /// fabrics validate clean), unaffected contracts carry nothing
-    /// over, so the locator's affected subset is validated on its own:
-    /// the engine sees only the contracts it would have re-checked
-    /// anyway, and the subset's clean prior is the genuine prior of
-    /// those contracts. Violations come back ordered by subset index,
-    /// which is ascending original contract order — exactly the full
-    /// scan's emission order. A non-clean prior falls back to the
-    /// engine's own carry logic.
-    #[allow(clippy::too_many_arguments)]
-    fn revalidate(
-        &self,
-        engine: &dyn Engine,
-        contracts: &[DeviceContracts],
-        prior: &ValidationReport,
-        du: usize,
-        fib: &Fib,
-        touched: &[Prefix],
-        aff_cache: &mut AffectedCache,
-    ) -> ValidationReport {
-        // `validate_delta` only consumes the delta's prefix set (which
-        // contracts are affected) and its rule count (the full-churn
-        // fallback heuristic) — never the rule payloads. The restart
-        // already hands us the touched prefixes, so the delta is
-        // synthesized without re-searching either table; which bucket
-        // the prefixes land in is immaterial.
-        let delta = FibDelta {
-            device: fib.device().0,
-            removed: touched.to_vec(),
-            ..FibDelta::default()
-        };
-        if !prior.violations.is_empty() {
-            return engine.validate_delta(fib, &contracts[du], &delta, prior);
-        }
-        let loc = self.locator_of[du] as usize;
-        if !aff_cache[loc].contains_key(touched) {
-            let v = self.locators[loc].affected(touched);
-            aff_cache[loc].insert(touched.to_vec(), v);
-        }
-        let aff = &aff_cache[loc][touched];
-        if aff.is_empty() {
-            return prior.clone();
-        }
-        let pruned = DeviceContracts {
-            contracts: aff
-                .iter()
-                .map(|&i| contracts[du].contracts[i as usize].clone())
-                .collect(),
-        };
-        let clean = ValidationReport {
-            violations: Vec::new(),
-            contracts_checked: pruned.len(),
-            solver_stats: Default::default(),
-        };
-        let sub = engine.validate_delta(fib, &pruned, &delta, &clean);
-        ValidationReport {
-            contracts_checked: contracts[du].len(),
-            ..sub
-        }
-    }
-}
 
 /// What makes a state count as a failure of the fabric.
 ///
@@ -567,7 +374,6 @@ pub(crate) struct Explorer {
     threads: usize,
     meta: Option<MetadataService>,
     metrics: Option<ExploreMetrics>,
-    delta: DeltaMap,
 }
 
 impl Explorer {
@@ -593,7 +399,6 @@ impl Explorer {
         );
         Explorer {
             root,
-            delta: DeltaMap::build(&contracts),
             contracts,
             engine,
             threads,
@@ -674,9 +479,6 @@ impl Explorer {
     ) -> StateDelta {
         let _timer = self.metrics.as_ref().map(|m| m.latency.start_timer());
         let out = anchor.baseline.resimulate(fault);
-        // State-local: devices sharing a contract layout and a touched
-        // list share their affected-contract indices.
-        let mut aff_cache = self.delta.new_cache();
         let mut delta = StateDelta {
             changed: Vec::with_capacity(out.changed.len()),
             stats: out.stats,
@@ -688,14 +490,11 @@ impl Explorer {
             let hit = key.and_then(|(m, k)| m.read().get(&k).cloned());
             let report = hit.unwrap_or_else(|| {
                 delta.revalidated += 1;
-                let r = self.delta.revalidate(
-                    self.engine.as_ref(),
-                    &self.contracts,
-                    &anchor.reports[du],
-                    du,
+                let r = self.engine.validate_touched(
                     &fib,
+                    &self.contracts[du],
                     &touched,
-                    &mut aff_cache,
+                    &anchor.reports[du],
                 );
                 if let Some((m, k)) = key {
                     m.write().insert(k, r.clone());
@@ -739,6 +538,16 @@ mod tests {
             condition: FailCondition::Blackhole,
             ..SweepOptions::default()
         });
+        // Every revalidation is one call into the engine's delta
+        // primitive, including the ones that find nothing affected.
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter(
+                "rcdc_engine_checks_total",
+                &[("engine", "trie"), ("op", "delta")]
+            ),
+            snap.counter("rcdc_whatif_devices_revalidated_total", &[]),
+        );
         let planner = Validator::new(&meta)
             .metrics(&registry)
             .build_planner(&ManagedNetwork::new(f.topology.clone()));

@@ -14,7 +14,13 @@
 //!    against its contracts, with two interchangeable backends — the
 //!    bit-vector SMT encoding of §2.5.1 and the specialized hash-trie
 //!    algorithm of §2.5.2 ("much faster" for the common workload, a
-//!    claim benchmark E1 reproduces).
+//!    claim benchmark E1 reproduces). After a small change,
+//!    [`Engine::validate_touched`] re-checks only the contracts the
+//!    changed prefixes can affect — [`DeviceContracts::affected`], the
+//!    one affectedness test, answered from the contract set's own
+//!    preorder index — and splices them into the prior report;
+//!    [`Engine::validate_delta`] is the same call for a caller holding
+//!    a wire delta.
 //! 3. **Reports, severity, classification** ([`report`], [`classify`]):
 //!    violations are ranked by risk (§2.6.4) and correlated with
 //!    operational metadata to recover the §2.6.2 root causes.
@@ -59,7 +65,8 @@
 //! Items 9 and 10 are two search policies over one crate-private
 //! state-evaluation core (`explore`): a converged, validated anchor;
 //! a fixed-point restart per fault set that revalidates only the
-//! devices whose FIBs changed; a cross-state `(device, FIB hash)`
+//! devices whose FIBs changed, each through
+//! [`Engine::validate_touched`]; a cross-state `(device, FIB hash)`
 //! verdict memo; and one judge of which violations count.
 
 #![forbid(unsafe_code)]

@@ -23,8 +23,10 @@
 //! `(fib content hash, contract epoch)` first: an unchanged snapshot
 //! costs one hash comparison instead of a validation pass. A churned
 //! snapshot whose predecessor is still in the [`FibStore`] takes the
-//! incremental path ([`crate::Engine::validate_delta`]), re-checking
-//! only contracts the [`netprim::wire::FibDelta`] touches. Republishing
+//! incremental path: [`crate::Engine::validate_delta`] reads off which
+//! prefixes the two tables differ at and hands them to the engine's
+//! [`validate_touched`](crate::Engine::validate_touched), which
+//! re-checks only the contracts those prefixes can affect. Republishing
 //! a device's contracts bumps its epoch in the [`ContractStore`],
 //! which invalidates every cached verdict for it.
 //!

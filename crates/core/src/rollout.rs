@@ -499,7 +499,7 @@ pub struct OrderCheck {
 }
 
 /// The families only the planner exports; the four it shares with the
-/// sweeper are [`ExploreMetrics`].
+/// sweeper are [`explore::ExploreMetrics`].
 struct RolloutMetrics {
     backtracks: obskit::Counter,
     dead_hits: obskit::Counter,

@@ -11,7 +11,9 @@
 //! rules under one subtree, a default route shadowing longer prefixes
 //! across contract groups, duplicate same-prefix contracts, and
 //! non-canonical expectation vectors (which must bypass the bitset
-//! codex).
+//! codex). The delta path gets its own shape on top — small churn
+//! against a dirty prior — because independently drawn tables differ
+//! almost everywhere and only ever reach the large-churn fallback.
 
 use bgpsim::{Fib, FibBuilder};
 use dctopo::DeviceId;
@@ -30,9 +32,13 @@ fn prefix(offset: u32, len: u8) -> Prefix {
     Prefix::containing(Ipv4(BASE + offset), len).expect("len <= 32")
 }
 
+/// A FIB rule or a contract: offset into the universe, length, hops,
+/// and locality (rules) or default-kind (contracts).
+type Spec = (u32, u8, Vec<Ipv4>, bool);
+
 /// A FIB rule: offset into the universe, length, hop subset, locality.
 /// Length 0 is the default route.
-fn rule_strategy() -> impl Strategy<Value = (u32, u8, Vec<Ipv4>, bool)> {
+fn rule_strategy() -> impl Strategy<Value = Spec> {
     (
         0u32..256,
         // Length 0 (the default route) with weight 1/4.
@@ -52,7 +58,7 @@ fn hops_strategy() -> impl Strategy<Value = Vec<Ipv4>> {
     })
 }
 
-fn build_fib(rules: &[(u32, u8, Vec<Ipv4>, bool)]) -> Fib {
+fn build_fib(rules: &[Spec]) -> Fib {
     let mut b = FibBuilder::new(DeviceId(0));
     let mut seen = std::collections::HashSet::new();
     for (offset, len, hops, local) in rules {
@@ -72,7 +78,7 @@ fn build_fib(rules: &[(u32, u8, Vec<Ipv4>, bool)]) -> Fib {
 
 /// Contracts: mostly specific (duplicates allowed — they exercise the
 /// cross-contract `MissingRoute` dedup), sometimes a default contract.
-fn contracts_strategy() -> impl Strategy<Value = Vec<(u32, u8, Vec<Ipv4>, bool)>> {
+fn contracts_strategy() -> impl Strategy<Value = Vec<Spec>> {
     vec(
         (
             0u32..256,
@@ -93,9 +99,9 @@ fn contracts_strategy() -> impl Strategy<Value = Vec<(u32, u8, Vec<Ipv4>, bool)>
     )
 }
 
-fn build_contracts(specs: &[(u32, u8, Vec<Ipv4>, bool)]) -> DeviceContracts {
-    DeviceContracts {
-        contracts: specs
+fn build_contracts(specs: &[Spec]) -> DeviceContracts {
+    DeviceContracts::new(
+        specs
             .iter()
             .map(|(offset, len, hops, default_kind)| {
                 let (p, kind) = if *len == 0 {
@@ -118,7 +124,88 @@ fn build_contracts(specs: &[(u32, u8, Vec<Ipv4>, bool)]) -> DeviceContracts {
                 }
             })
             .collect(),
+    )
+}
+
+/// A hop outside the pool that rules and contracts draw from: no base
+/// table forwards to it, a re-hopped rule forwards to nothing else.
+const FOREIGN_HOP: Ipv4 = Ipv4(0x1e00_0063);
+
+/// The contract shapes the splice has to get right, shuffled in among
+/// random ones: two contracts for one prefix (one of which no base
+/// table satisfies, so the prior is always dirty and carries a
+/// violation that names no single contract), a nested pair, and a
+/// default-kind contract.
+fn splice_contracts_strategy() -> impl Strategy<Value = Vec<Spec>> {
+    (
+        contracts_strategy(),
+        0u32..256,
+        0u32..256,
+        hops_strategy(),
+        hops_strategy(),
+        // Sort keys: one per contract (at most 7 random + 5 fixed).
+        vec(0u32..1000, 12),
+    )
+        .prop_map(|(mut specs, twin, nest, h1, h2, keys)| {
+            specs.extend([
+                (twin, 28, h1.clone(), false),
+                (twin, 28, vec![FOREIGN_HOP], false),
+                (nest, 24, h1, false),
+                (nest, 30, h2.clone(), false),
+                (0, 0, h2, true),
+            ]);
+            let mut keyed: Vec<(u32, Spec)> = keys.into_iter().zip(specs).collect();
+            keyed.sort_by_key(|(key, _)| *key);
+            keyed.into_iter().map(|(_, spec)| spec).collect()
+        })
+}
+
+/// One step of small churn; indices wrap around the rule list.
+#[derive(Debug, Clone)]
+enum Edit {
+    Drop(usize),
+    Rehop(usize),
+    Insert(Spec),
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (0usize..1000).prop_map(Edit::Drop),
+        (0usize..1000).prop_map(Edit::Rehop),
+        rule_strategy().prop_map(Edit::Insert),
+    ]
+}
+
+/// `base` as a table, `base` after as many of `edits` as keep the
+/// change small enough for the engines' delta path, and the prefixes
+/// the two differ at — out of order, one of them twice.
+fn small_churn(base: &[Spec], edits: &[Edit], mix: usize) -> (Fib, Fib, Vec<Prefix>) {
+    let old = build_fib(base);
+    let mut rules = base.to_vec();
+    let (mut new, mut touched) = (build_fib(base), Vec::new());
+    for edit in edits {
+        match edit {
+            Edit::Drop(i) => drop(rules.remove(i % rules.len())),
+            Edit::Rehop(i) => {
+                let n = rules.len();
+                (rules[i % n].2, rules[i % n].3) = (vec![FOREIGN_HOP], false);
+            }
+            Edit::Insert(rule) => rules.push(rule.clone()),
+        }
+        let next = build_fib(&rules);
+        let differ: Vec<Prefix> = Fib::delta(&old, &next).touched_prefixes().collect();
+        // One slot stays free for the repeat.
+        if (differ.len() + 1) * 4 > next.len() {
+            break;
+        }
+        (new, touched) = (next, differ);
     }
+    if !touched.is_empty() {
+        let n = touched.len();
+        touched.rotate_left(mix % n);
+        touched.push(touched[mix / n % n]);
+    }
+    (old, new, touched)
 }
 
 fn violated_keys(r: &ValidationReport) -> Vec<(Prefix, ContractKind)> {
@@ -161,14 +248,20 @@ proptest! {
         }
     }
 
-    /// Incremental revalidation through a random delta reproduces the
-    /// full report exactly, and matches the reference engine's delta
-    /// path — both directions of the transition.
+    /// Incremental revalidation reproduces the full report exactly and
+    /// matches the reference engine's delta path: through a random
+    /// delta between unrelated tables (the large-churn fallback), and
+    /// through small churn against a dirty prior (locate, judge,
+    /// splice).
     #[test]
     fn incremental_matches_full_and_reference(
         old_rules in vec(rule_strategy(), 0..14),
         new_rules in vec(rule_strategy(), 0..14),
         specs in contracts_strategy(),
+        base in vec(rule_strategy(), 16..=48),
+        edits in vec(edit_strategy(), 1..=12),
+        mix in 0usize..10_000,
+        splice_specs in splice_contracts_strategy(),
     ) {
         let old = build_fib(&old_rules);
         let new = build_fib(&new_rules);
@@ -182,6 +275,20 @@ proptest! {
             let inc = flat.validate_delta(&new, &dc, &delta, &prior);
             prop_assert_eq!(&inc, &flat.validate_device(&new, &dc));
             prop_assert_eq!(&inc, &reference.validate_delta(&new, &dc, &delta, &prior));
+        }
+
+        let (old, new, touched) = small_churn(&base, &edits, mix);
+        prop_assert!(touched.len() * 4 <= new.len(), "generator strayed onto the fallback");
+        let dc = build_contracts(&splice_specs);
+        for (flat, reference) in [
+            (TrieEngine::new(), ReferenceTrieEngine::new()),
+            (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
+        ] {
+            let prior = flat.validate_device(&old, &dc);
+            prop_assert!(!prior.is_clean());
+            let inc = flat.validate_touched(&new, &dc, &touched, &prior);
+            prop_assert_eq!(&inc, &flat.validate_device(&new, &dc));
+            prop_assert_eq!(&inc, &reference.validate_touched(&new, &dc, &touched, &prior));
         }
     }
 
@@ -197,15 +304,13 @@ proptest! {
     ) {
         let fib = build_fib(&rules);
         let hops: Vec<Ipv4> = raw_expect.into_iter().map(|i| Ipv4(0x1e00_0000 + i)).collect();
-        let dc = DeviceContracts {
-            contracts: vec![Contract {
-                device: DeviceId(0),
-                prefix: prefix(offset, len),
-                kind: ContractKind::Specific,
-                // As-generated: possibly unsorted, possibly duplicated.
-                expectation: Expectation::NextHops(hops.into()),
-            }],
-        };
+        let dc = DeviceContracts::new(vec![Contract {
+            device: DeviceId(0),
+            prefix: prefix(offset, len),
+            kind: ContractKind::Specific,
+            // As-generated: possibly unsorted, possibly duplicated.
+            expectation: Expectation::NextHops(hops.into()),
+        }]);
         for (flat, reference) in [
             (TrieEngine::new(), ReferenceTrieEngine::new()),
             (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
@@ -234,15 +339,13 @@ fn hop_universe_overflow_falls_back_to_vector_compare() {
         kind: ContractKind::Specific,
         expectation: Expectation::NextHops(hops.to_vec().into()),
     };
-    let dc = DeviceContracts {
-        // The wide set first (overflows the codex), then contracts that
-        // must still be judged correctly by the fallback.
-        contracts: vec![
-            spec(0, &wide),
-            spec(256, &good),
-            spec(256, &wide), // mismatch
-        ],
-    };
+    // The wide set first (overflows the codex), then contracts that
+    // must still be judged correctly by the fallback.
+    let dc = DeviceContracts::new(vec![
+        spec(0, &wide),
+        spec(256, &good),
+        spec(256, &wide), // mismatch
+    ]);
     for (flat, reference) in [
         (TrieEngine::new(), ReferenceTrieEngine::new()),
         (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),

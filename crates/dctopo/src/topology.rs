@@ -63,7 +63,7 @@ impl Link {
 pub struct Topology {
     devices: Vec<Device>,
     links: Vec<Link>,
-    /// adjacency[device] = link ids incident to the device.
+    /// `adjacency[device]` = link ids incident to the device.
     adjacency: Vec<Vec<LinkId>>,
     /// VLAN prefixes each ToR announces (§2.1).
     hosted: HashMap<DeviceId, Vec<Prefix>>,

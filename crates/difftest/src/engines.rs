@@ -134,7 +134,7 @@ fn check_single_device(fib_specs: &[FibSpec], contract_specs: &[ContractSpec]) -
     }
 
     // Exhaustive reference, per contract.
-    for c in &contracts.contracts {
+    for c in contracts.contracts() {
         let key = (c.prefix, c.kind);
         for (strict, keys, label) in [
             (true, &kt_strict, "strict"),

@@ -131,8 +131,8 @@ pub(crate) fn build_fib(device: DeviceId, specs: &[FibSpec]) -> Fib {
 
 /// Materialize contract specs into a [`DeviceContracts`].
 pub(crate) fn build_contracts(device: DeviceId, specs: &[ContractSpec]) -> DeviceContracts {
-    DeviceContracts {
-        contracts: specs
+    DeviceContracts::new(
+        specs
             .iter()
             .map(|s| Contract {
                 device,
@@ -144,7 +144,7 @@ pub(crate) fn build_contracts(device: DeviceId, specs: &[ContractSpec]) -> Devic
                 },
             })
             .collect(),
-    }
+    )
 }
 
 /// Pretty-print a (FIB, contracts) case for divergence reports.

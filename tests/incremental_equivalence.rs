@@ -112,28 +112,48 @@ fn assert_delta_round_trips(old_fibs: &[Fib], new_fibs: &[Fib]) -> Result<(), Te
     Ok(())
 }
 
+/// Figure 3's converged tables: healthy, or under the paper's four
+/// §2.4.4 link failures, where ten devices already violate contracts.
+fn figure3_tables(f: &dctopo::generator::Figure3, faulted: bool) -> Vec<Fib> {
+    let mut topology = f.topology.clone();
+    if faulted {
+        for (tor, leaves) in [(f.tors[0], [f.a[2], f.a[3]]), (f.tors[1], [f.a[0], f.a[1]])] {
+            for leaf in leaves {
+                let link = topology.link_between(tor, leaf).unwrap().id;
+                topology.set_link_state(link, LinkState::OperDown);
+            }
+        }
+    }
+    simulate(&topology, &SimConfig::healthy())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random churn on Figure 3: old and new snapshots are independent
-    /// random mutations of the healthy state, so deltas contain
-    /// additions, removals, and modifications in both directions.
+    /// random mutations of one converged state, so deltas contain
+    /// additions, removals, and modifications in both directions. From
+    /// the healthy state the priors are mostly clean; from the faulted
+    /// one they are dirty, and the delta path has to splice around
+    /// violations it did not raise.
     #[test]
     fn incremental_equals_full_under_random_churn(
         old_mutations in mutation_strategy(),
         new_mutations in mutation_strategy(),
     ) {
         let f = figure3();
-        let healthy = simulate(&f.topology, &SimConfig::healthy());
-        let mut old_fibs = healthy.clone();
-        apply_mutations(&f, &mut old_fibs, &old_mutations);
-        let mut new_fibs = healthy;
-        apply_mutations(&f, &mut new_fibs, &new_mutations);
         let meta = MetadataService::from_topology(&f.topology);
         let contracts = generate_contracts(&meta);
+        for faulted in [false, true] {
+            let base = figure3_tables(&f, faulted);
+            let mut old_fibs = base.clone();
+            apply_mutations(&f, &mut old_fibs, &old_mutations);
+            let mut new_fibs = base;
+            apply_mutations(&f, &mut new_fibs, &new_mutations);
 
-        assert_incremental_matches_full(&old_fibs, &new_fibs, &contracts)?;
-        assert_delta_round_trips(&old_fibs, &new_fibs)?;
+            assert_incremental_matches_full(&old_fibs, &new_fibs, &contracts)?;
+            assert_delta_round_trips(&old_fibs, &new_fibs)?;
+        }
     }
 
     /// The Validator warm path produces byte-equal datacenter reports.
