@@ -7,8 +7,9 @@
 //!
 //! * **incremental** — [`rcdc::WhatIfSweeper::check_scenario`]: the
 //!   routing fixed point restarts from the healthy solution, only the
-//!   changed devices are delta-validated (no cross-scenario memo, so
-//!   the measurement is each scenario's own cost);
+//!   changed devices are revalidated, each as its healthy table plus
+//!   the rules that differ (nothing is shared across scenarios, so the
+//!   measurement is each scenario's own cost);
 //! * **naive** — clone the topology, down the scenario's links,
 //!   re-converge the entire fabric from scratch, validate every
 //!   device cold.

@@ -32,6 +32,114 @@ pub struct Fib {
     sets: Vec<Vec<Ipv4>>,
 }
 
+/// The canonical entry order — descending prefix length, then ascending
+/// address — that [`Fib`] stores its entries in and [`FibPatch`] its
+/// outcomes.
+fn canonical_order(a: Prefix, b: Prefix) -> std::cmp::Ordering {
+    b.len().cmp(&a.len()).then(a.addr().cmp(&b.addr()))
+}
+
+/// One prefix's outcome in a [`FibPatch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PatchOp {
+    /// The prefix now holds this rule: added, or replacing the base's.
+    Set(DeltaRule),
+    /// The base's rule for this prefix is withdrawn.
+    Withdraw(Prefix),
+}
+
+impl PatchOp {
+    /// The prefix whose rule this outcome decides.
+    pub fn prefix(&self) -> Prefix {
+        match self {
+            PatchOp::Set(r) => r.prefix,
+            PatchOp::Withdraw(p) => *p,
+        }
+    }
+}
+
+/// What turns a base table into its successor: one [`PatchOp`] per
+/// prefix whose rule differs, in canonical entry order, each prefix at
+/// most once, next hops canonical (sorted, duplicate-free).
+///
+/// The unit a restarted fixed point and the verification engines
+/// exchange: a failure scenario re-hops a handful of a device's rules,
+/// and `(base table, patch)` says so without building the successor.
+/// [`Fib::patched`] builds it when somebody needs the table itself.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FibPatch {
+    ops: Vec<PatchOp>,
+}
+
+impl FibPatch {
+    /// A patch from outcomes in any order; next hops are canonicalized
+    /// the way [`FibBuilder::intern`] does.
+    ///
+    /// # Panics
+    ///
+    /// When two outcomes name the same prefix.
+    pub fn new(mut ops: Vec<PatchOp>) -> FibPatch {
+        for op in &mut ops {
+            if let PatchOp::Set(r) = op {
+                r.next_hops.sort_unstable();
+                r.next_hops.dedup();
+            }
+        }
+        ops.sort_by(|a, b| canonical_order(a.prefix(), b.prefix()));
+        if let Some(w) = ops.windows(2).find(|w| w[0].prefix() == w[1].prefix()) {
+            panic!("patch names {} twice", w[0].prefix());
+        }
+        FibPatch { ops }
+    }
+
+    /// Outcomes already in canonical order with canonical next hops
+    /// (what the restart patcher emits by construction).
+    pub(crate) fn from_canonical(ops: Vec<PatchOp>) -> FibPatch {
+        debug_assert!(ops
+            .windows(2)
+            .all(|w| canonical_order(w[0].prefix(), w[1].prefix()).is_lt()));
+        debug_assert!(ops.iter().all(|op| match op {
+            PatchOp::Set(r) => r.next_hops.windows(2).all(|w| w[0] < w[1]),
+            PatchOp::Withdraw(_) => true,
+        }));
+        FibPatch { ops }
+    }
+
+    /// The patch a wire delta describes: its added and modified rules
+    /// set, its removed prefixes withdrawn. The delta must name each
+    /// prefix once, as [`Fib::delta`]'s output does.
+    pub fn from_delta(delta: &FibDelta) -> FibPatch {
+        let rules = delta.added.iter().chain(&delta.modified);
+        FibPatch::new(
+            rules
+                .map(|r| PatchOp::Set(r.clone()))
+                .chain(delta.removed.iter().map(|&p| PatchOp::Withdraw(p)))
+                .collect(),
+        )
+    }
+
+    /// The outcomes, in canonical entry order.
+    pub fn ops(&self) -> &[PatchOp] {
+        &self.ops
+    }
+
+    /// The prefixes whose rules the patch decides, in canonical entry
+    /// order.
+    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.ops.iter().map(PatchOp::prefix)
+    }
+
+    /// Number of rules set or withdrawn.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when the successor is the base itself.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+}
+
 /// Incremental FIB construction with next-hop-set interning.
 pub struct FibBuilder {
     device: DeviceId,
@@ -188,13 +296,10 @@ impl FibBuilder {
         // order, with no duplicates. Strict sortedness implies prefix
         // uniqueness, so the O(n log n) sort and the dedup pass can
         // both be skipped after one linear scan.
-        let sorted = self.entries.windows(2).all(|w| {
-            w[1].prefix
-                .len()
-                .cmp(&w[0].prefix.len())
-                .then(w[0].prefix.addr().cmp(&w[1].prefix.addr()))
-                .is_lt()
-        });
+        let sorted = self
+            .entries
+            .windows(2)
+            .all(|w| canonical_order(w[0].prefix, w[1].prefix).is_lt());
         if sorted {
             return Fib {
                 device: self.device,
@@ -207,11 +312,7 @@ impl FibBuilder {
         // Sort duplicates latest-push-first, then keep the first of
         // each prefix run (dedup_by retains the earlier element).
         indexed.sort_unstable_by(|(ia, a), (ib, b)| {
-            b.prefix
-                .len()
-                .cmp(&a.prefix.len())
-                .then(a.prefix.addr().cmp(&b.prefix.addr()))
-                .then(ib.cmp(ia))
+            canonical_order(a.prefix, b.prefix).then(ib.cmp(ia))
         });
         indexed.dedup_by(|(_, a), (_, b)| a.prefix == b.prefix);
         Fib {
@@ -232,31 +333,9 @@ impl Fib {
         }
     }
 
-    /// Assemble a table directly from pre-canonicalized parts: entries
-    /// already in the sorted order [`FibBuilder::finish`] produces, set
-    /// ids already deduplicated in first-use order. The restart patcher
-    /// splices failure scenarios out of the healthy table this way,
-    /// skipping the per-entry interner — the caller owns the proof that
-    /// the layout matches what a builder replay would have produced.
-    pub(crate) fn from_parts(device: DeviceId, entries: Vec<FibEntry>, sets: Vec<Vec<Ipv4>>) -> Fib {
-        debug_assert!(entries.windows(2).all(|w| {
-            w[1].prefix
-                .len()
-                .cmp(&w[0].prefix.len())
-                .then(w[0].prefix.addr().cmp(&w[1].prefix.addr()))
-                .is_lt()
-        }));
-        debug_assert!(entries.iter().all(|e| (e.set as usize) < sets.len()));
-        Fib {
-            device,
-            entries,
-            sets,
-        }
-    }
-
-    /// A pool set by id (the restart patcher remaps healthy ids into a
-    /// scenario table's pool without re-hashing the vectors).
-    pub(crate) fn set(&self, id: u32) -> &[Ipv4] {
+    /// A pool set by id: the next hops of every entry whose `set` is
+    /// `id`.
+    pub fn set(&self, id: u32) -> &[Ipv4] {
         &self.sets[id as usize]
     }
 
@@ -319,15 +398,15 @@ impl Fib {
     /// engines, so it must not be linear (a 10⁴-router run issues
     /// ~10⁸ of these lookups).
     pub fn entry_for(&self, prefix: Prefix) -> Option<&FibEntry> {
+        self.index_of(prefix).map(|i| &self.entries[i])
+    }
+
+    /// Where in [`entries`](Self::entries) the rule for an exact prefix
+    /// sits.
+    pub fn index_of(&self, prefix: Prefix) -> Option<usize> {
         self.entries
-            .binary_search_by(|e| {
-                prefix
-                    .len()
-                    .cmp(&e.prefix.len())
-                    .then(e.prefix.addr().cmp(&prefix.addr()))
-            })
+            .binary_search_by(|e| canonical_order(e.prefix, prefix))
             .ok()
-            .map(|i| &self.entries[i])
     }
 
     /// Serialize for the puller→validator transfer (§2.6.1).
@@ -430,12 +509,7 @@ impl Fib {
         let (mut i, mut j) = (0, 0);
         while i < old.entries.len() && j < new.entries.len() {
             let (a, b) = (&old.entries[i], &new.entries[j]);
-            let ord = b
-                .prefix
-                .len()
-                .cmp(&a.prefix.len())
-                .then(a.prefix.addr().cmp(&b.prefix.addr()));
-            match ord {
+            match canonical_order(a.prefix, b.prefix) {
                 std::cmp::Ordering::Equal => {
                     if a.local != b.local || old.next_hops(a) != new.next_hops(b) {
                         delta.modified.push(rule(new, b));
@@ -458,6 +532,53 @@ impl Fib {
             .added
             .extend(new.entries[j..].iter().map(|e| rule(new, e)));
         delta
+    }
+
+    /// The successor table a patch describes.
+    ///
+    /// Entries stay in canonical order and the pool comes out in
+    /// first-use order of distinct content — the layout a
+    /// [`FibBuilder`] gives the same rules pushed in entry order, and so
+    /// `==` to what the simulator emits for them from a canonical work
+    /// list — without hashing a hop vector: entry runs between patched
+    /// prefixes are copied, and pool ids remapped only once a rule has
+    /// actually changed the pool. An outcome that restates the base
+    /// (a rule equal to the base's, a withdrawal of an absent prefix)
+    /// changes nothing.
+    pub fn patched(&self, patch: &FibPatch) -> Fib {
+        if patch.is_empty() {
+            return self.clone();
+        }
+        let mut entries: Vec<FibEntry> = Vec::with_capacity(self.entries.len() + patch.len());
+        let mut pool = PatchedPool {
+            base: self,
+            sets: Vec::new(),
+            remap: vec![u32::MAX; self.sets.len()],
+            novel: Vec::new(),
+        };
+        let mut at = 0usize;
+        for op in &patch.ops {
+            let prefix = op.prefix();
+            let until = at
+                + self.entries[at..]
+                    .partition_point(|e| canonical_order(e.prefix, prefix).is_lt());
+            pool.copy(&self.entries[at..until], &mut entries);
+            at = until + usize::from(self.entries.get(until).is_some_and(|e| e.prefix == prefix));
+            if let PatchOp::Set(r) = op {
+                let set = pool.intern(&r.next_hops);
+                entries.push(FibEntry {
+                    prefix,
+                    set,
+                    local: r.local,
+                });
+            }
+        }
+        pool.copy(&self.entries[at..], &mut entries);
+        Fib {
+            device: self.device,
+            entries,
+            sets: pool.sets,
+        }
     }
 
     /// Apply a delta, producing the successor table.
@@ -529,6 +650,74 @@ impl Fib {
             ));
         }
         Ok(next)
+    }
+}
+
+/// The successor pool [`Fib::patched`] grows: base sets enter at their
+/// first use, patch rules' sets as they are interned.
+struct PatchedPool<'a> {
+    base: &'a Fib,
+    sets: Vec<Vec<Ipv4>>,
+    /// Base pool id → successor pool id (`u32::MAX` until first use).
+    remap: Vec<u32>,
+    /// Successor ids whose content a patch rule brought in. Base sets
+    /// are pairwise distinct, so a base set's first use can only
+    /// collide with one of these — probing the whole pool per first use
+    /// would be quadratic in pool size.
+    novel: Vec<u32>,
+}
+
+impl PatchedPool<'_> {
+    /// The successor id of a base set, entering it at first use.
+    fn of_base(&mut self, id: u32) -> u32 {
+        if self.remap[id as usize] == u32::MAX {
+            let content = self.base.set(id);
+            let hit = self.novel.iter().find(|&&i| self.sets[i as usize] == content);
+            self.remap[id as usize] = match hit {
+                Some(&i) => i,
+                None => {
+                    self.sets.push(content.to_vec());
+                    (self.sets.len() - 1) as u32
+                }
+            };
+        }
+        self.remap[id as usize]
+    }
+
+    /// The successor id of a patch rule's hop set. It can collide with
+    /// anything already in the pool; calls are one per patched rule, so
+    /// a linear scan is fine.
+    fn intern(&mut self, hops: &[Ipv4]) -> u32 {
+        match self.sets.iter().position(|s| s == hops) {
+            Some(i) => i as u32,
+            None => {
+                self.sets.push(hops.to_vec());
+                let id = (self.sets.len() - 1) as u32;
+                self.novel.push(id);
+                id
+            }
+        }
+    }
+
+    /// Append a run of base entries. Most ids map to themselves (a
+    /// base pool in first-use order does until a patch rule enters, and
+    /// a patch appends to or reuses the pool, it rarely reorders it),
+    /// so maximal identity-mapped stretches go through memcpy and only
+    /// first uses and the exceptions pay a per-entry remap.
+    fn copy(&mut self, run: &[FibEntry], entries: &mut Vec<FibEntry>) {
+        let mut j = 0usize;
+        while j < run.len() {
+            let start = j;
+            while j < run.len() && self.remap[run[j].set as usize] == run[j].set {
+                j += 1;
+            }
+            entries.extend_from_slice(&run[start..j]);
+            if let Some(&e) = run.get(j) {
+                let set = self.of_base(e.set);
+                entries.push(FibEntry { set, ..e });
+                j += 1;
+            }
+        }
     }
 }
 
@@ -841,6 +1030,61 @@ mod tests {
         d.added.push(dup);
         let applied = old.apply_delta(&d).unwrap();
         assert_eq!(applied.content_hash(), new.content_hash());
+    }
+
+    #[test]
+    fn hand_built_patch_round_trips_against_a_builder_built_table() {
+        // One patch that brings in a novel hop set, re-uses one the
+        // base already pools, and withdraws a rule — given out of
+        // order with unsorted hops, over a base whose pool is *not* in
+        // entry first-use order (`sample` pushes the default first).
+        let base = sample();
+        let rule = |prefix: &str, next_hops: Vec<Ipv4>| {
+            PatchOp::Set(DeltaRule {
+                prefix: p(prefix),
+                next_hops,
+                local: false,
+            })
+        };
+        let patch = FibPatch::new(vec![
+            rule("10.2.0.0/16", hops(&[[30, 0, 0, 3], [30, 0, 0, 1]])),
+            PatchOp::Withdraw(p("10.0.0.0/16")),
+            rule("10.0.1.0/24", hops(&[[30, 0, 0, 7], [30, 0, 0, 1], [30, 0, 0, 7]])),
+        ]);
+        assert_eq!(
+            patch.prefixes().collect::<Vec<_>>(),
+            vec![p("10.0.1.0/24"), p("10.0.0.0/16"), p("10.2.0.0/16")]
+        );
+        // The same rules pushed in entry order.
+        let mut b = FibBuilder::new(DeviceId(9));
+        b.push(p("10.0.0.0/24"), vec![], true);
+        b.push(p("10.0.1.0/24"), hops(&[[30, 0, 0, 1], [30, 0, 0, 7]]), false);
+        b.push(p("10.2.0.0/16"), hops(&[[30, 0, 0, 1], [30, 0, 0, 3]]), false);
+        b.push(p("0.0.0.0/0"), hops(&[[30, 0, 0, 1], [30, 0, 0, 3]]), false);
+        let target = b.finish();
+        let patched = base.patched(&patch);
+        assert_eq!(patched, target, "entries and pool layout");
+        assert_eq!(patched.set_pool_len(), 3);
+        // The patch is exactly the difference, and the wire delta says
+        // the same thing.
+        assert_eq!(patch, FibPatch::from_delta(&Fib::delta(&base, &target)));
+        // Outcomes that restate the base change nothing; neither does
+        // no outcome at all.
+        let restated = FibPatch::new(vec![
+            rule("10.0.0.0/16", hops(&[[30, 0, 0, 5]])),
+            PatchOp::Withdraw(p("10.9.0.0/16")),
+        ]);
+        assert_eq!(base.patched(&restated).content_hash(), base.content_hash());
+        assert_eq!(base.patched(&FibPatch::default()), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "twice")]
+    fn patch_rejects_a_prefix_named_twice() {
+        FibPatch::new(vec![
+            PatchOp::Withdraw(p("10.0.0.0/16")),
+            PatchOp::Withdraw(p("10.0.0.0/16")),
+        ]);
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod sim;
 pub mod sim_reference;
 
 pub use config::{DeviceOverride, SimConfig};
-pub use fib::{Fib, FibBuilder, FibEntry};
-pub use restart::{Baseline, FaultSpec, RestartStats, ScenarioFibs};
+pub use fib::{Fib, FibBuilder, FibEntry, FibPatch, PatchOp};
+pub use restart::{Baseline, FaultSpec, RestartStats, ScenarioFibs, ScenarioPatches};
 pub use sim::{simulate, simulate_with, SimOptions, SimStats};

@@ -30,21 +30,27 @@
 //!   session graph, which is exact by construction. Fallbacks are the
 //!   rare case, and only the affected prefixes pay for them.
 //!
-//! Changed FIBs are *spliced*, not rebuilt: a candidate device's new
-//! table copies the healthy entry sequence and recomputes only the
-//! affected prefixes, remapping interned set ids in first-use order —
-//! the same content-keyed order a from-scratch interner assigns — so
-//! the result, pool layout included, is bit-identical to a
-//! from-scratch `simulate` on the faulted topology at a fraction of
-//! the per-entry cost. The regression suite pins this for every
-//! single-link failure on a seeded Clos.
+//! What comes back is a *patch*, not a fleet of tables:
+//! [`Baseline::restart`] recomputes only the emissions a scenario can
+//! have moved and returns, per changed device, the rules that differ
+//! from its healthy table as a [`FibPatch`] — a what-if explorer hands
+//! `(healthy table, patch)` straight to a verification engine and
+//! never builds the faulted table. [`Baseline::resimulate`] is
+//! `restart` plus [`Fib::patched`], which copies the healthy entry
+//! runs around the patch and remaps interned set ids in first-use
+//! order — the same content-keyed order a from-scratch interner
+//! assigns — so the table, pool layout included, is bit-identical to a
+//! from-scratch `simulate` on the faulted topology. The regression
+//! suite pins this — and with it the patches — for every single-link
+//! failure on a seeded Clos.
 
 use crate::config::SimConfig;
-use crate::fib::{Fib, FibBuilder, FibEntry};
+use crate::fib::{Fib, FibBuilder, FibPatch, PatchOp};
 use crate::sim::{
     emit_runs, expand_runs, propagate, work_list, EmitRle, Hops, Relaxation, SimNet, SimStats, INF,
 };
 use dctopo::{Asn, DeviceId, LinkId, LinkState, Topology};
+use netprim::wire::DeltaRule;
 use netprim::{HopSet, Ipv4, Prefix};
 use std::collections::{HashMap, HashSet};
 
@@ -85,7 +91,7 @@ impl FaultSpec {
     /// Apply the scenario to a topology by marking every named link —
     /// and every link incident to a named device — `OperDown`. This is
     /// the from-scratch view of the scenario, used by the oracles to
-    /// cross-check [`Baseline::resimulate`].
+    /// cross-check [`Baseline::restart`].
     pub fn apply(&self, topology: &mut Topology) {
         let mut dead: Vec<LinkId> = self.links.clone();
         for &d in &self.devices {
@@ -97,7 +103,7 @@ impl FaultSpec {
     }
 }
 
-/// Work counters for one [`Baseline::resimulate`] call.
+/// Work counters for one [`Baseline::restart`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestartStats {
     /// Prefixes in the work list (hosted + default).
@@ -108,6 +114,9 @@ pub struct RestartStats {
     pub repropagated: usize,
     /// Devices whose FIB actually changed.
     pub devices_changed: usize,
+    /// Rules set or withdrawn across those devices' patches — the work
+    /// a patch-judging engine is handed.
+    pub rules_touched: usize,
 }
 
 impl RestartStats {
@@ -117,20 +126,32 @@ impl RestartStats {
         self.patched += other.patched;
         self.repropagated += other.repropagated;
         self.devices_changed += other.devices_changed;
+        self.rules_touched += other.rules_touched;
     }
 }
 
-/// The outcome of one scenario: only the FIBs that differ from the
-/// healthy solution, plus work counters.
+/// The outcome of one scenario as [`Baseline::restart`] reports it:
+/// only the devices whose FIBs differ from the healthy solution, each
+/// with exactly the rules that differ.
+#[derive(Debug, Clone)]
+pub struct ScenarioPatches {
+    /// Changed devices, ascending by device id, each with its
+    /// non-empty patch against the healthy table: no rule equal to the
+    /// healthy rule for its prefix, no withdrawal of an absent prefix.
+    pub changed: Vec<(DeviceId, FibPatch)>,
+    /// Work counters for this scenario.
+    pub stats: RestartStats,
+}
+
+/// The outcome of one scenario with the changed tables built
+/// ([`Baseline::resimulate`]).
 #[derive(Debug, Clone)]
 pub struct ScenarioFibs {
     /// Changed devices and their new tables, ascending by device id.
     pub changed: Vec<(DeviceId, Fib)>,
     /// Aligned with `changed`: the prefixes whose rules differ from the
     /// healthy table (added, removed, or re-hopped), in canonical entry
-    /// order. Incremental validators turn these directly into a
-    /// [`FibDelta`](netprim::wire::FibDelta) without re-diffing the
-    /// full tables.
+    /// order — each device's patch's prefix list.
     pub touched: Vec<Vec<Prefix>>,
     /// Work counters for this scenario.
     pub stats: RestartStats,
@@ -168,7 +189,7 @@ struct PrefixState {
 }
 
 /// The healthy fixed point, snapshotted per prefix, ready to answer
-/// failure scenarios incrementally. Shared-state only: `resimulate`
+/// failure scenarios incrementally. Shared-state only: `restart`
 /// takes `&self`, so one baseline serves a parallel scenario driver.
 pub struct Baseline {
     topology: Topology,
@@ -180,10 +201,10 @@ pub struct Baseline {
     healthy: Vec<Fib>,
     /// The work list's prefixes are strictly canonical-ordered (the
     /// generated fabrics always are), so a healthy table's entry
-    /// sequence is the work list filtered by reachability and the
-    /// patch splicer can walk both with one cursor. A non-canonical
-    /// work list (possible for hand-built topologies) falls back to
-    /// full per-device replay, which sorts in `finish`.
+    /// sequence is the work list filtered by reachability and a
+    /// device's affected work indices come out in patch order. A
+    /// non-canonical work list (possible for hand-built topologies)
+    /// falls back to full per-device replay, which sorts in `finish`.
     canonical_work: bool,
 }
 
@@ -270,13 +291,38 @@ impl Baseline {
         &self.config
     }
 
-    /// Re-simulate one failure scenario from the healthy solution.
+    /// Re-simulate one failure scenario from the healthy solution,
+    /// with the changed tables built.
     ///
     /// Returns exactly the devices whose FIBs change, each table
     /// bit-identical (interned pool layout included) to what a
     /// from-scratch [`simulate`](crate::simulate) of the faulted
-    /// topology would produce.
+    /// topology would produce: [`restart`](Self::restart), then
+    /// [`Fib::patched`] per changed device. (On a non-canonical work
+    /// list — hand-built topologies only — the rules are identical and
+    /// the pool comes in entry order rather than `simulate`'s push
+    /// order.)
     pub fn resimulate(&self, fault: &FaultSpec) -> ScenarioFibs {
+        let out = self.restart(fault);
+        let mut changed = Vec::with_capacity(out.changed.len());
+        let mut touched = Vec::with_capacity(out.changed.len());
+        for (d, patch) in out.changed {
+            changed.push((d, self.healthy[d.0 as usize].patched(&patch)));
+            touched.push(patch.prefixes().collect());
+        }
+        ScenarioFibs {
+            changed,
+            touched,
+            stats: out.stats,
+        }
+    }
+
+    /// Restart the fixed point under one failure scenario.
+    ///
+    /// Returns exactly the devices whose FIBs change, each with the
+    /// rules that differ from its healthy table — the faulted tables
+    /// themselves are never built.
+    pub fn restart(&self, fault: &FaultSpec) -> ScenarioPatches {
         let n = self.topology.len();
         let mut dead_devices: HashSet<u32> = fault.devices.iter().map(|d| d.0).collect();
         let mut dead_links: HashSet<LinkId> = fault.links.iter().copied().collect();
@@ -400,7 +446,7 @@ impl Baseline {
 
         // Fallback prefixes: exact per-prefix BFS on the faulted graph.
         // The per-device diff against the healthy state records *which*
-        // fallback prefixes moved each device, so the splice recomputes
+        // fallback prefixes moved each device, so its patch recomputes
         // only those — an unchanged per-prefix state is guaranteed to
         // re-emit the healthy rule, so skipping it is byte-identical.
         let mut scen_states: HashMap<u32, PrefixState> = HashMap::new();
@@ -430,176 +476,63 @@ impl Baseline {
         }
         candidates.extend(dead_devices.iter().copied());
 
-        // Rebuild every candidate and keep only genuine changes. Live
-        // candidates on a canonical work list take the splice path:
-        // copy the healthy entry run, recompute only affected
-        // prefixes, remap set ids. Everything else replays in full.
+        // Patch every candidate and keep only genuine changes. Live
+        // candidates on a canonical work list recompute just their
+        // affected emissions; everything else replays in full and
+        // diffs.
         let mut sorted: Vec<u32> = candidates.into_iter().collect();
         sorted.sort_unstable();
         let mut changed = Vec::new();
-        let mut touched = Vec::new();
         const NO_PATCHES: &[(u32, Vec<u16>)] = &[];
         const NO_FALLBACK: &[u32] = &[];
         for d in sorted {
             let dead = dead_devices.contains(&d);
             let patched = patches.get(&d).map_or(NO_PATCHES, Vec::as_slice);
             let dev_fallback = fallback_of.get(&d).map_or(NO_FALLBACK, Vec::as_slice);
-            if !dead && self.canonical_work {
-                if let Some((fib, diff)) =
-                    self.splice_device(d, patched, dev_fallback, &scen_states)
-                {
-                    changed.push((DeviceId(d), fib));
-                    touched.push(diff);
-                }
-                continue;
-            }
-            let fib = self.replay_device(d, dead, &scen_states, patched);
-            if fib != self.healthy[d as usize] {
-                let diff = diff_prefixes(&self.healthy[d as usize], &fib);
-                changed.push((DeviceId(d), fib));
-                touched.push(diff);
+            let patch = if !dead && self.canonical_work {
+                self.patch_device(d, patched, dev_fallback, &scen_states)
+            } else {
+                let fib = self.replay_device(d, dead, &scen_states, patched);
+                FibPatch::from_delta(&Fib::delta(&self.healthy[d as usize], &fib))
+            };
+            if !patch.is_empty() {
+                stats.rules_touched += patch.len();
+                changed.push((DeviceId(d), patch));
             }
         }
         stats.devices_changed = changed.len();
-        ScenarioFibs {
-            changed,
-            touched,
-            stats,
+        ScenarioPatches { changed, stats }
+    }
+
+    /// The ECMP cap `du` applies to a prefix's hop set.
+    fn cap(&self, du: usize, prefix: Prefix) -> u32 {
+        if prefix.is_default() {
+            self.net.default_cap[du]
+        } else {
+            self.net.ecmp_cap[du]
         }
     }
 
-    /// Splice one live candidate's scenario table out of its healthy
-    /// one: visit only the affected work indices (this device's
-    /// patches merged with the fallback prefixes), bulk-copying the
-    /// healthy entry run before each one — located by binary search in
-    /// canonical order — and recomputing just the affected emissions.
-    /// Set ids are remapped in first-use order of distinct content —
-    /// exactly the order a from-scratch interner assigns — so the
-    /// table is bit-identical to a full replay, pool layout included,
-    /// without hashing a single hop vector.
+    /// One live candidate's patch against its healthy table: visit
+    /// only the affected work indices (this device's hop-mask patches
+    /// merged with the fallback prefixes — ascending, so in canonical
+    /// entry order), recompute just those emissions, and keep the ones
+    /// that differ from the healthy one.
     ///
-    /// Returns `None` when every recomputed entry matches the healthy
-    /// table (e.g. a cleared hop bit that ECMP truncation had already
-    /// dropped), otherwise the new table plus the differing prefixes
-    /// in canonical entry order.
-    fn splice_device(
+    /// Empty when every recomputed emission matches the healthy table
+    /// (e.g. a cleared hop bit that ECMP truncation had already
+    /// dropped).
+    fn patch_device(
         &self,
         d: u32,
         patched: &[(u32, Vec<u16>)],
         fallback: &[u32],
         scen_states: &HashMap<u32, PrefixState>,
-    ) -> Option<(Fib, Vec<Prefix>)> {
+    ) -> FibPatch {
         let du = d as usize;
-        let healthy = &self.healthy[du];
-        let h_entries = healthy.entries();
-        let mut hi = 0usize;
-        let mut entries: Vec<FibEntry> = Vec::with_capacity(h_entries.len() + 1);
-        let mut sets: Vec<Vec<Ipv4>> = Vec::new();
-        // healthy pool id -> new pool id, assigned lazily at first use.
-        let mut h_map: Vec<u32> = vec![u32::MAX; healthy.set_pool_len()];
-        let mut touched: Vec<Prefix> = Vec::new();
-        // New-pool ids holding recomputed (non-healthy-origin)
-        // content. Healthy sets are pairwise distinct, so a healthy
-        // first-use can only collide with one of these — probing the
-        // whole pool per first-use would be quadratic in pool size.
-        let mut novel: Vec<u32> = Vec::new();
-        // Recomputed content can collide with anything already in the
-        // pool; calls are rare (one per divergent emission), so a
-        // linear scan is fine.
-        fn intern_vec(sets: &mut Vec<Vec<Ipv4>>, novel: &mut Vec<u32>, v: Vec<Ipv4>) -> u32 {
-            match sets.iter().position(|s| *s == v) {
-                Some(i) => i as u32,
-                None => {
-                    sets.push(v);
-                    let id = (sets.len() - 1) as u32;
-                    novel.push(id);
-                    id
-                }
-            }
-        }
-        fn map_healthy(
-            healthy: &Fib,
-            sets: &mut Vec<Vec<Ipv4>>,
-            h_map: &mut [u32],
-            novel: &[u32],
-            hid: u32,
-        ) -> u32 {
-            if h_map[hid as usize] != u32::MAX {
-                return h_map[hid as usize];
-            }
-            let content = healthy.set(hid);
-            let id = match novel.iter().find(|&&i| sets[i as usize] == content) {
-                Some(&i) => i,
-                None => {
-                    sets.push(content.to_vec());
-                    (sets.len() - 1) as u32
-                }
-            };
-            h_map[hid as usize] = id;
-            id
-        }
-        // Bulk-copy a healthy run after divergence. Most ids still map
-        // to themselves (divergence appends to or reuses the pool, it
-        // rarely reorders it), so maximal identity-mapped stretches go
-        // through memcpy and only the exceptions pay a per-entry remap.
-        fn copy_remapped(
-            healthy: &Fib,
-            sets: &mut Vec<Vec<Ipv4>>,
-            h_map: &mut [u32],
-            novel: &[u32],
-            entries: &mut Vec<FibEntry>,
-            run: &[FibEntry],
-        ) {
-            let mut j = 0usize;
-            while j < run.len() {
-                let start = j;
-                while j < run.len() && h_map[run[j].set as usize] == run[j].set {
-                    j += 1;
-                }
-                entries.extend_from_slice(&run[start..j]);
-                if j == run.len() {
-                    break;
-                }
-                let e = run[j];
-                let set = map_healthy(healthy, sets, h_map, novel, e.set);
-                entries.push(FibEntry { set, ..e });
-                j += 1;
-            }
-        }
-        // Until the first content divergence the new table is a
-        // verbatim prefix of the healthy one, so its pool first-use
-        // order matches and every set id maps to itself: entry runs
-        // are copied wholesale with no bookkeeping. The first
-        // divergence materializes the interner state by replaying the
-        // first-uses seen so far (an index probe per entry; the ids
-        // come out identity by construction).
-        let mut diverged = false;
-        fn diverge_now(
-            diverged: &mut bool,
-            entries: &[FibEntry],
-            healthy: &Fib,
-            sets: &mut Vec<Vec<Ipv4>>,
-            h_map: &mut [u32],
-        ) {
-            if *diverged {
-                return;
-            }
-            *diverged = true;
-            for e in entries {
-                if h_map[e.set as usize] == u32::MAX {
-                    debug_assert_eq!(sets.len() as u32, e.set, "verbatim prefix must map identity");
-                    h_map[e.set as usize] = sets.len() as u32;
-                    sets.push(healthy.set(e.set).to_vec());
-                }
-            }
-        }
-        // Canonical entry order: descending prefix length, ascending
-        // address (what `Fib` stores and a canonical work list emits).
-        let canonical_less = |a: Prefix, b: Prefix| {
-            a.len() > b.len() || (a.len() == b.len() && a.addr() < b.addr())
-        };
-        // Merge this device's patches with the fallback prefixes (both
-        // ascending in work index, disjoint by construction).
+        let mut ops: Vec<PatchOp> = Vec::new();
+        // Both lists ascend in work index and are disjoint by
+        // construction.
         let (mut pi, mut fi) = (0usize, 0usize);
         loop {
             let np = patched.get(pi).map_or(u32::MAX, |&(k, _)| k);
@@ -615,86 +548,31 @@ impl Baseline {
                 (nf as usize, None)
             };
             let prefix = self.work[k].0;
-            // Bulk-copy the healthy run strictly before the affected
-            // prefix; only set ids can differ, and only after a novel
-            // set entered the pool.
-            let until =
-                hi + h_entries[hi..].partition_point(|e| canonical_less(e.prefix, prefix));
-            if diverged {
-                copy_remapped(healthy, &mut sets, &mut h_map, &novel, &mut entries, &h_entries[hi..until]);
-            } else {
-                entries.extend_from_slice(&h_entries[hi..until]);
-            }
-            hi = until;
-            let h_entry = h_entries.get(hi).filter(|e| e.prefix == prefix).copied();
-            // Recompute this device's faulted emission.
-            let cap = if prefix.is_default() {
-                self.net.default_cap[du]
-            } else {
-                self.net.ecmp_cap[du]
+            let cap = self.cap(du, prefix);
+            // Patch receivers keep their healthy state minus the dead
+            // senders; fallback prefixes have a state of their own.
+            let (st, removed) = match removed {
+                Some(bits_rm) => (&self.states[k], bits_rm),
+                None => (&scen_states[&(k as u32)], NO_REMOVALS),
             };
-            let (present, local, hops) = if let Some(bits_rm) = removed {
-                // Patch receivers kept other senders: still reached,
-                // never an origin.
-                (true, false, emit_hops(&self.states[k], du, bits_rm, cap, &self.net))
-            } else {
-                let st = &scen_states[&(k as u32)];
-                match st.best[du] {
-                    INF => (false, false, Vec::new()),
-                    0 => (true, true, Vec::new()),
-                    _ => (true, false, emit_hops(st, du, &[], cap, &self.net)),
-                }
-            };
-            match (h_entry, present) {
-                (Some(e), true) => {
-                    hi += 1;
-                    if e.local == local && healthy.next_hops(&e) == hops.as_slice() {
-                        // Recomputed to the same rule (e.g. the dead
-                        // bit was beyond the ECMP cap): copy through.
-                        if diverged {
-                            let set = map_healthy(healthy, &mut sets, &mut h_map, &novel, e.set);
-                            entries.push(FibEntry { set, ..e });
-                        } else {
-                            entries.push(e);
-                        }
-                    } else {
-                        diverge_now(&mut diverged, &entries, healthy, &mut sets, &mut h_map);
-                        touched.push(prefix);
-                        let set = intern_vec(&mut sets, &mut novel, hops);
-                        entries.push(FibEntry {
-                            prefix,
-                            set,
-                            local,
-                        });
-                    }
-                }
-                (Some(_), false) => {
-                    hi += 1;
-                    diverge_now(&mut diverged, &entries, healthy, &mut sets, &mut h_map);
-                    touched.push(prefix);
-                }
-                (None, true) => {
-                    diverge_now(&mut diverged, &entries, healthy, &mut sets, &mut h_map);
-                    touched.push(prefix);
-                    let set = intern_vec(&mut sets, &mut novel, hops);
-                    entries.push(FibEntry {
-                        prefix,
-                        set,
-                        local,
-                    });
-                }
-                (None, false) => {}
+            let now = emission(st, du, removed, cap, &self.net);
+            // The healthy rule is the healthy state's emission, so the
+            // comparison never touches the table. Equal happens: a
+            // dead bit beyond the ECMP cap, a moved state that emits
+            // the same hops.
+            if now == emission(&self.states[k], du, NO_REMOVALS, cap, &self.net) {
+                continue;
             }
+            ops.push(match now {
+                Some((local, next_hops)) => PatchOp::Set(DeltaRule {
+                    prefix,
+                    next_hops,
+                    local,
+                }),
+                None => PatchOp::Withdraw(prefix),
+            });
         }
-        if touched.is_empty() {
-            // Every affected emission recomputed to its healthy rule:
-            // the table is unchanged (and `entries` is still the
-            // verbatim copy — no interner state was ever needed).
-            return None;
-        }
-        // Tail: every healthy entry after the last affected prefix.
-        copy_remapped(healthy, &mut sets, &mut h_map, &novel, &mut entries, &h_entries[hi..]);
-        Some((Fib::from_parts(DeviceId(d), entries, sets), touched))
+        FibPatch::from_canonical(ops)
     }
 
     /// Rebuild one device's table by replaying the canonical emission
@@ -703,7 +581,7 @@ impl Baseline {
     /// finished table matches it bit-for-bit. The slow exact path,
     /// kept for dead devices (tiny tables) and non-canonical work
     /// lists; live candidates normally take
-    /// [`splice_device`](Self::splice_device).
+    /// [`patch_device`](Self::patch_device).
     fn replay_device(
         &self,
         d: u32,
@@ -713,7 +591,6 @@ impl Baseline {
     ) -> Fib {
         let du = d as usize;
         let mut builder = FibBuilder::new(DeviceId(d));
-        const NO_REMOVALS: &[u16] = &[];
         let mut pi = 0usize;
         for (k, (prefix, origins)) in self.work.iter().enumerate() {
             let removed: &[u16] = match patched.get(pi) {
@@ -732,26 +609,45 @@ impl Baseline {
                 }
                 continue;
             }
-            let cap = if prefix.is_default() {
-                self.net.default_cap[du]
-            } else {
-                self.net.ecmp_cap[du]
-            };
             let (st, removed) = match scen_states.get(&(k as u32)) {
                 Some(st) => (st, NO_REMOVALS),
                 None => (&self.states[k], removed),
             };
-            push_state(&mut builder, st, du, *prefix, cap, removed, &self.net);
+            let cap = self.cap(du, *prefix);
+            if let Some((local, hops)) = emission(st, du, removed, cap, &self.net) {
+                builder.push(*prefix, hops, local);
+            }
         }
         builder.finish()
     }
 }
 
-/// One device's faulted emission for one prefix: the snapshotted hop
-/// state minus `removed` neighbor-table bits, canonicalized and
-/// cap-truncated exactly as the simulator's emit loop would
-/// (sort → truncate → dedup; bit order is already address order on the
-/// bitset path, so truncating the mask keeps the smallest addresses).
+const NO_REMOVALS: &[u16] = &[];
+
+/// The rule one device emits for one prefix under a snapshotted state
+/// with `removed` neighbor-table bits cleared from its hop set —
+/// `(local, next hops)`, or `None` where the prefix is unreached —
+/// exactly what the simulator's emit loop pushes for that state.
+fn emission(
+    st: &PrefixState,
+    du: usize,
+    removed: &[u16],
+    cap: u32,
+    net: &SimNet,
+) -> Option<(bool, Vec<Ipv4>)> {
+    match st.best[du] {
+        INF => None,
+        0 => Some((true, Vec::new())),
+        _ => Some((false, emit_hops(st, du, removed, cap, net))),
+    }
+}
+
+/// A reached non-origin device's next hops for one prefix: the
+/// snapshotted hop state minus `removed` neighbor-table bits,
+/// canonicalized and cap-truncated exactly as the simulator's emit
+/// loop would (sort → truncate → dedup; bit order is already address
+/// order on the bitset path, so truncating the mask keeps the smallest
+/// addresses).
 fn emit_hops(
     st: &PrefixState,
     du: usize,
@@ -786,44 +682,6 @@ fn emit_hops(
     }
 }
 
-/// The prefixes on which two canonical-ordered tables disagree
-/// (present on one side only, or differing in locality or next hops),
-/// in canonical entry order — the slow-path counterpart of the
-/// bookkeeping [`Baseline::splice_device`] does inline.
-fn diff_prefixes(old: &Fib, new: &Fib) -> Vec<Prefix> {
-    let (a, b) = (old.entries(), new.entries());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut out = Vec::new();
-    while i < a.len() && j < b.len() {
-        let (x, y) = (&a[i], &b[j]);
-        let ord = y
-            .prefix
-            .len()
-            .cmp(&x.prefix.len())
-            .then(x.prefix.addr().cmp(&y.prefix.addr()));
-        match ord {
-            std::cmp::Ordering::Equal => {
-                if x.local != y.local || old.next_hops(x) != new.next_hops(y) {
-                    out.push(x.prefix);
-                }
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                out.push(x.prefix);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(y.prefix);
-                j += 1;
-            }
-        }
-    }
-    out.extend(a[i..].iter().map(|e| e.prefix));
-    out.extend(b[j..].iter().map(|e| e.prefix));
-    out
-}
-
 /// Snapshot the relaxation scratch into an owned [`PrefixState`],
 /// zeroing hop data where it is stale (origins, unreached devices).
 fn snapshot(net: &SimNet, relax: &Relaxation) -> PrefixState {
@@ -851,52 +709,6 @@ fn snapshot(net: &SimNet, relax: &Relaxation) -> PrefixState {
         spill: sspill,
         tie_free: false,
     }
-}
-
-/// Emit one device's entry for one prefix from a snapshotted state,
-/// with `removed` neighbor-table bits cleared from its hop set —
-/// reproducing `emit_vecs` semantics (sorted hops, cap truncation).
-#[allow(clippy::too_many_arguments)]
-fn push_state(
-    builder: &mut FibBuilder,
-    st: &PrefixState,
-    du: usize,
-    prefix: Prefix,
-    cap: u32,
-    removed: &[u16],
-    net: &SimNet,
-) {
-    let best = st.best[du];
-    if best == INF {
-        return;
-    }
-    if best == 0 {
-        builder.push(prefix, Vec::new(), true);
-        return;
-    }
-    let mut hops: Vec<Ipv4> = match st.spill.get(&(du as u32)) {
-        Some(sp) => {
-            let mut h = sp.clone();
-            for &bit in removed {
-                let addr = net.addr_table[du][bit as usize];
-                h.retain(|&x| x != addr);
-            }
-            h.sort_unstable();
-            h
-        }
-        None => {
-            let mut mask = st.bits[du];
-            for &bit in removed {
-                mask.remove(bit);
-            }
-            // Bit order is address order: the vector is born sorted.
-            mask.iter()
-                .map(|bit| net.addr_table[du][bit as usize])
-                .collect()
-        }
-    };
-    hops.truncate(cap as usize);
-    builder.push(prefix, hops, false);
 }
 
 /// Do two snapshots agree on one device's emitted state?
@@ -987,28 +799,65 @@ mod tests {
             .with_asn_override(f.b[0], f.topology.device(f.a[0]).asn)
     }
 
-    fn assert_scenario_exact(base: &Baseline, fault: &FaultSpec, what: &str) {
-        let out = base.resimulate(fault);
-        let spliced = out.splice(base.healthy_fibs());
+    /// Restart, patch and from-scratch simulation must tell one story:
+    /// the patched tables are the from-scratch ones (`==`, pool layout
+    /// included), and each patch is exactly the difference — canonical,
+    /// duplicate-free and minimal.
+    fn assert_scenario_exact(base: &Baseline, fault: &FaultSpec, what: &str) -> RestartStats {
+        let out = base.restart(fault);
+        let fibs = base.resimulate(fault);
         let mut faulted = base.topology().clone();
         fault.apply(&mut faulted);
         let scratch = simulate(&faulted, base.config());
-        assert_eq!(spliced, scratch, "restart diverged from scratch: {what}");
-        // `changed` must list exactly the differing devices, and
-        // `touched` exactly each one's differing prefixes.
-        assert_eq!(out.changed.len(), out.touched.len());
-        for ((d, fib), touched) in out.changed.iter().zip(&out.touched) {
+        assert_eq!(
+            fibs.splice(base.healthy_fibs()),
+            scratch,
+            "restart diverged from scratch: {what}"
+        );
+        assert_eq!(fibs.stats, out.stats);
+        assert_eq!(out.stats.devices_changed, out.changed.len());
+        let differing = (base.healthy_fibs().iter().zip(&scratch))
+            .filter(|(h, s)| h != s)
+            .count();
+        assert_eq!(out.changed.len(), differing, "changed device list: {what}");
+        let mut rules = 0usize;
+        for (i, (d, patch)) in out.changed.iter().enumerate() {
             let healthy = &base.healthy_fibs()[d.0 as usize];
-            assert_ne!(
-                fib, healthy,
-                "unchanged device reported as changed: {what}"
-            );
+            let target = &scratch[d.0 as usize];
+            assert_eq!(fibs.changed[i].0, *d);
+            assert_eq!(fibs.touched[i], patch.prefixes().collect::<Vec<_>>());
+            assert!(!patch.is_empty(), "unchanged device reported: {what}");
+            rules += patch.len();
+            for w in patch.ops().windows(2) {
+                let (a, b) = (w[0].prefix(), w[1].prefix());
+                assert!(
+                    a.len() > b.len() || (a.len() == b.len() && a.addr() < b.addr()),
+                    "patch order {a} then {b}: {what}"
+                );
+            }
+            for op in patch.ops() {
+                let base_rule = healthy.entry_for(op.prefix());
+                match op {
+                    PatchOp::Set(r) => assert!(
+                        base_rule.is_none_or(|e| e.local != r.local
+                            || healthy.next_hops(e) != r.next_hops.as_slice()),
+                        "patch restates the healthy rule for {}: {what}",
+                        r.prefix
+                    ),
+                    PatchOp::Withdraw(p) => {
+                        assert!(base_rule.is_some(), "withdrawal of absent {p}: {what}")
+                    }
+                }
+            }
             assert_eq!(
-                touched,
-                &diff_prefixes(healthy, fib),
-                "touched prefixes diverge from the real diff: {what}"
+                patch,
+                &FibPatch::from_delta(&Fib::delta(healthy, target)),
+                "patch diverges from the real diff: {what}"
             );
+            assert_eq!(&healthy.patched(patch), target, "patched table: {what}");
         }
+        assert_eq!(out.stats.rules_touched, rules);
+        out.stats
     }
 
     #[test]
@@ -1041,26 +890,14 @@ mod tests {
     fn every_single_link_failure_matches_scratch_on_clos() {
         let t = build_clos(&ClosParams::default());
         let base = Baseline::converge(&t, &SimConfig::healthy());
-        let mut patched = 0usize;
-        let mut repropagated = 0usize;
+        let mut total = RestartStats::default();
         for l in t.links() {
             let fault = FaultSpec::links([l.id]);
-            let out = base.resimulate(&fault);
-            patched += out.stats.patched;
-            repropagated += out.stats.repropagated;
-            let spliced = out.splice(base.healthy_fibs());
-            let mut faulted = t.clone();
-            fault.apply(&mut faulted);
-            assert_eq!(
-                spliced,
-                simulate(&faulted, &SimConfig::healthy()),
-                "link {}",
-                l.id.0
-            );
+            total.absorb(&assert_scenario_exact(&base, &fault, &format!("link {}", l.id.0)));
         }
         // The sweep must exercise both repair paths.
-        assert!(patched > 0, "no scenario used the patch fast path");
-        assert!(repropagated > 0, "no scenario used the BFS fallback");
+        assert!(total.patched > 0, "no scenario used the patch fast path");
+        assert!(total.repropagated > 0, "no scenario used the BFS fallback");
     }
 
     #[test]
@@ -1143,5 +980,10 @@ mod tests {
         let base = Baseline::converge(&f.topology, &SimConfig::healthy());
         let out = base.resimulate(&FaultSpec::links([l]));
         assert!(out.changed.is_empty(), "re-failing a down link is a no-op");
+        // ... and changes nothing about what a live link's failure does.
+        let live = f.topology.link_between(f.tors[0], f.a[1]).unwrap().id;
+        let alone = assert_scenario_exact(&base, &FaultSpec::links([live]), "live link");
+        let both = assert_scenario_exact(&base, &FaultSpec::links([l, live]), "down + live");
+        assert_eq!(alone, both);
     }
 }

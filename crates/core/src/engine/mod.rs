@@ -19,6 +19,17 @@
 //!
 //! All must produce semantically identical verdicts; the integration
 //! suite and proptest harness check them against each other.
+//!
+//! An engine is asked one of two questions. *What does this table
+//! violate?* is [`Engine::validate_device`]. *What does it violate now
+//! that these rules changed, given what it violated before?* comes in
+//! three shapes of the same answer: [`Engine::validate_touched`] (the
+//! new table and the prefixes that differ — the primitive),
+//! [`Engine::validate_delta`] (the new table and a wire delta) and
+//! [`Engine::validate_patch`] (the *old* table and a
+//! [`bgpsim::FibPatch`] — for callers with no other use for the new
+//! one). Only the first must be implemented; the trie engine serves
+//! all three from one locate → judge → splice body.
 
 pub mod smt;
 pub mod trie;
@@ -26,7 +37,7 @@ pub mod trie_reference;
 
 use crate::contracts::DeviceContracts;
 use crate::report::ValidationReport;
-use bgpsim::Fib;
+use bgpsim::{Fib, FibPatch};
 use netprim::wire::FibDelta;
 use netprim::Prefix;
 
@@ -73,6 +84,26 @@ pub trait Engine {
         self.validate_touched(fib, contracts, &touched, prior)
     }
 
+    /// [`validate_touched`](Self::validate_touched) for a caller that
+    /// holds the new table only as `base` plus the `patch` that turns
+    /// `base` into it (`prior` is `base`'s report): a what-if explorer
+    /// pricing a restarted state, which re-hops a handful of rules per
+    /// device and has no other use for the table. The result must be
+    /// identical to `validate_device(&base.patched(patch), contracts)`.
+    /// This default builds the table; an engine that can judge the pair
+    /// directly does so instead. A wrapper must forward this method
+    /// too, or every state an explorer evaluates builds its tables.
+    fn validate_patch(
+        &self,
+        base: &Fib,
+        patch: &FibPatch,
+        contracts: &DeviceContracts,
+        prior: &ValidationReport,
+    ) -> ValidationReport {
+        let touched: Vec<Prefix> = patch.prefixes().collect();
+        self.validate_touched(&base.patched(patch), contracts, &touched, prior)
+    }
+
     /// Engine name for logs and benchmark labels.
     fn name(&self) -> &'static str;
 }
@@ -92,6 +123,16 @@ impl Engine for Box<dyn Engine + Sync> {
         prior: &ValidationReport,
     ) -> ValidationReport {
         (**self).validate_touched(fib, contracts, touched, prior)
+    }
+
+    fn validate_patch(
+        &self,
+        base: &Fib,
+        patch: &FibPatch,
+        contracts: &DeviceContracts,
+        prior: &ValidationReport,
+    ) -> ValidationReport {
+        (**self).validate_patch(base, patch, contracts, prior)
     }
 
     fn name(&self) -> &'static str {
@@ -171,6 +212,20 @@ impl<E: Engine> Engine for ObservedEngine<E> {
         report
     }
 
+    fn validate_patch(
+        &self,
+        base: &Fib,
+        patch: &FibPatch,
+        contracts: &DeviceContracts,
+        prior: &ValidationReport,
+    ) -> ValidationReport {
+        self.delta_checks.inc();
+        let timer = self.delta_latency.start_timer();
+        let report = self.inner.validate_patch(base, patch, contracts, prior);
+        timer.stop();
+        report
+    }
+
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -178,11 +233,61 @@ impl<E: Engine> Engine for ObservedEngine<E> {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use bgpsim::{simulate, Fib, SimConfig};
+    use bgpsim::{simulate, Fib, FibPatch, SimConfig};
     use dctopo::generator::Figure3;
     use dctopo::MetadataService;
+    use netprim::Prefix;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
+    use super::{trie::TrieEngine, Engine};
     use crate::contracts::{generate_contracts, DeviceContracts};
+    use crate::report::ValidationReport;
+
+    /// Which entry point each call into a [`Counting`] engine used.
+    #[derive(Default)]
+    pub struct Calls {
+        pub device: AtomicUsize,
+        pub touched: AtomicUsize,
+        pub patch: AtomicUsize,
+    }
+
+    /// A trie engine that counts its calls by entry point, each
+    /// forwarded to the same entry point underneath.
+    pub struct Counting(pub TrieEngine, pub Arc<Calls>);
+
+    impl Engine for Counting {
+        fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
+            self.1.device.fetch_add(1, Ordering::Relaxed);
+            self.0.validate_device(fib, contracts)
+        }
+
+        fn validate_touched(
+            &self,
+            fib: &Fib,
+            contracts: &DeviceContracts,
+            touched: &[Prefix],
+            prior: &ValidationReport,
+        ) -> ValidationReport {
+            self.1.touched.fetch_add(1, Ordering::Relaxed);
+            self.0.validate_touched(fib, contracts, touched, prior)
+        }
+
+        fn validate_patch(
+            &self,
+            base: &Fib,
+            patch: &FibPatch,
+            contracts: &DeviceContracts,
+            prior: &ValidationReport,
+        ) -> ValidationReport {
+            self.1.patch.fetch_add(1, Ordering::Relaxed);
+            self.0.validate_patch(base, patch, contracts, prior)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
 
     /// Figure-3 fixture: healthy FIBs + contracts + metadata.
     pub fn fig3_healthy() -> (Figure3, Vec<Fib>, Vec<DeviceContracts>, MetadataService) {
@@ -214,67 +319,40 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::fig3_healthy;
+    use super::testutil::{fig3_healthy, Calls, Counting};
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
-
-    /// Counts which entry point each call arrived through.
-    #[derive(Default)]
-    struct Calls {
-        device: AtomicUsize,
-        touched: AtomicUsize,
-    }
-
-    struct CountingEngine(Arc<Calls>);
-
-    impl Engine for CountingEngine {
-        fn validate_device(&self, _: &Fib, _: &DeviceContracts) -> ValidationReport {
-            self.0.device.fetch_add(1, Ordering::Relaxed);
-            ValidationReport::default()
-        }
-
-        fn validate_touched(
-            &self,
-            _: &Fib,
-            _: &DeviceContracts,
-            _: &[Prefix],
-            prior: &ValidationReport,
-        ) -> ValidationReport {
-            self.0.touched.fetch_add(1, Ordering::Relaxed);
-            prior.clone()
-        }
-
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-    }
 
     #[test]
     fn wrappers_forward_the_delta_primitive() {
-        // `validate_touched` has a correct-but-slow default, so a
-        // wrapper that forgot to forward it would pass every
-        // equivalence suite while validating in full each time.
+        // `validate_touched` and `validate_patch` have correct-but-slow
+        // defaults, so a wrapper that forgot to forward one would pass
+        // every equivalence suite while validating in full — or
+        // building every table — each time.
         let (f, fibs, contracts, _meta) = fig3_healthy();
         let tor = f.tors[0].0 as usize;
         let (fib, dc) = (&fibs[tor], &contracts[tor]);
         let calls = Arc::new(Calls::default());
         let registry = obskit::Registry::new();
-        let boxed: Box<dyn Engine + Sync> = Box::new(CountingEngine(calls.clone()));
+        let boxed: Box<dyn Engine + Sync> =
+            Box::new(Counting(trie::TrieEngine::new(), calls.clone()));
         let engine = ObservedEngine::new(boxed, &registry);
 
         let prior = ValidationReport::default();
         engine.validate_touched(fib, dc, &[f.prefixes[1]], &prior);
         engine.validate_delta(fib, dc, &Fib::delta(fib, fib), &prior);
+        engine.validate_patch(fib, &FibPatch::default(), dc, &prior);
 
         assert_eq!(calls.touched.load(Ordering::Relaxed), 2);
+        assert_eq!(calls.patch.load(Ordering::Relaxed), 1);
         assert_eq!(calls.device.load(Ordering::Relaxed), 0);
         let checks = |op| {
             registry
                 .snapshot()
                 .counter("rcdc_engine_checks_total", &[("engine", "counting"), ("op", op)])
         };
-        assert_eq!(checks("delta"), Some(2));
+        assert_eq!(checks("delta"), Some(3));
         assert_eq!(checks("full"), Some(0));
     }
 }

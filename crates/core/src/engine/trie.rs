@@ -42,12 +42,29 @@
 //! cursor advance, one mask compare and no allocation, which is why
 //! this engine is orders of magnitude faster than the SMT path
 //! (benchmarks E1, E17).
+//!
+//! **One incremental body over a `(base, patch)` view.** Revalidation
+//! after a small change is locate → judge → splice
+//! (`TrieEngine::revalidate`): ask the contract set which contracts
+//! the touched prefixes can affect, judge those, carry the rest of the
+//! prior report over. What it judges against is a `View` — a base
+//! table seen through a [`FibPatch`], rules named by `u32` handles —
+//! so the same body serves [`Engine::validate_touched`] (the table as
+//! it stands: the empty patch) and [`Engine::validate_patch`] (a
+//! what-if state: the anchor's table plus the ~3 rules the fault
+//! moved). When the re-judged contracts are few, candidates come from
+//! binary searches over the base's sorted entries, corrected by the
+//! patch, and the patched table is never built; the batched sweep
+//! needs the arena, so it — and a patch that rewrites a large share of
+//! the table — builds the table first and proceeds as if handed it.
 
 use crate::contracts::{preorder_key, Contract, ContractKind, DeviceContracts, Expectation};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
-use bgpsim::{Fib, FibEntry};
+use bgpsim::{Fib, FibPatch, PatchOp};
+use netprim::wire::DeltaRule;
 use netprim::{HopSet, IpRange, Ipv4, Prefix};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Sentinel for "no node" in the flat arena.
@@ -186,11 +203,108 @@ impl FlatTrie {
     }
 }
 
+/// One rule of the table being judged.
+#[derive(Clone, Copy)]
+struct Rule {
+    prefix: Prefix,
+    local: bool,
+    /// Names the rule's next hops to [`View::hops`] and the
+    /// [`HopCodex`]: a base pool id, or the pool length plus `j` for
+    /// the rule patch outcome `j` sets — so a patch rule never aliases
+    /// a pooled set.
+    hops: u32,
+}
+
+/// The table a judgement reads: a base table seen through a patch,
+/// never built. Rules are named by `u32` handles — `i < base.len()` is
+/// base entry `i`, `base.len() + j` is the rule patch outcome `j` sets.
+/// A base entry the patch replaces or withdraws is still there under
+/// its handle; it is the candidate lookup that must not hand it out.
+struct View<'a> {
+    base: &'a Fib,
+    patch: &'a [PatchOp],
+}
+
+impl<'a> View<'a> {
+    /// A table as it stands: the empty patch.
+    fn of(fib: &'a Fib) -> View<'a> {
+        View {
+            base: fib,
+            patch: &[],
+        }
+    }
+
+    fn set_rule(&self, j: usize) -> &'a DeltaRule {
+        match &self.patch[j] {
+            PatchOp::Set(r) => r,
+            PatchOp::Withdraw(p) => unreachable!("withdrawal of {p} named as a rule"),
+        }
+    }
+
+    #[inline]
+    fn rule(&self, handle: u32) -> Rule {
+        match self.base.entries().get(handle as usize) {
+            Some(e) => Rule {
+                prefix: e.prefix,
+                local: e.local,
+                hops: e.set,
+            },
+            None => {
+                let j = handle as usize - self.base.len();
+                let r = self.set_rule(j);
+                Rule {
+                    prefix: r.prefix,
+                    local: r.local,
+                    hops: (self.base.set_pool_len() + j) as u32,
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn hops(&self, id: u32) -> &'a [Ipv4] {
+        match (id as usize).checked_sub(self.base.set_pool_len()) {
+            None => self.base.set(id),
+            Some(j) => &self.set_rule(j).next_hops,
+        }
+    }
+
+    /// The handle patch outcome `j` puts a rule under, if it sets one.
+    fn set_handle(&self, j: usize) -> Option<u32> {
+        matches!(self.patch[j], PatchOp::Set(_)).then(|| (self.base.len() + j) as u32)
+    }
+
+    /// The rule for exactly `prefix`: the patch's word before the
+    /// base's.
+    fn exact(&self, prefix: Prefix) -> Option<Rule> {
+        let handle = match self.patch.iter().position(|op| op.prefix() == prefix) {
+            Some(j) => self.set_handle(j),
+            None => self.base.index_of(prefix).map(|i| i as u32),
+        };
+        handle.map(|h| self.rule(h))
+    }
+
+    /// The `0.0.0.0/0` rule. Outcomes are in canonical order, so the
+    /// patch's word on it is its last.
+    fn default_rule(&self) -> Option<Rule> {
+        match self.patch.last() {
+            Some(op) if op.prefix().is_default() => {
+                self.set_handle(self.patch.len() - 1).map(|h| self.rule(h))
+            }
+            // Sorted by descending length: the default, if any, is last.
+            _ => self
+                .base
+                .default_entry()
+                .map(|_| self.rule(self.base.len() as u32 - 1)),
+        }
+    }
+}
+
 /// Per-device next-hop encoding: addresses → bits, so candidate
-/// matching is a [`HopSet`] equality. FIB pool sets are encoded at
-/// most once (memoized by pool id), contract expectations at most once
-/// per shared `Arc` (memoized by pointer — the 10⁴-device workload
-/// shares one expectation across ~10⁴ contracts per ToR).
+/// matching is a [`HopSet`] equality. Rule hop sets are encoded at
+/// most once (memoized by [`Rule::hops`] id), contract expectations at
+/// most once per shared `Arc` (memoized by pointer — the 10⁴-device
+/// workload shares one expectation across ~10⁴ contracts per ToR).
 struct HopCodex {
     enabled: bool,
     universe: HashMap<Ipv4, u16, BuildFold>,
@@ -201,13 +315,13 @@ struct HopCodex {
     /// contracts all point at the same leaf set), so the common probe
     /// is a pointer compare instead of a map lookup.
     last_expect: Option<(usize, Option<HopSet>)>,
-    /// The previous `hops_match` verdict, keyed by (interned set id,
+    /// The previous `hops_match` verdict, keyed by (rule hop-set id,
     /// expectation pointer). Both identify their hop set exactly — the
-    /// pool interns per FIB, the expectation buffer is stable for the
-    /// codex's lifetime — so a repeat is the same comparison. Long
-    /// stretches of contracts hit one (ECMP set, expectation) pair, and
-    /// the repeat costs a 12-byte compare instead of two 64-byte set
-    /// loads.
+    /// id names one pooled set or one patch rule, the expectation
+    /// buffer is stable for the codex's lifetime — so a repeat is the
+    /// same comparison. Long stretches of contracts hit one (ECMP set,
+    /// expectation) pair, and the repeat costs a 12-byte compare
+    /// instead of two 64-byte set loads.
     last_verdict: Option<(u32, usize, bool)>,
 }
 
@@ -254,11 +368,25 @@ impl FoldHasher {
 type BuildFold = std::hash::BuildHasherDefault<FoldHasher>;
 
 impl HopCodex {
-    fn new(fib: &Fib) -> HopCodex {
+    fn new(view: &View) -> HopCodex {
         HopCodex {
             enabled: true,
             universe: HashMap::default(),
-            pool: vec![None; fib.set_pool_len()],
+            pool: vec![None; view.base.set_pool_len() + view.patch.len()],
+            expect: HashMap::default(),
+            last_expect: None,
+            last_verdict: None,
+        }
+    }
+
+    /// A codex that encodes nothing: every comparison is the exact
+    /// vector compare. For a handful of contracts, where building the
+    /// encoding costs more than the compares it would save.
+    fn off() -> HopCodex {
+        HopCodex {
+            enabled: false,
+            universe: HashMap::default(),
+            pool: Vec::new(),
             expect: HashMap::default(),
             last_expect: None,
             last_verdict: None,
@@ -285,13 +413,13 @@ impl HopCodex {
         Some(s)
     }
 
-    fn set_of_entry(&mut self, fib: &Fib, e: &FibEntry) -> Option<HopSet> {
-        if let Some(s) = self.pool[e.set as usize] {
+    fn set_of_rule(&mut self, view: &View, id: u32) -> Option<HopSet> {
+        if let Some(s) = self.pool[id as usize] {
             return Some(s);
         }
-        let s = self.encode(fib.next_hops(e));
+        let s = self.encode(view.hops(id));
         if let Some(s) = s {
-            self.pool[e.set as usize] = Some(s);
+            self.pool[id as usize] = Some(s);
         }
         s
     }
@@ -319,27 +447,27 @@ impl HopCodex {
         s
     }
 
-    /// Does the entry forward to exactly the expected hop set?
-    /// Verdict-identical to `fib.next_hops(e) == expected`.
-    fn hops_match(&mut self, fib: &Fib, e: &FibEntry, expected: &[Ipv4]) -> bool {
+    /// Does the rule forward to exactly the expected hop set?
+    /// Verdict-identical to `view.hops(id) == expected`.
+    fn hops_match(&mut self, view: &View, id: u32, expected: &[Ipv4]) -> bool {
         if self.enabled {
             let key = expected.as_ptr() as usize;
             if let Some((s, p, v)) = self.last_verdict {
-                if s == e.set && p == key {
+                if s == id && p == key {
                     return v;
                 }
             }
-            match (self.set_of_entry(fib, e), self.set_of_expected(expected)) {
+            match (self.set_of_rule(view, id), self.set_of_expected(expected)) {
                 (Some(a), Some(b)) => {
                     let v = a == b;
-                    self.last_verdict = Some((e.set, key, v));
+                    self.last_verdict = Some((id, key, v));
                     return v;
                 }
                 (None, _) => self.enabled = false,
                 _ => {}
             }
         }
-        fib.next_hops(e) == expected
+        view.hops(id) == expected
     }
 }
 
@@ -422,15 +550,14 @@ impl TrieEngine {
         TrieEngine { strict: false }
     }
 
-    fn check_default(fib: &Fib, c: &Contract, out: &mut Vec<Violation>) {
-        let entry = fib.default_entry();
-        match (&c.expectation, entry) {
+    fn check_default(view: &View, c: &Contract, out: &mut Vec<Violation>) {
+        match (&c.expectation, view.default_rule()) {
             (Expectation::NextHops(expected), Some(e)) => {
                 if e.local {
                     out.push(Violation::of(c, ViolationReason::LocalityMismatch));
                     return;
                 }
-                let actual = fib.next_hops(e);
+                let actual = view.hops(e.hops);
                 if actual != &expected[..] {
                     out.push(Violation::of(
                         c,
@@ -471,7 +598,8 @@ impl TrieEngine {
         tagged: &mut Vec<(u32, Violation)>,
     ) {
         specs.sort_by_key(|(_, c)| preorder_key(c.prefix));
-        let mut codex = HopCodex::new(fib);
+        let view = &View::of(fib);
+        let mut codex = HopCodex::new(view);
         let nodes = &trie.nodes;
         let n = nodes.len();
         // Sweep state: open ancestors of the current contract + the
@@ -531,7 +659,7 @@ impl TrieEngine {
             anc.extend(stack.iter().rev().map(|&s| nodes[s as usize].entry));
 
             cviol.clear();
-            self.judge_one(fib, &mut desc, &anc, c, &mut codex, prior_missing, &mut cviol);
+            self.judge_one(view, &mut desc, &anc, c, &mut codex, prior_missing, &mut cviol);
             prior_missing |= cviol
                 .iter()
                 .any(|v| v.reason == ViolationReason::MissingRoute);
@@ -540,25 +668,28 @@ impl TrieEngine {
     }
 
     /// Judge specific contracts without a trie: candidates come from
-    /// binary searches over the `(descending length, ascending
+    /// binary searches over the base's `(descending length, ascending
     /// address)` entry order — one address-range probe per length run
     /// at or below the contract's length for descendants, one address
-    /// probe per shorter run for the unique possible ancestor. The
-    /// candidate set `{r | C ⊆ r ∨ r ⊆ C}` and its judging order are
-    /// exactly the sweep's, so verdicts stay byte-identical; only the
-    /// lookup strategy differs. Worth it when a delta re-checks a
-    /// handful of contracts in a large table: O(specs · runs · log n)
-    /// against the sweep's O(n) trie build.
+    /// probe per shorter run for the unique possible ancestor — and
+    /// then take the patch's word: a base rule the patch replaces or
+    /// withdraws is dropped, a rule it sets joins under its own handle.
+    /// The candidate set `{r | C ⊆ r ∨ r ⊆ C}` and its judging order are
+    /// exactly what the sweep finds in the patched table, so verdicts
+    /// stay byte-identical; only the lookup strategy differs. Worth it
+    /// when a delta re-checks a handful of contracts in a large table:
+    /// O(specs · (runs · log n + patch)) against the sweep's O(n) trie
+    /// build — and the only lookup that needs no table built.
     fn judge_specifics_direct(
         &self,
-        fib: &Fib,
+        view: &View,
         specs: &mut [(u32, &Contract)],
         tagged: &mut Vec<(u32, Violation)>,
     ) {
         // Same contract order as the sweep — the cross-contract
         // `MissingRoute` dedup must see the same neighbors.
         specs.sort_by_key(|(_, c)| preorder_key(c.prefix));
-        let entries = fib.entries();
+        let entries = view.base.entries();
         // Length-run boundaries in storage order (descending length).
         let mut runs: Vec<(u32, u32)> = Vec::new();
         let mut start = 0usize;
@@ -569,7 +700,7 @@ impl TrieEngine {
             runs.push((start as u32, end as u32));
             start = end;
         }
-        let mut codex = HopCodex::new(fib);
+        let mut codex = HopCodex::off();
         let mut desc: Vec<u32> = Vec::new();
         let mut anc: Vec<u32> = Vec::new();
         let mut cviol: Vec<Violation> = Vec::new();
@@ -608,8 +739,32 @@ impl TrieEngine {
                     }
                 }
             }
+            for (j, op) in view.patch.iter().enumerate() {
+                let p = op.prefix();
+                let inside = c.prefix.contains_prefix(p);
+                if !inside && !p.contains_prefix(c.prefix) {
+                    continue;
+                }
+                if let Some(replaced) = view.base.index_of(p) {
+                    let list = if inside { &mut desc } else { &mut anc };
+                    list.retain(|&h| h as usize != replaced);
+                }
+                match view.set_handle(j) {
+                    Some(h) if inside => desc.push(h),
+                    Some(h) => {
+                        // Keep leaf→root order: at most one candidate
+                        // per length contains the contract.
+                        let at = anc
+                            .iter()
+                            .position(|&a| view.rule(a).prefix.len() < p.len())
+                            .unwrap_or(anc.len());
+                        anc.insert(at, h);
+                    }
+                    None => {}
+                }
+            }
             cviol.clear();
-            self.judge_one(fib, &mut desc, &anc, c, &mut codex, prior_missing, &mut cviol);
+            self.judge_one(view, &mut desc, &anc, c, &mut codex, prior_missing, &mut cviol);
             prior_missing |= cviol
                 .iter()
                 .any(|v| v.reason == ViolationReason::MissingRoute);
@@ -617,7 +772,7 @@ impl TrieEngine {
         }
     }
 
-    /// Judge one specific contract given its candidate entry sets:
+    /// Judge one specific contract given its candidate rule handles:
     /// `descendants` (rules the contract contains, re-sorted here) and
     /// `ancestors` (rules strictly containing it, descending prefix
     /// length). Verdicts and violation order are identical to the
@@ -627,7 +782,7 @@ impl TrieEngine {
     #[allow(clippy::too_many_arguments)]
     fn judge_one(
         &self,
-        fib: &Fib,
+        view: &View,
         descendants: &mut [u32],
         ancestors: &[u32],
         c: &Contract,
@@ -635,13 +790,12 @@ impl TrieEngine {
         prior_missing: bool,
         out: &mut Vec<Violation>,
     ) {
-        let entries = fib.entries();
         let expected = match &c.expectation {
             Expectation::NextHops(h) => h,
             Expectation::Local => {
                 // Not generated today, but handle defensively: the
                 // covering rule must be local.
-                if let Some(e) = fib.entry_for(c.prefix) {
+                if let Some(e) = view.exact(c.prefix) {
                     if !e.local {
                         out.push(Violation::of(c, ViolationReason::LocalityMismatch));
                     }
@@ -651,15 +805,15 @@ impl TrieEngine {
                 return;
             }
         };
-        let mismatch = |e: &FibEntry, codex: &mut HopCodex| {
-            let matches = !e.local && codex.hops_match(fib, e, expected);
+        let mismatch = |e: Rule, codex: &mut HopCodex| {
+            let matches = !e.local && codex.hops_match(view, e.hops, expected);
             (!matches).then(|| {
                 Violation::of(
                     c,
                     ViolationReason::NextHopMismatch {
                         rule: e.prefix,
                         expected: expected.to_vec(),
-                        actual: fib.next_hops(e).to_vec(),
+                        actual: view.hops(e.hops).to_vec(),
                     },
                 )
             })
@@ -667,12 +821,14 @@ impl TrieEngine {
         // Fast path (the common workload): the only candidate that can
         // serve the range is an exact-match rule with no extensions —
         // one mask compare, no coverage accumulator, no allocation.
-        if descendants.len() == 1 && entries[descendants[0] as usize].prefix == c.prefix {
-            let e = &entries[descendants[0] as usize];
-            if let Some(v) = mismatch(e, codex) {
-                out.push(v);
+        if let [only] = *descendants {
+            let e = view.rule(only);
+            if e.prefix == c.prefix {
+                if let Some(v) = mismatch(e, codex) {
+                    out.push(v);
+                }
+                return;
             }
-            return;
         }
         // Candidates in descending prefix length: descendants
         // re-sorted, then the ancestors (strictly shorter than the
@@ -680,14 +836,14 @@ impl TrieEngine {
         // the emission order of the reference engine's trie walk — so
         // reports stay byte-identical across the rewrite.
         descendants.sort_unstable_by_key(|&i| {
-            let p = entries[i as usize].prefix;
+            let p = view.rule(i).prefix;
             (std::cmp::Reverse(p.len()), std::cmp::Reverse(p.addr()))
         });
         // Minimal length, minimal address sorts last: an exact-match
         // rule can only be the final descendant.
         let exact = descendants
             .last()
-            .is_some_and(|&i| entries[i as usize].prefix == c.prefix);
+            .is_some_and(|&i| view.rule(i).prefix == c.prefix);
         if self.strict && !exact {
             // Production strictness: the exact specific route must be
             // programmed, whatever broader rules would do (§2.6.2
@@ -696,7 +852,7 @@ impl TrieEngine {
         }
         let mut coverage = Coverage::new(c.prefix.range());
         for &i in descendants.iter().chain(ancestors.iter()) {
-            let e = &entries[i as usize];
+            let e = view.rule(i);
             // A rule only matters for the part of the contract range it
             // actually serves: extensions serve their own range; an
             // ancestor rule serves whatever is left uncovered. A rule
@@ -729,7 +885,7 @@ impl TrieEngine {
     /// Check the default contracts among `indices` on the spot and
     /// hand back the specific ones for a batched judgement.
     fn split<'c>(
-        fib: &Fib,
+        view: &View,
         contracts: &'c DeviceContracts,
         indices: impl Iterator<Item = u32>,
         tagged: &mut Vec<(u32, Violation)>,
@@ -740,7 +896,7 @@ impl TrieEngine {
             let c = &contracts.contracts()[i as usize];
             match c.kind {
                 ContractKind::Default => {
-                    Self::check_default(fib, c, &mut buf);
+                    Self::check_default(view, c, &mut buf);
                     tagged.extend(buf.drain(..).map(|v| (i, v)));
                 }
                 ContractKind::Specific => specs.push((i, c)),
@@ -760,39 +916,41 @@ impl TrieEngine {
             solver_stats: smtkit::SessionStats::default(),
         }
     }
-}
 
-impl Engine for TrieEngine {
-    fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
-        let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let mut specs = Self::split(fib, contracts, 0..contracts.len() as u32, &mut tagged);
-        if !specs.is_empty() {
-            let trie = FlatTrie::build(fib);
-            self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
-        }
-        Self::finish(tagged, contracts)
-    }
-
-    /// The incremental path (§2.6.1's continuous monitoring workload):
-    /// locate the contracts whose prefix space the change touched,
-    /// judge only those, and splice their verdicts into `prior` by
-    /// contract index. Verdicts are emitted in contract order either
-    /// way, so the result is identical — violation for violation — to
-    /// a full pass. (Same-prefix contracts are affected together, so
-    /// the sweep-local `MissingRoute` dedup sees the same neighbors.)
-    fn validate_touched(
+    /// The incremental path (§2.6.1's continuous monitoring workload,
+    /// and every state a what-if explorer prices): locate the contracts
+    /// whose prefix space the change touched, judge only those against
+    /// `base` seen through `patch`, and splice their verdicts into
+    /// `prior` by contract index. `touched` names the prefixes at which
+    /// that table differs from the one `prior` judged — the patch's own
+    /// prefixes when there is one. Verdicts are emitted in contract
+    /// order either way, so the result is identical — violation for
+    /// violation — to a full pass over the patched table. (Same-prefix
+    /// contracts are affected together, so the sweep-local
+    /// `MissingRoute` dedup sees the same neighbors.)
+    fn revalidate(
         &self,
-        fib: &Fib,
-        contracts: &DeviceContracts,
+        base: &Fib,
+        patch: Option<&FibPatch>,
         touched: &[Prefix],
+        contracts: &DeviceContracts,
         prior: &ValidationReport,
     ) -> ValidationReport {
+        let view = &View {
+            base,
+            patch: patch.map_or(&[], FibPatch::ops),
+        };
+        // Whoever needs the patched table itself builds it here.
+        let table = || match patch {
+            None => Cow::Borrowed(base),
+            Some(patch) => Cow::Owned(base.patched(patch)),
+        };
         // A churn that rewrote a large share of the table re-checks
         // most contracts anyway; skip the bookkeeping and go full. The
         // same fallback covers a prior report from a different contract
         // set (republished contracts change the count).
-        if touched.len() * 4 > fib.len() || prior.contracts_checked != contracts.len() {
-            return self.validate_device(fib, contracts);
+        if touched.len() * 4 > base.len() || prior.contracts_checked != contracts.len() {
+            return self.validate_device(&table(), contracts);
         }
         let mut affected = contracts.affected(touched);
         if affected.is_empty() {
@@ -819,27 +977,68 @@ impl Engine for TrieEngine {
             affected.sort_unstable();
             affected.dedup();
         }
-        let mut specs = Self::split(fib, contracts, affected.iter().copied(), &mut tagged);
+        let mut specs = Self::split(view, contracts, affected.iter().copied(), &mut tagged);
         if !specs.is_empty() {
-            // The trie costs O(table) to build; a handful of
-            // re-checked contracts is cheaper to serve by binary
-            // search straight off the sorted entries (the what-if
-            // sweep's per-scenario shape: one or two touched prefixes
-            // per changed device). Both produce identical verdicts.
-            if specs.len() * 16 <= fib.len() {
-                self.judge_specifics_direct(fib, &mut specs, &mut tagged);
+            // The trie costs O(table) to build — and needs the table
+            // built; a handful of re-checked contracts is cheaper to
+            // serve by binary search straight off the sorted entries
+            // (the what-if sweep's per-scenario shape: one or two
+            // touched prefixes per changed device). Both produce
+            // identical verdicts.
+            if specs.len() * 16 <= base.len() {
+                self.judge_specifics_direct(view, &mut specs, &mut tagged);
             } else {
-                let trie = FlatTrie::build(fib);
-                self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
+                let fib = table();
+                let trie = FlatTrie::build(&fib);
+                self.judge_specifics(&fib, &trie, &mut specs, &mut tagged);
             }
         }
         Self::finish(tagged, contracts)
+    }
+}
+
+impl Engine for TrieEngine {
+    fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
+        let mut tagged: Vec<(u32, Violation)> = Vec::new();
+        let view = &View::of(fib);
+        let mut specs = Self::split(view, contracts, 0..contracts.len() as u32, &mut tagged);
+        if !specs.is_empty() {
+            let trie = FlatTrie::build(fib);
+            self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
+        }
+        Self::finish(tagged, contracts)
+    }
+
+    /// The empty-patch case of `TrieEngine::revalidate`.
+    fn validate_touched(
+        &self,
+        fib: &Fib,
+        contracts: &DeviceContracts,
+        touched: &[Prefix],
+        prior: &ValidationReport,
+    ) -> ValidationReport {
+        self.revalidate(fib, None, touched, contracts, prior)
+    }
+
+    /// `TrieEngine::revalidate` over `(base, patch)`: the
+    /// patched table is built only when the patch is large or reaches
+    /// most of the contracts.
+    fn validate_patch(
+        &self,
+        base: &Fib,
+        patch: &FibPatch,
+        contracts: &DeviceContracts,
+        prior: &ValidationReport,
+    ) -> ValidationReport {
+        let touched: Vec<Prefix> = patch.prefixes().collect();
+        self.revalidate(base, Some(patch), &touched, contracts, prior)
     }
 
     fn name(&self) -> &'static str {
         "trie"
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,15 +8,18 @@
 //!
 //! * an [`Anchor`] is a converged routing fixed point with every
 //!   device validated — [`Explorer::converge`] is the only place one is
-//!   built, reusing the root's verdict for every table whose content
-//!   hash did not move and the caller's memo for the rest;
+//!   built, and the only place a table is hashed: the root's verdict is
+//!   reused for every table whose content hash did not move and the
+//!   caller's `(device, fib hash)` [`VerdictMemo`] for the rest, where
+//!   a hit saves a whole-table validation;
 //! * [`Explorer::restart`] prices a fault set from an anchor: the
-//!   fixed point is patched ([`Baseline::resimulate`]), only the
-//!   devices whose FIBs changed come back, each with the prefixes its
-//!   table differs at, and each is revalidated against its anchor
-//!   report ([`Engine::validate_touched`], clean or not) unless the
-//!   cross-state `(device, fib hash)` [`VerdictMemo`] already holds its
-//!   verdict;
+//!   fixed point is restarted ([`Baseline::restart`]), only the devices
+//!   whose FIBs changed come back, each as the *patch* — the handful of
+//!   rules — its table differs by, and each is revalidated as
+//!   `(anchor table, patch)` against its anchor report
+//!   ([`Engine::validate_patch`], clean or not). No faulted table is
+//!   built, hashed or memoized: a state costs what its touched rules
+//!   cost;
 //! * a [`Judge`] reads the resulting reports against a
 //!   [`FailCondition`], and a [`Tally`] turns "which devices changed"
 //!   into the fabric-wide count by subtracting the anchor's share and
@@ -41,11 +44,13 @@ use obskit::{Counter, Histogram, Registry};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 
-/// Cross-state verdict memo: validation is pure in the FIB bytes and
+/// Cross-anchor verdict memo: validation is pure in the FIB bytes and
 /// the contract set, so `(device, fib content hash)` fully determines
-/// the report no matter which fault or change context produced the
-/// table — the same argument that makes the pipeline's `VerdictCache`
-/// `(fib_hash, epoch)` key sound across scenarios.
+/// the report no matter which change context produced the table — the
+/// same argument that makes the pipeline's `VerdictCache`
+/// `(fib_hash, epoch)` key sound. Consulted only where anchors are
+/// converged, which hash every table anyway; restarted states are
+/// cheaper to judge than to fingerprint.
 pub(crate) type VerdictMemo = RwLock<HashMap<(u32, u64), ValidationReport>>;
 
 /// What makes a state count as a failure of the fabric.
@@ -231,7 +236,7 @@ impl ExploreMetrics {
             ),
             reused: registry.counter(
                 &format!("rcdc_{explorer}_verdicts_reused_total"),
-                &format!("per-device verdicts answered from the cross-{unit} memo"),
+                "per-device verdicts reused while converging anchors",
                 &[],
             ),
         }
@@ -254,24 +259,14 @@ pub(crate) struct Anchor {
 }
 
 /// What one [`Explorer::restart`] found: only the devices whose FIBs
-/// differ from the anchor's, with their new reports, and the work it
-/// took.
+/// differ from the anchor's, each revalidated, with their new reports,
+/// and the work it took.
 #[derive(Default)]
 pub(crate) struct StateDelta {
     /// Changed devices and their new reports, ascending by device id.
     pub(crate) changed: Vec<(DeviceId, ValidationReport)>,
     /// Fixed-point restart work counters.
     pub(crate) stats: RestartStats,
-    /// Devices delta-validated; the rest of `changed` were answered
-    /// from the verdict memo.
-    pub(crate) revalidated: usize,
-}
-
-impl StateDelta {
-    /// Devices answered from the verdict memo.
-    pub(crate) fn reused(&self) -> usize {
-        self.changed.len() - self.revalidated
-    }
 }
 
 /// Running totals over the states an exploration evaluated — the
@@ -282,7 +277,8 @@ pub(crate) struct Totals {
     pub(crate) states: usize,
     /// Per-device validations performed.
     pub(crate) revalidated: usize,
-    /// Per-device verdicts reused.
+    /// Per-device verdicts reused while converging anchors (a
+    /// restarted state revalidates every device it changes).
     pub(crate) reused: usize,
     /// Summed restart work counters.
     pub(crate) restart: RestartStats,
@@ -292,8 +288,7 @@ impl Totals {
     /// Account for one evaluated state.
     pub(crate) fn add(&mut self, delta: &StateDelta) {
         self.states += 1;
-        self.revalidated += delta.revalidated;
-        self.reused += delta.reused();
+        self.revalidated += delta.changed.len();
         self.restart.absorb(&delta.stats);
     }
 
@@ -449,14 +444,14 @@ impl Explorer {
 
     /// Converge another network over the same devices into an anchor.
     /// Tables equal to the root's keep the root's verdicts; with a
-    /// memo, tables seen in earlier states keep theirs.
+    /// memo, tables seen in earlier anchors keep theirs.
     pub(crate) fn converge(
         &self,
         topology: &Topology,
         config: &SimConfig,
         memo: Option<&VerdictMemo>,
     ) -> Anchor {
-        converge_anchor(
+        let anchor = converge_anchor(
             self.engine.as_ref(),
             self.threads,
             &self.contracts,
@@ -464,50 +459,41 @@ impl Explorer {
             memo,
             topology,
             config,
-        )
+        );
+        if let Some(m) = &self.metrics {
+            m.reused.add((anchor.reports.len() - anchor.revalidated) as u64);
+        }
+        anchor
     }
 
     /// Evaluate `fault` from `anchor`: restart the fixed point and
-    /// revalidate exactly the devices whose FIBs changed, each against
-    /// its anchor report. A table is hashed only when there is a memo
-    /// to key; a one-shot evaluation skips it.
-    pub(crate) fn restart(
-        &self,
-        anchor: &Anchor,
-        fault: &FaultSpec,
-        memo: Option<&VerdictMemo>,
-    ) -> StateDelta {
+    /// revalidate exactly the devices whose FIBs changed, each as its
+    /// anchor table plus the rules that differ, against its anchor
+    /// report. No table is built, hashed or remembered: the work is
+    /// proportional to the rules the fault moved. The empty fault set
+    /// is the anchor itself.
+    pub(crate) fn restart(&self, anchor: &Anchor, fault: &FaultSpec) -> StateDelta {
+        if fault.is_empty() {
+            return StateDelta::default();
+        }
         let _timer = self.metrics.as_ref().map(|m| m.latency.start_timer());
-        let out = anchor.baseline.resimulate(fault);
-        let mut delta = StateDelta {
-            changed: Vec::with_capacity(out.changed.len()),
-            stats: out.stats,
-            ..StateDelta::default()
-        };
-        for ((d, fib), touched) in out.changed.into_iter().zip(out.touched) {
-            let du = d.0 as usize;
-            let key = memo.map(|m| (m, (d.0, fib.content_hash())));
-            let hit = key.and_then(|(m, k)| m.read().get(&k).cloned());
-            let report = hit.unwrap_or_else(|| {
-                delta.revalidated += 1;
-                let r = self.engine.validate_touched(
-                    &fib,
-                    &self.contracts[du],
-                    &touched,
-                    &anchor.reports[du],
-                );
-                if let Some((m, k)) = key {
-                    m.write().insert(k, r.clone());
-                }
-                r
-            });
-            delta.changed.push((d, report));
-        }
+        let out = anchor.baseline.restart(fault);
+        let tables = anchor.baseline.healthy_fibs();
+        let changed: Vec<(DeviceId, ValidationReport)> = (out.changed.iter())
+            .map(|(d, patch)| {
+                let du = d.0 as usize;
+                let (contracts, prior) = (&self.contracts[du], &anchor.reports[du]);
+                let report = self.engine.validate_patch(&tables[du], patch, contracts, prior);
+                (*d, report)
+            })
+            .collect();
         if let Some(m) = &self.metrics {
-            m.revalidated.add(delta.revalidated as u64);
-            m.reused.add(delta.reused() as u64);
+            m.revalidated.add(changed.len() as u64);
         }
-        delta
+        StateDelta {
+            changed,
+            stats: out.stats,
+        }
     }
 }
 
@@ -516,9 +502,55 @@ mod tests {
     use super::*;
     use crate::rollout::{ConfigChange, ManagedNetwork, PlanOptions};
     use crate::validator::Validator;
-    use crate::whatif::SweepOptions;
+    use crate::engine::testutil::{Calls, Counting};
+    use crate::whatif::{SweepOptions, WhatIfSweeper};
+    use crate::TrieEngine;
     use dctopo::generator::figure3;
     use dctopo::LinkState;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    #[test]
+    fn restarted_states_reach_the_engine_as_patches_only() {
+        // Every equivalence suite passes just as well if a state's
+        // tables are built and handed over whole — through a forwarder
+        // that forgets `validate_patch`, or a `restart` that calls the
+        // wrong primitive. Only the call counts tell.
+        let f = figure3();
+        let meta = MetadataService::from_topology(&f.topology);
+        let calls = Arc::new(Calls::default());
+        let explorer = Explorer::new(
+            &f.topology,
+            &SimConfig::healthy(),
+            crate::generate_contracts(&meta),
+            Box::new(Counting(TrieEngine::new(), calls.clone())),
+            1,
+            Some(meta),
+            None,
+        );
+        let anchored = calls.device.load(Ordering::Relaxed);
+        assert_eq!(anchored, f.topology.len(), "the root anchor validates every table");
+        let report = WhatIfSweeper::new(explorer, None).sweep(&SweepOptions {
+            k: 1,
+            exhaustive: true,
+            condition: FailCondition::Blackhole,
+            ..SweepOptions::default()
+        });
+        assert!(report.devices_revalidated > 0);
+        // Figure 3 blackholes at k=1: the one-failure counterexample is
+        // evaluated once more to be reported (ddmin's only probe of it
+        // is the empty fault, which reaches no engine).
+        let reported = match &report.verdict {
+            crate::whatif::RobustnessVerdict::Counterexample(c) => c.changed_devices,
+            v => panic!("figure 3 leaves have single-homed defaults: {v}"),
+        };
+        assert_eq!(
+            calls.patch.load(Ordering::Relaxed),
+            report.devices_revalidated + reported
+        );
+        assert_eq!(calls.touched.load(Ordering::Relaxed), 0);
+        assert_eq!(calls.device.load(Ordering::Relaxed), anchored);
+    }
 
     #[test]
     fn both_explorers_export_the_shared_families_under_their_own_names() {

@@ -20,7 +20,9 @@
 //!    one affectedness test, answered from the contract set's own
 //!    preorder index — and splices them into the prior report;
 //!    [`Engine::validate_delta`] is the same call for a caller holding
-//!    a wire delta.
+//!    a wire delta, [`Engine::validate_patch`] for one holding the old
+//!    table and the rules that changed, which the trie engine judges
+//!    without building the new table.
 //! 3. **Reports, severity, classification** ([`report`], [`classify`]):
 //!    violations are ranked by risk (§2.6.4) and correlated with
 //!    operational metadata to recover the §2.6.2 root causes.
@@ -64,10 +66,11 @@
 //!
 //! Items 9 and 10 are two search policies over one crate-private
 //! state-evaluation core (`explore`): a converged, validated anchor;
-//! a fixed-point restart per fault set that revalidates only the
-//! devices whose FIBs changed, each through
-//! [`Engine::validate_touched`]; a cross-state `(device, FIB hash)`
-//! verdict memo; and one judge of which violations count.
+//! a fixed-point restart per fault set that returns, per device whose
+//! FIB changed, the handful of rules that differ, and revalidates each
+//! as `(anchor table, patch)` through [`Engine::validate_patch`] — no
+//! per-state table, hash or memo, so a state costs what its touched
+//! rules cost; and one judge of which violations count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,8 +25,10 @@
 //!   restart from that anchor. Anchors never bake faults in, so one
 //!   anchor serves every fault combination above it — and ddmin can
 //!   evaluate *arbitrary* subsets, not just search prefixes.
-//! * One verdict memo spans the whole search frontier, so a table seen
-//!   under one ordering is never validated again under another.
+//! * One verdict memo spans the anchors a search converges (seeded
+//!   with the final state's verdicts), so a table validated for one
+//!   anchor is not validated again for another. Restarted states are
+//!   judged as rule patches against their anchor and never hashed.
 //!
 //! A state is *safe* when every condition-matching violation in it is
 //! **allowed** — present in the production baseline (pre-existing
@@ -456,9 +458,14 @@ pub struct PlanReport {
     pub condition: FailCondition,
     /// Distinct intermediate states evaluated (anchors + restarts).
     pub states_evaluated: usize,
-    /// Per-device delta validations performed.
+    /// Per-device validations performed: every device a restarted
+    /// state changed, plus the tables of each converged anchor that no
+    /// earlier verdict covered.
     pub devices_revalidated: usize,
-    /// Per-device verdicts answered from the cross-state memo.
+    /// Per-device verdicts reused while converging anchors: tables
+    /// equal to production's, or already validated for the final state
+    /// or an earlier anchor. (A restarted state reuses nothing — it
+    /// revalidates exactly the devices it changes.)
     pub verdicts_reused: usize,
     /// Converged anchors built for general-change subsets.
     pub anchors_built: usize,
@@ -740,7 +747,7 @@ impl RolloutPlanner {
             Vec::new()
         } else {
             let anchor = built.as_ref().unwrap_or(root);
-            self.explorer.restart(anchor, &fault, None).changed
+            self.explorer.restart(anchor, &fault).changed
         };
         let mut reports = built.map_or_else(|| root.reports.clone(), |a| a.reports);
         for (d, r) in changed {
@@ -853,8 +860,8 @@ struct Search<'a> {
     /// violations — present in states the operator already accepts.
     judge: Judge<'a>,
     threads: usize,
-    /// Cross-state `(device, fib content hash)` verdict memo shared
-    /// across the whole search frontier.
+    /// `(device, fib content hash)` verdict memo shared by every
+    /// anchor the search converges.
     memo: VerdictMemo,
     max_backtracks: usize,
     /// Transient-violation count per evaluated canonical mask.
@@ -934,13 +941,9 @@ impl<'a> Search<'a> {
 
     /// Evaluate a fault set from an anchor: the state's transient
     /// count (the anchor's, patched with the changed devices) and its
-    /// delta. The empty fault set is the anchor itself.
+    /// delta.
     fn eval_fault(&self, anchor: &Anchor, tally: &Tally, fault: &FaultSpec) -> (usize, StateDelta) {
-        let delta = if fault.is_empty() {
-            StateDelta::default()
-        } else {
-            self.p.explorer.restart(anchor, fault, Some(&self.memo))
-        };
+        let delta = self.p.explorer.restart(anchor, fault);
         (tally.spliced(&self.judge, &delta.changed), delta)
     }
 
@@ -951,8 +954,8 @@ impl<'a> Search<'a> {
     }
 
     /// Build (or reuse) the converged anchor for a general-change
-    /// subset. Devices whose tables match production or an earlier
-    /// state reuse their memoized verdicts.
+    /// subset. Devices whose tables match production, the final state
+    /// or an earlier anchor reuse those verdicts.
     fn ensure_anchor(&mut self, g: u128) {
         if g == 0 || self.anchors.contains_key(&g) {
             return;
@@ -1430,18 +1433,23 @@ mod tests {
         };
         let (_f, net, changes) = migrate();
         let planner = planner_for(&net);
-        let restart = |prefixes, patched, repropagated, devices_changed| RestartStats {
-            prefixes,
-            patched,
-            repropagated,
-            devices_changed,
+        let restart = |prefixes, patched, repropagated, devices_changed, rules_touched| {
+            RestartStats {
+                prefixes,
+                patched,
+                repropagated,
+                devices_changed,
+                rules_touched,
+            }
         };
         let naive = planner.check_order(&changes, &blackhole(true)).unwrap();
         assert_eq!(naive.states_evaluated, 2);
         let report = planner.plan(&changes, &blackhole(true)).unwrap();
         assert_eq!(
             counters(&report),
-            (4, 26, 40, 1, 0, 0, restart(20, 12, 4, 46))
+            // 26 + 40 = 52 + 14: restarted states no longer probe the
+            // verdict memo; the 14 left are the anchor's reused tables.
+            (4, 52, 14, 1, 0, 0, restart(20, 12, 4, 46, 58))
         );
 
         let topology = dctopo::build_clos(&dctopo::ClosParams {
@@ -1459,13 +1467,15 @@ mod tests {
         assert!(accepted.is_safe());
         assert_eq!(
             counters(&accepted),
-            (7, 50, 58, 0, 0, 0, restart(35, 21, 10, 108))
+            // No anchors here, so nothing is reused: 50 + 58 = 108.
+            (7, 108, 0, 0, 0, 0, restart(35, 21, 10, 108, 168))
         );
         let strict = planner.plan(&changes, &blackhole(false)).unwrap();
         assert!(!strict.is_safe());
         assert_eq!(
             counters(&strict),
-            (8, 53, 67, 0, 0, 0, restart(40, 24, 8, 120))
+            // 53 + 67 = 120.
+            (8, 120, 0, 0, 0, 0, restart(40, 24, 8, 120, 144))
         );
         let order = planner.check_order(&changes, &blackhole(true)).unwrap();
         assert_eq!(order.states_evaluated, 7);

@@ -287,7 +287,7 @@ pub(crate) struct FleetVerdicts {
 /// table, take the verdict `known(device, hash)` already holds for it
 /// or queue the device, validate the queue, scatter the results back.
 /// What counts as known — a warm-start report, an anchor's root, a
-/// cross-state memo, nothing — is the caller's policy.
+/// cross-anchor memo, nothing — is the caller's policy.
 pub(crate) fn validate_fleet(
     engine: &(dyn Engine + Sync),
     threads: usize,

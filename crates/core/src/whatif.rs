@@ -10,9 +10,9 @@
 //!
 //! The evaluation itself is `crate::explore`'s: a scenario is a
 //! [`FaultSpec`] restarted from the healthy root anchor — only the
-//! devices whose FIBs change come back, delta-validated against their
-//! healthy reports or answered from the sweep's cross-scenario verdict
-//! memo — and judged against the sweep's [`FailCondition`]. What this
+//! devices whose FIBs change come back, each judged as its healthy
+//! table plus the rules that differ, against its healthy report — and
+//! judged against the sweep's [`FailCondition`]. What this
 //! module owns is the *search policy*: which scenarios to visit, in
 //! which order, and which to skip.
 //!
@@ -25,16 +25,15 @@
 //! removing any single failure from the reported set makes the
 //! contracts pass again.
 
-use crate::explore::{Explorer, Judge, StateDelta, Tally, Totals, VerdictMemo};
+use crate::explore::{Explorer, Judge, StateDelta, Tally, Totals};
 use crate::report::ValidationReport;
 use crate::shrink::shrink_list;
 use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
 use dctopo::{DeviceId, LinkId, Topology};
 use obskit::Registry;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -173,9 +172,12 @@ pub struct SweepReport {
     /// Every failing scenario, in enumeration order (exhaustive mode
     /// only; otherwise just the first).
     pub failing: Vec<Vec<FailureElement>>,
-    /// Per-device delta validations performed.
+    /// Per-device delta validations performed: one per device a
+    /// scenario changed.
     pub devices_revalidated: usize,
-    /// Per-device verdicts answered from the cross-scenario memo.
+    /// Per-device verdicts reused while converging anchors. A sweep
+    /// converges none beyond the healthy root and a scenario
+    /// revalidates every device it changes, so this is 0.
     pub verdicts_reused: usize,
     /// Aggregated restart work counters across all scenarios.
     pub restart: RestartStats,
@@ -202,9 +204,9 @@ pub struct ScenarioCheck {
     pub changed: Vec<(DeviceId, ValidationReport)>,
     /// Restart work counters.
     pub stats: RestartStats,
-    /// Devices delta-validated for this scenario.
+    /// Devices delta-validated for this scenario: all of `changed`.
     pub revalidated: usize,
-    /// Devices answered from the cross-scenario verdict memo.
+    /// Verdicts reused from an anchor's convergence; 0 for a scenario.
     pub reused: usize,
 }
 
@@ -224,7 +226,6 @@ struct Scope<'a> {
     /// The healthy fabric's offending counts, computed once per call
     /// so a scenario only recounts its changed devices.
     healthy: Tally,
-    memo: Option<&'a VerdictMemo>,
 }
 
 impl WhatIfSweeper {
@@ -257,7 +258,7 @@ impl WhatIfSweeper {
     ///
     /// On a risk-ranked condition without metadata (`sweep` and
     /// `check_scenario` have no error channel).
-    fn scope<'a>(&'a self, condition: FailCondition, memo: Option<&'a VerdictMemo>) -> Scope<'a> {
+    fn scope(&self, condition: FailCondition) -> Scope<'_> {
         let judge = self
             .explorer
             .judge(condition, HashSet::new())
@@ -265,7 +266,6 @@ impl WhatIfSweeper {
         Scope {
             healthy: Tally::of(&judge, self.healthy_reports()),
             judge,
-            memo,
         }
     }
 
@@ -276,14 +276,14 @@ impl WhatIfSweeper {
         elems: &[FailureElement],
         condition: FailCondition,
     ) -> ScenarioCheck {
-        let (matching, delta) = self.eval(elems, &self.scope(condition, None));
+        let (matching, delta) = self.eval(elems, &self.scope(condition));
         ScenarioCheck {
             fails: matching > 0,
             matching_violations: matching,
-            reused: delta.reused(),
+            revalidated: delta.changed.len(),
+            reused: 0,
             changed: delta.changed,
             stats: delta.stats,
-            revalidated: delta.revalidated,
         }
     }
 
@@ -299,9 +299,7 @@ impl WhatIfSweeper {
 
     /// One scenario's offending-violation count and state delta.
     fn eval(&self, elems: &[FailureElement], scope: &Scope) -> (usize, StateDelta) {
-        let delta = self
-            .explorer
-            .restart(self.explorer.root(), &to_fault(elems), scope.memo);
+        let delta = self.explorer.restart(self.explorer.root(), &to_fault(elems));
         let matching = scope.healthy.spliced(&scope.judge, &delta.changed);
         self.explorer.record_outcome(matching > 0);
         if let Some(h) = &self.delta_devices {
@@ -332,8 +330,7 @@ impl WhatIfSweeper {
     /// failing scenario in enumeration order.
     pub fn sweep(&self, opts: &SweepOptions) -> SweepReport {
         let start = Instant::now();
-        let memo: VerdictMemo = RwLock::new(HashMap::new());
-        let scope = self.scope(opts.condition, Some(&memo));
+        let scope = self.scope(opts.condition);
         let threads = self.explorer.threads_or(opts.threads);
         let mut totals = Totals::default();
         let mut pruned = 0usize;
@@ -847,7 +844,8 @@ mod tests {
         // content for a device; the cached verdict must still be
         // correct, because validation is pure in the FIB bytes and the
         // contract set — the fault context is not an input. The
-        // sweeper's cross-scenario memo relies on exactly this purity.
+        // planner's cross-anchor verdict memo relies on exactly this
+        // purity.
         let (f, sweeper) = fig3_sweeper();
         let meta = MetadataService::from_topology(&f.topology);
         let tor1_leaf = f.topology.link_between(f.tors[1], f.a[0]).unwrap().id;
@@ -914,15 +912,22 @@ mod tests {
             condition: FailCondition::Blackhole,
             ..SweepOptions::default()
         });
-        let restart = |prefixes, patched, repropagated, devices_changed| RestartStats {
-            prefixes,
-            patched,
-            repropagated,
-            devices_changed,
+        let restart = |prefixes, patched, repropagated, devices_changed, rules_touched| {
+            RestartStats {
+                prefixes,
+                patched,
+                repropagated,
+                devices_changed,
+                rules_touched,
+            }
         };
+        // Every changed device is revalidated (1588 + the 4160 the
+        // cross-scenario memo used to answer: restarted states are no
+        // longer hashed), and level 0 — the empty fault — no longer
+        // walks the 5-prefix work list (2645 - 5).
         assert_eq!(
             counters(&exhaustive),
-            (529, 0, 1588, 4160, restart(2645, 1120, 1504, 5748))
+            (529, 0, 5748, 0, restart(2640, 1120, 1504, 5748, 11332))
         );
         let topology = dctopo::build_clos(&dctopo::ClosParams {
             clusters: 2,
@@ -944,9 +949,10 @@ mod tests {
             ..SweepOptions::default()
         });
         assert_eq!(sampled.verdict, RobustnessVerdict::Robust(2));
+        // Same two reasons: 224 + 21 memo hits = 245, 225 - 9.
         assert_eq!(
             counters(&sampled),
-            (25, 0, 224, 21, restart(225, 174, 42, 245))
+            (25, 0, 245, 0, restart(216, 174, 42, 245, 585))
         );
     }
 

@@ -12,10 +12,13 @@
 //! across contract groups, duplicate same-prefix contracts, and
 //! non-canonical expectation vectors (which must bypass the bitset
 //! codex). The delta path gets its own shape on top — small churn
-//! against a dirty prior — because independently drawn tables differ
-//! almost everywhere and only ever reach the large-churn fallback.
+//! against a dirty prior, aimed at the rules the contracts read —
+//! because independently drawn tables differ almost everywhere and only
+//! ever reach the large-churn fallback. Every small-churn case enters
+//! the one incremental judge all three ways: the new table with its
+//! touched prefixes, the old table with the patch, and a full pass.
 
-use bgpsim::{Fib, FibBuilder};
+use bgpsim::{Fib, FibBuilder, FibPatch};
 use dctopo::DeviceId;
 use netprim::{Ipv4, Prefix};
 use proptest::collection::vec;
@@ -160,29 +163,75 @@ fn splice_contracts_strategy() -> impl Strategy<Value = Vec<Spec>> {
         })
 }
 
-/// One step of small churn; indices wrap around the rule list.
+/// Where a directed edit lands relative to a contract's prefix.
+#[derive(Debug, Clone, Copy)]
+enum Near {
+    /// The exact rule the strict engine insists on.
+    Exact,
+    /// One bit longer: an extension inside the contract.
+    Extension,
+    /// One bit shorter (the default route from a /24): an ancestor.
+    Ancestor,
+    /// The default route, whatever the contract.
+    Default,
+}
+
+/// One step of small churn; indices wrap around the rule list or the
+/// contract list.
 #[derive(Debug, Clone)]
 enum Edit {
     Drop(usize),
     Rehop(usize),
     Insert(Spec),
+    /// Withdraw the rule at that spot by a contract, or add one there
+    /// if the table has none.
+    Toggle(usize, Near, Vec<Ipv4>),
 }
 
 fn edit_strategy() -> impl Strategy<Value = Edit> {
+    let near = prop_oneof![
+        Just(Near::Exact),
+        Just(Near::Extension),
+        Just(Near::Ancestor),
+        Just(Near::Default),
+    ];
     prop_oneof![
         (0usize..1000).prop_map(Edit::Drop),
         (0usize..1000).prop_map(Edit::Rehop),
         rule_strategy().prop_map(Edit::Insert),
+        (0usize..1000, near.clone(), hops_strategy()).prop_map(|(i, n, h)| Edit::Toggle(i, n, h)),
+        (0usize..1000, near, hops_strategy()).prop_map(|(i, n, h)| Edit::Toggle(i, n, h)),
     ]
 }
 
-/// `base` as a table, `base` after as many of `edits` as keep the
-/// change small enough for the engines' delta path, and the prefixes
-/// the two differ at — out of order, one of them twice.
-fn small_churn(base: &[Spec], edits: &[Edit], mix: usize) -> (Fib, Fib, Vec<Prefix>) {
-    let old = build_fib(base);
+fn spec_prefix(offset: u32, len: u8) -> Prefix {
+    if len == 0 {
+        Prefix::DEFAULT
+    } else {
+        prefix(offset, len)
+    }
+}
+
+/// `base` plus the exact rules of the contracts `mix` selects as a
+/// table, that table after as many of `edits` as keep the change small
+/// enough for the engines' delta path, and the prefixes the two differ
+/// at — out of order, one of them twice.
+fn small_churn(
+    base: &[Spec],
+    contracts: &[Spec],
+    edits: &[Edit],
+    mix: usize,
+) -> (Fib, Fib, Vec<Prefix>) {
     let mut rules = base.to_vec();
-    let (mut new, mut touched) = (build_fib(base), Vec::new());
+    // Exact rules there to be withdrawn, satisfying their contract
+    // until they are.
+    for (i, (offset, len, hops, _)) in contracts.iter().enumerate() {
+        if mix >> (i % 12) & 1 == 1 {
+            rules.push((*offset, *len, hops.clone(), false));
+        }
+    }
+    let old = build_fib(&rules);
+    let (mut new, mut touched) = (old.clone(), Vec::new());
     for edit in edits {
         match edit {
             Edit::Drop(i) => drop(rules.remove(i % rules.len())),
@@ -191,11 +240,31 @@ fn small_churn(base: &[Spec], edits: &[Edit], mix: usize) -> (Fib, Fib, Vec<Pref
                 (rules[i % n].2, rules[i % n].3) = (vec![FOREIGN_HOP], false);
             }
             Edit::Insert(rule) => rules.push(rule.clone()),
+            Edit::Toggle(i, near, hops) => {
+                let (offset, len, ..) = contracts[i % contracts.len()];
+                let (offset, len) = match near {
+                    Near::Exact => (offset, len),
+                    Near::Extension if len == 0 => (offset, 24),
+                    Near::Extension => (offset, (len + 1).min(32)),
+                    Near::Ancestor if len > 24 => (offset, len - 1),
+                    Near::Ancestor | Near::Default => (0, 0),
+                };
+                let at = spec_prefix(offset, len);
+                let before = rules.len();
+                rules.retain(|r| spec_prefix(r.0, r.1) != at);
+                if rules.len() == before {
+                    rules.push((offset, len, hops.clone(), false));
+                }
+            }
+        }
+        if rules.is_empty() {
+            break;
         }
         let next = build_fib(&rules);
         let differ: Vec<Prefix> = Fib::delta(&old, &next).touched_prefixes().collect();
-        // One slot stays free for the repeat.
-        if (differ.len() + 1) * 4 > next.len() {
+        // One slot stays free for the repeat; the patch is measured
+        // against the old table, the touched list against the new.
+        if (differ.len() + 1) * 4 > next.len().min(old.len()) {
             break;
         }
         (new, touched) = (next, differ);
@@ -252,13 +321,15 @@ proptest! {
     /// matches the reference engine's delta path: through a random
     /// delta between unrelated tables (the large-churn fallback), and
     /// through small churn against a dirty prior (locate, judge,
-    /// splice).
+    /// splice) — the latter given as the new table with its touched
+    /// prefixes *and* as the old table with the patch.
     #[test]
     fn incremental_matches_full_and_reference(
         old_rules in vec(rule_strategy(), 0..14),
         new_rules in vec(rule_strategy(), 0..14),
         specs in contracts_strategy(),
         base in vec(rule_strategy(), 16..=48),
+        filler in 0u32..=200,
         edits in vec(edit_strategy(), 1..=12),
         mix in 0usize..10_000,
         splice_specs in splice_contracts_strategy(),
@@ -275,10 +346,23 @@ proptest! {
             let inc = flat.validate_delta(&new, &dc, &delta, &prior);
             prop_assert_eq!(&inc, &flat.validate_device(&new, &dc));
             prop_assert_eq!(&inc, &reference.validate_delta(&new, &dc, &delta, &prior));
+            let patch = FibPatch::from_delta(&delta);
+            prop_assert_eq!(&inc, &flat.validate_patch(&old, &patch, &dc, &prior));
         }
 
-        let (old, new, touched) = small_churn(&base, &edits, mix);
+        // Rules in other /24s than the one every contract reads: they
+        // overlap no contract, and make the table large enough, in
+        // about half the cases, for the few re-judged contracts to take
+        // the engine's trie-less lookup instead of the sweep.
+        let mut base = base;
+        base.extend((0..filler).map(|i| {
+            (256 + i * 37 % 3840, 24 + (i % 9) as u8, vec![Ipv4(0x1e00_0001 + i % 3)], false)
+        }));
+        let (old, new, touched) = small_churn(&base, &splice_specs, &edits, mix);
         prop_assert!(touched.len() * 4 <= new.len(), "generator strayed onto the fallback");
+        let patch = FibPatch::from_delta(&Fib::delta(&old, &new));
+        prop_assert!(patch.len() * 4 <= old.len(), "generator strayed onto the fallback");
+        prop_assert_eq!(old.patched(&patch).content_hash(), new.content_hash());
         let dc = build_contracts(&splice_specs);
         for (flat, reference) in [
             (TrieEngine::new(), ReferenceTrieEngine::new()),
@@ -286,9 +370,11 @@ proptest! {
         ] {
             let prior = flat.validate_device(&old, &dc);
             prop_assert!(!prior.is_clean());
-            let inc = flat.validate_touched(&new, &dc, &touched, &prior);
-            prop_assert_eq!(&inc, &flat.validate_device(&new, &dc));
-            prop_assert_eq!(&inc, &reference.validate_touched(&new, &dc, &touched, &prior));
+            let full = flat.validate_device(&new, &dc);
+            prop_assert_eq!(&flat.validate_patch(&old, &patch, &dc, &prior), &full);
+            prop_assert_eq!(&flat.validate_touched(&new, &dc, &touched, &prior), &full);
+            prop_assert_eq!(&reference.validate_touched(&new, &dc, &touched, &prior), &full);
+            prop_assert_eq!(&reference.validate_patch(&old, &patch, &dc, &prior), &full);
         }
     }
 

@@ -3,8 +3,9 @@
 //!
 //! The planner ([`rcdc::RolloutPlanner`]) prices each explored
 //! intermediate state as a delta — restart-patched fixed points from
-//! general-subset anchors, touched-device-only revalidation, and a
-//! cross-state `(device, fib hash)` verdict memo. All of that reuse
+//! general-subset anchors, changed devices revalidated as rule patches
+//! against their anchor tables, and a cross-anchor `(device, fib hash)`
+//! verdict memo. All of that reuse
 //! must be invisible in the reports. This oracle builds a small seeded
 //! fabric with a seeded maintenance scenario (uplink migration or rack
 //! decommission, optionally mixed with device overrides), then:

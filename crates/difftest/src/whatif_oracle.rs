@@ -1,9 +1,10 @@
 //! Oracle: incremental what-if scenario evaluation vs brute force.
 //!
 //! The k-failure sweeper ([`rcdc::WhatIfSweeper`]) gets its speed from
-//! two reuse layers — the fault-injected fixed-point restart and
-//! delta-only revalidation with a cross-scenario verdict memo. Both
-//! must be invisible in the verdicts. This oracle builds a small
+//! two reuse layers — the fault-injected fixed-point restart, which
+//! returns each changed device's table as a rule patch, and the
+//! engines' revalidation of `(healthy table, patch)` against the
+//! healthy report. Both must be invisible in the verdicts. This oracle builds a small
 //! seeded fabric (Figure 3 or a tiny random Clos, optionally already
 //! degraded, under a random fault-injection config), then:
 //!

@@ -250,13 +250,13 @@ fn cmd_whatif(args: &[String]) -> Result<bool, String> {
         report.scenarios_checked as f64 / secs,
     ));
     say(format!(
-        "restart: {} prefixes touched, {} patched, {} repropagated; \
-         {} devices revalidated, {} verdicts reused",
-        report.restart.prefixes,
+        "restart: {} rules touched on {} devices ({} prefixes patched, \
+         {} repropagated); {} devices revalidated",
+        report.restart.rules_touched,
+        report.restart.devices_changed,
         report.restart.patched,
         report.restart.repropagated,
         report.devices_revalidated,
-        report.verdicts_reused,
     ));
     match &report.verdict {
         RobustnessVerdict::Robust(k) => {

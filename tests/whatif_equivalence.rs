@@ -150,6 +150,11 @@ proptest! {
         if exhaustive {
             prop_assert_eq!(&serial.failing, &parallel.failing);
             prop_assert_eq!(serial.scenarios_checked, parallel.scenarios_checked);
+            // Nothing in a scenario's work depends on which scenario
+            // ran first, so the work counters agree too.
+            prop_assert_eq!(serial.devices_revalidated, parallel.devices_revalidated);
+            prop_assert_eq!(serial.verdicts_reused, parallel.verdicts_reused);
+            prop_assert_eq!(serial.restart, parallel.restart);
         }
     }
 
