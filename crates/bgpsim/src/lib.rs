@@ -29,7 +29,6 @@ pub mod fib;
 pub mod restart;
 pub mod route;
 pub mod sim;
-pub mod sim_reference;
 
 pub use config::{DeviceOverride, SimConfig};
 pub use fib::{Fib, FibBuilder, FibEntry, FibPatch, PatchOp};

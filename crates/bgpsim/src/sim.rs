@@ -43,8 +43,7 @@ pub struct SimOptions {
     /// Force the legacy `Vec<Ipv4>` hop accumulation instead of the
     /// [`HopSet`] bitset path. This is also the automatic fallback
     /// when a device's neighbor table exceeds [`HopSet::CAPACITY`];
-    /// it stays public as the pre-change baseline for the E17 bench
-    /// and the equivalence tests.
+    /// it stays public so the equivalence tests can force it.
     pub legacy_hops: bool,
 }
 

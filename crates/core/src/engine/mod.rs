@@ -2,8 +2,7 @@
 //!
 //! "The verification engine takes as input a prefix-based forwarding
 //! policy P and a contract C, and produces a list of rules in P that
-//! violate the contract" (§2.5). Two interchangeable backends, and the
-//! oracle one of them is held to:
+//! violate the contract" (§2.5). Two interchangeable backends:
 //!
 //! * [`smt::SmtEngine`] — the declarative bit-vector encoding of
 //!   §2.5.1, running on the `smtkit` solver ("flexible query language,
@@ -13,12 +12,10 @@
 //!   production monitoring pipeline. Since the flat-layout rewrite it
 //!   packs the trie into one arena and judges all contracts in a
 //!   single batched sweep.
-//! * [`trie_reference::ReferenceTrieEngine`] — the pre-rewrite
-//!   pointer trie, frozen as the equivalence oracle for the flat
-//!   engine; no [`crate::runner::EngineChoice`] selects it.
 //!
-//! All must produce semantically identical verdicts; the integration
-//! suite and proptest harness check them against each other.
+//! Both must produce semantically identical verdicts; the integration
+//! suite and the `difftest` harness check them against each other and
+//! against the frozen pre-rewrite pointer trie kept there.
 //!
 //! An engine is asked one of two questions. *What does this table
 //! violate?* is [`Engine::validate_device`]. *What does it violate now
@@ -33,7 +30,6 @@
 
 pub mod smt;
 pub mod trie;
-pub mod trie_reference;
 
 use crate::contracts::DeviceContracts;
 use crate::report::ValidationReport;

@@ -26,18 +26,13 @@
 //! under assumptions, so clause learning accumulates across the
 //! thousands of per-device queries. The default contract is checked
 //! structurally, as the special case the paper calls out.
-//!
-//! For the ablation measured by the E11 experiment, the engine can be
-//! switched to rebuild the whole session before every satisfiability
-//! call ([`SmtEngine::fresh_per_query`]), which is how a stateless
-//! solver binding would behave.
 
 use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::Fib;
 use netprim::Ipv4;
-use smtkit::{BoolId, Session, SessionStats, SmtResult, TermId};
+use smtkit::{BoolId, Session, SmtResult, TermId};
 
 /// Maximum violating rules enumerated per contract before giving up
 /// (defensive bound; real violations involve a handful of rules).
@@ -51,7 +46,6 @@ const MAX_WITNESSES: usize = 64;
 #[derive(Debug, Clone, Copy)]
 pub struct SmtEngine {
     strict: bool,
-    session_reuse: bool,
 }
 
 impl Default for SmtEngine {
@@ -63,26 +57,12 @@ impl Default for SmtEngine {
 impl SmtEngine {
     /// Production engine: strict mode, one incremental session per device.
     pub fn new() -> SmtEngine {
-        SmtEngine {
-            strict: true,
-            session_reuse: true,
-        }
+        SmtEngine { strict: true }
     }
 
     /// Formula-equivalence-only engine (Definition 2.1 semantics).
     pub fn semantic() -> SmtEngine {
-        SmtEngine {
-            strict: false,
-            session_reuse: true,
-        }
-    }
-
-    /// Ablation mode: tear the session down and re-encode the policy
-    /// before every satisfiability call instead of reusing one session
-    /// per device. Verdicts are identical; only cost differs (E11).
-    pub fn fresh_per_query(mut self) -> SmtEngine {
-        self.session_reuse = false;
-        self
+        SmtEngine { strict: false }
     }
 }
 
@@ -131,7 +111,6 @@ impl Engine for SmtEngine {
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
         let mut enc = DeviceEncoding::build(fib);
         let mut violations = Vec::new();
-        let mut stats = SessionStats::default();
 
         for c in contracts.contracts() {
             match c.kind {
@@ -139,22 +118,15 @@ impl Engine for SmtEngine {
                 // route … is handled as a special case": compare the
                 // default rule's next hops with the contract's directly.
                 ContractKind::Default => check_default(fib, c, &mut violations),
-                ContractKind::Specific => check_specific_smt(
-                    self.strict,
-                    self.session_reuse,
-                    fib,
-                    &mut enc,
-                    &mut stats,
-                    c,
-                    &mut violations,
-                ),
+                ContractKind::Specific => {
+                    check_specific_smt(self.strict, fib, &mut enc, c, &mut violations)
+                }
             }
         }
-        stats.absorb(&enc.session.stats());
         ValidationReport {
             violations,
             contracts_checked: contracts.len(),
-            solver_stats: stats,
+            solver_stats: enc.session.stats(),
         }
     }
 
@@ -195,10 +167,8 @@ fn check_default(fib: &Fib, c: &Contract, out: &mut Vec<Violation>) {
 
 fn check_specific_smt(
     strict: bool,
-    session_reuse: bool,
     fib: &Fib,
     enc: &mut DeviceEncoding,
-    stats: &mut SessionStats,
     c: &Contract,
     out: &mut Vec<Violation>,
 ) {
@@ -220,16 +190,10 @@ fn check_specific_smt(
 
     // Enumerate violating rules: find a witness, report the rule that
     // serves it, exclude that rule's range, repeat (§2.5: "produces a
-    // list of rules in P that violate the contract"). Exclusions are
-    // kept as plain ranges so the ablation mode can re-intern them
-    // into a fresh arena.
+    // list of rules in P that violate the contract").
     let mut excluded: Vec<(u64, u64)> = Vec::new();
     let mut reported = std::collections::HashSet::new();
     for _ in 0..MAX_WITNESSES {
-        if !session_reuse {
-            stats.absorb(&enc.session.stats());
-            *enc = DeviceEncoding::build(fib);
-        }
         let assumptions = {
             let (policy, x) = (enc.policy, enc.x);
             let a = enc.session.arena_mut();
@@ -288,6 +252,7 @@ mod tests {
     use super::*;
     use crate::engine::testutil::{fig3_faulted, fig3_healthy};
     use crate::engine::trie::TrieEngine;
+    use smtkit::SessionStats;
 
     #[test]
     fn healthy_figure3_is_clean() {
@@ -316,20 +281,6 @@ mod tests {
             key_t.sort();
             key_t.dedup();
             assert_eq!(key_s, key_t, "engine disagreement on {:?}", fib.device());
-        }
-    }
-
-    #[test]
-    fn fresh_per_query_matches_session_mode_verdicts() {
-        // The E11 ablation must not change any verdict, only cost.
-        let (_f, fibs, contracts, _meta) = fig3_faulted();
-        let warm = SmtEngine::new();
-        let cold = SmtEngine::new().fresh_per_query();
-        for (fib, dc) in fibs.iter().zip(&contracts) {
-            let rw = warm.validate_device(fib, dc);
-            let rc = cold.validate_device(fib, dc);
-            assert_eq!(rw.violations, rc.violations, "{:?}", fib.device());
-            assert_eq!(rw.contracts_checked, rc.contracts_checked);
         }
     }
 

@@ -22,10 +22,9 @@
 //! descendant run at the cursor. Soundness: the candidate set
 //! `{r | C ⊆ r ∨ r ⊆ C}` is identical to the per-contract walk's, and
 //! judging order (descending prefix length) is preserved, so verdicts
-//! are rule-for-rule identical — the `flat_trie_equivalence` suite and
-//! the difftest `engines`/`incremental` oracles gate this against
-//! [`ReferenceTrieEngine`](crate::engine::trie_reference) and the SMT
-//! engine. The root rule (`0.0.0.0/0`), when present, is the first
+//! are rule-for-rule identical — difftest's `flat_trie_equivalence`
+//! suite and `engines` oracle gate this against the frozen pointer
+//! trie kept there and the SMT engine. The root rule (`0.0.0.0/0`), when present, is the first
 //! node and contains every contract, so it enters the ancestor stack
 //! at the first contract and never leaves: default-route semantics
 //! survive group boundaries by construction.
@@ -41,7 +40,7 @@
 //! For the common workload (exact prefix hit) a contract costs one
 //! cursor advance, one mask compare and no allocation, which is why
 //! this engine is orders of magnitude faster than the SMT path
-//! (benchmarks E1, E17).
+//! (experiment E1).
 //!
 //! **One incremental body over a `(base, patch)` view.** Revalidation
 //! after a small change is locate → judge → splice
@@ -472,14 +471,14 @@ impl HopCodex {
 }
 
 /// Disjoint-range coverage accumulator over a contract's range.
-pub(crate) struct Coverage {
+struct Coverage {
     target: IpRange,
     covered: Vec<IpRange>, // sorted, disjoint
     covered_size: u64,
 }
 
 impl Coverage {
-    pub(crate) fn new(target: IpRange) -> Coverage {
+    fn new(target: IpRange) -> Coverage {
         Coverage {
             target,
             covered: Vec::new(),
@@ -489,7 +488,7 @@ impl Coverage {
 
     /// Add a range; returns the number of target addresses it newly
     /// covers (zero when longer rules already serve its whole span).
-    pub(crate) fn add(&mut self, r: IpRange) -> u64 {
+    fn add(&mut self, r: IpRange) -> u64 {
         let mut added = 0;
         if let Some(clipped) = r.intersect(self.target) {
             // Merge into the sorted disjoint list.
@@ -514,7 +513,7 @@ impl Coverage {
         added
     }
 
-    pub(crate) fn complete(&self) -> bool {
+    fn complete(&self) -> bool {
         self.covered_size >= self.target.size()
     }
 }
@@ -1494,43 +1493,5 @@ mod tests {
                 .count(),
             2
         );
-        // Verdicts (and order) identical to the reference engine.
-        use crate::engine::trie_reference::ReferenceTrieEngine;
-        assert_eq!(
-            r.violations,
-            ReferenceTrieEngine::new().validate_device(&fib, &dc).violations
-        );
-    }
-
-    #[test]
-    fn batched_sweep_matches_reference_on_figure3() {
-        // Rule-for-rule verdict identity with the frozen pointer-trie
-        // engine on both fixtures, full and incremental paths.
-        use crate::engine::trie_reference::ReferenceTrieEngine;
-        let (_f, healthy, contracts, _meta) = fig3_healthy();
-        let (_f2, faulted, _c2, _m2) = fig3_faulted();
-        for (flat, reference) in [
-            (TrieEngine::new(), ReferenceTrieEngine::new()),
-            (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
-        ] {
-            for (old, new) in [(&healthy, &faulted), (&faulted, &healthy)] {
-                for ((o, n), dc) in old.iter().zip(new.iter()).zip(&contracts) {
-                    assert_eq!(
-                        flat.validate_device(n, dc),
-                        reference.validate_device(n, dc),
-                        "full, device {:?}",
-                        n.device()
-                    );
-                    let delta = Fib::delta(o, n);
-                    let prior = flat.validate_device(o, dc);
-                    assert_eq!(
-                        flat.validate_delta(n, dc, &delta, &prior),
-                        reference.validate_delta(n, dc, &delta, &prior),
-                        "delta, device {:?}",
-                        n.device()
-                    );
-                }
-            }
-        }
     }
 }

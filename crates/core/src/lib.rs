@@ -96,9 +96,7 @@ pub mod whatif;
 
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use contracts::{generate_contracts, Contract, ContractKind, DeviceContracts};
-pub use engine::{
-    smt::SmtEngine, trie::TrieEngine, trie_reference::ReferenceTrieEngine, Engine, ObservedEngine,
-};
+pub use engine::{smt::SmtEngine, trie::TrieEngine, Engine, ObservedEngine};
 pub use report::{Risk, ValidationReport, Violation, ViolationReason};
 pub use rollout::{
     seeded_scenario, ConfigChange, ManagedNetwork, OrderCheck, PlanOptions, PlanReport, PlanStep,

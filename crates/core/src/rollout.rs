@@ -157,7 +157,7 @@ fn violations(report: DatacenterReport) -> Vec<Violation> {
 }
 
 /// A seeded rollout-scenario shape, shared by the `validatedc plan`
-/// subcommand, the difftest rollout oracle, and the E19 benchmark so
+/// subcommand, the difftest rollout oracle, and the perf ledger so
 /// they all exercise the same operations the planner was built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RolloutScenario {

@@ -15,22 +15,29 @@
 //! Claim 1 implication — if every local contract holds, the global
 //! baseline must find no dropped or looping paths for any hosted
 //! prefix.
+//!
+//! Cold-sweep mode (every seed): a random Clos no larger than
+//! 128 devices with random downed links, converged by
+//! `bgpsim::simulate_with` — serial, threaded and with the `Vec` hop
+//! path forced — and by the frozen [`reference::sim`](crate::reference::sim):
+//! every table must match bit for bit (interned pool layout
+//! included) with identical work counters, and every device's report
+//! under the flat trie must match the reference trie's rule for rule.
 
 use crate::gen::{
     build_contracts, build_fib, random_contract_specs, random_fib_specs, render_case,
     ContractSpec, FibSpec,
 };
+use crate::reference::trie::ReferenceTrieEngine;
 use crate::Failure;
-use bgpsim::{simulate, Fib, SimConfig};
+use bgpsim::{simulate, simulate_with, Fib, SimConfig, SimOptions};
 use dctopo::generator::figure3;
-use dctopo::{DeviceId, LinkState, MetadataService};
+use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Topology};
 use netprim::Prefix;
 use rcdc::contracts::Expectation;
 use rcdc::global_baseline::{forwarding_analysis, PathInfo};
 use rcdc::shrink::shrink_list;
-use rcdc::{
-    generate_contracts, Contract, ContractKind, Engine, ReferenceTrieEngine, SmtEngine, TrieEngine,
-};
+use rcdc::{generate_contracts, Contract, ContractKind, Engine, SmtEngine, TrieEngine};
 use simnet::rng::Rng;
 
 /// Violated-contract keys of a report: sorted, deduplicated
@@ -229,6 +236,125 @@ fn check_fabric_case(kills: &[usize], smt_devices: &[usize]) -> Option<String> {
     None
 }
 
+/// A Clos shape no larger than the 128-device shape (8 clusters × 8
+/// ToRs, 4 leaves, 8 spines, 4 regional spines in 2 groups).
+fn random_clos(r: &mut Rng) -> ClosParams {
+    let leaves = r.range(1, 4) as u32;
+    let groups = r.range(1, 2) as u32;
+    ClosParams {
+        clusters: r.range(1, 8) as u32,
+        tors_per_cluster: r.range(1, 8) as u32,
+        leaves_per_cluster: leaves,
+        spines: leaves * r.range(1, u64::from(8 / leaves)) as u32,
+        regional_spines: groups * r.range(1, u64::from(4 / groups)) as u32,
+        regional_groups: groups,
+        prefixes_per_tor: r.range(1, 2) as u32,
+    }
+}
+
+/// One cold sweep of `params` with links `kills` down: the optimized
+/// simulator under every option set against `reference_sim`, then the
+/// flat trie against the reference trie on every device.
+fn check_clos_case(
+    params: &ClosParams,
+    kills: &[usize],
+    threads: usize,
+    reference_sim: impl Fn(&Topology, &SimConfig) -> Vec<Fib>,
+) -> Option<String> {
+    let mut topology = build_clos(params);
+    // Intent comes from the fabric as designed, so downed links show
+    // up as violations for the two tries to agree on.
+    let contracts = generate_contracts(&MetadataService::from_topology(&topology));
+    for &k in kills {
+        let id = topology.links()[k].id;
+        topology.set_link_state(id, LinkState::OperDown);
+    }
+    let config = SimConfig::healthy();
+    let want = reference_sim(&topology, &config);
+
+    let serial = SimOptions::default();
+    let runs = [
+        serial,
+        SimOptions { threads, ..serial },
+        SimOptions {
+            legacy_hops: true,
+            ..serial
+        },
+    ]
+    .map(|opts| (opts, simulate_with(&topology, &config, opts)));
+    let (fibs, stats) = &runs[0].1;
+    if stats.prefixes != topology.all_hosted().count() + 1 {
+        return Some(format!(
+            "{stats:?} on {params:?}: not one run per hosted prefix + default"
+        ));
+    }
+    for (opts, (got, got_stats)) in &runs {
+        if got_stats != stats {
+            return Some(format!("{opts:?}: {got_stats:?} vs serial {stats:?}"));
+        }
+        if got.len() != want.len() {
+            return Some(format!("{opts:?}: {} tables vs {}", got.len(), want.len()));
+        }
+        for (g, w) in got.iter().zip(&want) {
+            // `Fib` equality covers the interned pool layout, so equal
+            // tables also encode to equal wire bytes.
+            if g != w {
+                let rule = |f: &Fib, i: usize| {
+                    f.entries().get(i).map(|e| {
+                        let hops: Vec<String> =
+                            f.next_hops(e).iter().map(|h| h.to_string()).collect();
+                        format!("{} via [{}] local={}", e.prefix, hops.join(" "), e.local)
+                    })
+                };
+                // No differing rule means the tables differ in pool
+                // layout only.
+                let differ = (0..g.len().max(w.len())).find(|&i| rule(g, i) != rule(w, i));
+                return Some(format!(
+                    "{opts:?}: device {:?} diverges from the reference simulator \
+                     (links {kills:?} down), first at rule {differ:?}: {:?} vs {:?}",
+                    g.device(),
+                    differ.and_then(|i| rule(g, i)),
+                    differ.and_then(|i| rule(w, i)),
+                ));
+            }
+        }
+    }
+
+    let (flat, reference) = (TrieEngine::new(), ReferenceTrieEngine::new());
+    for (fib, dc) in fibs.iter().zip(&contracts) {
+        let (got, want) = (
+            flat.validate_device(fib, dc),
+            reference.validate_device(fib, dc),
+        );
+        if got != want {
+            return Some(format!(
+                "device {:?}: flat trie {:?} vs reference trie {:?} (links {kills:?} down)",
+                fib.device(),
+                got.violations,
+                want.violations
+            ));
+        }
+    }
+    None
+}
+
+/// A failing cold sweep, with its downed links ddmin-shrunk.
+fn clos_failure(
+    params: &ClosParams,
+    kills: &[usize],
+    threads: usize,
+    reference_sim: impl Fn(&Topology, &SimConfig) -> Vec<Fib>,
+) -> Option<Failure> {
+    let summary = check_clos_case(params, kills, threads, &reference_sim)?;
+    let kills_min = shrink_list(kills, |ks| {
+        check_clos_case(params, ks, threads, &reference_sim).is_some()
+    });
+    Some(Failure {
+        summary,
+        minimized: format!("{params:?}, threads {threads}, links {kills_min:?} set OperDown"),
+    })
+}
+
 pub(crate) fn run(seed: u64) -> Result<(), Failure> {
     let mut r = Rng::new(seed);
     let (fib, contracts) = single_device_case(&mut r);
@@ -253,7 +379,13 @@ pub(crate) fn run(seed: u64) -> Result<(), Failure> {
             });
         }
     }
-    Ok(())
+    // Cold-sweep mode on every seed: four convergences and two
+    // validation passes of at most 128 devices, a few milliseconds.
+    let params = random_clos(&mut r);
+    let n_links = build_clos(&params).links().len() as u64;
+    let kills: Vec<usize> = (0..r.below(6)).map(|_| r.below(n_links) as usize).collect();
+    let threads = r.range(2, 4) as usize;
+    clos_failure(&params, &kills, threads, crate::reference::sim::simulate).map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -276,6 +408,46 @@ mod tests {
     #[test]
     fn healthy_fabric_has_no_divergence() {
         assert_eq!(check_fabric_case(&[], &[0, 7, 19]), None);
+    }
+
+    #[test]
+    fn cold_sweep_arm_reports_and_shrinks_a_planted_divergence() {
+        // A reference simulator that is wrong only while link 3 is
+        // down: it loses one hop of device 0's first ECMP rule.
+        let broken = |t: &Topology, c: &SimConfig| {
+            let mut fibs = crate::reference::sim::simulate(t, c);
+            if !t.links()[3].state.session_up() {
+                let fib = &fibs[0];
+                let mut b = bgpsim::FibBuilder::new(fib.device());
+                let mut flipped = false;
+                for e in fib.entries() {
+                    let mut hops = fib.next_hops(e).to_vec();
+                    if !flipped && hops.len() > 1 {
+                        hops.pop();
+                        flipped = true;
+                    }
+                    b.push(e.prefix, hops, e.local);
+                }
+                assert!(flipped);
+                fibs[0] = b.finish();
+            }
+            fibs
+        };
+        let (params, kills) = (ClosParams::default(), [1, 3, 7]);
+        assert!(clos_failure(&params, &kills, 2, crate::reference::sim::simulate).is_none());
+        let failure = clos_failure(&params, &kills, 2, broken).expect("planted divergence");
+        assert!(
+            failure
+                .summary
+                .contains("diverges from the reference simulator"),
+            "{}",
+            failure.summary
+        );
+        assert!(
+            failure.minimized.ends_with("links [3] set OperDown"),
+            "{}",
+            failure.minimized
+        );
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //!   below the assumption frontier.
 //! * [`Oracle::Engines`] — `TrieEngine` (strict and semantic) vs
 //!   `SmtEngine` vs exhaustive per-address forwarding ground truth on
-//!   one device, and on random Figure-3 fault sets the whole-fabric
+//!   one device, on random Figure-3 fault sets the whole-fabric
 //!   agreement plus the Claim 1 implication against the global
-//!   baseline.
+//!   baseline, and on random Clos fabrics with downed links the
+//!   optimized simulator and flat trie against the frozen
+//!   [`mod@reference`] pair (bit-identical FIBs at every `SimOptions`,
+//!   rule-for-rule verdicts).
 //! * [`Oracle::Incremental`] — `Engine::validate_delta` over random
 //!   churn chains against full revalidation, with every delta pushed
 //!   through the wire codec and `apply_delta`.
@@ -50,6 +53,10 @@
 //!   plus brute-force audits of every prefix state of emitted plans,
 //!   unsafe-change-set minimality, and thread-count determinism.
 //!
+//! The frozen pre-rewrite simulator and pointer trie those oracles
+//! (and `tests/flat_trie_equivalence.rs`) judge against live in
+//! [`mod@reference`] — here, not in the libraries they check.
+//!
 //! Every failure carries the replay seed and a greedily minimized
 //! counterexample. Reproduce with
 //! `cargo run -p difftest -- --oracle <name> --seed <N> --count 1`.
@@ -60,6 +67,7 @@
 mod engines;
 mod gen;
 mod incremental;
+pub mod reference;
 mod rollout_oracle;
 mod sat;
 mod secguru_oracle;

@@ -1,16 +1,14 @@
-//! The pre-rewrite convergence engine, frozen as a baseline.
+//! The pre-rewrite convergence engine, frozen as an oracle.
 //!
 //! This is the simulator exactly as it stood before the hot-path
 //! raw-speed pass: per-hop `Vec<Ipv4>` accumulation, per-entry
-//! config-override probes in emit, no interning memo — the code whose
-//! cost the E17 benchmark reports as "legacy". It is kept verbatim
-//! (not re-expressed through the new internals) so the speedup the
-//! benchmark measures is against the genuinely shipped article, and so
-//! equivalence suites can hold the optimized [`crate::sim`] engine to
-//! bit-identical FIB output forever. Do not optimize this module.
+//! config-override probes in emit, no interning memo. It is kept
+//! verbatim (not re-expressed through the new internals) so the
+//! `engines` oracle and the tests below can hold the optimized
+//! [`bgpsim::simulate_with`] to bit-identical FIB output forever. Do
+//! not optimize this module.
 
-use crate::config::SimConfig;
-use crate::fib::{Fib, FibBuilder};
+use bgpsim::{Fib, FibBuilder, SimConfig};
 use dctopo::{Asn, DeviceId, LinkId, Role, Topology};
 use netprim::{Ipv4, Prefix};
 
@@ -62,7 +60,7 @@ impl Relaxation {
 
 /// Simulate EBGP convergence with the frozen pre-rewrite engine,
 /// returning one FIB per device (indexed by device id). Must agree
-/// with [`crate::simulate`] on every input, bit for bit.
+/// with [`bgpsim::simulate`] on every input, bit for bit.
 pub fn simulate(topology: &Topology, config: &SimConfig) -> Vec<Fib> {
     let n = topology.len();
 
@@ -305,13 +303,13 @@ mod tests {
         for config in [SimConfig::healthy(), faulted] {
             assert_eq!(
                 simulate(&f.topology, &config),
-                crate::simulate(&f.topology, &config)
+                bgpsim::simulate(&f.topology, &config)
             );
         }
         let medium = build_clos(&ClosParams::default());
         assert_eq!(
             simulate(&medium, &SimConfig::healthy()),
-            crate::simulate(&medium, &SimConfig::healthy())
+            bgpsim::simulate(&medium, &SimConfig::healthy())
         );
     }
 
@@ -334,6 +332,6 @@ mod tests {
         };
         let t = build_clos(&params);
         let config = SimConfig::healthy();
-        assert_eq!(simulate(&t, &config), crate::simulate(&t, &config));
+        assert_eq!(simulate(&t, &config), bgpsim::simulate(&t, &config));
     }
 }

@@ -1,22 +1,19 @@
-//! The original pointer-chasing trie engine, kept as a reference
-//! implementation and ablation baseline.
+//! The original pointer-chasing trie engine, frozen as an oracle.
 //!
 //! This is the §2.5.2 algorithm exactly as it shipped before the flat
-//! rewrite in [`crate::engine::trie`]: one heap-allocated binary trie
-//! per device, one full candidate walk per contract. It is retained —
-//! like `SmtEngine::fresh_per_query` — as a runtime-accessible
-//! baseline: the `flat_trie_equivalence` suite judges random workloads
-//! against it, the difftest `engines` oracle cross-checks it on every
-//! seed, and the E17 bench times it to certify the flat engine's
-//! speedup with verdict identity. It must stay semantically frozen;
-//! performance work goes in [`crate::engine::trie`].
+//! rewrite in [`rcdc::engine::trie`]: one heap-allocated binary trie
+//! per device, one full candidate walk per contract. The
+//! `flat_trie_equivalence` suite judges random workloads against it and
+//! the `engines` oracle cross-checks it on every seed. It shares
+//! nothing with the engine it judges — `Coverage` below is its own
+//! copy of the range accumulator — and must stay semantically frozen;
+//! performance work goes in [`rcdc::engine::trie`].
 
-use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
-use crate::engine::trie::Coverage;
-use crate::engine::Engine;
-use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::{Fib, FibEntry};
-use netprim::Prefix;
+use netprim::{IpRange, Prefix};
+use rcdc::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
+use rcdc::report::{ValidationReport, Violation, ViolationReason};
+use rcdc::Engine;
 use std::collections::HashMap;
 
 /// Binary prefix trie over FIB entries.
@@ -106,8 +103,56 @@ impl Trie {
     }
 }
 
+/// Disjoint-range coverage accumulator over a contract's range.
+struct Coverage {
+    target: IpRange,
+    covered: Vec<IpRange>, // sorted, disjoint
+    covered_size: u64,
+}
+
+impl Coverage {
+    fn new(target: IpRange) -> Coverage {
+        Coverage {
+            target,
+            covered: Vec::new(),
+            covered_size: 0,
+        }
+    }
+
+    /// Add a range; returns the number of target addresses it newly
+    /// covers (zero when longer rules already serve its whole span).
+    fn add(&mut self, r: IpRange) -> u64 {
+        let mut added = 0;
+        if let Some(clipped) = r.intersect(self.target) {
+            // Merge into the sorted disjoint list.
+            let mut new_parts = vec![clipped];
+            for &c in &self.covered {
+                let mut next = Vec::new();
+                for part in new_parts {
+                    next.extend(part.subtract(c));
+                }
+                new_parts = next;
+                if new_parts.is_empty() {
+                    break;
+                }
+            }
+            for p in new_parts {
+                added += p.size();
+                self.covered.push(p);
+            }
+            self.covered_size += added;
+            self.covered.sort();
+        }
+        added
+    }
+
+    fn complete(&self) -> bool {
+        self.covered_size >= self.target.size()
+    }
+}
+
 /// The pre-flat-rewrite trie engine (see the module docs). Strict and
-/// semantic modes mirror [`crate::engine::trie::TrieEngine`].
+/// semantic modes mirror [`rcdc::TrieEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReferenceTrieEngine {
     strict: bool,
@@ -306,11 +351,13 @@ impl Engine for ReferenceTrieEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::fig3_healthy;
+    use dctopo::MetadataService;
 
     #[test]
     fn reference_engine_is_clean_on_healthy_fabric() {
-        let (_f, fibs, contracts, _meta) = fig3_healthy();
+        let f = dctopo::generator::figure3();
+        let fibs = bgpsim::simulate(&f.topology, &bgpsim::SimConfig::healthy());
+        let contracts = rcdc::generate_contracts(&MetadataService::from_topology(&f.topology));
         let eng = ReferenceTrieEngine::new();
         for (fib, dc) in fibs.iter().zip(&contracts) {
             assert!(eng.validate_device(fib, dc).is_clean());

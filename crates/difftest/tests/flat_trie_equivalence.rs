@@ -20,11 +20,12 @@
 
 use bgpsim::{Fib, FibBuilder, FibPatch};
 use dctopo::DeviceId;
+use difftest::reference::trie::ReferenceTrieEngine;
 use netprim::{Ipv4, Prefix};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rcdc::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
-use rcdc::{Engine, ReferenceTrieEngine, SmtEngine, TrieEngine, ValidationReport};
+use rcdc::{Engine, SmtEngine, TrieEngine, ValidationReport};
 
 /// Address universe base (`10.0.0.0/24`) — tiny on purpose: collisions
 /// (shadowing, partial coverage, shared subtrees) are where engines
@@ -443,4 +444,89 @@ fn hop_universe_overflow_falls_back_to_vector_compare() {
             .iter()
             .any(|v| v.prefix == prefix(256, 24)));
     }
+}
+
+/// Figure-3 FIBs, healthy or under the paper's four §2.4.4 link
+/// failures, with the healthy fabric's contracts.
+fn fig3(faulted: bool) -> (Vec<Fib>, Vec<DeviceContracts>) {
+    let mut f = dctopo::generator::figure3();
+    let meta = dctopo::MetadataService::from_topology(&f.topology);
+    if faulted {
+        for (tor, leaves) in [(f.tors[0], [f.a[2], f.a[3]]), (f.tors[1], [f.a[0], f.a[1]])] {
+            for leaf in leaves {
+                let l = f.topology.link_between(tor, leaf).unwrap().id;
+                f.topology.set_link_state(l, dctopo::LinkState::OperDown);
+            }
+        }
+    }
+    let fibs = bgpsim::simulate(&f.topology, &bgpsim::SimConfig::healthy());
+    (fibs, rcdc::generate_contracts(&meta))
+}
+
+/// Rule-for-rule verdict identity with the frozen pointer-trie engine
+/// on both Figure-3 fixtures, full and incremental paths.
+#[test]
+fn batched_sweep_matches_reference_on_figure3() {
+    let (healthy, contracts) = fig3(false);
+    let (faulted, _) = fig3(true);
+    for (flat, reference) in [
+        (TrieEngine::new(), ReferenceTrieEngine::new()),
+        (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
+    ] {
+        for (old, new) in [(&healthy, &faulted), (&faulted, &healthy)] {
+            for ((o, n), dc) in old.iter().zip(new.iter()).zip(&contracts) {
+                assert_eq!(
+                    flat.validate_device(n, dc),
+                    reference.validate_device(n, dc),
+                    "full, device {:?}",
+                    n.device()
+                );
+                let delta = Fib::delta(o, n);
+                let prior = flat.validate_device(o, dc);
+                assert_eq!(
+                    flat.validate_delta(n, dc, &delta, &prior),
+                    reference.validate_delta(n, dc, &delta, &prior),
+                    "delta, device {:?}",
+                    n.device()
+                );
+            }
+        }
+    }
+}
+
+/// The default route enters the batched sweep's ancestor stack at the
+/// first contract group and is judged for later groups too (rcdc pins
+/// the verdicts themselves); order and content match the reference.
+#[test]
+fn default_route_across_group_boundaries_matches_reference() {
+    let good = vec![Ipv4::new(30, 0, 0, 1)];
+    let dflt = vec![Ipv4::new(30, 0, 0, 9)];
+    let mut b = FibBuilder::new(DeviceId(0));
+    b.push(Prefix::DEFAULT, dflt.clone(), false);
+    b.push("10.0.0.0/24".parse().unwrap(), good.clone(), false);
+    b.push("20.0.0.0/25".parse().unwrap(), good.clone(), false);
+    let fib = b.finish();
+    let spec = |p: &str, hops: &[Ipv4]| Contract {
+        device: DeviceId(0),
+        prefix: p.parse().unwrap(),
+        kind: ContractKind::Specific,
+        expectation: Expectation::NextHops(hops.to_vec().into()),
+    };
+    let dc = DeviceContracts::new(vec![
+        spec("10.0.0.0/24", &good),
+        spec("15.0.0.0/24", &dflt),
+        spec("20.0.0.0/24", &good),
+    ]);
+    let r = TrieEngine::new().validate_device(&fib, &dc);
+    assert_eq!(r.violations.len(), 3, "{:?}", r.violations);
+    assert_eq!(r, ReferenceTrieEngine::new().validate_device(&fib, &dc));
+}
+
+/// The oracle is not a selectable backend: no `EngineChoice` parses
+/// from its name.
+#[test]
+fn reference_engine_is_not_an_engine_choice() {
+    let name = ReferenceTrieEngine::new().name();
+    assert_eq!(name, "trie-ref");
+    assert!(name.parse::<rcdc::EngineChoice>().is_err());
 }

@@ -195,8 +195,8 @@ fn cmd_whatif(args: &[String]) -> Result<bool, String> {
     let opts = Opts::new(args);
     let common = FabricArgs::parse(&opts)?;
     let k: usize = opts.parsed("--k", 1usize)?;
-    let condition: FailCondition = opts.value("--condition").unwrap_or("blackhole").parse()?;
-    let sample: Option<usize> = match opts.value("--sample") {
+    let condition: FailCondition = opts.value("--condition")?.unwrap_or("blackhole").parse()?;
+    let sample: Option<usize> = match opts.value("--sample")? {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| format!("bad value for --sample: {v:?}"))?),
     };
@@ -317,16 +317,16 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
 
     // Environment sets the defaults, explicit flags win.
     let mut builder = Validator::new(&meta).from_env()?;
-    if let Some(e) = opts.value("--engine") {
+    if let Some(e) = opts.value("--engine")? {
         builder = builder.engine(e.parse()?);
     }
-    if opts.value("--threads").is_some() {
+    if opts.value("--threads")?.is_some() {
         builder = builder.threads(opts.parsed("--threads", 0usize)?);
     }
-    if opts.value("--shards").is_some() {
+    if opts.value("--shards")?.is_some() {
         builder = builder.shards(opts.parsed("--shards", 1usize)?);
     }
-    if opts.value("--ingest-capacity").is_some() {
+    if opts.value("--ingest-capacity")?.is_some() {
         builder = builder.ingest_capacity(opts.parsed("--ingest-capacity", 1024usize)?);
     }
 
@@ -397,9 +397,9 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
 fn cmd_plan(args: &[String]) -> Result<bool, String> {
     let opts = Opts::new(args);
     let common = FabricArgs::parse(&opts)?;
-    let scenario: RolloutScenario = opts.value("--scenario").unwrap_or("migrate").parse()?;
+    let scenario: RolloutScenario = opts.value("--scenario")?.unwrap_or("migrate").parse()?;
     let racks: usize = opts.parsed("--racks", 1usize)?;
-    let condition: FailCondition = opts.value("--condition").unwrap_or("blackhole").parse()?;
+    let condition: FailCondition = opts.value("--condition")?.unwrap_or("blackhole").parse()?;
     let accept_final = !opts.flag("--no-accept-final");
     let max_backtracks: usize = opts.parsed("--max-backtracks", 4096usize)?;
     let metrics_dest = common.metrics;
@@ -598,7 +598,7 @@ fn cmd_check_acl(args: &[String]) -> Result<bool, String> {
     eprintln!("parsed {} rules from {file}", policy.len());
 
     let contracts: Vec<Contract> = {
-        let specs = opts.values("--contract");
+        let specs = opts.values("--contract")?;
         if specs.is_empty() {
             eprintln!("no contracts given; running the built-in edge-ACL suite");
             secguru::refactor::edge_contracts()
@@ -610,7 +610,7 @@ fn cmd_check_acl(args: &[String]) -> Result<bool, String> {
         }
     };
 
-    let metrics_dest = opts.value("--metrics");
+    let metrics_dest = opts.value("--metrics")?;
     let registry = Registry::new();
     let mut sg = SecGuru::new(policy);
     if metrics_dest.is_some() {
@@ -647,12 +647,12 @@ fn cmd_check_nsg(args: &[String]) -> Result<bool, String> {
         return Err("check-nsg needs exactly one NSG file".into());
     };
     let db: Prefix = opts
-        .value("--db-subnet")
+        .value("--db-subnet")?
         .ok_or("--db-subnet required")?
         .parse()
         .map_err(|e| format!("{e}"))?;
     let infra: Prefix = opts
-        .value("--infra")
+        .value("--infra")?
         .ok_or("--infra required")?
         .parse()
         .map_err(|e| format!("{e}"))?;
@@ -697,7 +697,7 @@ fn cmd_diff_acl(args: &[String]) -> Result<bool, String> {
     let new_text = std::fs::read_to_string(new_file).map_err(|e| format!("{new_file}: {e}"))?;
     let old = parse_acl(old_file, &old_text).map_err(|e| e.to_string())?;
     let new = parse_acl(new_file, &new_text).map_err(|e| e.to_string())?;
-    let metrics_dest = opts.value("--metrics");
+    let metrics_dest = opts.value("--metrics")?;
     // The instrumented path diffs with the SMT engine (whose query
     // latencies and solver counters the registry captures); the
     // default path uses the interval baseline. Both are exact.

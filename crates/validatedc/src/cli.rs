@@ -21,37 +21,43 @@ impl<'a> Opts<'a> {
         Opts { args }
     }
 
-    /// The value following the last-irrelevant first occurrence of
-    /// `--key`, if any.
-    pub fn value(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+    /// The argument at `index`, which must be there because `--key`
+    /// sits right before it.
+    fn value_at(&self, index: usize, key: &str) -> Result<&'a str, String> {
+        match self.args.get(index) {
+            Some(v) => Ok(v),
+            None => Err(format!("missing value for {key}")),
+        }
+    }
+
+    /// The value following the first occurrence of `--key`: `None`
+    /// when the key is absent, an error when nothing follows it.
+    pub fn value(&self, key: &str) -> Result<Option<&'a str>, String> {
+        match self.args.iter().position(|a| a == key) {
+            None => Ok(None),
+            Some(i) => self.value_at(i + 1, key).map(Some),
+        }
     }
 
     /// Every value following an occurrence of `--key` (repeatable
     /// options like `--contract`).
-    pub fn values(&self, key: &str) -> Vec<&'a str> {
+    pub fn values(&self, key: &str) -> Result<Vec<&'a str>, String> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < self.args.len() {
             if self.args[i] == key {
-                if let Some(v) = self.args.get(i + 1) {
-                    out.push(v.as_str());
-                }
+                out.push(self.value_at(i + 1, key)?);
                 i += 2;
             } else {
                 i += 1;
             }
         }
-        out
+        Ok(out)
     }
 
     /// Parse `--key value` into `T`, or return `default` when absent.
     pub fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.value(key) {
+        match self.value(key)? {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -109,8 +115,8 @@ impl<'a> FabricArgs<'a> {
             },
             seed: opts.parsed("--seed", 7u64)?,
             threads: opts.parsed("--threads", 0usize)?,
-            engine: opts.value("--engine").unwrap_or("trie").parse()?,
-            metrics: opts.value("--metrics"),
+            engine: opts.value("--engine")?.unwrap_or("trie").parse()?,
+            metrics: opts.value("--metrics")?,
         })
     }
 
@@ -146,5 +152,69 @@ impl Console {
         } else {
             println!("{}", line.as_ref());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn value_takes_the_first_occurrence_and_values_all_of_them() {
+        let a = args("--contract a;permit old.acl --contract b;deny --seed 3");
+        let opts = Opts::new(&a);
+        assert_eq!(opts.value("--contract"), Ok(Some("a;permit")));
+        assert_eq!(opts.values("--contract"), Ok(vec!["a;permit", "b;deny"]));
+        assert_eq!(opts.value("--metrics"), Ok(None));
+        assert_eq!(opts.values("--metrics"), Ok(vec![]));
+    }
+
+    #[test]
+    fn parsed_falls_back_to_the_default_only_when_the_key_is_absent() {
+        let a = args("--clusters 6 --tors x");
+        let opts = Opts::new(&a);
+        assert_eq!(opts.parsed("--clusters", 4u32), Ok(6));
+        assert_eq!(opts.parsed("--spines", 8u32), Ok(8));
+        assert_eq!(
+            opts.parsed("--tors", 8u32),
+            Err("bad value for --tors: \"x\"".to_string())
+        );
+    }
+
+    #[test]
+    fn a_key_with_nothing_after_it_is_an_error_not_the_default() {
+        let a = args("--tors 2 --clusters");
+        let opts = Opts::new(&a);
+        let missing = "missing value for --clusters".to_string();
+        assert_eq!(opts.value("--clusters"), Err(missing.clone()));
+        assert_eq!(opts.values("--clusters"), Err(missing.clone()));
+        assert_eq!(opts.parsed("--clusters", 4u32), Err(missing.clone()));
+        assert_eq!(FabricArgs::parse(&opts).err(), Some(missing));
+    }
+
+    #[test]
+    fn flags_and_positionals() {
+        let a = args("old.acl --metrics - new.acl --devices");
+        let opts = Opts::new(&a);
+        assert!(opts.flag("--devices"));
+        assert!(!opts.flag("--symmetry"));
+        assert_eq!(opts.positional(), ["old.acl", "new.acl"]);
+    }
+
+    #[test]
+    fn fabric_args_defaults_and_overrides() {
+        let a = args("--clusters 2 --engine smt --metrics -");
+        let fabric = FabricArgs::parse(&Opts::new(&a)).expect("well-formed");
+        assert_eq!(fabric.params.clusters, 2);
+        assert_eq!(fabric.params.tors_per_cluster, 8);
+        assert_eq!((fabric.seed, fabric.threads), (7, 0));
+        assert_eq!(fabric.engine, EngineChoice::Smt);
+        assert_eq!(fabric.metrics, Some("-"));
+        let bad = args("--engine z3");
+        assert!(FabricArgs::parse(&Opts::new(&bad)).is_err());
     }
 }
