@@ -20,12 +20,24 @@
 //! Contracts use the *expected* topology: "we create contracts based on
 //! expected topology, and therefore will ignore current state of the
 //! links when generating contracts" (§2.4).
+//!
+//! The table is a function of *role and address locality*, not of
+//! device identity, and the representation says so. A
+//! [`DeviceContracts`] is a shared class — one for all ToRs, one for
+//! all spines, one per cluster for its leaves: the contracts in report
+//! order, each naming a neighbour group where its addresses would be,
+//! and their preorder index — plus a small per-device binding that
+//! resolves every group against that device's own neighbour facts. The
+//! 1.9 × 10⁷ contracts of a 4 680-device fabric are 66 classes and
+//! 4 680 bindings; a [`Contract`] value exists only while a view of the
+//! set hands it out.
 
+use dctopo::metadata::{NeighborFact, PrefixFact};
 use dctopo::{ClusterId, DeviceId, MetadataService, Role};
 use netprim::{Ipv4, Prefix};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Whether a contract covers a concrete prefix or the default route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,10 +51,9 @@ pub enum ContractKind {
 
 /// What the device is expected to do with matching packets.
 ///
-/// Next-hop sets are `Arc`-shared: a ToR's thousands of specific
-/// contracts all reference one leaf set, which keeps a 10⁴-router
-/// datacenter's ~10⁸ contracts within memory (the same interning
-/// trick [`bgpsim::Fib`] uses for routes).
+/// A device holds one `Expectation` per neighbour *group* (its leaves,
+/// the spines toward cluster *c*, …), not one per contract: a ToR's
+/// thousands of specific contracts all read the same one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expectation {
     /// Forward to exactly this set of next-hop interface addresses.
@@ -52,9 +63,10 @@ pub enum Expectation {
     Local,
 }
 
-/// One local forwarding contract.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Contract {
+/// One local forwarding contract, as a [`DeviceContracts`] view hands
+/// it out: the set stores no such value per contract.
+#[derive(Debug, Clone, Copy)]
+pub struct Contract<'a> {
     /// The device the contract applies to.
     pub device: DeviceId,
     /// Covered prefix (`0.0.0.0/0` for the default contract).
@@ -62,18 +74,32 @@ pub struct Contract {
     /// Default or specific.
     pub kind: ContractKind,
     /// Expected forwarding behavior.
-    pub expectation: Expectation,
+    pub expectation: &'a Expectation,
+    /// Which of its set's expectations that is: contracts of one set
+    /// with equal groups share one.
+    pub(crate) group: u32,
 }
 
-impl Contract {
+impl<'a> Contract<'a> {
     /// Expected next hops, or `None` for local delivery.
-    pub fn next_hops(&self) -> Option<&[Ipv4]> {
-        match &self.expectation {
+    pub fn next_hops(&self) -> Option<&'a [Ipv4]> {
+        match self.expectation {
             Expectation::NextHops(h) => Some(h),
             Expectation::Local => None,
         }
     }
 }
+
+/// Contracts are equal when they say the same thing, whichever group
+/// numbering their sets use.
+impl PartialEq for Contract<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.device, self.prefix, self.kind, self.expectation)
+            == (other.device, other.prefix, other.kind, other.expectation)
+    }
+}
+
+impl Eq for Contract<'_> {}
 
 /// `(address, length)` preorder key packed into one word: the order
 /// the flat trie lays rules out in, the batched sweep judges contracts
@@ -123,35 +149,51 @@ impl Sorted {
     }
 }
 
-/// What turns "which contracts can a change to these rules affect"
-/// into a few binary searches instead of a scan of the whole set.
+/// One contract of a class: everything about it but whom it is for
+/// and which addresses its group resolves to there.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    prefix: Prefix,
+    kind: ContractKind,
+    group: u32,
+}
+
+/// What every device of one role and locality shares (§2.3–§2.4.3):
+/// the contracts in report order with a symbolic neighbour group in
+/// place of addresses, and their preorder index — the order the batched
+/// sweep judges specifics in, and what turns "which contracts can a
+/// change to these rules affect" into a few binary searches. Built
+/// once per class, immutable, so it can never go stale.
 #[derive(Debug)]
-struct PreorderIndex {
+struct ContractClass {
+    members: Vec<Member>,
+    /// Specific-kind positions in preorder.
     specs: Sorted,
-    /// Default-kind contract positions, ascending.
+    /// Default-kind positions, ascending.
     defaults: Vec<u32>,
     /// Distinct specific-contract prefix lengths, descending.
     lengths: Vec<u8>,
 }
 
-impl PreorderIndex {
-    fn build(contracts: &[Contract]) -> PreorderIndex {
+impl ContractClass {
+    fn new(members: Vec<Member>) -> ContractClass {
         let mut specs = Vec::new();
         let mut defaults = Vec::new();
         let mut lengths: Vec<u8> = Vec::new();
-        for (i, c) in contracts.iter().enumerate() {
-            match c.kind {
+        for (i, m) in members.iter().enumerate() {
+            match m.kind {
                 ContractKind::Default => defaults.push(i as u32),
                 ContractKind::Specific => {
-                    specs.push((preorder_key(c.prefix), i as u32));
-                    if !lengths.contains(&c.prefix.len()) {
-                        lengths.push(c.prefix.len());
+                    specs.push((preorder_key(m.prefix), i as u32));
+                    if !lengths.contains(&m.prefix.len()) {
+                        lengths.push(m.prefix.len());
                     }
                 }
             }
         }
         lengths.sort_unstable_by(|a, b| b.cmp(a));
-        PreorderIndex {
+        ContractClass {
+            members,
             specs: Sorted::new(specs),
             defaults,
             lengths,
@@ -159,75 +201,134 @@ impl PreorderIndex {
     }
 }
 
-/// The full contract set of one device.
+/// The full contract set of one device: a shared class plus this
+/// device's binding of it.
 ///
-/// The set is fixed at construction, which is what lets it carry a
-/// lazily built preorder index: the index is built by the first
-/// [`affected`](Self::affected) call (a cold sweep never takes the
-/// delta path and pays neither its time nor its memory) and can never
-/// go stale. Cloning and comparing look at the contracts only.
-#[derive(Debug, Default)]
+/// A contract's *index* is its position in the class, so indices
+/// ascend in report order and mean the same contract on every device
+/// of the class. A ToR holds no contract for the prefixes it hosts
+/// (§2.4.1): their positions are its `skip` list, and no view, count or
+/// index of the set ever mentions them. The list holds specific
+/// contracts only, and every position of a prefix or none — what lets
+/// `defaults` and `holders` answer with slices of the class.
+#[derive(Debug, Clone)]
 pub struct DeviceContracts {
-    /// Contracts, default first, then specifics in prefix order.
-    contracts: Vec<Contract>,
-    index: OnceLock<PreorderIndex>,
+    class: Arc<ContractClass>,
+    device: DeviceId,
+    /// Group → what this device's own neighbour facts resolve it to.
+    expect: Vec<Expectation>,
+    /// Class positions this device has no contract at, ascending.
+    skip: Vec<u32>,
 }
 
-impl Clone for DeviceContracts {
-    fn clone(&self) -> Self {
-        DeviceContracts::new(self.contracts.clone())
+/// The empty set (what a regional spine holds).
+impl Default for DeviceContracts {
+    fn default() -> Self {
+        DeviceContracts::new(DeviceId(0), [])
     }
 }
 
+/// Two sets are equal when they hold equal contracts in equal order.
 impl PartialEq for DeviceContracts {
     fn eq(&self, other: &Self) -> bool {
-        self.contracts == other.contracts
+        self.contracts().eq(other.contracts())
     }
 }
 
 impl Eq for DeviceContracts {}
 
 impl DeviceContracts {
-    /// A device's contract set; report order follows `contracts`.
-    pub fn new(contracts: Vec<Contract>) -> DeviceContracts {
+    /// A hand-built set for `device` — a class of its own, one group
+    /// per contract; report order follows `contracts`.
+    pub fn new(
+        device: DeviceId,
+        contracts: impl IntoIterator<Item = (Prefix, ContractKind, Expectation)>,
+    ) -> DeviceContracts {
+        let (members, expect) = contracts
+            .into_iter()
+            .enumerate()
+            .map(|(i, (prefix, kind, expectation))| {
+                let group = i as u32;
+                (Member { prefix, kind, group }, expectation)
+            })
+            .unzip();
         DeviceContracts {
-            contracts,
-            index: OnceLock::new(),
+            class: Arc::new(ContractClass::new(members)),
+            device,
+            expect,
+            skip: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn skipped(&self, index: u32) -> bool {
+        // At most a ToR's hosted prefixes: one or two entries.
+        self.skip.contains(&index)
+    }
+
+    fn live<'a>(
+        &'a self,
+        indices: impl Iterator<Item = u32> + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        indices.filter(|&i| !self.skipped(i))
+    }
+
+    /// The contract at `index`, which must be one this set issued
+    /// ([`affected`](Self::affected) is the public source).
+    #[inline]
+    pub fn contract(&self, index: u32) -> Contract<'_> {
+        debug_assert!(!self.skipped(index), "index {index} is not of this set");
+        let m = self.class.members[index as usize];
+        Contract {
+            device: self.device,
+            prefix: m.prefix,
+            kind: m.kind,
+            expectation: &self.expect[m.group as usize],
+            group: m.group,
         }
     }
 
     /// The contracts, in report order.
-    pub fn contracts(&self) -> &[Contract] {
-        &self.contracts
+    pub fn contracts(&self) -> impl Iterator<Item = Contract<'_>> + '_ {
+        self.live(0..self.class.members.len() as u32)
+            .map(|i| self.contract(i))
+    }
+
+    /// Indices of the default contracts, ascending.
+    pub(crate) fn defaults(&self) -> &[u32] {
+        &self.class.defaults
     }
 
     /// The default contract, if the device has one.
-    pub fn default_contract(&self) -> Option<&Contract> {
-        self.contracts
-            .iter()
-            .find(|c| c.kind == ContractKind::Default)
+    pub fn default_contract(&self) -> Option<Contract<'_>> {
+        self.defaults().first().map(|&i| self.contract(i))
     }
 
-    /// Specific contracts only.
-    pub fn specifics(&self) -> impl Iterator<Item = &Contract> {
-        self.contracts
-            .iter()
-            .filter(|c| c.kind == ContractKind::Specific)
+    /// Indices of the specific contracts in prefix preorder, contracts
+    /// for one prefix in report order.
+    pub(crate) fn preorder(&self) -> impl Iterator<Item = u32> + '_ {
+        self.live(self.class.specs.at.iter().copied())
+    }
+
+    /// Specific contracts only, in prefix preorder.
+    pub fn specifics(&self) -> impl Iterator<Item = Contract<'_>> + '_ {
+        self.preorder().map(|i| self.contract(i))
     }
 
     /// Number of contracts.
     pub fn len(&self) -> usize {
-        self.contracts.len()
+        self.class.members.len() - self.skip.len()
     }
 
     /// No contracts at all?
     pub fn is_empty(&self) -> bool {
-        self.contracts.is_empty()
+        self.len() == 0
     }
 
-    fn index(&self) -> &PreorderIndex {
-        self.index
-            .get_or_init(|| PreorderIndex::build(&self.contracts))
+    /// How many distinct expectations the contracts read: every
+    /// [`Contract::group`] is below it.
+    pub(crate) fn groups(&self) -> usize {
+        self.expect.len()
     }
 
     /// Indices of the contracts whose verdict a change to the rules at
@@ -239,7 +340,7 @@ impl DeviceContracts {
     /// the `0.0.0.0/0` rule. `touched` may come in any order and repeat
     /// prefixes.
     pub fn affected(&self, touched: &[Prefix]) -> Vec<u32> {
-        let ix = self.index();
+        let ix = &*self.class;
         let mut out: Vec<u32> = Vec::new();
         for &p in touched {
             if p.is_default() {
@@ -257,6 +358,7 @@ impl DeviceContracts {
                 out.extend_from_slice(ix.specs.exactly(ancestor));
             }
         }
+        out.retain(|&i| !self.skipped(i));
         out.sort_unstable();
         out.dedup();
         out
@@ -268,56 +370,118 @@ impl DeviceContracts {
     /// Default contracts all read the same one rule and are not told
     /// apart by prefix.
     pub(crate) fn holders(&self, prefix: Prefix, kind: ContractKind) -> &[u32] {
-        let ix = self.index();
         match kind {
-            ContractKind::Default => &ix.defaults,
-            ContractKind::Specific => ix.specs.exactly(prefix),
+            ContractKind::Default => &self.class.defaults,
+            ContractKind::Specific => match self.class.specs.exactly(prefix) {
+                [first, ..] if self.skipped(*first) => &[],
+                held => held,
+            },
         }
     }
 }
 
-/// Sorted, shared next-hop address list for a set of neighbor facts.
-fn hops(facts: impl IntoIterator<Item = Ipv4>) -> Arc<[Ipv4]> {
-    let mut v: Vec<Ipv4> = facts.into_iter().collect();
-    v.sort_unstable();
-    v.dedup();
-    v.into()
+/// A neighbour group of a generated class, by what it means: resolved
+/// per device from that device's own neighbour facts, so a class is
+/// exact on any fabric — devices share the *question* each contract
+/// asks, never another device's answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Group {
+    /// Every neighbour of the next tier up: a ToR's leaves, a leaf's
+    /// spines, a spine's regional spines.
+    Uplinks,
+    /// The hosting ToR of a prefix in a leaf's own cluster (§2.4.2).
+    Tor(DeviceId),
+    /// A leaf's spines that are wired into the hosting cluster:
+    /// "spine devices that connect to the leaf devices that connect
+    /// directly to the prefix" (§2.4.2).
+    SpinesToward(ClusterId),
+    /// A spine's leaves that belong to the hosting cluster (§2.4.3).
+    LeavesOf(ClusterId),
 }
 
-/// Streaming contract generator: precomputes the cluster indices once,
-/// then yields one device's contract set at a time — the shape of the
-/// real contract-generator microservice, and what lets a 10⁴-router
-/// validation run without materializing ~10⁸ contracts at once.
+/// A generated class and what its group ids stand for.
+struct ClassPlan {
+    class: Arc<ContractClass>,
+    group_ids: HashMap<Group, u32>,
+}
+
+impl ClassPlan {
+    /// The class of one role and locality: the default contract on
+    /// [`Group::Uplinks`], then one specific per prefix fact on the
+    /// group `group_of` names, in fact order.
+    fn new(meta: &MetadataService, group_of: impl Fn(&PrefixFact) -> Group) -> ClassPlan {
+        let mut group_ids: HashMap<Group, u32> = HashMap::new();
+        let mut id_of = |g: Group| {
+            let next = group_ids.len() as u32;
+            *group_ids.entry(g).or_insert(next)
+        };
+        let mut members = vec![Member {
+            prefix: Prefix::DEFAULT,
+            kind: ContractKind::Default,
+            group: id_of(Group::Uplinks),
+        }];
+        members.extend(meta.prefix_facts().iter().map(|fact| Member {
+            prefix: fact.prefix,
+            kind: ContractKind::Specific,
+            group: id_of(group_of(fact)),
+        }));
+        ClassPlan {
+            class: Arc::new(ContractClass::new(members)),
+            group_ids,
+        }
+    }
+}
+
+/// Streaming contract generator: derives the contract classes once —
+/// one for ToRs, one for spines, one per cluster for its leaves — then
+/// yields one device's binding at a time in O(neighbours), the shape
+/// of the real contract-generator microservice.
 pub struct ContractGenerator<'a> {
     meta: &'a MetadataService,
-    cluster_leaf_set: HashMap<ClusterId, HashSet<DeviceId>>,
-    /// Clusters each spine is wired into (through its leaf neighbors);
-    /// precomputed so per-prefix contract emission is O(neighbors), not
-    /// O(neighbors × their neighbors).
-    spine_clusters: HashMap<DeviceId, HashSet<ClusterId>>,
+    tors: ClassPlan,
+    leaves: HashMap<ClusterId, ClassPlan>,
+    spines: ClassPlan,
+    /// Clusters each spine is wired into (through its leaf neighbors).
+    spine_clusters: HashMap<DeviceId, Vec<ClusterId>>,
 }
 
 impl<'a> ContractGenerator<'a> {
     /// Build the generator over a metadata snapshot.
     pub fn new(meta: &'a MetadataService) -> Self {
-        let mut cluster_leaf_set: HashMap<ClusterId, HashSet<DeviceId>> = HashMap::new();
-        for c in meta.clusters() {
-            cluster_leaf_set.insert(c, meta.leaves_of(c).iter().copied().collect());
-        }
-        let mut spine_clusters: HashMap<DeviceId, HashSet<ClusterId>> = HashMap::new();
+        let mut leaves: HashMap<ClusterId, ClassPlan> = HashMap::new();
+        let mut spine_clusters: HashMap<DeviceId, Vec<ClusterId>> = HashMap::new();
         for dev in meta.devices() {
-            if dev.role == Role::Spine {
-                spine_clusters.insert(
-                    dev.id,
-                    meta.neighbors_with_role(dev.id, Role::Leaf)
+            match dev.role {
+                Role::Leaf => {
+                    let own = dev.cluster.expect("leaves belong to clusters");
+                    leaves.entry(own).or_insert_with(|| {
+                        ClassPlan::new(meta, |fact| {
+                            if fact.cluster == own {
+                                Group::Tor(fact.tor)
+                            } else {
+                                Group::SpinesToward(fact.cluster)
+                            }
+                        })
+                    });
+                }
+                Role::Spine => {
+                    let mut wired: Vec<ClusterId> = meta
+                        .neighbors_with_role(dev.id, Role::Leaf)
                         .filter_map(|nf| meta.device(nf.device).cluster)
-                        .collect(),
-                );
+                        .collect();
+                    wired.sort_unstable();
+                    wired.dedup();
+                    spine_clusters.insert(dev.id, wired);
+                }
+                Role::Tor | Role::RegionalSpine => {}
             }
         }
         ContractGenerator {
             meta,
-            cluster_leaf_set,
+            // §2.4.1: all neighbor leaves, whatever the prefix.
+            tors: ClassPlan::new(meta, |_| Group::Uplinks),
+            leaves,
+            spines: ClassPlan::new(meta, |fact| Group::LeavesOf(fact.cluster)),
             spine_clusters,
         }
     }
@@ -325,128 +489,75 @@ impl<'a> ContractGenerator<'a> {
     /// Generate the contract set for one device.
     pub fn device(&self, id: DeviceId) -> DeviceContracts {
         let meta = self.meta;
-        let cluster_leaf_set = &self.cluster_leaf_set;
         let dev = meta.device(id);
-        let mut contracts = Vec::new();
-        match dev.role {
-            Role::Tor => {
-                let leaf_hops = hops(
-                    meta.neighbors_with_role(dev.id, Role::Leaf)
-                        .map(|nf| nf.next_hop_addr),
-                );
-                contracts.push(Contract {
-                    device: dev.id,
-                    prefix: Prefix::DEFAULT,
-                    kind: ContractKind::Default,
-                    expectation: Expectation::NextHops(leaf_hops.clone()),
-                });
-                let own: HashSet<Prefix> = meta.hosted_by(dev.id).iter().copied().collect();
-                for fact in meta.prefix_facts() {
-                    if own.contains(&fact.prefix) {
-                        continue; // §2.4.1: "besides the prefix it announces"
-                    }
-                    contracts.push(Contract {
-                        device: dev.id,
-                        prefix: fact.prefix,
-                        kind: ContractKind::Specific,
-                        expectation: Expectation::NextHops(leaf_hops.clone()),
-                    });
-                }
-            }
+        let (plan, uplink) = match dev.role {
+            Role::Tor => (&self.tors, Role::Leaf),
             Role::Leaf => {
-                let spine_hops = hops(
-                    meta.neighbors_with_role(dev.id, Role::Spine)
-                        .map(|nf| nf.next_hop_addr),
-                );
-                contracts.push(Contract {
-                    device: dev.id,
-                    prefix: Prefix::DEFAULT,
-                    kind: ContractKind::Default,
-                    expectation: Expectation::NextHops(spine_hops.clone()),
-                });
-                let own_cluster = dev.cluster.expect("leaves belong to clusters");
-                // Hop sets repeat per (hosting ToR) and per (hosting
-                // cluster); memoize both so emission is linear in the
-                // number of prefixes.
-                let mut tor_hops: HashMap<DeviceId, Arc<[Ipv4]>> = HashMap::new();
-                let mut cluster_hops: HashMap<ClusterId, Arc<[Ipv4]>> = HashMap::new();
-                for fact in meta.prefix_facts() {
-                    let expectation = if fact.cluster == own_cluster {
-                        // Directly to the hosting ToR (§2.4.2).
-                        let set = tor_hops.entry(fact.tor).or_insert_with(|| {
-                            hops(
-                                meta.neighbors_with_role(dev.id, Role::Tor)
-                                    .filter(|nf| nf.device == fact.tor)
-                                    .map(|nf| nf.next_hop_addr),
-                            )
-                        });
-                        Expectation::NextHops(set.clone())
-                    } else {
-                        // "Spine devices that connect to the leaf devices
-                        // that connect directly to the prefix" (§2.4.2).
-                        let set = cluster_hops.entry(fact.cluster).or_insert_with(|| {
-                            hops(
-                                meta.neighbors_with_role(dev.id, Role::Spine)
-                                    .filter(|nf| {
-                                        self.spine_clusters[&nf.device].contains(&fact.cluster)
-                                    })
-                                    .map(|nf| nf.next_hop_addr),
-                            )
-                        });
-                        Expectation::NextHops(set.clone())
-                    };
-                    contracts.push(Contract {
-                        device: dev.id,
-                        prefix: fact.prefix,
-                        kind: ContractKind::Specific,
-                        expectation,
-                    });
-                }
+                let own = dev.cluster.expect("leaves belong to clusters");
+                (&self.leaves[&own], Role::Spine)
             }
-            Role::Spine => {
-                contracts.push(Contract {
-                    device: dev.id,
-                    prefix: Prefix::DEFAULT,
-                    kind: ContractKind::Default,
-                    expectation: Expectation::NextHops(hops(
-                        meta.neighbors_with_role(dev.id, Role::RegionalSpine)
-                            .map(|nf| nf.next_hop_addr),
-                    )),
-                });
-                let mut cluster_hops: HashMap<ClusterId, Arc<[Ipv4]>> = HashMap::new();
-                for fact in meta.prefix_facts() {
-                    // Neighbor leaves from the cluster hosting the
-                    // prefix (§2.4.3); one distinct set per cluster.
-                    let set = cluster_hops.entry(fact.cluster).or_insert_with(|| {
-                        let hosting_leaves = &cluster_leaf_set[&fact.cluster];
-                        hops(
-                            meta.neighbors_with_role(dev.id, Role::Leaf)
-                                .filter(|nf| hosting_leaves.contains(&nf.device))
-                                .map(|nf| nf.next_hop_addr),
-                        )
-                    });
-                    contracts.push(Contract {
-                        device: dev.id,
-                        prefix: fact.prefix,
-                        kind: ContractKind::Specific,
-                        expectation: Expectation::NextHops(set.clone()),
-                    });
-                }
+            Role::Spine => (&self.spines, Role::RegionalSpine),
+            // Regional spines sit outside the datacenter boundary
+            // RCDC validates: §2.4.1–§2.4.3 define contracts for
+            // ToR, leaf, and spine devices only, and Claim 1 is
+            // stated over those three tiers. This is also what
+            // makes the §2.4.4 example exact: "R1 and R2 have no
+            // contract failures" even while their spine-learned
+            // ECMP sets fluctuate with faults below them.
+            Role::RegionalSpine => return DeviceContracts::default(),
+        };
+        // One pass over the neighbour facts: each lands in the groups
+        // it answers. A group nobody answers expects the empty set.
+        let mut hops: Vec<Vec<Ipv4>> = vec![Vec::new(); plan.group_ids.len()];
+        let mut answer = |g: Group, nf: &NeighborFact| {
+            if let Some(&id) = plan.group_ids.get(&g) {
+                hops[id as usize].push(nf.next_hop_addr);
             }
-            Role::RegionalSpine => {
-                // Regional spines sit outside the datacenter boundary
-                // RCDC validates: §2.4.1–§2.4.3 define contracts for
-                // ToR, leaf, and spine devices only, and Claim 1 is
-                // stated over those three tiers. This is also what
-                // makes the §2.4.4 example exact: "R1 and R2 have no
-                // contract failures" even while their spine-learned
-                // ECMP sets fluctuate with faults below them.
+        };
+        for nf in meta.neighbors(id) {
+            if nf.role == uplink {
+                answer(Group::Uplinks, nf);
+            }
+            match (dev.role, nf.role) {
+                (Role::Leaf, Role::Tor) => answer(Group::Tor(nf.device), nf),
+                (Role::Leaf, Role::Spine) => {
+                    for &c in &self.spine_clusters[&nf.device] {
+                        answer(Group::SpinesToward(c), nf);
+                    }
+                }
+                (Role::Spine, Role::Leaf) => {
+                    if let Some(c) = meta.device(nf.device).cluster {
+                        answer(Group::LeavesOf(c), nf);
+                    }
+                }
+                _ => {}
             }
         }
-        // ToRs additionally deliver their own prefixes locally; the
-        // engines treat a hosted prefix as implicitly satisfied, so no
-        // contract is emitted (matching §2.4.1).
-        DeviceContracts::new(contracts)
+        let expect = hops
+            .into_iter()
+            .map(|mut v| {
+                v.sort_unstable();
+                v.dedup();
+                Expectation::NextHops(v.into())
+            })
+            .collect();
+        // §2.4.1: "besides the prefix it announces" — the ToR delivers
+        // its own prefixes locally, and the engines treat a hosted
+        // prefix as implicitly satisfied, so it holds no contract there.
+        let mut skip: Vec<u32> = Vec::new();
+        if dev.role == Role::Tor {
+            for &own in meta.hosted_by(id) {
+                skip.extend_from_slice(plan.class.specs.exactly(own));
+            }
+            skip.sort_unstable();
+            skip.dedup();
+        }
+        DeviceContracts {
+            class: plan.class.clone(),
+            device: id,
+            expect,
+            skip,
+        }
     }
 }
 
@@ -476,7 +587,7 @@ mod tests {
 
     /// Map expected next-hop addresses back to device ids for readable
     /// assertions.
-    fn hop_devices(meta: &MetadataService, c: &Contract) -> Vec<DeviceId> {
+    fn hop_devices(meta: &MetadataService, c: Contract) -> Vec<DeviceId> {
         let mut v: Vec<DeviceId> = c
             .next_hops()
             .unwrap()
@@ -513,7 +624,7 @@ mod tests {
         assert_eq!(a1.len(), 5);
         // Default -> D1 only.
         assert_eq!(hop_devices(&meta, a1.default_contract().unwrap()), vec![f.d[0]]);
-        let by_prefix: HashMap<Prefix, &Contract> =
+        let by_prefix: HashMap<Prefix, Contract> =
             a1.specifics().map(|c| (c.prefix, c)).collect();
         assert_eq!(hop_devices(&meta, by_prefix[&f.prefixes[0]]), vec![f.tors[0]]);
         assert_eq!(hop_devices(&meta, by_prefix[&f.prefixes[1]]), vec![f.tors[1]]);
@@ -531,7 +642,7 @@ mod tests {
             hop_devices(&meta, d1.default_contract().unwrap()),
             vec![f.r[0], f.r[2]]
         );
-        let by_prefix: HashMap<Prefix, &Contract> =
+        let by_prefix: HashMap<Prefix, Contract> =
             d1.specifics().map(|c| (c.prefix, c)).collect();
         assert_eq!(hop_devices(&meta, by_prefix[&f.prefixes[0]]), vec![f.a[0]]);
         assert_eq!(hop_devices(&meta, by_prefix[&f.prefixes[1]]), vec![f.a[0]]);
@@ -559,20 +670,15 @@ mod tests {
         }
         let faulted = generate_contracts(&MetadataService::from_topology(&f.topology));
         for (h, ft) in healthy.iter().zip(&faulted) {
-            assert_eq!(h.contracts, ft.contracts);
+            assert_eq!(h, ft);
         }
     }
 
     #[test]
     fn affected_finds_ancestors_descendants_twins_and_defaults() {
-        let contract = |prefix: &str, kind| Contract {
-            device: DeviceId(0),
-            prefix: prefix.parse().unwrap(),
-            kind,
-            expectation: Expectation::Local,
-        };
+        let contract = |prefix: &str, kind| (prefix.parse().unwrap(), kind, Expectation::Local);
         use ContractKind::{Default, Specific};
-        let dc = DeviceContracts::new(vec![
+        let dc = DeviceContracts::new(DeviceId(0), [
             contract("10.0.1.0/24", Specific), // 0
             contract("0.0.0.0/0", Default),    // 1
             contract("10.0.0.0/16", Specific), // 2: contains 0, 3 and 5
@@ -608,20 +714,107 @@ mod tests {
     }
 
     #[test]
-    fn index_is_built_by_the_first_delta_call_only() {
+    fn index_is_the_classes_and_a_cold_sweep_builds_none_per_device() {
         use crate::engine::{trie::TrieEngine, Engine};
         let (f, contracts, _meta) = fig3_contracts();
         let fibs = bgpsim::simulate(&f.topology, &bgpsim::SimConfig::healthy());
-        let tor = f.tors[0].0 as usize;
-        let (fib, dc) = (&fibs[tor], &contracts[tor]);
-        // What a cold sweep does: no index, so no time or memory for it.
-        let report = TrieEngine::new().validate_device(fib, dc);
-        assert!(dc.index.get().is_none());
-        TrieEngine::new().validate_touched(fib, dc, &[f.prefixes[1]], &report);
-        assert!(dc.index.get().is_some());
-        // A copy shares the contracts, not the index.
-        assert!(dc.clone().index.get().is_none());
-        assert_eq!(&dc.clone(), dc);
+        let class_of = |d: DeviceId| Arc::as_ptr(&contracts[d.0 as usize].class);
+        // Built with the class, before any device asks: the two ToRs of
+        // different clusters answer from one index.
+        assert_eq!(class_of(f.tors[0]), class_of(f.tors[1]));
+        let shared = &contracts[f.tors[0].0 as usize].class;
+        assert_eq!(shared.specs.at.len(), f.prefixes.len());
+        let holders = Arc::strong_count(shared);
+        // A cold sweep and a delta call read it; neither builds or
+        // attaches anything — a device is its class handle, a hop set
+        // per group and a skip list, before and after.
+        for (fib, dc) in fibs.iter().zip(&contracts) {
+            let report = TrieEngine::new().validate_device(fib, dc);
+            TrieEngine::new().validate_touched(fib, dc, &[f.prefixes[1]], &report);
+        }
+        assert_eq!(Arc::strong_count(shared), holders);
+        assert_eq!(class_of(f.tors[0]), Arc::as_ptr(shared));
+        let tor = &contracts[f.tors[0].0 as usize];
+        assert_eq!((tor.expect.len(), tor.skip.len()), (1, 1));
+        // A copy shares the class and equals the original.
+        let copy = tor.clone();
+        assert!(Arc::ptr_eq(&copy.class, &tor.class));
+        assert_eq!(&copy, tor);
+    }
+
+    #[test]
+    fn default_clos_has_one_class_per_role_and_locality() {
+        use dctopo::{build_clos, ClosParams};
+        let p = ClosParams::default();
+        let meta = MetadataService::from_topology(&build_clos(&p));
+        let contracts = generate_contracts(&meta);
+        let mut classes: Vec<*const ContractClass> = Vec::new();
+        let mut by_key: HashMap<(Role, Option<ClusterId>), *const ContractClass> = HashMap::new();
+        for dev in meta.devices() {
+            let dc = &contracts[dev.id.0 as usize];
+            if dev.role == Role::RegionalSpine {
+                assert_eq!(dc, &DeviceContracts::default());
+                assert!(dc.is_empty() && dc.contracts().next().is_none());
+                continue;
+            }
+            let class = Arc::as_ptr(&dc.class);
+            classes.push(class);
+            // Leaves share per cluster, ToRs and spines fleet-wide.
+            let key = (dev.role, dev.cluster.filter(|_| dev.role == Role::Leaf));
+            assert_eq!(*by_key.entry(key).or_insert(class), class, "{dev:?}");
+        }
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(classes.len(), 2 + p.clusters as usize);
+        assert_eq!(by_key.len(), classes.len());
+    }
+
+    #[test]
+    fn a_tor_with_two_prefixes_never_sees_its_skipped_positions() {
+        use crate::engine::{trie::TrieEngine, Engine};
+        use dctopo::{build_clos, ClosParams};
+        let p = ClosParams {
+            prefixes_per_tor: 2,
+            ..ClosParams::default()
+        };
+        let topology = build_clos(&p);
+        let meta = MetadataService::from_topology(&topology);
+        let contracts = generate_contracts(&meta);
+        let fibs = bgpsim::simulate(&topology, &bgpsim::SimConfig::healthy());
+        let all: Vec<Prefix> = meta.prefix_facts().iter().map(|f| f.prefix).collect();
+        for dev in meta.devices().iter().filter(|d| d.role == Role::Tor) {
+            let dc = &contracts[dev.id.0 as usize];
+            let own = meta.hosted_by(dev.id);
+            assert_eq!((own.len(), dc.skip.len()), (2, 2));
+            assert_eq!(dc.len(), 1 + all.len() - 2);
+            // Every view agrees on what the set holds.
+            assert_eq!(dc.contracts().count(), dc.len());
+            assert_eq!(dc.specifics().count(), dc.len() - 1);
+            assert!(dc.contracts().all(|c| !own.contains(&c.prefix)));
+            assert_eq!(dc.default_contract().unwrap().kind, ContractKind::Default);
+            // Touching everything — own prefixes and the default route
+            // included — reaches every contract once, in report order,
+            // and nothing else.
+            let mut touched = all.clone();
+            touched.push(Prefix::DEFAULT);
+            let affected = dc.affected(&touched);
+            assert!(affected.windows(2).all(|w| w[0] < w[1]));
+            assert!(affected.iter().all(|i| !dc.skip.contains(i)));
+            let walked: Vec<Contract> = dc.contracts().collect();
+            let reached: Vec<Contract> = affected.iter().map(|&i| dc.contract(i)).collect();
+            assert_eq!(reached, walked);
+            for &p in own {
+                assert_eq!(dc.affected(&[p]), []);
+                assert_eq!(dc.holders(p, ContractKind::Specific), []);
+            }
+            let other = all.iter().find(|p| !own.contains(p)).unwrap();
+            let held = dc.holders(*other, ContractKind::Specific);
+            assert_eq!(held.len(), 1);
+            assert_eq!(dc.contract(held[0]).prefix, *other);
+            let report = TrieEngine::new().validate_device(&fibs[dev.id.0 as usize], dc);
+            assert!(report.is_clean(), "{:?}", report.violations);
+            assert_eq!(report.contracts_checked, dc.len());
+        }
     }
 
     #[test]
@@ -629,8 +822,7 @@ mod tests {
         let (f, contracts, meta) = fig3_contracts();
         for dc in &contracts {
             let defaults = dc
-                .contracts
-                .iter()
+                .contracts()
                 .filter(|c| c.kind == ContractKind::Default)
                 .count();
             if dc.is_empty() {

@@ -117,9 +117,9 @@ impl Engine for SmtEngine {
                 // §2.5.1: "Validating a routing contract for the default
                 // route … is handled as a special case": compare the
                 // default rule's next hops with the contract's directly.
-                ContractKind::Default => check_default(fib, c, &mut violations),
+                ContractKind::Default => check_default(fib, &c, &mut violations),
                 ContractKind::Specific => {
-                    check_specific_smt(self.strict, fib, &mut enc, c, &mut violations)
+                    check_specific_smt(self.strict, fib, &mut enc, &c, &mut violations)
                 }
             }
         }
@@ -137,7 +137,7 @@ impl Engine for SmtEngine {
 
 fn check_default(fib: &Fib, c: &Contract, out: &mut Vec<Violation>) {
     let entry = fib.default_entry();
-    match (&c.expectation, entry) {
+    match (c.expectation, entry) {
         (Expectation::NextHops(expected), Some(e)) => {
             if e.local {
                 out.push(Violation::of(c, ViolationReason::LocalityMismatch));
@@ -172,8 +172,8 @@ fn check_specific_smt(
     c: &Contract,
     out: &mut Vec<Violation>,
 ) {
-    let expected = match &c.expectation {
-        Expectation::NextHops(h) => h.clone(),
+    let expected = match c.expectation {
+        Expectation::NextHops(h) => h,
         Expectation::Local => {
             // Defensive path (not generated today).
             match fib.entry_for(c.prefix) {
@@ -304,7 +304,6 @@ mod tests {
     #[test]
     fn smt_identifies_the_violating_rule() {
         use bgpsim::FibBuilder;
-        use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
         let expected = vec![Ipv4::new(30, 0, 0, 1), Ipv4::new(30, 0, 0, 3)];
         let wrong = vec![Ipv4::new(30, 0, 0, 5)];
         let mut b = FibBuilder::new(dctopo::DeviceId(0));
@@ -312,12 +311,14 @@ mod tests {
         b.push("10.0.0.128/25".parse().unwrap(), wrong.clone(), false);
         b.push("0.0.0.0/0".parse().unwrap(), expected.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts::new(vec![Contract {
-            device: dctopo::DeviceId(0),
-            prefix: "10.0.0.0/24".parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(expected.into()),
-        }]);
+        let dc = DeviceContracts::new(
+            dctopo::DeviceId(0),
+            [(
+                "10.0.0.0/24".parse().unwrap(),
+                ContractKind::Specific,
+                Expectation::NextHops(expected.into()),
+            )],
+        );
         let r = SmtEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         match &r.violations[0].reason {
@@ -332,7 +333,6 @@ mod tests {
     #[test]
     fn smt_enumerates_multiple_violating_rules() {
         use bgpsim::FibBuilder;
-        use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
         let expected = vec![Ipv4::new(30, 0, 0, 1)];
         let wrong_a = vec![Ipv4::new(30, 0, 0, 5)];
         let wrong_b = vec![Ipv4::new(30, 0, 0, 7)];
@@ -340,12 +340,14 @@ mod tests {
         b.push("10.0.0.0/25".parse().unwrap(), wrong_a, false);
         b.push("10.0.0.128/25".parse().unwrap(), wrong_b, false);
         let fib = b.finish();
-        let dc = DeviceContracts::new(vec![Contract {
-            device: dctopo::DeviceId(0),
-            prefix: "10.0.0.0/24".parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(expected.into()),
-        }]);
+        let dc = DeviceContracts::new(
+            dctopo::DeviceId(0),
+            [(
+                "10.0.0.0/24".parse().unwrap(),
+                ContractKind::Specific,
+                Expectation::NextHops(expected.into()),
+            )],
+        );
         let r = SmtEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 2, "{:?}", r.violations);
     }
@@ -353,18 +355,19 @@ mod tests {
     #[test]
     fn smt_detects_dropped_traffic_as_missing_route() {
         use bgpsim::FibBuilder;
-        use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
         let expected = vec![Ipv4::new(30, 0, 0, 1)];
         // Rule covers only half the contract range; no default route.
         let mut b = FibBuilder::new(dctopo::DeviceId(0));
         b.push("10.0.0.0/25".parse().unwrap(), expected.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts::new(vec![Contract {
-            device: dctopo::DeviceId(0),
-            prefix: "10.0.0.0/24".parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(expected.into()),
-        }]);
+        let dc = DeviceContracts::new(
+            dctopo::DeviceId(0),
+            [(
+                "10.0.0.0/24".parse().unwrap(),
+                ContractKind::Specific,
+                Expectation::NextHops(expected.into()),
+            )],
+        );
         let r = SmtEngine::new().validate_device(&fib, &dc);
         assert!(r
             .violations

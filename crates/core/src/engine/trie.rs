@@ -302,33 +302,29 @@ impl<'a> View<'a> {
 /// Per-device next-hop encoding: addresses → bits, so candidate
 /// matching is a [`HopSet`] equality. Rule hop sets are encoded at
 /// most once (memoized by [`Rule::hops`] id), contract expectations at
-/// most once per shared `Arc` (memoized by pointer — the 10⁴-device
-/// workload shares one expectation across ~10⁴ contracts per ToR).
+/// most once per group of the set (memoized by [`Contract::group`] —
+/// a ToR's thousands of contracts all read one).
 struct HopCodex {
     enabled: bool,
     universe: HashMap<Ipv4, u16, BuildFold>,
     pool: Vec<Option<HopSet>>,
-    expect: HashMap<usize, Option<HopSet>, BuildFold>,
-    /// The previous `set_of_expected` resolution. Contracts sharing
-    /// one expectation arrive consecutively (a ToR's remote-prefix
-    /// contracts all point at the same leaf set), so the common probe
-    /// is a pointer compare instead of a map lookup.
-    last_expect: Option<(usize, Option<HopSet>)>,
+    /// By contract group: unresolved, or the group's encoding (`None`
+    /// when it has none).
+    expect: Vec<Option<Option<HopSet>>>,
     /// The previous `hops_match` verdict, keyed by (rule hop-set id,
-    /// expectation pointer). Both identify their hop set exactly — the
-    /// id names one pooled set or one patch rule, the expectation
-    /// buffer is stable for the codex's lifetime — so a repeat is the
-    /// same comparison. Long stretches of contracts hit one (ECMP set,
-    /// expectation) pair, and the repeat costs a 12-byte compare
+    /// contract group). Both identify their hop set exactly — the id
+    /// names one pooled set or one patch rule, the group one
+    /// expectation of the set being judged — so a repeat is the same
+    /// comparison. Long stretches of contracts hit one (ECMP set,
+    /// expectation) pair, and the repeat costs an 8-byte compare
     /// instead of two 64-byte set loads.
-    last_verdict: Option<(u32, usize, bool)>,
+    last_verdict: Option<(u32, u32, bool)>,
 }
 
 /// Multiply-fold hasher (the rustc `FxHash` recipe) for the codex's
-/// small integer keys — pool pointers and `Ipv4` addresses. These maps
-/// sit on the per-contract hot path (~10⁸ probes in a 10⁴-device
-/// sweep), where SipHash would be the single largest cost; keys here
-/// are attacker-free, so the collision-resistance trade is safe.
+/// `Ipv4` keys. The map sits on the hop-set encoding path, where
+/// SipHash would be the single largest cost; keys here are
+/// attacker-free, so the collision-resistance trade is safe.
 #[derive(Default)]
 struct FoldHasher(u64);
 
@@ -347,14 +343,6 @@ impl std::hash::Hasher for FoldHasher {
     fn write_u32(&mut self, v: u32) {
         self.add(u64::from(v));
     }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
 }
 
 impl FoldHasher {
@@ -367,13 +355,12 @@ impl FoldHasher {
 type BuildFold = std::hash::BuildHasherDefault<FoldHasher>;
 
 impl HopCodex {
-    fn new(view: &View) -> HopCodex {
+    fn new(view: &View, contracts: &DeviceContracts) -> HopCodex {
         HopCodex {
             enabled: true,
             universe: HashMap::default(),
             pool: vec![None; view.base.set_pool_len() + view.patch.len()],
-            expect: HashMap::default(),
-            last_expect: None,
+            expect: vec![None; contracts.groups()],
             last_verdict: None,
         }
     }
@@ -386,8 +373,7 @@ impl HopCodex {
             enabled: false,
             universe: HashMap::default(),
             pool: Vec::new(),
-            expect: HashMap::default(),
-            last_expect: None,
+            expect: Vec::new(),
             last_verdict: None,
         }
     }
@@ -423,15 +409,8 @@ impl HopCodex {
         s
     }
 
-    fn set_of_expected(&mut self, expected: &[Ipv4]) -> Option<HopSet> {
-        let key = expected.as_ptr() as usize;
-        if let Some((k, s)) = self.last_expect {
-            if k == key {
-                return s;
-            }
-        }
-        if let Some(&s) = self.expect.get(&key) {
-            self.last_expect = Some((key, s));
+    fn set_of_expected(&mut self, group: u32, expected: &[Ipv4]) -> Option<HopSet> {
+        if let Some(s) = self.expect[group as usize] {
             return s;
         }
         // Bitset equality is set equality; it matches the exact vector
@@ -441,25 +420,24 @@ impl HopCodex {
         // no encoding and falls back to the (always-false) compare.
         let canonical = expected.windows(2).all(|w| w[0] < w[1]);
         let s = if canonical { self.encode(expected) } else { None };
-        self.expect.insert(key, s);
-        self.last_expect = Some((key, s));
+        self.expect[group as usize] = Some(s);
         s
     }
 
-    /// Does the rule forward to exactly the expected hop set?
-    /// Verdict-identical to `view.hops(id) == expected`.
-    fn hops_match(&mut self, view: &View, id: u32, expected: &[Ipv4]) -> bool {
+    /// Does the rule forward to exactly `expected`, the hop set of
+    /// contract group `group`? Verdict-identical to
+    /// `view.hops(id) == expected`.
+    fn hops_match(&mut self, view: &View, id: u32, group: u32, expected: &[Ipv4]) -> bool {
         if self.enabled {
-            let key = expected.as_ptr() as usize;
-            if let Some((s, p, v)) = self.last_verdict {
-                if s == id && p == key {
+            if let Some((s, g, v)) = self.last_verdict {
+                if s == id && g == group {
                     return v;
                 }
             }
-            match (self.set_of_rule(view, id), self.set_of_expected(expected)) {
+            match (self.set_of_rule(view, id), self.set_of_expected(group, expected)) {
                 (Some(a), Some(b)) => {
                     let v = a == b;
-                    self.last_verdict = Some((id, key, v));
+                    self.last_verdict = Some((id, group, v));
                     return v;
                 }
                 (None, _) => self.enabled = false,
@@ -550,7 +528,7 @@ impl TrieEngine {
     }
 
     fn check_default(view: &View, c: &Contract, out: &mut Vec<Violation>) {
-        match (&c.expectation, view.default_rule()) {
+        match (c.expectation, view.default_rule()) {
             (Expectation::NextHops(expected), Some(e)) => {
                 if e.local {
                     out.push(Violation::of(c, ViolationReason::LocalityMismatch));
@@ -581,24 +559,24 @@ impl TrieEngine {
         }
     }
 
-    /// Judge every specific contract in one sweep over the flat trie.
+    /// Judge specific contracts in one sweep over the flat trie.
     ///
-    /// `specs` is `(input index, contract)`; emitted violations are
-    /// tagged with the input index so the caller can restore contract
-    /// order. Sorting is stable, so same-prefix contracts are judged
-    /// in input order — which, with the sweep-local `prior_missing`
-    /// flag, reproduces the reference engine's cross-contract
-    /// `MissingRoute` dedup exactly.
+    /// `specs` are contract indices in prefix preorder, same-prefix
+    /// contracts in report order (the order [`DeviceContracts::preorder`]
+    /// walks) — which, with the sweep-local `prior_missing` flag,
+    /// reproduces the reference engine's cross-contract `MissingRoute`
+    /// dedup exactly. Emitted violations are tagged with the index so
+    /// the caller can restore report order.
     fn judge_specifics(
         &self,
         fib: &Fib,
         trie: &FlatTrie,
-        specs: &mut [(u32, &Contract)],
+        contracts: &DeviceContracts,
+        specs: impl Iterator<Item = u32>,
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        specs.sort_by_key(|(_, c)| preorder_key(c.prefix));
         let view = &View::of(fib);
-        let mut codex = HopCodex::new(view);
+        let mut codex = HopCodex::new(view, contracts);
         let nodes = &trie.nodes;
         let n = nodes.len();
         // Sweep state: open ancestors of the current contract + the
@@ -616,7 +594,8 @@ impl TrieEngine {
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
 
-        for &(idx, c) in specs.iter() {
+        for idx in specs {
+            let c = &contracts.contract(idx);
             if prior_prefix != Some(c.prefix) {
                 prior_prefix = Some(c.prefix);
                 prior_missing = false;
@@ -682,12 +661,10 @@ impl TrieEngine {
     fn judge_specifics_direct(
         &self,
         view: &View,
-        specs: &mut [(u32, &Contract)],
+        contracts: &DeviceContracts,
+        specs: &[u32],
         tagged: &mut Vec<(u32, Violation)>,
     ) {
-        // Same contract order as the sweep — the cross-contract
-        // `MissingRoute` dedup must see the same neighbors.
-        specs.sort_by_key(|(_, c)| preorder_key(c.prefix));
         let entries = view.base.entries();
         // Length-run boundaries in storage order (descending length).
         let mut runs: Vec<(u32, u32)> = Vec::new();
@@ -705,7 +682,8 @@ impl TrieEngine {
         let mut cviol: Vec<Violation> = Vec::new();
         let mut prior_prefix: Option<Prefix> = None;
         let mut prior_missing = false;
-        for &(idx, c) in specs.iter() {
+        for &idx in specs {
+            let c = &contracts.contract(idx);
             if prior_prefix != Some(c.prefix) {
                 prior_prefix = Some(c.prefix);
                 prior_missing = false;
@@ -789,7 +767,7 @@ impl TrieEngine {
         prior_missing: bool,
         out: &mut Vec<Violation>,
     ) {
-        let expected = match &c.expectation {
+        let expected = match c.expectation {
             Expectation::NextHops(h) => h,
             Expectation::Local => {
                 // Not generated today, but handle defensively: the
@@ -805,7 +783,7 @@ impl TrieEngine {
             }
         };
         let mismatch = |e: Rule, codex: &mut HopCodex| {
-            let matches = !e.local && codex.hops_match(view, e.hops, expected);
+            let matches = !e.local && codex.hops_match(view, e.hops, c.group, expected);
             (!matches).then(|| {
                 Violation::of(
                     c,
@@ -881,27 +859,18 @@ impl TrieEngine {
         }
     }
 
-    /// Check the default contracts among `indices` on the spot and
-    /// hand back the specific ones for a batched judgement.
-    fn split<'c>(
+    /// Check the default contracts at `indices`.
+    fn check_defaults(
         view: &View,
-        contracts: &'c DeviceContracts,
+        contracts: &DeviceContracts,
         indices: impl Iterator<Item = u32>,
         tagged: &mut Vec<(u32, Violation)>,
-    ) -> Vec<(u32, &'c Contract)> {
-        let mut specs: Vec<(u32, &Contract)> = Vec::new();
+    ) {
         let mut buf: Vec<Violation> = Vec::new();
         for i in indices {
-            let c = &contracts.contracts()[i as usize];
-            match c.kind {
-                ContractKind::Default => {
-                    Self::check_default(view, c, &mut buf);
-                    tagged.extend(buf.drain(..).map(|v| (i, v)));
-                }
-                ContractKind::Specific => specs.push((i, c)),
-            }
+            Self::check_default(view, &contracts.contract(i), &mut buf);
+            tagged.extend(buf.drain(..).map(|v| (i, v)));
         }
-        specs
     }
 
     fn finish(
@@ -976,8 +945,15 @@ impl TrieEngine {
             affected.sort_unstable();
             affected.dedup();
         }
-        let mut specs = Self::split(view, contracts, affected.iter().copied(), &mut tagged);
+        let (defaults, mut specs): (Vec<u32>, Vec<u32>) = affected
+            .iter()
+            .partition(|&&i| contracts.contract(i).kind == ContractKind::Default);
+        Self::check_defaults(view, contracts, defaults.into_iter(), &mut tagged);
         if !specs.is_empty() {
+            // The order the sweep judges in — the cross-contract
+            // `MissingRoute` dedup must see the same neighbors. Stable,
+            // so same-prefix contracts stay in report order.
+            specs.sort_by_key(|&i| preorder_key(contracts.contract(i).prefix));
             // The trie costs O(table) to build — and needs the table
             // built; a handful of re-checked contracts is cheaper to
             // serve by binary search straight off the sorted entries
@@ -985,11 +961,11 @@ impl TrieEngine {
             // touched prefixes per changed device). Both produce
             // identical verdicts.
             if specs.len() * 16 <= base.len() {
-                self.judge_specifics_direct(view, &mut specs, &mut tagged);
+                self.judge_specifics_direct(view, contracts, &specs, &mut tagged);
             } else {
                 let fib = table();
                 let trie = FlatTrie::build(&fib);
-                self.judge_specifics(&fib, &trie, &mut specs, &mut tagged);
+                self.judge_specifics(&fib, &trie, contracts, specs.into_iter(), &mut tagged);
             }
         }
         Self::finish(tagged, contracts)
@@ -999,11 +975,14 @@ impl TrieEngine {
 impl Engine for TrieEngine {
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport {
         let mut tagged: Vec<(u32, Violation)> = Vec::new();
-        let view = &View::of(fib);
-        let mut specs = Self::split(view, contracts, 0..contracts.len() as u32, &mut tagged);
-        if !specs.is_empty() {
+        let defaults = contracts.defaults().iter().copied();
+        Self::check_defaults(&View::of(fib), contracts, defaults, &mut tagged);
+        // The class's own preorder: nothing to collect or sort per
+        // device.
+        let mut specs = contracts.preorder().peekable();
+        if specs.peek().is_some() {
             let trie = FlatTrie::build(fib);
-            self.judge_specifics(fib, &trie, &mut specs, &mut tagged);
+            self.judge_specifics(fib, &trie, contracts, specs, &mut tagged);
         }
         Self::finish(tagged, contracts)
     }
@@ -1120,7 +1099,6 @@ mod tests {
         // never selects the /31 inside the contract range, so reporting
         // it would contradict the SMT engine (no satisfying witness
         // exists) and Definition 2.1.
-        use crate::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
         use bgpsim::FibBuilder;
         use netprim::Ipv4;
 
@@ -1132,12 +1110,14 @@ mod tests {
         b.push("10.0.0.0/31".parse().unwrap(), bad, false);
         b.push("10.0.0.0/30".parse().unwrap(), good.clone(), false);
         let fib = b.finish();
-        let dc = DeviceContracts::new(vec![Contract {
-            device: dctopo::DeviceId(0),
-            prefix: "10.0.0.0/30".parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(good.into()),
-        }]);
+        let dc = DeviceContracts::new(
+            dctopo::DeviceId(0),
+            [(
+                "10.0.0.0/30".parse().unwrap(),
+                ContractKind::Specific,
+                Expectation::NextHops(good.into()),
+            )],
+        );
         for eng in [TrieEngine::new(), TrieEngine::semantic()] {
             let r = eng.validate_device(&fib, &dc);
             assert!(r.is_clean(), "{:?}", r.violations);
@@ -1229,13 +1209,12 @@ mod tests {
         b.push("10.0.0.0/25".parse().unwrap(), expected.clone(), false);
         b.push("10.0.0.128/25".parse().unwrap(), wrong.clone(), false);
         let fib = b.finish();
-        let contract = Contract {
-            device: dctopo::DeviceId(0),
-            prefix: "10.0.0.0/24".parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(expected.into()),
-        };
-        let dc = DeviceContracts::new(vec![contract]);
+        let contract = (
+            "10.0.0.0/24".parse().unwrap(),
+            ContractKind::Specific,
+            Expectation::NextHops(expected.into()),
+        );
+        let dc = DeviceContracts::new(dctopo::DeviceId(0), [contract]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         match &r.violations[0].reason {
@@ -1260,13 +1239,12 @@ mod tests {
         let mut b = FibBuilder::new(dctopo::DeviceId(0));
         b.push("10.0.0.0/25".parse().unwrap(), expected.clone(), false);
         let fib = b.finish();
-        let contract = Contract {
-            device: dctopo::DeviceId(0),
-            prefix: "10.0.0.0/24".parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(expected.into()),
-        };
-        let dc = DeviceContracts::new(vec![contract]);
+        let contract = (
+            "10.0.0.0/24".parse().unwrap(),
+            ContractKind::Specific,
+            Expectation::NextHops(expected.into()),
+        );
+        let dc = DeviceContracts::new(dctopo::DeviceId(0), [contract]);
         let r = TrieEngine::semantic().validate_device(&fib, &dc);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].reason, VR::MissingRoute);
@@ -1456,13 +1434,14 @@ mod tests {
         // serves the rest with the wrong hops.
         b.push("20.0.0.0/25".parse().unwrap(), good.clone(), false);
         let fib = b.finish();
-        let spec = |p: &str, hops: &[Ipv4]| Contract {
-            device: dctopo::DeviceId(0),
-            prefix: p.parse().unwrap(),
-            kind: ContractKind::Specific,
-            expectation: Expectation::NextHops(hops.to_vec().into()),
+        let spec = |p: &str, hops: &[Ipv4]| {
+            (
+                p.parse().unwrap(),
+                ContractKind::Specific,
+                Expectation::NextHops(hops.to_vec().into()),
+            )
         };
-        let dc = DeviceContracts::new(vec![
+        let dc = DeviceContracts::new(dctopo::DeviceId(0), [
             // Group 1: exact hit (fast path), default irrelevant.
             spec("10.0.0.0/24", &good),
             // Group 2: no specific at all — served entirely by the

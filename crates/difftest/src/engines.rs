@@ -23,6 +23,11 @@
 //! every table must match bit for bit (interned pool layout
 //! included) with identical work counters, and every device's report
 //! under the flat trie must match the reference trie's rule for rule.
+//!
+//! Contracts mode (every seed, the same random Clos as designed): every
+//! device's class-derived contract set, expanded, against the frozen
+//! per-device generator [`reference::contracts`](crate::reference::contracts)
+//! — the same contracts in the same report order, and the same count.
 
 use crate::gen::{
     build_contracts, build_fib, random_contract_specs, random_fib_specs, render_case,
@@ -33,6 +38,7 @@ use crate::Failure;
 use bgpsim::{simulate, simulate_with, Fib, SimConfig, SimOptions};
 use dctopo::generator::figure3;
 use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Topology};
+use rcdc::contracts::DeviceContracts;
 use netprim::Prefix;
 use rcdc::contracts::Expectation;
 use rcdc::global_baseline::{forwarding_analysis, PathInfo};
@@ -147,7 +153,7 @@ fn check_single_device(fib_specs: &[FibSpec], contract_specs: &[ContractSpec]) -
             (true, &kt_strict, "strict"),
             (false, &kt_sem, "semantic"),
         ] {
-            let want = reference_violated(&fib, c, strict);
+            let want = reference_violated(&fib, &c, strict);
             let got = keys.contains(&key);
             if got != want {
                 return Some(format!(
@@ -355,6 +361,44 @@ fn clos_failure(
     })
 }
 
+/// Contracts `derive` hands out for the fabric of `params` against the
+/// frozen per-device generator's, contract for contract in report
+/// order; a failure names the fewest devices that still show it.
+fn contracts_failure(
+    params: &ClosParams,
+    derive: impl Fn(&MetadataService) -> Vec<DeviceContracts>,
+) -> Option<Failure> {
+    let meta = MetadataService::from_topology(&build_clos(params));
+    let got = derive(&meta);
+    let reference = crate::reference::contracts::ContractGenerator::new(&meta);
+    let diverges = |d: &DeviceId| -> Option<String> {
+        let (got, want) = (&got[d.0 as usize], reference.device(*d));
+        let walked: Vec<Contract> = got.contracts().collect();
+        if (got.len(), walked.len()) != (want.len(), want.len()) {
+            return Some(format!(
+                "device {d:?}: len() {}, {} contracts walked, reference generator {}",
+                got.len(),
+                walked.len(),
+                want.len()
+            ));
+        }
+        walked.iter().zip(&want).enumerate().find_map(|(i, (g, w))| {
+            let same = (g.device, g.prefix, g.kind, g.expectation)
+                == (w.device, w.prefix, w.kind, &w.expectation);
+            (!same).then(|| {
+                format!("device {d:?} contract #{i}: {g:?} vs reference generator {w:?}")
+            })
+        })
+    };
+    let devices: Vec<DeviceId> = meta.devices().iter().map(|d| d.id).collect();
+    let summary = devices.iter().find_map(diverges)?;
+    let devices_min = shrink_list(&devices, |ds| ds.iter().any(|d| diverges(d).is_some()));
+    Some(Failure {
+        summary,
+        minimized: format!("{params:?}, contracts of devices {devices_min:?}"),
+    })
+}
+
 pub(crate) fn run(seed: u64) -> Result<(), Failure> {
     let mut r = Rng::new(seed);
     let (fib, contracts) = single_device_case(&mut r);
@@ -385,7 +429,10 @@ pub(crate) fn run(seed: u64) -> Result<(), Failure> {
     let n_links = build_clos(&params).links().len() as u64;
     let kills: Vec<usize> = (0..r.below(6)).map(|_| r.below(n_links) as usize).collect();
     let threads = r.range(2, 4) as usize;
-    clos_failure(&params, &kills, threads, crate::reference::sim::simulate).map_or(Ok(()), Err)
+    if let Some(failure) = clos_failure(&params, &kills, threads, crate::reference::sim::simulate) {
+        return Err(failure);
+    }
+    contracts_failure(&params, generate_contracts).map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -396,13 +443,15 @@ mod tests {
     #[test]
     fn reference_flags_missing_default() {
         let fib = build_fib(DeviceId(0), &[]);
-        let c = Contract {
-            device: DeviceId(0),
-            prefix: Prefix::DEFAULT,
-            kind: ContractKind::Default,
-            expectation: Expectation::NextHops(vec![Ipv4(0x1e00_0001)].into()),
-        };
-        assert!(reference_violated(&fib, &c, false));
+        let dc = build_contracts(
+            DeviceId(0),
+            &[ContractSpec {
+                prefix: Prefix::DEFAULT,
+                kind: ContractKind::Default,
+                expected: Some(vec![Ipv4(0x1e00_0001)]),
+            }],
+        );
+        assert!(reference_violated(&fib, &dc.default_contract().unwrap(), false));
     }
 
     #[test]
@@ -445,6 +494,54 @@ mod tests {
         );
         assert!(
             failure.minimized.ends_with("links [3] set OperDown"),
+            "{}",
+            failure.minimized
+        );
+    }
+
+    #[test]
+    fn contracts_arm_reports_and_shrinks_a_planted_divergence() {
+        // A generator that is wrong for one spine only: it binds "the
+        // leaves of cluster 0" to what cluster 1's prefixes expect.
+        let params = ClosParams::default();
+        let spine = build_clos(&params)
+            .devices_with_role(dctopo::Role::Spine)
+            .nth(1)
+            .expect("the default Clos has spines")
+            .id;
+        let broken = |meta: &MetadataService| {
+            let mut all = generate_contracts(meta);
+            let cluster_of = |p: Prefix| {
+                let fact = meta.prefix_facts().iter().find(|f| f.prefix == p);
+                fact.map(|f| f.cluster.0)
+            };
+            let dc = &all[spine.0 as usize];
+            let toward_1 = dc
+                .specifics()
+                .find(|c| cluster_of(c.prefix) == Some(1))
+                .expect("cluster 1 hosts prefixes")
+                .expectation
+                .clone();
+            let rebound = DeviceContracts::new(
+                spine,
+                dc.contracts().map(|c| {
+                    let wrong = c.kind == ContractKind::Specific && cluster_of(c.prefix) == Some(0);
+                    let expectation = if wrong { &toward_1 } else { c.expectation };
+                    (c.prefix, c.kind, expectation.clone())
+                }),
+            );
+            all[spine.0 as usize] = rebound;
+            all
+        };
+        assert!(contracts_failure(&params, generate_contracts).is_none());
+        let failure = contracts_failure(&params, broken).expect("planted divergence");
+        assert!(
+            failure.summary.starts_with(&format!("device {spine:?} contract #1:")),
+            "{}",
+            failure.summary
+        );
+        assert!(
+            failure.minimized.ends_with(&format!("contracts of devices [{spine:?}]")),
             "{}",
             failure.minimized
         );

@@ -12,7 +12,7 @@ use bgpsim::{Fib, FibBuilder};
 use dctopo::DeviceId;
 use netprim::{Ipv4, Prefix};
 use rcdc::contracts::Expectation;
-use rcdc::{Contract, ContractKind, DeviceContracts};
+use rcdc::{ContractKind, DeviceContracts};
 use simnet::rng::Rng;
 use std::collections::HashSet;
 
@@ -132,18 +132,14 @@ pub(crate) fn build_fib(device: DeviceId, specs: &[FibSpec]) -> Fib {
 /// Materialize contract specs into a [`DeviceContracts`].
 pub(crate) fn build_contracts(device: DeviceId, specs: &[ContractSpec]) -> DeviceContracts {
     DeviceContracts::new(
-        specs
-            .iter()
-            .map(|s| Contract {
-                device,
-                prefix: s.prefix,
-                kind: s.kind,
-                expectation: match &s.expected {
-                    Some(h) => Expectation::NextHops(h.clone().into()),
-                    None => Expectation::Local,
-                },
-            })
-            .collect(),
+        device,
+        specs.iter().map(|s| {
+            let expectation = match &s.expected {
+                Some(h) => Expectation::NextHops(h.clone().into()),
+                None => Expectation::Local,
+            };
+            (s.prefix, s.kind, expectation)
+        }),
     )
 }
 

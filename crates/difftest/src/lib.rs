@@ -22,7 +22,9 @@
 //!   baseline, and on random Clos fabrics with downed links the
 //!   optimized simulator and flat trie against the frozen
 //!   [`mod@reference`] pair (bit-identical FIBs at every `SimOptions`,
-//!   rule-for-rule verdicts).
+//!   rule-for-rule verdicts), and every device's class-derived contract
+//!   set against the frozen per-device generator (the same contracts in
+//!   the same report order).
 //! * [`Oracle::Incremental`] — `Engine::validate_delta` over random
 //!   churn chains against full revalidation, with every delta pushed
 //!   through the wire codec and `apply_delta`.
@@ -53,8 +55,9 @@
 //!   plus brute-force audits of every prefix state of emitted plans,
 //!   unsafe-change-set minimality, and thread-count determinism.
 //!
-//! The frozen pre-rewrite simulator and pointer trie those oracles
-//! (and `tests/flat_trie_equivalence.rs`) judge against live in
+//! The frozen pre-rewrite simulator, pointer trie and per-device
+//! contract generator those oracles (and
+//! `tests/flat_trie_equivalence.rs`) judge against live in
 //! [`mod@reference`] — here, not in the libraries they check.
 //!
 //! Every failure carries the replay seed and a greedily minimized

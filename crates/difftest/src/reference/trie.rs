@@ -288,6 +288,7 @@ impl Engine for ReferenceTrieEngine {
         let trie = Trie::build(fib);
         let mut violations = Vec::new();
         for c in contracts.contracts() {
+            let c = &c;
             match c.kind {
                 ContractKind::Default => Self::check_default(fib, c, &mut violations),
                 ContractKind::Specific => self.check_specific(fib, &trie, c, &mut violations),
@@ -324,6 +325,7 @@ impl Engine for ReferenceTrieEngine {
         let mut trie = None;
         let mut violations = Vec::new();
         for c in contracts.contracts() {
+            let c = &c;
             if Self::contract_affected(c, touched) || holders[&(c.prefix, c.kind)] > 1 {
                 match c.kind {
                     ContractKind::Default => Self::check_default(fib, c, &mut violations),

@@ -24,7 +24,7 @@ use difftest::reference::trie::ReferenceTrieEngine;
 use netprim::{Ipv4, Prefix};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rcdc::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
+use rcdc::contracts::{ContractKind, DeviceContracts, Expectation};
 use rcdc::{Engine, SmtEngine, TrieEngine, ValidationReport};
 
 /// Address universe base (`10.0.0.0/24`) — tiny on purpose: collisions
@@ -105,29 +105,22 @@ fn contracts_strategy() -> impl Strategy<Value = Vec<Spec>> {
 
 fn build_contracts(specs: &[Spec]) -> DeviceContracts {
     DeviceContracts::new(
-        specs
-            .iter()
-            .map(|(offset, len, hops, default_kind)| {
-                let (p, kind) = if *len == 0 {
-                    (
-                        Prefix::DEFAULT,
-                        if *default_kind {
-                            ContractKind::Default
-                        } else {
-                            ContractKind::Specific
-                        },
-                    )
-                } else {
-                    (prefix(*offset, *len), ContractKind::Specific)
-                };
-                Contract {
-                    device: DeviceId(0),
-                    prefix: p,
-                    kind,
-                    expectation: Expectation::NextHops(hops.clone().into()),
-                }
-            })
-            .collect(),
+        DeviceId(0),
+        specs.iter().map(|(offset, len, hops, default_kind)| {
+            let (p, kind) = if *len == 0 {
+                (
+                    Prefix::DEFAULT,
+                    if *default_kind {
+                        ContractKind::Default
+                    } else {
+                        ContractKind::Specific
+                    },
+                )
+            } else {
+                (prefix(*offset, *len), ContractKind::Specific)
+            };
+            (p, kind, Expectation::NextHops(hops.clone().into()))
+        }),
     )
 }
 
@@ -391,13 +384,15 @@ proptest! {
     ) {
         let fib = build_fib(&rules);
         let hops: Vec<Ipv4> = raw_expect.into_iter().map(|i| Ipv4(0x1e00_0000 + i)).collect();
-        let dc = DeviceContracts::new(vec![Contract {
-            device: DeviceId(0),
-            prefix: prefix(offset, len),
-            kind: ContractKind::Specific,
-            // As-generated: possibly unsorted, possibly duplicated.
-            expectation: Expectation::NextHops(hops.into()),
-        }]);
+        let dc = DeviceContracts::new(
+            DeviceId(0),
+            [(
+                prefix(offset, len),
+                ContractKind::Specific,
+                // As-generated: possibly unsorted, possibly duplicated.
+                Expectation::NextHops(hops.into()),
+            )],
+        );
         for (flat, reference) in [
             (TrieEngine::new(), ReferenceTrieEngine::new()),
             (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
@@ -420,19 +415,23 @@ fn hop_universe_overflow_falls_back_to_vector_compare() {
     b.push(prefix(0, 24), wide.clone(), false);
     b.push(prefix(256, 24), good.clone(), false);
     let fib = b.finish();
-    let spec = |off: u32, hops: &[Ipv4]| Contract {
-        device: DeviceId(0),
-        prefix: prefix(off, 24),
-        kind: ContractKind::Specific,
-        expectation: Expectation::NextHops(hops.to_vec().into()),
+    let spec = |off: u32, hops: &[Ipv4]| {
+        (
+            prefix(off, 24),
+            ContractKind::Specific,
+            Expectation::NextHops(hops.to_vec().into()),
+        )
     };
     // The wide set first (overflows the codex), then contracts that
     // must still be judged correctly by the fallback.
-    let dc = DeviceContracts::new(vec![
-        spec(0, &wide),
-        spec(256, &good),
-        spec(256, &wide), // mismatch
-    ]);
+    let dc = DeviceContracts::new(
+        DeviceId(0),
+        [
+            spec(0, &wide),
+            spec(256, &good),
+            spec(256, &wide), // mismatch
+        ],
+    );
     for (flat, reference) in [
         (TrieEngine::new(), ReferenceTrieEngine::new()),
         (TrieEngine::semantic(), ReferenceTrieEngine::semantic()),
@@ -506,17 +505,21 @@ fn default_route_across_group_boundaries_matches_reference() {
     b.push("10.0.0.0/24".parse().unwrap(), good.clone(), false);
     b.push("20.0.0.0/25".parse().unwrap(), good.clone(), false);
     let fib = b.finish();
-    let spec = |p: &str, hops: &[Ipv4]| Contract {
-        device: DeviceId(0),
-        prefix: p.parse().unwrap(),
-        kind: ContractKind::Specific,
-        expectation: Expectation::NextHops(hops.to_vec().into()),
+    let spec = |p: &str, hops: &[Ipv4]| {
+        (
+            p.parse().unwrap(),
+            ContractKind::Specific,
+            Expectation::NextHops(hops.to_vec().into()),
+        )
     };
-    let dc = DeviceContracts::new(vec![
-        spec("10.0.0.0/24", &good),
-        spec("15.0.0.0/24", &dflt),
-        spec("20.0.0.0/24", &good),
-    ]);
+    let dc = DeviceContracts::new(
+        DeviceId(0),
+        [
+            spec("10.0.0.0/24", &good),
+            spec("15.0.0.0/24", &dflt),
+            spec("20.0.0.0/24", &good),
+        ],
+    );
     let r = TrieEngine::new().validate_device(&fib, &dc);
     assert_eq!(r.violations.len(), 3, "{:?}", r.violations);
     assert_eq!(r, ReferenceTrieEngine::new().validate_device(&fib, &dc));

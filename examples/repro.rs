@@ -23,7 +23,7 @@ use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Role}
 use netprim::{Ipv4, Prefix};
 use rcdc::burndown::{simulate_burndown, BurndownParams};
 use rcdc::contracts::{
-    generate_contracts, Contract, ContractGenerator, ContractKind, DeviceContracts, Expectation,
+    generate_contracts, ContractGenerator, ContractKind, DeviceContracts, Expectation,
 };
 use rcdc::engine::{smt::SmtEngine, trie::TrieEngine, Engine};
 use rcdc::global_baseline::all_pairs_paths_naive;
@@ -163,14 +163,9 @@ fn synth_device(prefixes: usize, hops: usize) -> (Fib, DeviceContracts) {
     let mut contracts = Vec::with_capacity(prefixes + 1);
     for (prefix, kind) in rules {
         fib.push(prefix, uplinks.to_vec(), false);
-        contracts.push(Contract {
-            device,
-            prefix,
-            kind,
-            expectation: Expectation::NextHops(uplinks.clone()),
-        });
+        contracts.push((prefix, kind, Expectation::NextHops(uplinks.clone())));
     }
-    (fib.finish(), DeviceContracts::new(contracts))
+    (fib.finish(), DeviceContracts::new(device, contracts))
 }
 
 /// E1 — "performance is within a second" for the SMT engine, "180 ms
@@ -202,7 +197,11 @@ fn e1(quick: bool) -> String {
         let (fib, dc) = synth_device(prefixes, 4);
         // The policy is encoded per call, as in production: a device
         // is encoded, then queried.
-        let one = DeviceContracts::new(vec![dc.contracts()[1].clone()]);
+        let first = dc.specifics().next().expect("prefixes > 0");
+        let one = DeviceContracts::new(
+            first.device,
+            [(first.prefix, first.kind, first.expectation.clone())],
+        );
         row("one_contract", &TrieEngine::new(), &fib, &one);
         row("one_contract", &SmtEngine::new(), &fib, &one);
     }
