@@ -244,7 +244,7 @@ impl Baseline {
         // through the simulator's own run-length path — the exact
         // serial push sequence `simulate` performs, so the healthy
         // FIBs are bit-identical by construction, not by replay.
-        let mut relax = Relaxation::new(n, true);
+        let mut relax = Relaxation::new(n);
         let mut sim_stats = SimStats::default();
         let mut states = Vec::with_capacity(work.len());
         let mut rle = EmitRle::new(n);
@@ -454,7 +454,7 @@ impl Baseline {
         if !fallback.is_empty() {
             stats.repropagated = fallback.len();
             let fnet = SimNet::build_filtered(&self.topology, &self.config, &dead_links);
-            let mut relax = Relaxation::new(n, true);
+            let mut relax = Relaxation::new(n);
             let mut sim_stats = SimStats::default();
             for &k in &fallback {
                 let (prefix, origins) = &self.work[k as usize];
@@ -686,9 +686,7 @@ fn emit_hops(
 /// zeroing hop data where it is stale (origins, unreached devices).
 fn snapshot(net: &SimNet, relax: &Relaxation) -> PrefixState {
     let n = relax.best.len();
-    let Hops::Bits { bits, spill } = &relax.hops else {
-        unreachable!("the restart path always converges in bitset mode")
-    };
+    let Hops { bits, spill } = &relax.hops;
     let mut sbits = vec![HopSet::new(); n];
     let mut sspill = HashMap::new();
     for du in 0..n {

@@ -40,19 +40,11 @@ pub struct SimOptions {
     /// chunked across workers; `1` runs the serial loop. The result is
     /// bit-identical at any thread count.
     pub threads: usize,
-    /// Force the legacy `Vec<Ipv4>` hop accumulation instead of the
-    /// [`HopSet`] bitset path. This is also the automatic fallback
-    /// when a device's neighbor table exceeds [`HopSet::CAPACITY`];
-    /// it stays public so the equivalence tests can force it.
-    pub legacy_hops: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> SimOptions {
-        SimOptions {
-            threads: 1,
-            legacy_hops: false,
-        }
+        SimOptions { threads: 1 }
     }
 }
 
@@ -78,16 +70,13 @@ impl SimOptions {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or(detected);
-        SimOptions {
-            threads,
-            ..SimOptions::default()
-        }
+        SimOptions { threads }
     }
 }
 
 /// Deterministic work counters for one simulation run: identical for
-/// any [`SimOptions`] (threading and hop representation change neither
-/// the relaxation schedule per prefix nor its fixed point).
+/// any [`SimOptions`] (threading changes neither the relaxation
+/// schedule per prefix nor its fixed point).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Prefixes converged (hosted prefixes + the default route).
@@ -107,22 +96,19 @@ impl SimStats {
     }
 }
 
-/// Per-prefix hop accumulation: the legacy unordered `Vec` per device,
-/// or a [`HopSet`] bit mask over the device's sorted neighbor table.
-/// The bitset makes the ECMP-extend step a branch-free bit set instead
-/// of a linear `contains` scan, and materializes born-sorted vectors
-/// at emit (no per-entry sort + dedup in the FIB interner).
-pub(crate) enum Hops {
-    Vecs(Vec<Vec<Ipv4>>),
-    Bits {
-        /// Per-device hop bitset over its neighbor-address table.
-        bits: Vec<HopSet>,
-        /// Vec fallback for devices whose neighbor table exceeds
-        /// [`HopSet::CAPACITY`] (large spines in the 10⁴-router
-        /// shapes). Selected per *receiver* via `SimNet::fits`, so one
-        /// fat device never forces the whole fabric off the fast path.
-        spill: Vec<Vec<Ipv4>>,
-    },
+/// Per-prefix hop accumulation: a [`HopSet`] bit mask over each
+/// device's sorted neighbor table. The bitset makes the ECMP-extend
+/// step a branch-free bit set instead of a linear `contains` scan, and
+/// materializes born-sorted vectors at emit (no per-entry sort + dedup
+/// in the FIB interner).
+pub(crate) struct Hops {
+    /// Per-device hop bitset over its neighbor-address table.
+    pub(crate) bits: Vec<HopSet>,
+    /// Unordered `Vec` fallback for devices whose neighbor table
+    /// exceeds [`HopSet::CAPACITY`] (large spines in the 10⁴-router
+    /// shapes). Selected per *receiver* via `SimNet::fits`, so one fat
+    /// device never forces the whole fabric off the fast path.
+    pub(crate) spill: Vec<Vec<Ipv4>>,
 }
 
 /// Scratch state reused across prefixes.
@@ -149,18 +135,14 @@ fn asn_bit(a: Asn) -> u64 {
 }
 
 impl Relaxation {
-    pub(crate) fn new(n: usize, bitset: bool) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Relaxation {
             best: vec![INF; n],
             parent: vec![DeviceId(0); n],
             path_asns: vec![0; n],
-            hops: if bitset {
-                Hops::Bits {
-                    bits: vec![HopSet::new(); n],
-                    spill: vec![Vec::new(); n],
-                }
-            } else {
-                Hops::Vecs(vec![Vec::new(); n])
+            hops: Hops {
+                bits: vec![HopSet::new(); n],
+                spill: vec![Vec::new(); n],
             },
             touched: Vec::new(),
             buckets: vec![Vec::new(); MAX_LEN],
@@ -191,7 +173,7 @@ const RUN_LOCAL: u32 = 1 << 31;
 
 /// Run-length-encoded emit state. A device's FIB over the chunk's
 /// prefix sequence is long stretches of one state (a ToR forwards every
-/// remote /24 over the same leaf ECMP set), so the bitset emit path
+/// remote /24 over the same leaf ECMP set), so the emit path
 /// records only state *changes* — a handful of runs per device — and
 /// expands them into entries per device afterwards. The per-(prefix,
 /// device) work drops to a sequential mask compare, and the entry
@@ -236,10 +218,10 @@ pub(crate) struct SimNet {
     sess_off: Vec<u32>,
     sess: Vec<(u32, u32)>,
     /// Per device: its neighbors' interface addresses, ascending — the
-    /// bit↔address mapping of the bitset hop mode.
+    /// bit↔address mapping of the hop bitsets.
     pub(crate) addr_table: Vec<Vec<Ipv4>>,
-    /// Per device: its neighbor table fits a [`HopSet`] (bitset hop
-    /// mode); devices over capacity use the Vec spill path instead.
+    /// Per device: its neighbor table fits a [`HopSet`]; devices over
+    /// capacity use the Vec spill path instead.
     pub(crate) fits: Vec<bool>,
     /// Per device: ECMP width cap for specific routes (`u32::MAX` when
     /// unbounded). Emit runs once per (device, prefix) pair, so the
@@ -368,8 +350,8 @@ pub fn simulate(topology: &Topology, config: &SimConfig) -> Vec<Fib> {
     simulate_with(topology, config, SimOptions::default()).0
 }
 
-/// [`simulate`] with explicit threading / hop-representation options,
-/// also returning the run's deterministic work counters.
+/// [`simulate`] with explicit threading options, also returning the
+/// run's deterministic work counters.
 pub fn simulate_with(
     topology: &Topology,
     config: &SimConfig,
@@ -377,7 +359,6 @@ pub fn simulate_with(
 ) -> (Vec<Fib>, SimStats) {
     let n = topology.len();
     let net = SimNet::build(topology, config);
-    let bitset = !opts.legacy_hops;
     let work = work_list(topology);
 
     let fresh_builders = || -> Vec<FibBuilder> {
@@ -390,7 +371,7 @@ pub fn simulate_with(
 
     let run_chunk = |chunk: &[(Prefix, Vec<DeviceId>)]| -> (Vec<FibBuilder>, SimStats) {
         let mut builders = fresh_builders();
-        let mut relax = Relaxation::new(n, bitset);
+        let mut relax = Relaxation::new(n);
         let mut rle = EmitRle::new(n);
         let mut stats = SimStats {
             prefixes: chunk.len(),
@@ -399,16 +380,10 @@ pub fn simulate_with(
         for (k, (prefix, origins)) in chunk.iter().enumerate() {
             relax.reset();
             propagate(&net, &mut relax, *prefix, origins, &mut stats);
-            if bitset {
-                emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
-            } else {
-                emit_vecs(&net, &relax, *prefix, &mut builders);
-            }
+            emit_runs(&net, &relax, k as u32, *prefix, &mut rle, &mut builders);
         }
-        if bitset {
-            let prefixes: Vec<Prefix> = chunk.iter().map(|(p, _)| *p).collect();
-            expand_runs(&rle, &prefixes, &mut builders);
-        }
+        let prefixes: Vec<Prefix> = chunk.iter().map(|(p, _)| *p).collect();
+        expand_runs(&rle, &prefixes, &mut builders);
         (builders, stats)
     };
 
@@ -548,44 +523,25 @@ pub(crate) fn propagate(
                     relax.best[nu] = nl;
                     relax.parent[nu] = d;
                     relax.path_asns[nu] = relax.path_asns[du] | asn_bit(net.asn[nu]);
-                    match &mut relax.hops {
-                        Hops::Vecs(v) => {
-                            v[nu].clear();
-                            v[nu].push(net.addr_table[nu][bit as usize]);
-                        }
-                        Hops::Bits { bits, spill } => {
-                            if net.fits[nu] {
-                                bits[nu].clear();
-                                bits[nu].insert(bit as u16);
-                            } else {
-                                spill[nu].clear();
-                                spill[nu].push(net.addr_table[nu][bit as usize]);
-                            }
-                        }
+                    if net.fits[nu] {
+                        relax.hops.bits[nu].clear();
+                        relax.hops.bits[nu].insert(bit as u16);
+                    } else {
+                        relax.hops.spill[nu].clear();
+                        relax.hops.spill[nu].push(net.addr_table[nu][bit as usize]);
                     }
                     relax.buckets[nl as usize].push(DeviceId(peer));
                 } else {
                     // Equal length: extend the ECMP set. The bitset
                     // insert is idempotent — the branch-free form of
-                    // the legacy `contains` scan.
-                    match &mut relax.hops {
-                        Hops::Vecs(v) => {
-                            let hops = &mut v[nu];
-                            let addr = net.addr_table[nu][bit as usize];
-                            if !hops.contains(&addr) {
-                                hops.push(addr);
-                            }
-                        }
-                        Hops::Bits { bits, spill } => {
-                            if net.fits[nu] {
-                                bits[nu].insert(bit as u16);
-                            } else {
-                                let hops = &mut spill[nu];
-                                let addr = net.addr_table[nu][bit as usize];
-                                if !hops.contains(&addr) {
-                                    hops.push(addr);
-                                }
-                            }
+                    // the spill path's `contains` scan.
+                    if net.fits[nu] {
+                        relax.hops.bits[nu].insert(bit as u16);
+                    } else {
+                        let hops = &mut relax.hops.spill[nu];
+                        let addr = net.addr_table[nu][bit as usize];
+                        if !hops.contains(&addr) {
+                            hops.push(addr);
                         }
                     }
                 }
@@ -594,37 +550,7 @@ pub(crate) fn propagate(
     }
 }
 
-/// Per-prefix emit for legacy `Hops::Vecs` mode: one push per reached
-/// device, exactly as the frozen reference simulator does it.
-fn emit_vecs(net: &SimNet, relax: &Relaxation, prefix: Prefix, builders: &mut [FibBuilder]) {
-    let caps = if prefix.is_default() {
-        &net.default_cap
-    } else {
-        &net.ecmp_cap
-    };
-    let Hops::Vecs(v) = &relax.hops else {
-        unreachable!("emit_vecs requires Vec hop mode")
-    };
-    for du in 0..relax.best.len() {
-        let len = relax.best[du];
-        if len == INF {
-            continue;
-        }
-        if len == 0 {
-            // Origin: ToRs install their hosted prefix as local.
-            // Regional spines originate the default (modeled as local
-            // too: it points out of the datacenter).
-            builders[du].push(prefix, Vec::new(), true);
-            continue;
-        }
-        let mut hops = v[du].clone();
-        hops.sort_unstable();
-        hops.truncate(caps[du] as usize);
-        builders[du].push(prefix, hops, false);
-    }
-}
-
-/// Per-prefix emit for bitset mode: extend or break each device's
+/// Per-prefix emit: extend or break each device's
 /// current run (see [`EmitRle`]). `k` is the chunk-local prefix index.
 ///
 /// Devices are scanned in id order rather than BFS-touch order: the
@@ -645,9 +571,7 @@ pub(crate) fn emit_runs(
     } else {
         &net.ecmp_cap
     };
-    let Hops::Bits { bits, spill } = &relax.hops else {
-        unreachable!("emit_runs requires bitset hop mode")
-    };
+    let Hops { bits, spill } = &relax.hops;
     for du in 0..relax.best.len() {
         let len = relax.best[du];
         if len == INF {
@@ -674,7 +598,7 @@ pub(crate) fn emit_runs(
         let cap = caps[du];
         if !net.fits[du] {
             // Over-capacity device: the spill Vec holds its hops,
-            // interned like legacy Vec mode every prefix. The interner
+            // interned every prefix. The interner
             // canonicalizes, so an id repeat is a state repeat.
             let mut hops = spill[du].clone();
             hops.sort_unstable();
@@ -687,8 +611,8 @@ pub(crate) fn emit_runs(
             continue;
         }
         // Bit order is address order, so truncating to the k lowest
-        // bits keeps the k smallest addresses — exactly the legacy
-        // sort + truncate. Uncapped devices (the overwhelming
+        // bits keeps the k smallest addresses — exactly the spill
+        // path's sort + truncate. Uncapped devices (the overwhelming
         // majority) skip the popcount and the 64-byte copy entirely.
         let stored;
         let mask: &HopSet = if cap != u32::MAX && cap < bits[du].len() {
@@ -1044,7 +968,7 @@ mod tests {
     }
 
     /// A config exercising every override the simulator honors, so the
-    /// mode/thread equivalence tests cover the full emit surface.
+    /// thread equivalence test covers the full emit surface.
     fn faulted_config(f: &dctopo::generator::Figure3) -> SimConfig {
         SimConfig::healthy()
             .with_max_ecmp(f.tors[0], 2)
@@ -1052,40 +976,6 @@ mod tests {
             .with_default_reject(f.a[0])
             .with_l2_port_bug(f.b[1])
             .with_asn_override(f.b[0], f.topology.device(f.a[0]).asn)
-    }
-
-    #[test]
-    fn bitset_and_legacy_hop_paths_agree() {
-        // The HopSet accumulation must reproduce the legacy Vec path
-        // exactly — same tables, same interned pool layout, same
-        // deterministic work counters — on healthy and fully-faulted
-        // fabrics.
-        let f = figure3();
-        let medium = build_clos(&ClosParams::default());
-        let configs = [SimConfig::healthy(), faulted_config(&f)];
-        for config in &configs {
-            let (legacy, ls) = simulate_with(
-                &f.topology,
-                config,
-                SimOptions {
-                    legacy_hops: true,
-                    ..SimOptions::default()
-                },
-            );
-            let (bitset, bs) = simulate_with(&f.topology, config, SimOptions::default());
-            assert_eq!(legacy, bitset);
-            assert_eq!(ls, bs);
-        }
-        let (legacy, _) = simulate_with(
-            &medium,
-            &SimConfig::healthy(),
-            SimOptions {
-                legacy_hops: true,
-                ..SimOptions::default()
-            },
-        );
-        let (bitset, _) = simulate_with(&medium, &SimConfig::healthy(), SimOptions::default());
-        assert_eq!(legacy, bitset);
     }
 
     #[test]
@@ -1107,10 +997,7 @@ mod tests {
                 let (parallel, parallel_stats) = simulate_with(
                     topo,
                     &config,
-                    SimOptions {
-                        threads,
-                        ..SimOptions::default()
-                    },
+                    SimOptions { threads },
                 );
                 assert_eq!(serial, parallel, "threads={threads}");
                 assert_eq!(serial_stats, parallel_stats, "threads={threads}");
@@ -1137,8 +1024,6 @@ mod tests {
         assert_eq!(fixed("lots").threads, detected);
         assert_eq!(fixed("0").threads, detected);
         assert_eq!(fixed("").threads, detected);
-        // auto() never flips the hop representation.
-        assert!(!SimOptions::auto().legacy_hops);
     }
 
     #[test]

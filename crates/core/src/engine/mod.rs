@@ -285,6 +285,15 @@ pub(crate) mod testutil {
         }
     }
 
+    /// `fib` without its route for `prefix`.
+    pub fn without(fib: &Fib, prefix: Prefix) -> Fib {
+        let mut b = bgpsim::FibBuilder::new(fib.device());
+        for e in fib.entries().iter().filter(|e| e.prefix != prefix) {
+            b.push(e.prefix, fib.next_hops(e).to_vec(), e.local);
+        }
+        b.finish()
+    }
+
     /// Figure-3 fixture: healthy FIBs + contracts + metadata.
     pub fn fig3_healthy() -> (Figure3, Vec<Fib>, Vec<DeviceContracts>, MetadataService) {
         let f = dctopo::generator::figure3();

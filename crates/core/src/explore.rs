@@ -47,8 +47,8 @@ use std::collections::{HashMap, HashSet};
 /// Cross-anchor verdict memo: validation is pure in the FIB bytes and
 /// the contract set, so `(device, fib content hash)` fully determines
 /// the report no matter which change context produced the table — the
-/// same argument that makes the pipeline's `VerdictCache`
-/// `(fib_hash, epoch)` key sound. Consulted only where anchors are
+/// same argument that makes the pipeline's `(fib_hash, epoch)`
+/// verdict key sound. Consulted only where anchors are
 /// converged, which hash every table anyway; restarted states are
 /// cheaper to judge than to fingerprint.
 pub(crate) type VerdictMemo = RwLock<HashMap<(u32, u64), ValidationReport>>;

@@ -41,13 +41,16 @@
 //! 6. **Live monitoring** ([`service`]): the §2.6.1 microservice
 //!    architecture — contract generator, FIB puller, validator workers,
 //!    stream-analytics sink — as one in-process sharded service. The
-//!    device space is partitioned across shard-local store sets
-//!    ([`shard`]); each shard's worker is the pull → park → validate →
-//!    sink loop over the stores, verdict cache and per-notification
-//!    validator step of [`pipeline`], fed by a bounded ingest queue
-//!    with back-pressure, while a [`ServiceHandle`] answers verdict
-//!    and alert queries concurrently. A one-shot sweep is the same
-//!    service driven once: `pull_all`, `drain`, read the handle.
+//!    device space is partitioned across shard-local stores
+//!    ([`shard`]), each one record per device behind one lock:
+//!    contracts, parked table, verdict. Each shard's worker is the
+//!    pull → decode → judge loop over its store, whose
+//!    [`judge`](pipeline::DeviceStore::judge) method is the
+//!    pipeline's one step (cache hit / incremental / full), fed by a
+//!    bounded ingest queue with back-pressure, while a
+//!    [`ServiceHandle`] answers verdict and alert queries
+//!    concurrently. A one-shot sweep is the same service driven once:
+//!    `pull_all`, `drain`, read the handle.
 //! 7. **Triage** ([`triage`]): the automated remediation-queue routing
 //!    of §2.6.4 — classified errors land in per-action queues drained
 //!    high-risk first.

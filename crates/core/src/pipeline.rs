@@ -2,33 +2,29 @@
 //!
 //! "RCDC comprises 3 micro services, namely a device contract
 //! generator, a forwarding table puller, and a routing table
-//! validator." This module holds the parts of that architecture; the
-//! loop that drives them — pull, park, validate, push to the sink — is
-//! the shard worker of [`crate::service`], and nowhere else:
+//! validator." Their shared state is one [`DeviceStore`] per shard —
+//! the NoSQL stores and the stream-analytics sink as **one record per
+//! device** behind one lock: the device's published contracts and
+//! their epoch, its parked table with the table's content hash, and
+//! the [`Verdict`] judged for that table, beside the dirty index that
+//! alerting and the triage process (see [`crate::classify`]) read. The
+//! loop that drives it — pull, decode, judge — is the shard worker of
+//! [`crate::service`], and nowhere else; tables come from a
+//! [`SnapshotSource`] ([`SimulatedSource`] optionally charges the
+//! 200–800 ms device latency §2.6.1 measured).
 //!
-//! * [`ContractStore`] / [`FibStore`] — the NoSQL stores, as
-//!   concurrent maps;
-//! * [`SnapshotSource`] — where tables are pulled from
-//!   ([`SimulatedSource`] optionally charges the 200–800 ms device
-//!   latency §2.6.1 measured);
-//! * [`validate_notification`] — the per-device validator step: the
-//!   single cache-hit / incremental / full decision, shared by the
-//!   shard worker and the `simnet` fault-injection harness;
-//! * [`StreamAnalytics`] — the queryable result store that alerting and
-//!   the triage process (see [`crate::classify`]) read from.
-//!
-//! The steady-state workload is dominated by *unchanged* snapshots —
-//! a healthy device republishes the same table sweep after sweep — so
-//! validators consult a [`VerdictCache`] keyed by
-//! `(fib content hash, contract epoch)` first: an unchanged snapshot
-//! costs one hash comparison instead of a validation pass. A churned
-//! snapshot whose predecessor is still in the [`FibStore`] takes the
-//! incremental path: [`crate::Engine::validate_delta`] reads off which
-//! prefixes the two tables differ at and hands them to the engine's
+//! The pipeline's one step is [`DeviceStore::judge`]. The steady-state
+//! workload is dominated by *unchanged* snapshots — a healthy device
+//! republishes the same table sweep after sweep — so a table whose
+//! content hash and contract epoch are the ones the record's verdict
+//! was judged under costs one hash, not a validation pass. A churned
+//! table takes the incremental path against the record's own parked
+//! table: [`crate::Engine::validate_delta`] reads off which prefixes
+//! the two tables differ at and hands them to the engine's
 //! [`validate_touched`](crate::Engine::validate_touched), which
 //! re-checks only the contracts those prefixes can affect. Republishing
-//! a device's contracts bumps its epoch in the [`ContractStore`],
-//! which invalidates every cached verdict for it.
+//! a device's contracts bumps its epoch, which retires the verdict held
+//! for it: the next event validates in full.
 //!
 //! The pipeline is horizontally scalable: one instance is "configured
 //! to monitor O(10K) devices"; scaling out is more shards over
@@ -44,205 +40,8 @@ use netprim::wire::WireSnapshot;
 use obskit::{Counter, Histogram, MetricsSnapshot, Observer, Registry};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Contract store: device → contract set (written by the generator,
-/// read by validators). Every write is stamped with a fresh epoch so
-/// downstream verdict caches can tell "same contracts" from
-/// "republished contracts" without comparing contract contents.
-#[derive(Default)]
-pub struct ContractStore {
-    inner: RwLock<HashMap<DeviceId, (Arc<DeviceContracts>, u64)>>,
-    counter: AtomicU64,
-}
-
-impl ContractStore {
-    /// Publish contracts for a device, stamping a new epoch.
-    pub fn put(&self, device: DeviceId, contracts: DeviceContracts) {
-        let epoch = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner
-            .write()
-            .insert(device, (Arc::new(contracts), epoch));
-    }
-
-    /// Fetch contracts for a device.
-    pub fn get(&self, device: DeviceId) -> Option<Arc<DeviceContracts>> {
-        self.inner.read().get(&device).map(|(c, _)| c.clone())
-    }
-
-    /// Fetch contracts plus the epoch they were published under.
-    pub fn get_versioned(&self, device: DeviceId) -> Option<(Arc<DeviceContracts>, u64)> {
-        self.inner.read().get(&device).cloned()
-    }
-
-    /// Number of devices with published contracts.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-}
-
-/// FIB snapshot store: device → latest pulled snapshot, plus the one
-/// before it — the base the incremental validator computes its
-/// [`netprim::wire::FibDelta`] against.
-#[derive(Default)]
-pub struct FibStore {
-    inner: RwLock<HashMap<DeviceId, FibVersions>>,
-}
-
-#[derive(Clone)]
-struct FibVersions {
-    current: Arc<Fib>,
-    previous: Option<Arc<Fib>>,
-}
-
-impl FibStore {
-    /// Park a pulled snapshot; the snapshot it replaces is retained as
-    /// the device's previous version.
-    pub fn put(&self, fib: Fib) {
-        let mut inner = self.inner.write();
-        let device = fib.device();
-        let previous = inner.remove(&device).map(|v| v.current);
-        inner.insert(
-            device,
-            FibVersions {
-                current: Arc::new(fib),
-                previous,
-            },
-        );
-    }
-
-    /// Latest snapshot for a device.
-    pub fn get(&self, device: DeviceId) -> Option<Arc<Fib>> {
-        self.inner.read().get(&device).map(|v| v.current.clone())
-    }
-
-    /// The snapshot the latest one replaced, if any.
-    pub fn previous(&self, device: DeviceId) -> Option<Arc<Fib>> {
-        self.inner.read().get(&device).and_then(|v| v.previous.clone())
-    }
-}
-
-/// A cached per-device verdict, keyed by the pair that fully determines
-/// it: the FIB's content hash and the contract epoch it was validated
-/// under.
-#[derive(Debug, Clone)]
-pub struct CachedVerdict {
-    /// Content hash of the validated FIB.
-    pub fib_hash: u64,
-    /// Contract epoch the verdict was computed under.
-    pub contract_epoch: u64,
-    /// The verdict itself.
-    pub report: ValidationReport,
-}
-
-/// Verdict cache for the validator workers.
-///
-/// `lookup` hits when *both* key halves match: a republished FIB with
-/// identical content is a hit (validation is pure in the FIB), while a
-/// contract republish changes the epoch and misses — the §2.6.1
-/// pipeline regenerates contracts when the intended topology changes,
-/// and stale verdicts must not outlive that.
-#[derive(Default)]
-pub struct VerdictCache {
-    inner: RwLock<HashMap<DeviceId, CachedVerdict>>,
-    lookups: Counter,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl VerdictCache {
-    /// Look up a verdict for exactly this (hash, epoch) pair, counting
-    /// a hit or miss.
-    pub fn lookup(
-        &self,
-        device: DeviceId,
-        fib_hash: u64,
-        contract_epoch: u64,
-    ) -> Option<ValidationReport> {
-        self.lookups.inc();
-        let hit = self.inner.read().get(&device).and_then(|c| {
-            (c.fib_hash == fib_hash && c.contract_epoch == contract_epoch)
-                .then(|| c.report.clone())
-        });
-        match hit {
-            Some(r) => {
-                self.hits.inc();
-                Some(r)
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
-        }
-    }
-
-    /// The device's latest cached verdict regardless of key — the
-    /// prior report the incremental path carries verdicts over from.
-    /// (Not counted as a hit or miss.)
-    pub fn prior(&self, device: DeviceId) -> Option<CachedVerdict> {
-        self.inner.read().get(&device).cloned()
-    }
-
-    /// Insert or replace the verdict for a device.
-    pub fn store(
-        &self,
-        device: DeviceId,
-        fib_hash: u64,
-        contract_epoch: u64,
-        report: ValidationReport,
-    ) {
-        self.inner.write().insert(
-            device,
-            CachedVerdict {
-                fib_hash,
-                contract_epoch,
-                report,
-            },
-        );
-    }
-
-    /// Point-in-time view of the cache's metrics: the
-    /// `rcdc_verdict_cache_{lookups,hits,misses}_total` counter
-    /// families.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let registry = Registry::new();
-        self.observe(&registry);
-        registry.snapshot()
-    }
-}
-
-impl Observer for VerdictCache {
-    /// Adopt the cache's live counters, so every later
-    /// [`lookup`](VerdictCache::lookup) keeps flowing into the
-    /// registry's exported families.
-    fn observe(&self, registry: &Registry) {
-        registry.register_counter(
-            "rcdc_verdict_cache_lookups_total",
-            "verdict-cache lookups by validator workers",
-            &[],
-            &self.lookups,
-        );
-        registry.register_counter(
-            "rcdc_verdict_cache_hits_total",
-            "verdict-cache lookups answered with a cached report",
-            &[],
-            &self.hits,
-        );
-        registry.register_counter(
-            "rcdc_verdict_cache_misses_total",
-            "verdict-cache lookups that required validation",
-            &[],
-            &self.misses,
-        );
-    }
-}
 
 /// Source of FIB snapshots: the live network in production; here, a
 /// simulated network or an emulated one (§2.7 uses the same interface).
@@ -309,114 +108,305 @@ impl SnapshotSource for SimulatedSource {
 pub enum ValidateMode {
     /// Full validation of every contract.
     Full,
-    /// Incremental revalidation of the delta against the previous
-    /// snapshot; unaffected contracts carried over.
+    /// Incremental revalidation of the delta against the parked
+    /// table; unaffected contracts carried over.
     Incremental,
-    /// Snapshot and contracts unchanged: verdict served from the
-    /// [`VerdictCache`] after one hash comparison.
+    /// Table and contracts unchanged: the record's verdict stands,
+    /// after one hash comparison.
     CacheHit,
 }
 
-/// One validated result flowing into stream analytics.
+/// Every mode, in declaration order: `MODES[m as usize] == m`, the
+/// index of a mode's counter and histogram in a [`DeviceStore`].
+const MODES: [ValidateMode; 3] = [
+    ValidateMode::Full,
+    ValidateMode::Incremental,
+    ValidateMode::CacheHit,
+];
+
+impl ValidateMode {
+    /// Exporter label.
+    fn label(self) -> &'static str {
+        match self {
+            ValidateMode::Full => "full",
+            ValidateMode::Incremental => "incremental",
+            ValidateMode::CacheHit => "cache_hit",
+        }
+    }
+}
+
+/// The verdict a record holds, with the pair that fully determines it:
+/// the content hash of the table it was judged for — always the
+/// record's parked table — and the contract epoch it was judged under.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// Content hash of the validated FIB.
+    pub fib_hash: u64,
+    /// Contract epoch the verdict was computed under.
+    pub contract_epoch: u64,
+    /// The verdict itself.
+    pub report: Arc<ValidationReport>,
+    /// How the latest event for the device arrived at it.
+    pub mode: ValidateMode,
+    /// Time that event spent validating (excludes pull and decode).
+    pub validate_time: Duration,
+}
+
+/// One device's record, as [`DeviceStore::record`] clones it out under
+/// one read lock: a handful of pointers and the keys beside them.
+#[derive(Clone, Default)]
+pub struct DeviceRecord {
+    /// Published contracts and the epoch they were stamped with. Every
+    /// publish stamps a fresh one, so "same contracts" is told from
+    /// "republished contracts" without comparing contract contents.
+    pub contracts: Option<(Arc<DeviceContracts>, u64)>,
+    /// The parked table and its content hash, taken once when it was
+    /// parked.
+    pub table: Option<(Arc<Fib>, u64)>,
+    /// The verdict judged for `table`; `None` until the device has
+    /// both a table and contracts.
+    pub verdict: Option<Verdict>,
+}
+
+/// One validated result flowing out of [`DeviceStore::judge`].
 #[derive(Debug, Clone)]
 pub struct PipelineResult {
     /// The validated device.
     pub device: DeviceId,
     /// The validation outcome.
-    pub report: ValidationReport,
+    pub report: Arc<ValidationReport>,
     /// Time spent validating (excludes pull latency).
     pub validate_time: Duration,
     /// How the verdict was produced.
     pub mode: ValidateMode,
 }
 
-/// The stream-analytics sink: collects results and answers the alert
-/// and triage queries of §2.6.1/§2.6.4.
-///
-/// Dashboard-style queries ([`dirty_devices`](Self::dirty_devices),
-/// [`alerts`](Self::alerts)) read a pre-sorted dirty index maintained
-/// at ingest instead of scanning — and cloning filters of — the full
-/// result map under the lock, so their cost tracks the (typically
-/// tiny) number of dirty devices rather than the fleet size. The
-/// always-on service serves these concurrently with in-flight sweeps.
+/// A shard's keyed state: one [`DeviceRecord`] per device, and the
+/// index dashboard queries walk, under the same lock.
 #[derive(Default)]
-pub struct StreamAnalytics {
-    inner: RwLock<AnalyticsIndex>,
+struct Records {
+    by_device: HashMap<DeviceId, DeviceRecord>,
+    /// Devices whose report has violations, pre-sorted by id, each
+    /// with that report — the one its record's verdict holds, written
+    /// with it — so a query walking the index never probes the records.
+    dirty: BTreeMap<DeviceId, Arc<ValidationReport>>,
+    /// The last contract epoch stamped.
+    epoch: u64,
+}
+
+/// One shard's device state and the pipeline's one step over it.
+///
+/// An event takes the lock twice — a read that clones the record (a
+/// few `Arc`s and the verdict key) and a write that swaps the new
+/// table and verdict in and updates the dirty index — and decodes,
+/// hashes, diffs and validates under neither, so queries
+/// ([`record`](Self::record), [`dirty_devices`](Self::dirty_devices),
+/// [`alerts`](Self::alerts)) are served concurrently with in-flight
+/// sweeps. Because table, verdict and index entry are written in one
+/// critical section, a reader never sees one event's table beside
+/// another's verdict, nor a device clean in its record and still in
+/// the index. Dashboard queries walk the index, not the records: their
+/// cost tracks the (typically tiny) number of dirty devices rather
+/// than the fleet size.
+#[derive(Default)]
+pub struct DeviceStore {
+    records: RwLock<Records>,
+    lookups: Counter,
+    hits: Counter,
+    misses: Counter,
     ingested: Counter,
-    /// Per-mode validate-latency histograms, recording *every* ingested
-    /// result (not just the latest per device): full, incremental,
-    /// cache-hit — indexed by [`latency_slot`].
+    /// Verdicts produced each way, indexed by mode.
+    mode_totals: [Counter; 3],
+    /// Per-mode validate-latency histograms, recording *every* verdict
+    /// (not just the latest per device).
     latency: [Histogram; 3],
 }
 
-/// The sink's keyed state: latest result per device plus the dirty
-/// index dashboard queries walk.
-#[derive(Default)]
-struct AnalyticsIndex {
-    results: HashMap<DeviceId, PipelineResult>,
-    /// Devices whose latest report has violations, pre-sorted by id,
-    /// with their violation counts. Updated on every ingest.
-    dirty: BTreeMap<DeviceId, usize>,
-}
-
-/// Index of a [`ValidateMode`]'s latency histogram in
-/// [`StreamAnalytics::latency`].
-fn latency_slot(mode: ValidateMode) -> usize {
-    match mode {
-        ValidateMode::Full => 0,
-        ValidateMode::Incremental => 1,
-        ValidateMode::CacheHit => 2,
+impl DeviceStore {
+    /// Publish contracts for a device, stamping a new epoch: the
+    /// verdict held for the device no longer applies.
+    pub fn publish(&self, device: DeviceId, contracts: DeviceContracts) {
+        let contracts = Arc::new(contracts);
+        let mut records = self.records.write();
+        records.epoch += 1;
+        let epoch = records.epoch;
+        records.by_device.entry(device).or_default().contracts = Some((contracts, epoch));
     }
-}
 
-/// Exporter label for a [`ValidateMode`].
-fn mode_label(mode: ValidateMode) -> &'static str {
-    match mode {
-        ValidateMode::Full => "full",
-        ValidateMode::Incremental => "incremental",
-        ValidateMode::CacheHit => "cache_hit",
+    /// The device's record: contracts, parked table and verdict as of
+    /// one moment. `None` for a device never published or pulled.
+    pub fn record(&self, device: DeviceId) -> Option<DeviceRecord> {
+        self.records.read().by_device.get(&device).cloned()
     }
-}
 
-impl StreamAnalytics {
-    /// Ingest one result (latest wins, like a keyed stream), keeping
-    /// the dirty index in step under the same write lock.
-    pub fn ingest(&self, r: PipelineResult) {
-        self.ingested.inc();
-        self.latency[latency_slot(r.mode)].record_duration(r.validate_time);
-        let mut inner = self.inner.write();
-        if r.report.is_clean() {
-            inner.dirty.remove(&r.device);
-        } else {
-            inner.dirty.insert(r.device, r.report.violations.len());
+    /// Process one event for `device` — the step a [`crate::service`]
+    /// shard worker executes, and the `simnet` fault-injection harness
+    /// with it. `pulled` is the freshly decoded table of a pull, `None`
+    /// to re-judge the parked one.
+    ///
+    /// The record's verdict stands when it was judged for a table of
+    /// this content hash under the current contract epoch; a different
+    /// table under the same epoch is judged as a delta against the
+    /// parked one; anything else validates in full. Table and verdict
+    /// are written back together. Returns `None` when there is nothing
+    /// to judge: no table (a notification whose snapshot was dropped),
+    /// or no published contracts (e.g. regional spines) — then a pulled
+    /// table is parked for the notification that follows the publish.
+    pub fn judge(
+        &self,
+        device: DeviceId,
+        pulled: Option<Fib>,
+        engine: &dyn Engine,
+        clock: &dyn Clock,
+    ) -> Option<PipelineResult> {
+        let prior = self.record(device).unwrap_or_default();
+        let t0 = clock.now();
+        let pulled = pulled.map(|fib| {
+            assert_eq!(
+                fib.device(),
+                device,
+                "a table is parked under its own device"
+            );
+            let hash = fib.content_hash();
+            (Arc::new(fib), hash)
+        });
+        let Some((contracts, contract_epoch)) = prior.contracts else {
+            if pulled.is_some() {
+                self.records
+                    .write()
+                    .by_device
+                    .entry(device)
+                    .or_default()
+                    .table = pulled;
+            }
+            return None;
+        };
+        let (table, fib_hash) = pulled.or_else(|| prior.table.clone())?;
+        // A verdict is only ever written with the table it judged, so
+        // one under the current epoch is the parked table's.
+        let current = prior.verdict.filter(|v| v.contract_epoch == contract_epoch);
+        let (report, mode) = match current.zip(prior.table) {
+            Some((verdict, _)) if verdict.fib_hash == fib_hash => {
+                (verdict.report, ValidateMode::CacheHit)
+            }
+            Some((verdict, (parked, _))) => {
+                let delta = Fib::delta(&parked, &table);
+                let report = engine.validate_delta(&table, &contracts, &delta, &verdict.report);
+                (Arc::new(report), ValidateMode::Incremental)
+            }
+            None => (
+                Arc::new(engine.validate_device(&table, &contracts)),
+                ValidateMode::Full,
+            ),
+        };
+        let validate_time = clock.now() - t0;
+        let result = PipelineResult {
+            device,
+            report: report.clone(),
+            validate_time,
+            mode,
+        };
+        let verdict = Verdict {
+            fib_hash,
+            contract_epoch,
+            report,
+            mode,
+            validate_time,
+        };
+        self.commit(device, (table, fib_hash), verdict);
+        Some(result)
+    }
+
+    /// Count a verdict and write it back with its table and its dirty
+    /// index entry, in one critical section.
+    fn commit(&self, device: DeviceId, table: (Arc<Fib>, u64), verdict: Verdict) {
+        self.lookups.inc();
+        match verdict.mode {
+            ValidateMode::CacheHit => self.hits.inc(),
+            _ => self.misses.inc(),
         }
-        inner.results.insert(r.device, r);
+        self.mode_totals[verdict.mode as usize].inc();
+        self.ingested.inc();
+        self.latency[verdict.mode as usize].record_duration(verdict.validate_time);
+        // What the record held is dropped after the lock is released.
+        let _replaced = {
+            let mut records = self.records.write();
+            if verdict.report.is_clean() {
+                records.dirty.remove(&device);
+            } else {
+                records.dirty.insert(device, verdict.report.clone());
+            }
+            let record = records.by_device.entry(device).or_default();
+            (record.table.replace(table), record.verdict.replace(verdict))
+        };
     }
 
-    /// Number of devices with results.
-    pub fn len(&self) -> usize {
-        self.inner.read().results.len()
+    /// Check under one read lock what [`judge`](Self::judge) keeps
+    /// true by writing table, verdict and index entry together: every
+    /// verdict is for its record's parked table, and the dirty index
+    /// lists exactly the devices whose report has violations, each
+    /// with that very report.
+    pub fn audit(&self) -> Result<(), String> {
+        let records = self.records.read();
+        let mut dirty = 0;
+        for (device, record) in &records.by_device {
+            let Some(verdict) = &record.verdict else {
+                continue;
+            };
+            if record.table.as_ref().map(|(_, hash)| *hash) != Some(verdict.fib_hash) {
+                return Err(format!("{device:?}: verdict is not for the parked table"));
+            }
+            let indexed = records.dirty.get(device);
+            if verdict.report.is_clean() != indexed.is_none()
+                || indexed.is_some_and(|report| !Arc::ptr_eq(report, &verdict.report))
+            {
+                return Err(format!(
+                    "{device:?}: {} violations, dirty index holds {:?}",
+                    verdict.report.violations.len(),
+                    indexed.map(|report| report.violations.len()),
+                ));
+            }
+            dirty += usize::from(indexed.is_some());
+        }
+        if dirty != records.dirty.len() {
+            return Err("dirty index lists a device with no verdict".into());
+        }
+        Ok(())
     }
 
-    /// Is the sink empty?
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().results.is_empty()
+    /// Number of devices with published contracts.
+    pub fn published(&self) -> usize {
+        let records = self.records.read();
+        records
+            .by_device
+            .values()
+            .filter(|r| r.contracts.is_some())
+            .count()
     }
 
-    /// Devices whose latest report is dirty, with violation counts.
-    /// Served from the pre-sorted dirty index: O(dirty), not O(fleet).
+    /// Number of devices holding a verdict.
+    pub fn judged(&self) -> usize {
+        let records = self.records.read();
+        records
+            .by_device
+            .values()
+            .filter(|r| r.verdict.is_some())
+            .count()
+    }
+
+    /// Devices whose report is dirty, with violation counts. Served
+    /// from the pre-sorted dirty index: O(dirty), not O(fleet).
     pub fn dirty_devices(&self) -> Vec<(DeviceId, usize)> {
-        self.inner
-            .read()
-            .dirty
-            .iter()
-            .map(|(d, n)| (*d, *n))
+        let records = self.records.read();
+        let dirty = records.dirty.iter();
+        dirty
+            .map(|(d, report)| (*d, report.violations.len()))
             .collect()
     }
 
     /// Number of dirty devices, without materializing the list.
     pub fn dirty_count(&self) -> usize {
-        self.inner.read().dirty.len()
+        self.records.read().dirty.len()
     }
 
     /// Alert query: devices with at least one violation at or above the
@@ -424,27 +414,21 @@ impl StreamAnalytics {
     /// index — clean devices cannot alert — so a dashboard hammering
     /// this on a healthy fleet costs an empty iteration, not a scan.
     pub fn alerts(&self, meta: &MetadataService, at_least: Risk) -> Vec<DeviceId> {
-        let inner = self.inner.read();
-        inner
-            .dirty
-            .keys()
-            .filter(|d| {
-                inner.results[d]
-                    .report
-                    .violations
-                    .iter()
-                    .any(|viol| risk_of(viol, meta) >= at_least)
-            })
-            .copied()
+        let records = self.records.read();
+        let alerting = |report: &ValidationReport| {
+            let mut violations = report.violations.iter();
+            violations.any(|viol| risk_of(viol, meta) >= at_least)
+        };
+        let dirty = records.dirty.iter();
+        dirty
+            .filter(|(_, r)| alerting(r))
+            .map(|(d, _)| *d)
             .collect()
     }
 
-    /// Mean validation latency over *all* ingested results, not just
-    /// the latest per device — re-validating the same device twice
-    /// averages both measurements. (An earlier version divided the sum
-    /// of the retained latest-per-device results by their count, so a
-    /// duplicate-heavy stream skewed the mean toward whichever result
-    /// happened to be retained.)
+    /// Mean validation latency over *all* verdicts, not just the one
+    /// each record retains — re-validating the same device twice
+    /// averages both measurements.
     pub fn mean_validate_time(&self) -> Duration {
         let (sum, count) = self
             .latency
@@ -456,38 +440,43 @@ impl StreamAnalytics {
         Duration::from_nanos(sum / count)
     }
 
-    /// The latest result for one device.
-    pub fn result(&self, device: DeviceId) -> Option<PipelineResult> {
-        self.inner.read().results.get(&device).cloned()
-    }
-
-    /// Solver counters summed over the latest result of every device —
+    /// Solver counters summed over the report of every device —
     /// all-zero for the trie engine; for SMT-backed sweeps this is the
     /// observable footprint of session reuse (queries, conflicts,
     /// bit-blast cache hits).
     pub fn solver_totals(&self) -> smtkit::SessionStats {
-        let inner = self.inner.read();
+        let records = self.records.read();
         let mut total = smtkit::SessionStats::default();
-        for r in inner.results.values() {
-            total.absorb(&r.report.solver_stats);
+        for verdict in records
+            .by_device
+            .values()
+            .filter_map(|r| r.verdict.as_ref())
+        {
+            total.absorb(&verdict.report.solver_stats);
         }
         total
     }
 
-    /// How many of the latest results were produced each way.
+    /// How many of the held verdicts were last produced each way:
+    /// `(full, incremental, cache hit)`.
     pub fn mode_counts(&self) -> (usize, usize, usize) {
-        let inner = self.inner.read();
-        let count = |m: ValidateMode| inner.results.values().filter(|r| r.mode == m).count();
-        (
-            count(ValidateMode::Full),
-            count(ValidateMode::Incremental),
-            count(ValidateMode::CacheHit),
-        )
+        let records = self.records.read();
+        let [full, incremental, hit] = MODES.map(|m| {
+            let verdicts = records
+                .by_device
+                .values()
+                .filter_map(|r| r.verdict.as_ref());
+            verdicts.filter(|v| v.mode == m).count()
+        });
+        (full, incremental, hit)
     }
 
-    /// Point-in-time view of the sink's metrics: ingest counter,
-    /// per-mode validate-latency histograms, device/dirty gauges, and
-    /// the solver-session totals of the retained reports.
+    /// Point-in-time view of the store's metrics: the
+    /// `rcdc_verdict_cache_{lookups,hits,misses}_total`,
+    /// `rcdc_validate_mode_total{mode}` and
+    /// `rcdc_analytics_ingested_total` counters, per-mode
+    /// validate-latency histograms, device/dirty gauges, and the
+    /// solver-session totals of the held reports.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let registry = Registry::new();
         self.observe(&registry);
@@ -495,27 +484,49 @@ impl StreamAnalytics {
     }
 }
 
-impl Observer for StreamAnalytics {
-    /// Adopt the live ingest counter and latency histograms, and
-    /// publish point-in-time gauges over the retained results
-    /// (device counts and summed solver-session stats).
+impl Observer for DeviceStore {
+    /// Adopt the live counters and latency histograms, so every later
+    /// [`judge`](DeviceStore::judge) keeps flowing into the registry's
+    /// exported families, and publish point-in-time gauges over the
+    /// records (device counts and summed solver-session stats).
     fn observe(&self, registry: &Registry) {
-        registry.register_counter(
-            "rcdc_analytics_ingested_total",
-            "results ingested by the stream-analytics sink",
-            &[],
-            &self.ingested,
-        );
-        for mode in [
-            ValidateMode::Full,
-            ValidateMode::Incremental,
-            ValidateMode::CacheHit,
+        for (name, help, counter) in [
+            (
+                "rcdc_verdict_cache_lookups_total",
+                "verdict-cache lookups by validator workers",
+                &self.lookups,
+            ),
+            (
+                "rcdc_verdict_cache_hits_total",
+                "verdict-cache lookups answered with a cached report",
+                &self.hits,
+            ),
+            (
+                "rcdc_verdict_cache_misses_total",
+                "verdict-cache lookups that required validation",
+                &self.misses,
+            ),
+            (
+                "rcdc_analytics_ingested_total",
+                "results ingested by the stream-analytics sink",
+                &self.ingested,
+            ),
         ] {
+            registry.register_counter(name, help, &[], counter);
+        }
+        for mode in MODES {
+            let labels = [("mode", mode.label())];
+            registry.register_counter(
+                "rcdc_validate_mode_total",
+                "verdicts produced, by validation mode",
+                &labels,
+                &self.mode_totals[mode as usize],
+            );
             registry.register_histogram(
                 "rcdc_validate_latency_ns",
                 "per-notification validate latency in nanoseconds",
-                &[("mode", mode_label(mode))],
-                &self.latency[latency_slot(mode)],
+                &labels,
+                &self.latency[mode as usize],
             );
         }
         registry
@@ -524,7 +535,7 @@ impl Observer for StreamAnalytics {
                 "devices with a retained latest result",
                 &[],
             )
-            .set(self.len() as i64);
+            .set(self.judged() as i64);
         registry
             .gauge(
                 "rcdc_analytics_dirty_devices",
@@ -537,103 +548,11 @@ impl Observer for StreamAnalytics {
     }
 }
 
-/// Pre-resolved `rcdc_validate_mode_total{mode}` handles.
-///
-/// [`validate_notification`] counts every verdict, so the handles are
-/// created once (a few registry lookups) and then cost one atomic op
-/// each — no name hashing or lock acquisition per event.
-#[derive(Clone)]
-pub struct PipelineMetrics {
-    mode_totals: [Counter; 3],
-}
-
-impl PipelineMetrics {
-    /// Create (or re-attach to) the pipeline's metric families in
-    /// `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        let mode_counter = |mode| {
-            registry.counter(
-                "rcdc_validate_mode_total",
-                "verdicts produced, by validation mode",
-                &[("mode", mode_label(mode))],
-            )
-        };
-        PipelineMetrics {
-            mode_totals: [
-                mode_counter(ValidateMode::Full),
-                mode_counter(ValidateMode::Incremental),
-                mode_counter(ValidateMode::CacheHit),
-            ],
-        }
-    }
-}
-
-/// Process one validator-queue notification: the exact per-device step
-/// a [`crate::service`] shard worker executes, factored out so other
-/// drivers — the `simnet` deterministic fault-injection harness in
-/// particular — exercise the *same* code path instead of a
-/// reimplementation that could drift.
-///
-/// Consults `cache` first (one hash comparison for an unchanged
-/// snapshot under unchanged contracts), takes the incremental delta
-/// path when the previous snapshot and a matching prior verdict are
-/// available, and validates in full otherwise. Returns `None` when the
-/// device has no published contracts or no stored snapshot (e.g.
-/// regional spines, or a notification whose snapshot was dropped).
-pub fn validate_notification(
-    device: DeviceId,
-    contract_store: &ContractStore,
-    fib_store: &FibStore,
-    cache: &VerdictCache,
-    engine: &dyn Engine,
-    clock: &dyn Clock,
-    metrics: &PipelineMetrics,
-) -> Option<PipelineResult> {
-    let (contracts, epoch) = contract_store.get_versioned(device)?;
-    let fib = fib_store.get(device)?;
-    let t0 = clock.now();
-    let fib_hash = fib.content_hash();
-    let (report, mode) = match cache.lookup(device, fib_hash, epoch) {
-        Some(report) => (report, ValidateMode::CacheHit),
-        None => {
-            let prior = cache.prior(device).zip(fib_store.previous(device));
-            let (report, mode) = match prior {
-                // The incremental path needs the prior verdict to
-                // belong to the previous snapshot under the *current*
-                // epoch.
-                Some((cached, prev))
-                    if cached.contract_epoch == epoch
-                        && cached.fib_hash == prev.content_hash() =>
-                {
-                    let delta = Fib::delta(&prev, &fib);
-                    (
-                        engine.validate_delta(&fib, &contracts, &delta, &cached.report),
-                        ValidateMode::Incremental,
-                    )
-                }
-                _ => (
-                    engine.validate_device(&fib, &contracts),
-                    ValidateMode::Full,
-                ),
-            };
-            cache.store(device, fib_hash, epoch, report.clone());
-            (report, mode)
-        }
-    };
-    metrics.mode_totals[latency_slot(mode)].inc();
-    Some(PipelineResult {
-        device,
-        report,
-        validate_time: clock.now() - t0,
-        mode,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contracts::generate_contracts;
-    use crate::engine::testutil::{fig3_faulted, fig3_healthy};
+    use crate::engine::testutil::{fig3_faulted, fig3_healthy, without};
     use crate::engine::trie::TrieEngine;
 
     #[test]
@@ -664,59 +583,97 @@ mod tests {
         assert_eq!(clock.now(), d1 + d2 + d3);
     }
 
+    /// A store with `contracts` published, device by device.
+    fn published(contracts: Vec<DeviceContracts>) -> DeviceStore {
+        let store = DeviceStore::default();
+        for (i, dc) in contracts.into_iter().enumerate() {
+            store.publish(DeviceId(i as u32), dc);
+        }
+        store
+    }
+
     #[test]
     fn wire_round_trip_through_store() {
         let (f, fibs, _contracts, _meta) = fig3_healthy();
         let tor = f.tors[0];
         let wire = SimulatedSource::new(fibs.clone()).pull(tor);
-        let fs = FibStore::default();
-        fs.put(Fib::from_wire(&wire).unwrap());
-        // Wire format round-trips entries and hop sets exactly.
-        assert_eq!(fs.get(tor).unwrap().as_ref(), &fibs[tor.0 as usize]);
+        let store = DeviceStore::default();
+        // No contracts published: the table is parked, nothing judged.
+        let pulled = Fib::from_wire(&wire).unwrap();
+        assert!(store
+            .judge(tor, Some(pulled), &TrieEngine::new(), &RealClock::new())
+            .is_none());
+        // Wire format round-trips entries and hop sets exactly, and the
+        // hash beside the table is the table's.
+        let (parked, hash) = store.record(tor).unwrap().table.unwrap();
+        assert_eq!(parked.as_ref(), &fibs[tor.0 as usize]);
+        assert_eq!(hash, fibs[tor.0 as usize].content_hash());
+        assert_eq!(store.judged(), 0);
     }
 
     #[test]
     fn contract_generator_populates_store() {
         let (f, _fibs, _contracts, meta) = fig3_healthy();
-        let cs = ContractStore::default();
-        for (i, dc) in generate_contracts(&meta).into_iter().enumerate() {
-            cs.put(DeviceId(i as u32), dc);
-        }
-        assert_eq!(cs.len(), f.topology.len());
-        assert!(!cs.get(f.tors[0]).unwrap().is_empty());
-        assert!(cs.get(DeviceId(9999)).is_none());
+        let store = published(generate_contracts(&meta));
+        assert_eq!(store.published(), f.topology.len());
+        let (contracts, _epoch) = store.record(f.tors[0]).unwrap().contracts.unwrap();
+        assert!(!contracts.is_empty());
+        assert!(store.record(DeviceId(9999)).is_none());
     }
 
-    fn result_for(device: DeviceId, micros: u64, mode: ValidateMode) -> PipelineResult {
-        PipelineResult {
-            device,
-            report: ValidationReport::default(),
-            validate_time: Duration::from_micros(micros),
+    /// A fabricated verdict over an empty table, committed the way
+    /// [`DeviceStore::judge`] commits a real one.
+    fn commit(store: &DeviceStore, device: DeviceId, micros: u64, mode: ValidateMode) {
+        let table = bgpsim::FibBuilder::new(device).finish();
+        let fib_hash = table.content_hash();
+        let verdict = Verdict {
+            fib_hash,
+            contract_epoch: 1,
+            report: Arc::default(),
             mode,
-        }
+            validate_time: Duration::from_micros(micros),
+        };
+        store.commit(device, (Arc::new(table), fib_hash), verdict);
     }
 
     /// `snapshot()` is the one stats surface (the PR-5 getter shims are
-    /// gone): the counter families must reflect every lookup exactly.
+    /// gone): the counter families must reflect every event exactly.
     #[test]
     fn snapshot_counters_track_cache_and_ingest_activity() {
-        let cache = VerdictCache::default();
-        let d = DeviceId(0);
-        assert!(cache.lookup(d, 1, 1).is_none());
-        cache.store(d, 1, 1, ValidationReport::default());
-        assert!(cache.lookup(d, 1, 1).is_some());
-        assert!(cache.lookup(d, 2, 1).is_none());
-        let snap = cache.snapshot();
-        assert_eq!(snap.counter("rcdc_verdict_cache_lookups_total", &[]), Some(3));
+        let (f, fibs, contracts, _meta) = fig3_healthy();
+        let store = published(contracts);
+        let (engine, clock) = (TrieEngine::new(), RealClock::new());
+        let d = f.tors[0];
+        let table = &fibs[d.0 as usize];
+        let mode = |fib: &Fib| {
+            store
+                .judge(d, Some(fib.clone()), &engine, &clock)
+                .unwrap()
+                .mode
+        };
+        assert_eq!(mode(table), ValidateMode::Full);
+        assert_eq!(mode(table), ValidateMode::CacheHit);
+        assert_eq!(
+            mode(&without(table, f.prefixes[1])),
+            ValidateMode::Incremental
+        );
+        let snap = store.snapshot();
+        assert_eq!(
+            snap.counter("rcdc_verdict_cache_lookups_total", &[]),
+            Some(3)
+        );
         assert_eq!(snap.counter("rcdc_verdict_cache_hits_total", &[]), Some(1));
-        assert_eq!(snap.counter("rcdc_verdict_cache_misses_total", &[]), Some(2));
+        assert_eq!(
+            snap.counter("rcdc_verdict_cache_misses_total", &[]),
+            Some(2)
+        );
 
-        let analytics = StreamAnalytics::default();
+        let store = DeviceStore::default();
         for i in 0..5 {
-            analytics.ingest(result_for(DeviceId(i), 100, ValidateMode::Full));
+            commit(&store, DeviceId(i), 100, ValidateMode::Full);
         }
         assert_eq!(
-            analytics
+            store
                 .snapshot()
                 .counter("rcdc_analytics_ingested_total", &[]),
             Some(5)
@@ -724,58 +681,56 @@ mod tests {
     }
 
     /// The dirty index answers dashboard queries without scanning the
-    /// result map: it must track ingests exactly — a device turning
+    /// records: it must track verdicts exactly — a device turning
     /// clean leaves the index, latest-wins updates replace counts.
     #[test]
     fn dirty_index_tracks_latest_reports() {
         let (_f, fibs, contracts, meta) = fig3_faulted();
-        let engine = TrieEngine::new();
-        let analytics = StreamAnalytics::default();
-        // Ingest real faulted reports for every device.
-        for (i, fib) in fibs.iter().enumerate() {
-            let report = engine.validate_device(fib, &contracts[i]);
-            analytics.ingest(PipelineResult {
-                device: DeviceId(i as u32),
-                report,
-                validate_time: Duration::ZERO,
-                mode: ValidateMode::Full,
-            });
+        let (engine, clock) = (TrieEngine::new(), RealClock::new());
+        let store = published(contracts);
+        // Judge the real faulted table of every device.
+        for fib in &fibs {
+            store.judge(fib.device(), Some(fib.clone()), &engine, &clock);
         }
-        let dirty = analytics.dirty_devices();
+        let dirty = store.dirty_devices();
         assert_eq!(dirty.len(), 16);
-        assert_eq!(analytics.dirty_count(), 16);
+        assert_eq!(store.dirty_count(), 16);
         assert!(dirty.windows(2).all(|w| w[0].0 < w[1].0), "pre-sorted");
-        assert!(!analytics.alerts(&meta, Risk::High).is_empty());
+        assert!(!store.alerts(&meta, Risk::High).is_empty());
+        assert_eq!(store.audit(), Ok(()));
         // A dirty device turning clean leaves the index.
         let dirty_device = dirty[0].0;
-        analytics.ingest(result_for(dirty_device, 10, ValidateMode::Full));
-        assert_eq!(analytics.dirty_count(), 15);
-        assert!(!analytics
+        let (_f, healthy, _contracts, _meta) = fig3_healthy();
+        let healed = healthy[dirty_device.0 as usize].clone();
+        let result = store.judge(dirty_device, Some(healed), &engine, &clock);
+        assert!(result.unwrap().report.is_clean());
+        assert_eq!(store.dirty_count(), 15);
+        assert!(!store
             .dirty_devices()
             .iter()
             .any(|(d, _)| *d == dirty_device));
         // Alerts walk only the index; the clean device cannot alert.
-        assert!(!analytics.alerts(&meta, Risk::Low).contains(&dirty_device));
+        assert!(!store.alerts(&meta, Risk::Low).contains(&dirty_device));
+        assert_eq!(store.audit(), Ok(()));
     }
 
     /// Regression for the duplicate-ingestion skew: the mean must
-    /// weight every ingested result, not just the retained
-    /// latest-per-device ones. Here one device is revalidated many
-    /// times; the old retained-results mean reported 10 µs (one
-    /// retained result, sum over all ten).
+    /// weight every verdict, not just the one each record retains.
+    /// Here one device is revalidated many times; a retained-results
+    /// mean would report 1000 µs (the one retained verdict).
     #[test]
     fn mean_validate_time_weights_every_ingested_result() {
-        let analytics = StreamAnalytics::default();
+        let store = DeviceStore::default();
         for _ in 0..9 {
-            analytics.ingest(result_for(DeviceId(0), 100, ValidateMode::Full));
+            commit(&store, DeviceId(0), 100, ValidateMode::Full);
         }
-        analytics.ingest(result_for(DeviceId(0), 1_000, ValidateMode::Incremental));
-        assert_eq!(analytics.len(), 1, "latest-wins keying retains one result");
-        let mean = analytics.mean_validate_time();
+        commit(&store, DeviceId(0), 1_000, ValidateMode::Incremental);
+        assert_eq!(store.judged(), 1, "latest-wins keying retains one verdict");
+        let mean = store.mean_validate_time();
         // (9·100 + 1000) / 10 = 190 µs.
         assert_eq!(mean, Duration::from_micros(190));
         // The per-mode histograms carry the same story for exporters.
-        let snap = analytics.snapshot();
+        let snap = store.snapshot();
         let full = snap
             .histogram("rcdc_validate_latency_ns", &[("mode", "full")])
             .unwrap();

@@ -150,8 +150,8 @@ impl PassMetrics {
 /// Besides the per-device verdicts, the report records each FIB's
 /// content hash and the contract epoch it was validated under, which
 /// is exactly the state a later warm pass needs to decide what to skip
-/// (`(fib_hash, contract_epoch)` is the verdict-cache key throughout
-/// the codebase — see `rcdc::pipeline::VerdictCache`).
+/// (`(fib_hash, contract_epoch)` is the verdict key throughout the
+/// codebase — see `rcdc::pipeline::Verdict`).
 #[derive(Debug, Clone)]
 pub struct DatacenterReport {
     /// Per-device reports, indexed by device id.

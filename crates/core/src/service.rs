@@ -1,16 +1,16 @@
 //! The long-running sharded validation service: the §2.6.1 pipeline
 //! as an always-on system. Its shard worker is the only
-//! pull → park → validate → sink loop in the repository; a one-shot
+//! pull → decode → judge loop in the repository; a one-shot
 //! sweep is the same service driven once
 //! ([`pull_all`](ValidationService::pull_all) +
 //! [`drain`](ValidationService::drain)), with
 //! [`shards`](crate::ValidatorBuilder::shards) as its pull concurrency.
 //!
 //! A [`ValidationService`] partitions the device space across N worker
-//! shards (a [`ShardRouter`]): each shard owns its own stores, engine
-//! instance (and therefore its own smtkit sessions), and obskit
+//! shards (a [`ShardRouter`]): each shard owns its own device store,
+//! engine instance (and therefore its own smtkit sessions), and obskit
 //! registry, and drains a private **bounded** ingest queue. Producers
-//! submit [`IngestEvent`]s — FIB pulls and delta notifications —
+//! submit [`IngestEvent`]s — FIB pulls and notifications —
 //! through [`ValidationService::submit`], which routes each event to
 //! its device's shard. When a shard's queue is full the submit blocks
 //! until the shard catches up, counting the stall in
@@ -19,17 +19,18 @@
 //! back-pressure discipline the paper's pipeline needs to survive
 //! churn storms. A pull the source answers with an undecodable or
 //! mis-addressed snapshot is counted in
-//! `rcdc_service_pull_errors_total` and dropped: the device keeps its
-//! parked snapshot and verdict, and the shard keeps running.
+//! `rcdc_service_pull_errors_total` and dropped: the device's record
+//! keeps its parked snapshot and verdict, and the shard keeps running.
 //!
 //! Reads never queue. A cloneable [`ServiceHandle`] answers
 //! [`verdict`](ServiceHandle::verdict), [`alerts`](ServiceHandle::alerts),
 //! [`snapshot`](ServiceHandle::snapshot) and
 //! [`solver_totals`](ServiceHandle::solver_totals) directly from the
-//! shard stores, concurrently with in-flight sweeps; verdicts are
-//! cloned atomically under a shard-local read lock, so the
-//! `(fib_hash, contract_epoch, report)` triple a reader observes is
-//! always internally consistent.
+//! shard stores, concurrently with in-flight sweeps: a worker decodes,
+//! hashes and validates outside its store's lock and holds it only to
+//! clone a record out or swap one in. A verdict is cloned under that
+//! one shard-local read lock, so the `(fib_hash, contract_epoch,
+//! report)` triple a reader observes is always internally consistent.
 //!
 //! Construction goes through [`crate::ValidatorBuilder`]:
 //!
@@ -57,10 +58,10 @@
 
 use crate::clock::Clock;
 use crate::engine::Engine;
-use crate::pipeline::{validate_notification, CachedVerdict, PipelineMetrics, SnapshotSource};
+use crate::pipeline::{DeviceStore, SnapshotSource, Verdict};
 use crate::report::Risk;
 use crate::runner::EngineChoice;
-use crate::shard::{ShardRouter, ShardStores};
+use crate::shard::ShardRouter;
 use bgpsim::Fib;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use dctopo::{DeviceId, MetadataService};
@@ -74,12 +75,12 @@ use std::time::Duration;
 /// An event submitted to the service's ingest front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestEvent {
-    /// Pull the device's current snapshot from the source, park it,
-    /// and validate — the periodic-sweep path.
+    /// Pull the device's current snapshot from the source, judge it
+    /// and park it with its verdict — the periodic-sweep path.
     Pull(DeviceId),
-    /// Revalidate the device's already-parked snapshot — the
-    /// delta-notification path (the snapshot arrived out of band, e.g.
-    /// a pushed FIB delta already applied to the shard's store).
+    /// Re-judge the device's parked snapshot without a pull: a cache
+    /// hit, unless its contracts were (re)published since the verdict
+    /// — then a full validation under the new epoch.
     Notify(DeviceId),
 }
 
@@ -283,10 +284,10 @@ impl Drop for ValidationService {
 
 impl ServiceHandle {
     /// The device's latest verdict, from its owning shard. The triple
-    /// is cloned under the shard cache's read lock, so `fib_hash`,
+    /// is cloned under the shard store's read lock, so `fib_hash`,
     /// `contract_epoch` and `report` always belong together even while
     /// the shard is mid-sweep. `None` until first validation.
-    pub fn verdict(&self, device: DeviceId) -> Option<CachedVerdict> {
+    pub fn verdict(&self, device: DeviceId) -> Option<Verdict> {
         self.inner.router.verdict(device)
     }
 
@@ -296,9 +297,9 @@ impl ServiceHandle {
         self.inner.router.alerts(&self.inner.meta, at_least)
     }
 
-    /// Fleet-wide metrics: every shard's registry (plus cache and
-    /// analytics observers) labeled `shard="<index>"` and merged into
-    /// one snapshot.
+    /// Fleet-wide metrics: every shard's registry (plus its device
+    /// store's observer) labeled `shard="<index>"` and merged into one
+    /// snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.inner.router.merged_snapshot()
     }
@@ -314,49 +315,39 @@ impl ServiceHandle {
     }
 }
 
-/// One ingest event on its owning shard — the pipeline's one step:
-/// a [`Pull`](IngestEvent::Pull) fetches, decodes and parks the
-/// device's snapshot first; then the parked snapshot is validated
-/// ([`validate_notification`] decides hit / incremental / full) and
-/// the verdict pushed to the sink.
+/// One ingest event on its owning shard: a [`Pull`](IngestEvent::Pull)
+/// fetches and decodes the device's snapshot first; then
+/// [`DeviceStore::judge`] — the pipeline's one step — decides hit /
+/// incremental / full and writes table and verdict back.
 ///
-/// A snapshot that does not decode, or that is another device's (it
-/// would be parked under that device's key), is an error, returned
-/// before anything is parked or validated.
+/// A snapshot that does not decode, or that is another device's, is an
+/// error, returned before the store is touched.
 fn step(
     event: IngestEvent,
     source: &dyn SnapshotSource,
-    stores: &ShardStores,
+    store: &DeviceStore,
     engine: &dyn Engine,
     clock: &dyn Clock,
-    metrics: &PipelineMetrics,
 ) -> Result<(), ParseError> {
     let device = event.device();
-    if let IngestEvent::Pull(_) = event {
-        let wire = source.pull(device);
-        if wire.device != device.0 {
-            return Err(ParseError::new(
-                "fib snapshot",
-                "<pull>",
-                format!(
-                    "pull of device {} answered for device {}",
-                    device.0, wire.device
-                ),
-            ));
+    let pulled = match event {
+        IngestEvent::Pull(_) => {
+            let wire = source.pull(device);
+            if wire.device != device.0 {
+                return Err(ParseError::new(
+                    "fib snapshot",
+                    "<pull>",
+                    format!(
+                        "pull of device {} answered for device {}",
+                        device.0, wire.device
+                    ),
+                ));
+            }
+            Some(Fib::from_wire(&wire)?)
         }
-        stores.fibs.put(Fib::from_wire(&wire)?);
-    }
-    if let Some(result) = validate_notification(
-        device,
-        &stores.contracts,
-        &stores.fibs,
-        &stores.cache,
-        engine,
-        clock,
-        metrics,
-    ) {
-        stores.analytics.ingest(result);
-    }
+        IngestEvent::Notify(_) => None,
+    };
+    store.judge(device, pulled, engine, clock);
     Ok(())
 }
 
@@ -371,7 +362,6 @@ fn shard_worker(
     let stores = inner.router.shard(shard);
     let engine = engine_choice.instantiate();
     let clock = inner.clock.as_ref();
-    let metrics = PipelineMetrics::new(&stores.registry);
     let latency = stores.registry.histogram(
         "rcdc_service_notify_latency_ns",
         "notification-to-verdict latency through the ingest queue",
@@ -407,14 +397,7 @@ fn shard_worker(
             IngestEvent::Pull(_) => pulls.inc(),
             IngestEvent::Notify(_) => notifies.inc(),
         }
-        match step(
-            event,
-            source.as_ref(),
-            stores,
-            engine.as_ref(),
-            clock,
-            &metrics,
-        ) {
+        match step(event, source.as_ref(), &stores.devices, engine.as_ref(), clock) {
             Ok(()) => latency.record((clock.now() - enqueued_at).as_nanos() as u64),
             Err(_) => pull_errors.inc(),
         }
@@ -425,7 +408,7 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{fig3_faulted, fig3_healthy};
+    use crate::engine::testutil::{fig3_faulted, fig3_healthy, without};
     use crate::pipeline::{SimulatedSource, ValidateMode};
     use crate::{TrieEngine, Validator};
     use netprim::wire::WireSnapshot;
@@ -463,15 +446,6 @@ mod tests {
         service.drain();
     }
 
-    /// `fib` without its route for `prefix`.
-    fn without(fib: &Fib, prefix: netprim::Prefix) -> Fib {
-        let mut b = bgpsim::FibBuilder::new(fib.device());
-        for e in fib.entries().iter().filter(|e| e.prefix != prefix) {
-            b.push(e.prefix, fib.next_hops(e).to_vec(), e.local);
-        }
-        b.finish()
-    }
-
     /// A one-shard service over `fibs`, swept once.
     fn swept(meta: &MetadataService, fibs: &[Fib]) -> ValidationService {
         let service =
@@ -496,7 +470,7 @@ mod tests {
                     handle.dirty_count(),
                     handle.alerts(Risk::High),
                     ds.iter()
-                        .map(|&d| handle.verdict(d).map(|v| v.report))
+                        .map(|&d| handle.verdict(d).map(|v| (*v.report).clone()))
                         .collect::<Vec<_>>(),
                 )
             };
@@ -515,7 +489,7 @@ mod tests {
     fn sweep_over_healthy_network_is_clean() {
         let (_f, fibs, _contracts, meta) = fig3_healthy();
         let service = swept(&meta, &fibs);
-        assert_eq!(service.router().shard(0).analytics.len(), fibs.len());
+        assert_eq!(service.router().shard(0).devices.judged(), fibs.len());
         assert_eq!(service.handle().dirty_count(), 0);
         // The trie-backed sweep never touches a solver.
         assert_eq!(
@@ -546,24 +520,27 @@ mod tests {
         let (_f, fibs, _contracts, meta) = fig3_healthy();
         let ds = devices(fibs.len());
         let service = swept(&meta, &fibs);
-        let stores = service.router().shard(0);
-        let reports = || -> Vec<_> { ds.iter().map(|&d| stores.analytics.result(d)).collect() };
-        assert_eq!(stores.analytics.mode_counts(), (ds.len(), 0, 0));
+        let store = &service.router().shard(0).devices;
+        let reports = || -> Vec<_> {
+            ds.iter()
+                .map(|&d| store.record(d).and_then(|r| r.verdict))
+                .collect()
+        };
+        assert_eq!(store.mode_counts(), (ds.len(), 0, 0));
         let first = reports();
 
         // Same snapshots, same contracts: every verdict is one hash
         // comparison away.
         sweep(&service, &ds);
-        assert_eq!(stores.analytics.mode_counts(), (0, 0, ds.len()));
+        assert_eq!(store.mode_counts(), (0, 0, ds.len()));
         assert_eq!(
-            stores
-                .cache
+            store
                 .snapshot()
                 .counter("rcdc_verdict_cache_hits_total", &[]),
             Some(ds.len() as u64)
         );
         for (a, b) in first.into_iter().zip(reports()) {
-            assert_eq!(a.map(|r| r.report), b.map(|r| r.report));
+            assert_eq!(a.map(|v| v.report), b.map(|v| v.report));
         }
     }
 
@@ -599,14 +576,14 @@ mod tests {
         let churned = without(&fibs[tor.0 as usize], f.prefixes[1]);
         source.set(tor, churned.to_wire());
         sweep(&service, &ds);
-        let analytics = &service.router().shard(0).analytics;
-        assert_eq!(analytics.mode_counts(), (0, 1, ds.len() - 1));
-        let r = analytics.result(tor).unwrap();
-        assert_eq!(r.mode, ValidateMode::Incremental);
+        let store = &service.router().shard(0).devices;
+        assert_eq!(store.mode_counts(), (0, 1, ds.len() - 1));
+        let v = store.record(tor).unwrap().verdict.unwrap();
+        assert_eq!(v.mode, ValidateMode::Incremental);
         // The incremental verdict matches a from-scratch validation.
         let fresh = TrieEngine::new().validate_device(&churned, &contracts[tor.0 as usize]);
-        assert_eq!(r.report, fresh);
-        assert!(!r.report.is_clean());
+        assert_eq!(*v.report, fresh);
+        assert!(!v.report.is_clean());
     }
 
     #[test]
@@ -619,20 +596,15 @@ mod tests {
         // verdict — keyed on (fib hash, epoch) — no longer applies even
         // though the FIB is unchanged.
         let tor = f.tors[0];
-        let stores = service.router().shard(0);
-        stores.contracts.put(tor, contracts[tor.0 as usize].clone());
+        let store = &service.router().shard(0).devices;
+        let mode = || store.record(tor).unwrap().verdict.unwrap().mode;
+        store.publish(tor, contracts[tor.0 as usize].clone());
         sweep(&service, &ds);
-        assert_eq!(
-            stores.analytics.result(tor).unwrap().mode,
-            ValidateMode::Full
-        );
-        assert_eq!(stores.analytics.mode_counts(), (1, 0, ds.len() - 1));
+        assert_eq!(mode(), ValidateMode::Full);
+        assert_eq!(store.mode_counts(), (1, 0, ds.len() - 1));
         // The re-check under the fresh epoch repopulates the cache.
         sweep(&service, &ds);
-        assert_eq!(
-            stores.analytics.result(tor).unwrap().mode,
-            ValidateMode::CacheHit
-        );
+        assert_eq!(mode(), ValidateMode::CacheHit);
     }
 
     #[test]
@@ -675,13 +647,8 @@ mod tests {
         service.drain();
         assert_eq!(errors(), Some(2));
         let parked = |d: DeviceId| {
-            service
-                .router()
-                .stores(d)
-                .fibs
-                .get(d)
-                .unwrap()
-                .content_hash()
+            let record = service.router().stores(d).devices.record(d).unwrap();
+            record.table.unwrap().0.content_hash()
         };
         assert_eq!(parked(other), fibs[other.0 as usize].content_hash());
 
@@ -733,6 +700,44 @@ mod tests {
                 Some(0)
             );
         }
+    }
+
+    #[test]
+    fn table_pulled_before_contracts_is_judged_on_notify() {
+        let (f, fibs, contracts, meta) = fig3_healthy();
+        let tor = f.tors[0];
+        // A service with no contracts published for anyone.
+        let service = Validator::with_contracts(Vec::new())
+            .metadata(&meta)
+            .build_service(Arc::new(SimulatedSource::new(fibs.clone())));
+        let handle = service.handle();
+        let store = &service.router().stores(tor).devices;
+        let events = || {
+            let snap = handle.snapshot();
+            ["pull", "notify"].map(|kind| {
+                snap.counter("rcdc_service_events_total", &[("kind", kind), ("shard", "0")])
+            })
+        };
+
+        // The pull parks the table and yields no result.
+        service.submit(IngestEvent::Pull(tor));
+        service.drain();
+        assert!(handle.verdict(tor).is_none());
+        let (parked, hash) = store.record(tor).unwrap().table.unwrap();
+        assert_eq!(hash, fibs[tor.0 as usize].content_hash());
+        assert_eq!(store.judged(), 0);
+
+        // Once contracts are published, a notify judges that very
+        // table in full, without a new pull.
+        store.publish(tor, contracts[tor.0 as usize].clone());
+        service.submit(IngestEvent::Notify(tor));
+        service.drain();
+        let v = handle.verdict(tor).unwrap();
+        assert_eq!((v.mode, v.fib_hash), (ValidateMode::Full, hash));
+        assert!(v.report.is_clean() && v.report.contracts_checked > 0);
+        assert_eq!(events(), [Some(1), Some(1)]);
+        let (still, _) = store.record(tor).unwrap().table.unwrap();
+        assert!(Arc::ptr_eq(&parked, &still), "the notify re-parked nothing");
     }
 
     #[test]

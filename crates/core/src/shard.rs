@@ -1,5 +1,5 @@
-//! Shard routing for the pipeline stores: partition the device space
-//! across N independent store sets so validation scales by adding
+//! Shard routing for the pipeline's device stores: partition the device
+//! space across N independent stores so validation scales by adding
 //! shards instead of contending on shared locks.
 //!
 //! The decomposition follows the paper's observation that local,
@@ -10,8 +10,9 @@
 //! balances Clos topologies well because device ids are assigned
 //! round-robin across clusters by the generator.
 //!
-//! Each shard owns a full set of pipeline stores plus its own obskit
-//! [`Registry`], so shard workers never share a lock or a metric cell.
+//! Each shard owns one [`DeviceStore`] — a record per device, one lock
+//! — plus its own obskit [`Registry`], so shard workers never share a
+//! lock or a metric cell.
 //! Fleet-wide views are produced by merging: [`merged_snapshot`]
 //! absorbs every shard's registry under a `shard` label, and the query
 //! helpers ([`verdict`], [`alerts`], [`solver_totals`]) fan out and
@@ -24,45 +25,27 @@
 //! [`solver_totals`]: ShardRouter::solver_totals
 
 use crate::contracts::DeviceContracts;
-use crate::pipeline::{CachedVerdict, ContractStore, FibStore, StreamAnalytics, VerdictCache};
+use crate::pipeline::{DeviceStore, Verdict};
 use crate::report::Risk;
 use dctopo::{DeviceId, MetadataService};
 use obskit::{MetricsSnapshot, Observer, Registry};
 
-/// One shard's complete store set: everything a shard worker touches
-/// lives here and nowhere else.
+/// One shard's state: everything a shard worker touches lives here and
+/// nowhere else.
+#[derive(Default)]
 pub struct ShardStores {
-    /// Contracts for the devices routed to this shard.
-    pub contracts: ContractStore,
-    /// FIB snapshots (current + previous) for this shard's devices.
-    pub fibs: FibStore,
-    /// Verdict cache for this shard's devices.
-    pub cache: VerdictCache,
-    /// Stream-analytics sink for this shard's results.
-    pub analytics: StreamAnalytics,
+    /// The records of the devices routed to this shard.
+    pub devices: DeviceStore,
     /// This shard's private metric registry; merged views label it
     /// with `shard="<index>"`.
     pub registry: Registry,
 }
 
-impl Default for ShardStores {
-    fn default() -> Self {
-        ShardStores {
-            contracts: ContractStore::default(),
-            fibs: FibStore::default(),
-            cache: VerdictCache::default(),
-            analytics: StreamAnalytics::default(),
-            registry: Registry::new(),
-        }
-    }
-}
-
 impl ShardStores {
-    /// This shard's metrics: registry families plus the cache and
-    /// analytics observers, unlabeled.
+    /// This shard's metrics: registry families plus the device store's
+    /// observer, unlabeled.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.cache.observe(&self.registry);
-        self.analytics.observe(&self.registry);
+        self.devices.observe(&self.registry);
         self.registry.snapshot()
     }
 }
@@ -73,9 +56,9 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Create a router with `shards` store sets (`shards` ≥ 1
-    /// enforced). `ShardRouter::new(1)` is the pre-sharding pipeline:
-    /// one store set, every device routed to it.
+    /// Create a router with `shards` stores (`shards` ≥ 1 enforced).
+    /// `ShardRouter::new(1)` is the pre-sharding pipeline: one store,
+    /// every device routed to it.
     pub fn new(shards: usize) -> Self {
         ShardRouter {
             shards: (0..shards.max(1)).map(|_| ShardStores::default()).collect(),
@@ -113,17 +96,17 @@ impl ShardRouter {
     pub fn publish_contracts(&self, contracts: Vec<DeviceContracts>) {
         for (i, dc) in contracts.into_iter().enumerate() {
             let device = DeviceId(i as u32);
-            self.stores(device).contracts.put(device, dc);
+            self.stores(device).devices.publish(device, dc);
         }
     }
 
-    /// The device's cached verdict, from its owning shard. The
-    /// [`CachedVerdict`] is cloned atomically under the shard cache's
-    /// read lock, so the `(fib_hash, contract_epoch, report)` triple is
-    /// always internally consistent — readers never observe a torn
-    /// pair even while that shard is mid-sweep.
-    pub fn verdict(&self, device: DeviceId) -> Option<CachedVerdict> {
-        self.stores(device).cache.prior(device)
+    /// The device's verdict, from its owning shard. The [`Verdict`] is
+    /// cloned under the shard store's read lock, so the `(fib_hash,
+    /// contract_epoch, report)` triple is always internally consistent
+    /// — readers never observe a torn pair even while that shard is
+    /// mid-sweep.
+    pub fn verdict(&self, device: DeviceId) -> Option<Verdict> {
+        self.stores(device).devices.record(device)?.verdict
     }
 
     /// Devices alerting at `at_least` risk across every shard, sorted
@@ -133,7 +116,7 @@ impl ShardRouter {
         let mut all: Vec<DeviceId> = self
             .shards
             .iter()
-            .flat_map(|s| s.analytics.alerts(meta, at_least))
+            .flat_map(|s| s.devices.alerts(meta, at_least))
             .collect();
         all.sort_unstable();
         all
@@ -145,7 +128,7 @@ impl ShardRouter {
         let mut all: Vec<(DeviceId, usize)> = self
             .shards
             .iter()
-            .flat_map(|s| s.analytics.dirty_devices())
+            .flat_map(|s| s.devices.dirty_devices())
             .collect();
         all.sort_unstable_by_key(|(d, _)| *d);
         all
@@ -153,14 +136,14 @@ impl ShardRouter {
 
     /// Total dirty devices across every shard.
     pub fn dirty_count(&self) -> usize {
-        self.shards.iter().map(|s| s.analytics.dirty_count()).sum()
+        self.shards.iter().map(|s| s.devices.dirty_count()).sum()
     }
 
-    /// Aggregate solver statistics across every shard's analytics.
+    /// Aggregate solver statistics across every shard's records.
     pub fn solver_totals(&self) -> smtkit::SessionStats {
         let mut total = smtkit::SessionStats::default();
         for s in &self.shards {
-            total.absorb(&s.analytics.solver_totals());
+            total.absorb(&s.devices.solver_totals());
         }
         total
     }
@@ -181,30 +164,14 @@ impl ShardRouter {
 mod tests {
     use super::*;
     use crate::engine::testutil::fig3_faulted;
-    use crate::engine::Engine;
-    use crate::pipeline::{PipelineResult, ValidateMode};
-    use crate::TrieEngine;
-    use std::time::Duration;
+    use crate::{RealClock, TrieEngine};
 
     fn ingest_all(router: &ShardRouter, fibs: &[bgpsim::Fib]) {
-        let engine = TrieEngine::new();
-        for (i, fib) in fibs.iter().enumerate() {
-            let device = DeviceId(i as u32);
-            let stores = router.stores(device);
-            let contracts = match stores.contracts.get(device) {
-                Some(c) => c,
-                None => continue,
-            };
-            let report = engine.validate_device(fib, &contracts);
-            stores
-                .cache
-                .store(device, fib.content_hash(), 1, report.clone());
-            stores.analytics.ingest(PipelineResult {
-                device,
-                report,
-                validate_time: Duration::ZERO,
-                mode: ValidateMode::Full,
-            });
+        let (engine, clock) = (TrieEngine::new(), RealClock::new());
+        for fib in fibs {
+            let device = fib.device();
+            let store = &router.stores(device).devices;
+            store.judge(device, Some(fib.clone()), &engine, &clock);
         }
     }
 

@@ -656,7 +656,7 @@ fn level_combos(n: usize, size: usize, opts: &SweepOptions) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::pipeline::VerdictCache;
+    use crate::pipeline::{DeviceStore, ValidateMode};
     use crate::report::{Risk, ViolationReason};
     use crate::validator::Validator;
     use bgpsim::{simulate, SimConfig};
@@ -839,7 +839,7 @@ mod tests {
 
     #[test]
     fn verdict_memo_and_cache_keys_are_sound_across_fault_contexts() {
-        // Satellite check: `VerdictCache` keys are (fib_hash, epoch).
+        // Satellite check: the pipeline's verdict key is (fib_hash, epoch).
         // Two different fault scenarios can produce the *same* FIB
         // content for a device; the cached verdict must still be
         // correct, because validation is pure in the FIB bytes and the
@@ -873,18 +873,22 @@ mod tests {
         };
         let (fib_a, fib_b) = (find(&out1), find(&out2));
         assert_eq!(fib_a, fib_b, "the two scenarios must collide on content");
-        let cache = VerdictCache::default();
-        let epoch = 1;
+        let store = DeviceStore::default();
         let contracts = crate::generate_contracts(&meta);
-        let engine = crate::TrieEngine::new();
+        let (engine, clock) = (crate::TrieEngine::new(), crate::RealClock::new());
         let du = f.tors[1].0 as usize;
-        let stored = engine.validate_device(&fib_a, &contracts[du]);
-        cache.store(f.tors[1], fib_a.content_hash(), epoch, stored.clone());
-        let hit = cache
-            .lookup(f.tors[1], fib_b.content_hash(), epoch)
-            .expect("identical content must hit");
-        assert_eq!(hit, engine.validate_device(&fib_b, &contracts[du]));
-        assert_eq!(hit, stored);
+        store.publish(f.tors[1], contracts[du].clone());
+        let judge = |fib: &bgpsim::Fib| {
+            let r = store.judge(f.tors[1], Some(fib.clone()), &engine, &clock);
+            r.expect("contracts are published")
+        };
+        let stored = judge(&fib_a);
+        assert_eq!(stored.mode, ValidateMode::Full);
+        assert_eq!(*stored.report, engine.validate_device(&fib_a, &contracts[du]));
+        let hit = judge(&fib_b);
+        assert_eq!(hit.mode, ValidateMode::CacheHit, "identical content must hit");
+        assert_eq!(*hit.report, engine.validate_device(&fib_b, &contracts[du]));
+        assert_eq!(hit.report, stored.report);
     }
 
     /// The counters a sweep reports, as one comparable tuple.

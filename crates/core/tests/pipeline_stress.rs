@@ -1,89 +1,130 @@
-//! Threaded stress tests for the live pipeline's shared sinks.
+//! Threaded stress tests for a shard's [`DeviceStore`].
 //!
 //! The deterministic simulation (`simnet`) covers scheduling-order
-//! bugs; these tests cover the orthogonal risk — data races and lost
-//! updates under real OS-thread concurrency. N writer threads hammer
-//! [`StreamAnalytics`] and [`VerdictCache`] while reader threads
-//! continuously run the query API (`dirty_devices`, `alerts`,
-//! `mode_counts`, `lookup`); afterwards every counter must balance
-//! exactly: no ingest lost, no lookup unaccounted for.
+//! bugs; these tests cover the orthogonal risk — data races, lost
+//! updates and torn reads under real OS-thread concurrency. N writer
+//! threads drive [`DeviceStore::judge`] over the same devices — more
+//! than one driver per device, which the API permits — while reader
+//! threads continuously run the query API (`record`, `dirty_devices`,
+//! `alerts`, `mode_counts`) and audit the store inside one read: a
+//! device is in the dirty index iff its record's report has
+//! violations, with the same count, and every verdict is for its
+//! record's parked table. Afterwards every counter must balance
+//! exactly: no verdict lost, no lookup unaccounted for.
 
+use bgpsim::{simulate, Fib, FibBuilder, SimConfig};
 use dctopo::{DeviceId, MetadataService};
-use netprim::Prefix;
-use rcdc::contracts::ContractKind;
-use rcdc::pipeline::{PipelineResult, StreamAnalytics, ValidateMode, VerdictCache};
-use rcdc::report::{Risk, ValidationReport, Violation, ViolationReason};
+use rcdc::pipeline::DeviceStore;
+use rcdc::report::Risk;
+use rcdc::{generate_contracts, DeviceContracts, Engine, RealClock, TrieEngine, ValidationReport};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 const WRITERS: usize = 8;
 const ROUNDS: usize = 500;
 const DEVICES: u32 = 16;
 
-fn report_for(device: DeviceId, dirty: bool) -> ValidationReport {
-    let mut report = ValidationReport {
-        contracts_checked: 3,
-        ..ValidationReport::default()
-    };
-    if dirty {
-        report.violations.push(Violation {
-            device,
-            prefix: Prefix::DEFAULT,
-            kind: ContractKind::Default,
-            reason: ViolationReason::MissingRoute,
-        });
+/// The Figure-3 fabric: per device its contracts, its healthy table
+/// (clean) and that table without its first non-local route (dirty),
+/// and the report each of the two validates to.
+struct Fleet {
+    meta: MetadataService,
+    contracts: Vec<DeviceContracts>,
+    tables: Vec<[Fib; 2]>,
+    reports: Vec<[ValidationReport; 2]>,
+}
+
+fn fleet() -> Fleet {
+    let f = dctopo::generator::figure3();
+    let meta = MetadataService::from_topology(&f.topology);
+    let contracts = generate_contracts(&meta);
+    let tables: Vec<[Fib; 2]> = simulate(&f.topology, &SimConfig::healthy())
+        .into_iter()
+        .map(|fib| {
+            let target = fib.entries().iter().find(|e| !e.local).map(|e| e.prefix);
+            let mut b = FibBuilder::new(fib.device());
+            for e in fib.entries().iter().filter(|e| Some(e.prefix) != target) {
+                b.push(e.prefix, fib.next_hops(e).to_vec(), e.local);
+            }
+            [fib, b.finish()]
+        })
+        .collect();
+    let engine = TrieEngine::new();
+    let reports = tables
+        .iter()
+        .zip(&contracts)
+        .map(|(pair, dc)| [0, 1].map(|i| engine.validate_device(&pair[i], dc)))
+        .collect();
+    Fleet {
+        meta,
+        contracts,
+        tables,
+        reports,
     }
-    report
+}
+
+fn published(fleet: &Fleet) -> DeviceStore {
+    let store = DeviceStore::default();
+    for d in 0..DEVICES {
+        store.publish(DeviceId(d), fleet.contracts[d as usize].clone());
+    }
+    store
 }
 
 #[test]
 fn analytics_survives_concurrent_ingest_and_queries() {
-    let analytics = StreamAnalytics::default();
-    let meta = MetadataService::from_topology(&dctopo::generator::figure3().topology);
+    let fleet = fleet();
+    let store = published(&fleet);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let analytics = &analytics;
+                let (store, fleet) = (&store, &fleet);
                 s.spawn(move || {
+                    let (engine, clock) = (TrieEngine::new(), RealClock::new());
                     for round in 0..ROUNDS {
                         let device = DeviceId(((w * ROUNDS + round) as u32) % DEVICES);
                         // Alternate clean/dirty so the dirty set
                         // churns while readers walk it.
-                        let dirty = (w + round) % 2 == 0;
-                        analytics.ingest(PipelineResult {
-                            device,
-                            report: report_for(device, dirty),
-                            validate_time: Duration::from_micros(round as u64),
-                            mode: if round % 3 == 0 {
-                                ValidateMode::Full
-                            } else {
-                                ValidateMode::Incremental
-                            },
-                        });
+                        let (d, variant) = (device.0 as usize, (w + round) % 2);
+                        let table = fleet.tables[d][variant].clone();
+                        let result = store.judge(device, Some(table), &engine, &clock);
+                        let result = result.expect("contracts are published");
+                        // However many drivers share the device, each
+                        // is handed the verdict of the table it brought.
+                        assert_eq!(*result.report, fleet.reports[d][variant]);
                     }
                 })
             })
             .collect();
         for _ in 0..2 {
-            let analytics = &analytics;
-            let meta = &meta;
-            let stop = &stop;
+            let (store, fleet, stop) = (&store, &fleet, &stop);
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    // Readers must never observe torn state: a dirty
-                    // device always carries at least one violation,
-                    // and the per-device set stays within bounds.
-                    for (device, count) in analytics.dirty_devices() {
+                    // Readers must never observe torn state: inside
+                    // one read, index and records agree and every
+                    // verdict belongs to its parked table.
+                    assert_eq!(store.audit(), Ok(()));
+                    for (device, count) in store.dirty_devices() {
                         assert!(count >= 1);
                         assert!(device.0 < DEVICES);
                     }
-                    for device in analytics.alerts(meta, Risk::Low) {
+                    for device in store.alerts(&fleet.meta, Risk::Low) {
                         assert!(device.0 < DEVICES);
                     }
-                    let (full, incr, hit) = analytics.mode_counts();
+                    let (full, incr, hit) = store.mode_counts();
                     assert!(full + incr + hit <= DEVICES as usize);
+                    // One record, one moment: the verdict's key is the
+                    // parked table's hash, and that hash is the table's.
+                    for d in 0..DEVICES {
+                        let record = store.record(DeviceId(d)).expect("published");
+                        let Some(verdict) = record.verdict else {
+                            continue;
+                        };
+                        let (table, hash) = record.table.expect("judged with its table");
+                        assert_eq!(verdict.fib_hash, hash);
+                        assert_eq!(table.content_hash(), hash);
+                    }
                 }
             });
         }
@@ -93,48 +134,61 @@ fn analytics_survives_concurrent_ingest_and_queries() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    // No ingest lost: the monotone counter saw every write.
+    // No verdict lost: the monotone counter saw every write.
     assert_eq!(
-        analytics
+        store
             .snapshot()
             .counter("rcdc_analytics_ingested_total", &[]),
         Some((WRITERS * ROUNDS) as u64)
     );
-    // Latest-wins keying: exactly one result per device.
-    assert_eq!(analytics.len(), DEVICES as usize);
-    for d in 0..DEVICES {
-        let r = analytics.result(DeviceId(d)).expect("every device written");
-        assert_eq!(r.report.contracts_checked, 3);
+    // Latest-wins keying: exactly one verdict per device, each the one
+    // its parked table validates to.
+    assert_eq!(store.judged(), DEVICES as usize);
+    assert_eq!(store.audit(), Ok(()));
+    assert!(store.dirty_count() > 0, "the churned tables must be dirty");
+    for d in 0..DEVICES as usize {
+        let record = store
+            .record(DeviceId(d as u32))
+            .expect("every device written");
+        let (table, _) = record.table.unwrap();
+        let variant = usize::from(*table != fleet.tables[d][0]);
+        assert_eq!(*record.verdict.unwrap().report, fleet.reports[d][variant]);
     }
 }
 
 #[test]
 fn verdict_cache_counters_balance_under_contention() {
-    let cache = VerdictCache::default();
+    let fleet = fleet();
+    let store = published(&fleet);
 
     std::thread::scope(|s| {
         for w in 0..WRITERS {
-            let cache = &cache;
+            let (store, fleet) = (&store, &fleet);
             s.spawn(move || {
+                let (engine, clock) = (TrieEngine::new(), RealClock::new());
                 for round in 0..ROUNDS {
                     let device = DeviceId((round as u32) % DEVICES);
-                    let fib_hash = (round as u64) % 4;
-                    let epoch = (w as u64) % 2;
-                    if cache.lookup(device, fib_hash, epoch).is_none() {
-                        cache.store(device, fib_hash, epoch, report_for(device, false));
+                    let d = device.0 as usize;
+                    // Every writer walks the same (device, table)
+                    // sequence, so repeats hit; one of them keeps
+                    // republishing, so epochs churn underneath.
+                    if w == 0 && round % 64 == 0 {
+                        store.publish(device, fleet.contracts[d].clone());
                     }
-                    // The prior() path (incremental carry-over) must
-                    // never observe a half-written entry.
-                    if let Some(prior) = cache.prior(device) {
-                        assert_eq!(prior.report.contracts_checked, 3);
-                    }
+                    let variant = (round / 128) % 2;
+                    let table = fleet.tables[d][variant].clone();
+                    let result = store.judge(device, Some(table), &engine, &clock);
+                    let result = result.expect("contracts are published");
+                    // A verdict handed out — served or computed — is
+                    // the one the table validates to.
+                    assert_eq!(*result.report, fleet.reports[d][variant]);
                 }
             });
         }
     });
 
     let total = (WRITERS * ROUNDS) as u64;
-    let snap = cache.snapshot();
+    let snap = store.snapshot();
     let counter = |name| snap.counter(name, &[]).unwrap_or(0);
     let (lookups, hits, misses) = (
         counter("rcdc_verdict_cache_lookups_total"),
@@ -149,4 +203,5 @@ fn verdict_cache_counters_balance_under_contention() {
     );
     assert!(hits > 0, "repeated keys must produce cache hits");
     assert!(misses > 0, "cold keys must produce misses");
+    assert_eq!(store.audit(), Ok(()));
 }

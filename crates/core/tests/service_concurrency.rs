@@ -90,7 +90,7 @@ fn readers_never_observe_torn_verdicts_under_churn() {
                             "verdict carries a fib_hash no table of this device ever had",
                         );
                         assert_eq!(
-                            &v.report, want,
+                            &*v.report, want,
                             "torn verdict: device {d:?} pairs hash {:#x} with another \
                              table's report",
                             v.fib_hash

@@ -18,8 +18,8 @@
 //!
 //! Cold-sweep mode (every seed): a random Clos no larger than
 //! 128 devices with random downed links, converged by
-//! `bgpsim::simulate_with` — serial, threaded and with the `Vec` hop
-//! path forced — and by the frozen [`reference::sim`](crate::reference::sim):
+//! `bgpsim::simulate_with` — serial and threaded — and by the frozen
+//! [`reference::sim`](crate::reference::sim), the `Vec` hop accumulator:
 //! every table must match bit for bit (interned pool layout
 //! included) with identical work counters, and every device's report
 //! under the flat trie must match the reference trie's rule for rule.
@@ -278,16 +278,8 @@ fn check_clos_case(
     let config = SimConfig::healthy();
     let want = reference_sim(&topology, &config);
 
-    let serial = SimOptions::default();
-    let runs = [
-        serial,
-        SimOptions { threads, ..serial },
-        SimOptions {
-            legacy_hops: true,
-            ..serial
-        },
-    ]
-    .map(|opts| (opts, simulate_with(&topology, &config, opts)));
+    let runs = [SimOptions::default(), SimOptions { threads }]
+        .map(|opts| (opts, simulate_with(&topology, &config, opts)));
     let (fibs, stats) = &runs[0].1;
     if stats.prefixes != topology.all_hosted().count() + 1 {
         return Some(format!(

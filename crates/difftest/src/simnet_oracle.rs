@@ -1,10 +1,10 @@
 //! Oracle 7: the deterministic pipeline simulation.
 //!
-//! Drives the real live-pipeline components (stores, verdict cache,
-//! notification validator, analytics) through a seeded fault schedule
-//! — drops, duplicates, reordering, stale snapshots, corrupted deltas,
-//! device flaps, mid-sweep contract republishes — and checks the
-//! convergence invariants afterwards (see [`simnet::sim`]). The
+//! Drives the real live pipeline (the per-shard device store and its
+//! judge step) through a seeded fault schedule — drops, duplicates,
+//! reordering, stale snapshots, corrupted deltas, device flaps,
+//! mid-sweep contract republishes — and checks the convergence
+//! invariants afterwards (see [`simnet::sim`]). The
 //! cross-check here is end-state equivalence: whatever the schedule
 //! did, the pipeline's final verdicts must match a clean full sweep of
 //! the final network state.
@@ -52,7 +52,7 @@ mod tests {
     #[test]
     fn oracle_has_teeth_against_an_emulated_staleness_bug() {
         // Meta-check mirroring the other oracles' self-tests: with an
-        // emulated epoch-blind verdict cache, some early seed must
+        // emulated epoch-blind verdict key, some early seed must
         // produce a failure whose report carries the replay seed.
         let flaws = Flaws {
             stale_epoch_cache: true,

@@ -20,7 +20,7 @@
 //! * exporters — [`MetricsSnapshot::to_prometheus`] (text exposition
 //!   format) and [`MetricsSnapshot::to_json`] (stable, sorted JSON);
 //! * [`Observer`] — the bridge trait: a component that keeps live
-//!   state (a verdict cache, a stream-analytics sink, a solver
+//!   state (the pipeline's device store, a solver
 //!   session) registers its handles / publishes point-in-time gauges
 //!   into a registry on demand, so ad-hoc per-component getters become
 //!   views over one shared registry.

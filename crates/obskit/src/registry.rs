@@ -199,8 +199,8 @@ impl Registry {
 /// A component whose operational state can be bridged into a registry.
 ///
 /// Implementations either *adopt* their live handles (so subsequent
-/// activity keeps flowing into the registry — the verdict cache and
-/// stream-analytics sink do this) or *publish* point-in-time gauges
+/// activity keeps flowing into the registry — the pipeline's device
+/// store does this) or *publish* point-in-time gauges
 /// computed from internal state (solver session totals do this).
 /// `observe` must be idempotent: bridging twice re-registers the same
 /// handles or overwrites the same gauges.

@@ -152,11 +152,15 @@ pub struct MetricsSnapshot {
     pub families: Vec<FamilySnapshot>,
 }
 
+/// Does the sample carry every one of `labels` (and possibly more)?
+fn labels_include(sample: &Sample, labels: &[(&str, &str)]) -> bool {
+    labels
+        .iter()
+        .all(|(k, v)| sample.labels.iter().any(|(sk, sv)| sk == k && sv == v))
+}
+
 fn labels_match(sample: &Sample, labels: &[(&str, &str)]) -> bool {
-    sample.labels.len() == labels.len()
-        && labels
-            .iter()
-            .all(|(k, v)| sample.labels.iter().any(|(sk, sv)| sk == k && sv == v))
+    sample.labels.len() == labels.len() && labels_include(sample, labels)
 }
 
 impl MetricsSnapshot {
@@ -192,6 +196,46 @@ impl MetricsSnapshot {
             SampleValue::Histogram(h) => Some(h),
             _ => None,
         }
+    }
+
+    /// Every sample of `name` whose labels include `labels`: the series
+    /// a fold across the remaining labels (e.g. `shard`) ranges over.
+    fn including<'a>(
+        &'a self,
+        name: &'a str,
+        labels: &'a [(&'a str, &'a str)],
+    ) -> impl Iterator<Item = &'a SampleValue> + 'a {
+        self.families
+            .iter()
+            .filter(move |f| f.name == name)
+            .flat_map(|f| &f.samples)
+            .filter(move |s| labels_include(s, labels))
+            .map(|s| &s.value)
+    }
+
+    /// Sum of every counter series of `name` whose labels include
+    /// `labels` — a per-shard family read fleet-wide, the same value
+    /// unlabeled [`absorb`](Self::absorb) would have added up. `0`
+    /// when nothing matches.
+    pub fn counter_total(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        self.including(name, labels)
+            .map(|v| match v {
+                SampleValue::Counter(c) => *c,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// [`merge`](HistogramSnapshot::merge) of every histogram series of
+    /// `name` whose labels include `labels`; empty when nothing matches.
+    pub fn histogram_total(&self, name: &str, labels: &[(&str, &str)]) -> HistogramSnapshot {
+        let mut total = HistogramSnapshot::default();
+        for v in self.including(name, labels) {
+            if let SampleValue::Histogram(h) = v {
+                total.merge(h);
+            }
+        }
+        total
     }
 
     /// Does a family of this name exist (with at least one sample)?
@@ -334,6 +378,14 @@ mod tests {
         let h = total.histogram("lat_ns", &[]).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 30);
+
+        // Folding the labeled export across `shard` reads the same
+        // totals back, with or without the label given.
+        assert_eq!(labeled.counter_total("a_total", &[]), 3);
+        assert_eq!(&labeled.histogram_total("lat_ns", &[]), h);
+        assert_eq!(labeled.counter_total("a_total", &[("shard", "1")]), 2);
+        assert_eq!(labeled.counter_total("a_total", &[("shard", "9")]), 0);
+        assert_eq!(labeled.histogram_total("nope_ns", &[]).count, 0);
 
         // Families stay sorted by name after absorbing a new family.
         let mut base = MetricsSnapshot::default();

@@ -7,12 +7,10 @@
 //! Thread-based tests can exercise those schedules only by luck.
 //! `simnet` removes the luck: a seed generates an explicit event
 //! [`script::Script`], a virtual clock and single-threaded scheduler
-//! execute it against the *real* pipeline components
-//! ([`rcdc::pipeline::FibStore`], [`rcdc::pipeline::VerdictCache`],
-//! [`rcdc::pipeline::ContractStore`],
-//! [`rcdc::pipeline::validate_notification`],
-//! [`rcdc::pipeline::StreamAnalytics`]) with real `FIB1`/`FIBD` wire
-//! frames, and convergence invariants are checked at the end.
+//! execute it against the *real* pipeline — the per-shard
+//! [`rcdc::pipeline::DeviceStore`] and its one step,
+//! [`rcdc::pipeline::DeviceStore::judge`] — with real `FIB1`/`FIBD`
+//! wire frames, and convergence invariants are checked at the end.
 //!
 //! When an invariant breaks, the schedule is minimized with the same
 //! ddmin machinery the differential fuzzer uses ([`rcdc::shrink`]) and the
@@ -122,7 +120,7 @@ pub fn sweep_observed(
 }
 
 /// [`sweep_observed`] with every script executed against `shards`
-/// shard-partitioned store sets — the deterministic mirror of the live
+/// shard-partitioned device stores — the deterministic mirror of the live
 /// sharded [`rcdc::service::ValidationService`], with the convergence
 /// invariants checked per shard and globally.
 pub fn sweep_sharded(
@@ -255,7 +253,7 @@ mod tests {
 
     #[test]
     fn emulated_stale_epoch_cache_bug_is_caught_and_shrunk() {
-        // The harness self-test: emulate a verdict cache that ignores
+        // The harness self-test: emulate a verdict key that ignores
         // the contract epoch and confirm (a) the invariant checks
         // catch it, and (b) ddmin shrinks the schedule to the minimal
         // pull + republish pair that exposes it.

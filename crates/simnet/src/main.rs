@@ -7,7 +7,7 @@
 //! Exit status 0 when every seed's schedule converges; on an invariant
 //! violation, prints the minimized schedule plus a replay command and
 //! exits 1. `--shards N` runs every script against N shard-partitioned
-//! store sets (the sharded-service configuration) with the invariants
+//! device stores (the sharded-service configuration) with the invariants
 //! checked per shard and globally. With `--metrics`, the sweep's
 //! accumulated metric registry is exported after the run: `-` writes
 //! Prometheus text to stdout, a `.json` path writes the JSON form, any

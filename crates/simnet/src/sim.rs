@@ -1,11 +1,9 @@
 //! The deterministic simulation runner.
 //!
 //! [`run_script`] executes a [`Script`] against the *real* live
-//! pipeline components — [`rcdc::pipeline::FibStore`],
-//! [`rcdc::pipeline::VerdictCache`], [`rcdc::pipeline::ContractStore`],
-//! [`rcdc::pipeline::StreamAnalytics`] and the per-notification
-//! validator step [`rcdc::pipeline::validate_notification`] — under a
-//! virtual clock and a single-threaded event scheduler. Snapshots
+//! pipeline — a [`rcdc::pipeline::DeviceStore`] per shard and its one
+//! step, [`rcdc::pipeline::DeviceStore::judge`] — under a virtual clock
+//! and a single-threaded event scheduler. Snapshots
 //! travel as real wire frames (`FIB1` full snapshots or hash-anchored
 //! `FIBD` deltas); the injected faults of the script act on those
 //! frames, and the receiver recovers from undecodable or stale deltas
@@ -15,10 +13,10 @@
 //! After the script drains, a clean settle sweep pulls every device
 //! once more and the convergence invariants are checked:
 //!
-//! 1. **convergence** — every device's final verdict equals a clean
-//!    full validation of its final true table;
-//! 2. **cache-freshness** — no [`rcdc::pipeline::VerdictCache`] entry
-//!    survives keyed to a superseded `(fib_hash, epoch)` pair;
+//! 1. **convergence** — every record's final verdict equals a clean
+//!    full validation of the device's final true table;
+//! 2. **cache-freshness** — no record's verdict is keyed to a
+//!    superseded `(fib_hash, epoch)` pair;
 //! 3. **counter-balance** — `hits + misses == lookups` and
 //!    `ingested == completed`;
 //! 4. **incremental-agreement** — the delta path over the script's
@@ -28,11 +26,11 @@ use crate::script::{Action, ChurnKind, DeliveryFault, Script};
 use bgpsim::{simulate, Fib, FibBuilder, SimConfig};
 use dctopo::{DeviceId, MetadataService};
 use netprim::wire::{frame_kind, FibDelta, FrameKind, WireSnapshot};
-use obskit::Registry;
+use obskit::{Registry, SampleValue};
 use rcdc::clock::VirtualClock;
 use rcdc::contracts::{generate_contracts, DeviceContracts};
 use rcdc::engine::{trie::TrieEngine, Engine};
-use rcdc::pipeline::{validate_notification, PipelineMetrics, ValidateMode};
+use rcdc::pipeline::ValidateMode;
 use rcdc::shard::ShardRouter;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -80,10 +78,10 @@ impl SimEnv {
 /// oracle's meta-check turn one on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flaws {
-    /// Emulate a verdict cache keyed on the FIB hash alone: a cached
-    /// verdict is served even after a contract republish bumped the
-    /// epoch — the §2.6.1 staleness bug the `(fib_hash, epoch)` key
-    /// exists to prevent.
+    /// Emulate a verdict keyed on the FIB hash alone: a record's
+    /// verdict is left standing even after a contract republish bumped
+    /// the epoch — the §2.6.1 staleness bug the `(fib_hash, epoch)`
+    /// key exists to prevent.
     pub stale_epoch_cache: bool,
 }
 
@@ -164,14 +162,13 @@ struct Sim<'e> {
     /// Shared metric registry: pipeline-component metrics bridge in,
     /// simulation-level counters (`simnet_*`) register directly.
     registry: Registry,
-    metrics: PipelineMetrics,
     /// The network's true current table per device.
     truth: Vec<Fib>,
     /// Capture history per device (for stale re-deliveries).
     history: Vec<Vec<Fib>>,
     /// The puller's record of the last table each receiver acked.
     acked: Vec<Option<Fib>>,
-    /// The pipeline stores, partitioned across shards exactly as the
+    /// The device stores, partitioned across shards exactly as the
     /// live [`rcdc::service::ValidationService`] partitions them. The
     /// scheduler stays single-threaded — sharding is a partition of
     /// the device space, so one deterministic event loop drives all
@@ -196,7 +193,6 @@ impl<'e> Sim<'e> {
         Sim {
             env,
             flaws,
-            metrics: PipelineMetrics::new(&registry),
             registry,
             truth: env.healthy.clone(),
             history: vec![Vec::new(); n],
@@ -256,8 +252,8 @@ impl<'e> Sim<'e> {
                 let id = DeviceId(device as u32);
                 self.router
                     .stores(id)
-                    .contracts
-                    .put(id, self.env.contracts[device].clone());
+                    .devices
+                    .publish(id, self.env.contracts[device].clone());
             }
         }
     }
@@ -333,9 +329,9 @@ impl<'e> Sim<'e> {
     }
 
     /// The receiver side: decode the frame, apply deltas against the
-    /// stored base, fall back to the full snapshot when anything about
-    /// the frame is unusable, park the result, and run the validator
-    /// notification — the same code path the service's shard workers run.
+    /// parked base, fall back to the full snapshot when anything about
+    /// the frame is unusable, and judge the result on its owning shard
+    /// — the same step the service's shard workers run.
     fn deliver(&mut self, device: usize, frame: &[u8], payload: Fib) {
         self.out.deliveries += 1;
         self.registry
@@ -345,17 +341,17 @@ impl<'e> Sim<'e> {
                 &[],
             )
             .inc();
+        let id = DeviceId(device as u32);
+        let shard = self.router.shard_of(id);
+        let store = &self.router.shard(shard).devices;
+        let record = store.record(id).unwrap_or_default();
         let decoded: Option<Fib> = match frame_kind(frame) {
             Some(FrameKind::Snapshot) => WireSnapshot::decode(frame)
                 .and_then(|w| Fib::from_wire(&w))
                 .ok(),
             Some(FrameKind::Delta) => FibDelta::decode(frame).ok().and_then(|d| {
-                let id = DeviceId(device as u32);
-                self.router
-                    .stores(id)
-                    .fibs
-                    .get(id)
-                    .and_then(|base| base.apply_delta(&d).ok())
+                let (base, _) = record.table.as_ref()?;
+                base.apply_delta(&d).ok()
             }),
             None => None,
         };
@@ -376,43 +372,15 @@ impl<'e> Sim<'e> {
             }
         };
         self.acked[device] = Some(stored.clone());
-        self.router.stores(DeviceId(device as u32)).fibs.put(stored);
-        self.validate(device);
-    }
-
-    /// Process the notification for `device` on its owning shard.
-    fn validate(&mut self, device: usize) {
-        let device = DeviceId(device as u32);
-        let shard = self.router.shard_of(device);
-        let stores = self.router.shard(shard);
         if self.flaws.stale_epoch_cache {
-            // Emulated bug: serve any cached verdict whose FIB hash
-            // matches, ignoring the contract epoch.
-            if let (Some(prior), Some(fib)) = (stores.cache.prior(device), stores.fibs.get(device))
-            {
-                if prior.fib_hash == fib.content_hash() {
-                    self.out.completed += 1;
-                    self.out.cache_hits += 1;
-                    self.completed_per_shard[shard] += 1;
-                    stores.analytics.ingest(rcdc::pipeline::PipelineResult {
-                        device,
-                        report: prior.report,
-                        validate_time: Duration::ZERO,
-                        mode: ValidateMode::CacheHit,
-                    });
-                    return;
-                }
+            // Emulated bug: a verdict whose FIB hash matches stands,
+            // whatever contract epoch it was judged under.
+            let hash = stored.content_hash();
+            if record.verdict.is_some_and(|v| v.fib_hash == hash) {
+                return;
             }
         }
-        if let Some(result) = validate_notification(
-            device,
-            &stores.contracts,
-            &stores.fibs,
-            &stores.cache,
-            &self.engine,
-            &self.clock,
-            &self.metrics,
-        ) {
+        if let Some(result) = store.judge(id, Some(stored), &self.engine, &self.clock) {
             self.out.completed += 1;
             self.completed_per_shard[shard] += 1;
             match result.mode {
@@ -420,7 +388,6 @@ impl<'e> Sim<'e> {
                 ValidateMode::Incremental => self.out.incremental += 1,
                 ValidateMode::CacheHit => self.out.cache_hits += 1,
             }
-            stores.analytics.ingest(result);
         }
     }
 
@@ -448,24 +415,20 @@ impl<'e> Sim<'e> {
         let n = self.truth.len();
         for device in 0..n {
             let id = DeviceId(device as u32);
-            let stores = self.router.stores(id);
-            let (contracts, epoch) = stores
+            let record = self.router.stores(id).devices.record(id);
+            let record = record.expect("every device has published contracts");
+            let (contracts, epoch) = record
                 .contracts
-                .get_versioned(id)
                 .expect("every device has published contracts");
             let expected = self.engine.validate_device(&self.truth[device], &contracts);
 
-            // 1. Convergence: the owning shard's analytics sink's last
-            // word on the device equals a clean full validation of its
-            // true table.
-            let got = stores
-                .analytics
-                .result(id)
-                .ok_or_else(|| InvariantViolation {
-                    invariant: "convergence",
-                    detail: format!("device {device}: no result after settle sweep"),
-                })?;
-            if got.report != expected {
+            // 1. Convergence: the owning shard's last word on the
+            // device equals a clean full validation of its true table.
+            let got = record.verdict.ok_or_else(|| InvariantViolation {
+                invariant: "convergence",
+                detail: format!("device {device}: no verdict after settle sweep"),
+            })?;
+            if *got.report != expected {
                 return Err(InvariantViolation {
                     invariant: "convergence",
                     detail: format!(
@@ -478,27 +441,17 @@ impl<'e> Sim<'e> {
                 });
             }
 
-            // 2. Cache freshness: no cached verdict outlives its
+            // 2. Cache freshness: no verdict outlives its
             // (fib_hash, epoch) key.
-            let cached = stores.cache.prior(id).ok_or_else(|| InvariantViolation {
-                invariant: "cache-freshness",
-                detail: format!("device {device}: no cached verdict after settle sweep"),
-            })?;
             let truth_hash = self.truth[device].content_hash();
-            if cached.fib_hash != truth_hash || cached.contract_epoch != epoch {
+            if got.fib_hash != truth_hash || got.contract_epoch != epoch {
                 return Err(InvariantViolation {
                     invariant: "cache-freshness",
                     detail: format!(
-                        "device {device}: cache holds ({:#x}, epoch {}), current state is \
+                        "device {device}: record holds ({:#x}, epoch {}), current state is \
                          ({truth_hash:#x}, epoch {epoch}) — a superseded verdict survived",
-                        cached.fib_hash, cached.contract_epoch
+                        got.fib_hash, got.contract_epoch
                     ),
-                });
-            }
-            if cached.report != expected {
-                return Err(InvariantViolation {
-                    invariant: "cache-freshness",
-                    detail: format!("device {device}: cached report diverges from full sweep"),
                 });
             }
 
@@ -529,8 +482,8 @@ impl<'e> Sim<'e> {
         let mut total_misses = 0;
         let mut total_ingested = 0;
         for (shard, stores) in self.router.iter().enumerate() {
-            let cache_snap = stores.cache.snapshot();
-            let counter = |name| cache_snap.counter(name, &[]).unwrap_or(0);
+            let snap = stores.devices.snapshot();
+            let counter = |name| snap.counter(name, &[]).unwrap_or(0);
             let lookups = counter("rcdc_verdict_cache_lookups_total");
             let hits = counter("rcdc_verdict_cache_hits_total");
             let misses = counter("rcdc_verdict_cache_misses_total");
@@ -542,16 +495,12 @@ impl<'e> Sim<'e> {
                     ),
                 });
             }
-            let ingested = stores
-                .analytics
-                .snapshot()
-                .counter("rcdc_analytics_ingested_total", &[])
-                .unwrap_or(0);
+            let ingested = counter("rcdc_analytics_ingested_total");
             if ingested != self.completed_per_shard[shard] {
                 return Err(InvariantViolation {
                     invariant: "counter-balance",
                     detail: format!(
-                        "shard {shard}: analytics ingested {ingested} != completed \
+                        "shard {shard}: verdicts ingested {ingested} != completed \
                          validations {}",
                         self.completed_per_shard[shard]
                     ),
@@ -575,7 +524,7 @@ impl<'e> Sim<'e> {
             return Err(InvariantViolation {
                 invariant: "counter-balance",
                 detail: format!(
-                    "global: analytics ingested {total_ingested} != completed validations {}",
+                    "global: verdicts ingested {total_ingested} != completed validations {}",
                     self.out.completed
                 ),
             });
@@ -650,8 +599,8 @@ pub fn run_script_with(
 }
 
 /// [`run_script_with`], exporting metrics into `registry`: the
-/// simulation's own `simnet_*` families plus the live pipeline
-/// components' `rcdc_*` families, bridged in after the run.
+/// simulation's own `simnet_*` families plus the device stores'
+/// `rcdc_*` counter families, bridged in after the run.
 pub fn run_script_observed(
     env: &SimEnv,
     script: &Script,
@@ -661,7 +610,7 @@ pub fn run_script_observed(
     run_script_sharded(env, script, flaws, registry, 1)
 }
 
-/// [`run_script_observed`] over `shards` shard-partitioned store sets:
+/// [`run_script_observed`] over `shards` shard-partitioned stores:
 /// the device space splits exactly as the live
 /// [`rcdc::service::ValidationService`] splits it, one deterministic
 /// single-threaded scheduler drives every shard, and the convergence
@@ -687,28 +636,21 @@ pub fn run_script_sharded(
     // Accumulation rather than handle adoption: each script runs fresh
     // stores, but a seed sweep shares one registry across all of them.
     for stores in sim.router.iter() {
-        let cache_snap = stores.cache.snapshot();
-        for (name, help) in [
-            ("rcdc_verdict_cache_lookups_total", "verdict-cache lookups"),
-            ("rcdc_verdict_cache_hits_total", "verdict-cache hits"),
-            ("rcdc_verdict_cache_misses_total", "verdict-cache misses"),
-        ] {
-            registry
-                .counter(name, help, &[])
-                .add(cache_snap.counter(name, &[]).unwrap_or(0));
+        for family in stores.devices.snapshot().families {
+            for sample in family.samples {
+                let SampleValue::Counter(value) = sample.value else {
+                    continue;
+                };
+                let labels: Vec<(&str, &str)> = sample
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                registry
+                    .counter(&family.name, &family.help, &labels)
+                    .add(value);
+            }
         }
-        let ingested = stores
-            .analytics
-            .snapshot()
-            .counter("rcdc_analytics_ingested_total", &[])
-            .unwrap_or(0);
-        registry
-            .counter(
-                "rcdc_analytics_ingested_total",
-                "results ingested by the stream-analytics sink",
-                &[],
-            )
-            .add(ingested);
     }
     result?;
     Ok(sim.out)

@@ -62,7 +62,6 @@ use secguru::nsg_gate::{NsgApi, UpdateResult, VnetMetadata};
 use std::process::ExitCode;
 use std::sync::Arc;
 use validatedc::cli::{Console, FabricArgs, Opts};
-use validatedc::obskit;
 use validatedc::prelude::*;
 
 fn main() -> ExitCode {
@@ -379,14 +378,13 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     ));
 
     let snap = handle.snapshot();
-    if let Some(h) = merged_latency(&snap, service.shard_count()) {
-        say(format!(
-            "notification→verdict latency: p50 {}µs, p99 {}µs over {} verdicts",
-            h.p50().unwrap_or(0) / 1_000,
-            h.p99().unwrap_or(0) / 1_000,
-            h.count
-        ));
-    }
+    let h = snap.histogram_total("rcdc_service_notify_latency_ns", &[]);
+    say(format!(
+        "notification→verdict latency: p50 {}µs, p99 {}µs over {} verdicts",
+        h.p50().unwrap_or(0) / 1_000,
+        h.p99().unwrap_or(0) / 1_000,
+        h.count
+    ));
     if let Some(dest) = metrics_dest {
         snap.write_to(dest)
             .map_err(|e| format!("cannot write metrics to {dest:?}: {e}"))?;
@@ -520,27 +518,6 @@ fn cmd_plan(args: &[String]) -> Result<bool, String> {
             .map_err(|e| format!("cannot write metrics to {dest:?}: {e}"))?;
     }
     Ok(report.is_safe())
-}
-
-/// Merge the per-shard notification-latency histograms into one
-/// fleet-wide distribution.
-fn merged_latency(
-    snap: &MetricsSnapshot,
-    shards: usize,
-) -> Option<obskit::HistogramSnapshot> {
-    let mut merged: Option<obskit::HistogramSnapshot> = None;
-    for shard in 0..shards {
-        if let Some(h) = snap.histogram(
-            "rcdc_service_notify_latency_ns",
-            &[("shard", &shard.to_string())],
-        ) {
-            match &mut merged {
-                Some(m) => m.merge(h),
-                None => merged = Some(h.clone()),
-            }
-        }
-    }
-    merged
 }
 
 fn parse_inline_contract(spec: &str) -> Result<Contract, String> {

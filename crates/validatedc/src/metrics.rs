@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 /// Run a cold + warm monitoring sweep over `fibs` on a one-shard
 /// [`rcdc::ValidationService`] and return its merged snapshot: the
-/// cold sweep fills the verdict cache (all misses, all full
-/// validations) and the warm sweep is served from it (all hits),
+/// cold sweep gives every record of the shard's device store its
+/// verdict (all misses, all full validations) and the warm sweep finds
+/// each one standing (all hits),
 /// populating `rcdc_validate_latency_ns{mode}`,
 /// `rcdc_validate_mode_total{mode}`, the `rcdc_verdict_cache_*`
 /// counters and the `rcdc_analytics_*` and `rcdc_service_*` families,

@@ -33,30 +33,21 @@ fn main() {
 
     // The three microservices (§2.6.1) are one sharded service: the
     // builder publishes the generated contracts, each shard worker
-    // pulls, validates and feeds its stream-analytics sink.
+    // pulls, judges and writes verdicts into its device store.
     println!("== contract generator ==");
     let fibs = simulate(&topology, &config);
     let service = Validator::new(&meta)
         .shards(4)
         .build_service(Arc::new(SimulatedSource::new(fibs)));
-    let published: usize = service.router().iter().map(|s| s.contracts.len()).sum();
+    let published: usize = service.router().iter().map(|s| s.devices.published()).sum();
     println!("contracts published for {published} devices");
 
     println!("\n== puller + validator sweep ==");
     let devices: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
     let handle = service.handle();
     // Fleet-wide reading of a per-shard counter family.
-    let total = |name: &str, labels: &[(&str, &str)]| -> u64 {
-        let snap = handle.snapshot();
-        (0..service.shard_count())
-            .filter_map(|shard| {
-                let shard = shard.to_string();
-                let mut labels = labels.to_vec();
-                labels.push(("shard", shard.as_str()));
-                snap.counter(name, &labels)
-            })
-            .sum()
-    };
+    let total =
+        |name: &str, labels: &[(&str, &str)]| handle.snapshot().counter_total(name, labels);
     let verdicts = |mode| total("rcdc_validate_mode_total", &[("mode", mode)]);
     service.pull_all(&devices);
     service.drain();

@@ -341,14 +341,9 @@ fn e9(_quick: bool) -> String {
 
         // A cold sweep validates everything in full mode; quantiles
         // come from the per-shard latency histograms, merged.
-        let snap = handle.snapshot();
-        let mut full = obskit::HistogramSnapshot::default();
-        for shard in 0..shards {
-            let labels = [("mode", "full"), ("shard", &shard.to_string())];
-            if let Some(h) = snap.histogram("rcdc_validate_latency_ns", &labels) {
-                full.merge(h);
-            }
-        }
+        let full = handle
+            .snapshot()
+            .histogram_total("rcdc_validate_latency_ns", &[("mode", "full")]);
         assert_eq!(full.count, devices.len() as u64);
         let ms = |ns: Option<u64>| ns.map_or(f64::NAN, |ns| ns as f64 / 1e6);
         let rate = devices.len() as f64 / sweep;
