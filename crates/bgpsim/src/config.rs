@@ -6,11 +6,10 @@
 //! [`dctopo::LinkState`].
 
 use dctopo::{Asn, DeviceId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-device configuration deviations from the healthy baseline.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DeviceOverride {
     /// §2.6.2 *Software Bug 1*: a RIB→FIB inconsistency where the FIB
     /// programs "significantly fewer next hops for the default route
@@ -49,7 +48,7 @@ impl DeviceOverride {
 
 /// Configuration for one simulation run: a sparse map of per-device
 /// overrides. An empty config is the healthy datacenter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     overrides: HashMap<DeviceId, DeviceOverride>,
 }

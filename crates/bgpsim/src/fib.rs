@@ -39,6 +39,19 @@ fn canonical_order(a: Prefix, b: Prefix) -> std::cmp::Ordering {
     b.len().cmp(&a.len()).then(a.addr().cmp(&b.addr()))
 }
 
+/// Outcomes with canonical next hops (sorted, duplicate-free), stably
+/// sorted into canonical entry order.
+fn canonical_ops(mut ops: Vec<PatchOp>) -> Vec<PatchOp> {
+    for op in &mut ops {
+        if let PatchOp::Set(r) = op {
+            r.next_hops.sort_unstable();
+            r.next_hops.dedup();
+        }
+    }
+    ops.sort_by(|a, b| canonical_order(a.prefix(), b.prefix()));
+    ops
+}
+
 /// One prefix's outcome in a [`FibPatch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatchOp {
@@ -78,14 +91,8 @@ impl FibPatch {
     /// # Panics
     ///
     /// When two outcomes name the same prefix.
-    pub fn new(mut ops: Vec<PatchOp>) -> FibPatch {
-        for op in &mut ops {
-            if let PatchOp::Set(r) = op {
-                r.next_hops.sort_unstable();
-                r.next_hops.dedup();
-            }
-        }
-        ops.sort_by(|a, b| canonical_order(a.prefix(), b.prefix()));
+    pub fn new(ops: Vec<PatchOp>) -> FibPatch {
+        let ops = canonical_ops(ops);
         if let Some(w) = ops.windows(2).find(|w| w[0].prefix() == w[1].prefix()) {
             panic!("patch names {} twice", w[0].prefix());
         }
@@ -105,17 +112,39 @@ impl FibPatch {
         FibPatch { ops }
     }
 
-    /// The patch a wire delta describes: its added and modified rules
-    /// set, its removed prefixes withdrawn. The delta must name each
-    /// prefix once, as [`Fib::delta`]'s output does.
-    pub fn from_delta(delta: &FibDelta) -> FibPatch {
+    /// The patch a wire delta describes, read as [`Fib::apply_delta`]
+    /// documents it — a *set* of per-prefix outcomes: added and
+    /// modified rules set, removed prefixes withdrawn; rules for one
+    /// prefix that agree after next-hop canonicalization collapse, a
+    /// prefix both removed and set nets to the rule (remove, then
+    /// re-add). Conflicting rules for one prefix are an error, not a
+    /// winner picked by wire order.
+    pub fn try_from_delta(delta: &FibDelta) -> Result<FibPatch, ParseError> {
+        // Rules before withdrawals, so that after the stable sort a
+        // prefix's first outcome is the one it nets to.
         let rules = delta.added.iter().chain(&delta.modified);
-        FibPatch::new(
+        let mut ops = canonical_ops(
             rules
                 .map(|r| PatchOp::Set(r.clone()))
                 .chain(delta.removed.iter().map(|&p| PatchOp::Withdraw(p)))
                 .collect(),
-        )
+        );
+        let mut conflict = None;
+        ops.dedup_by(|later, first| {
+            let same = later.prefix() == first.prefix();
+            if same && matches!(later, PatchOp::Set(_)) && later != first {
+                conflict = Some(first.prefix());
+            }
+            same
+        });
+        match conflict {
+            Some(prefix) => Err(ParseError::new(
+                "fib delta",
+                "<apply>",
+                format!("conflicting delta rules for {prefix}"),
+            )),
+            None => Ok(FibPatch { ops }),
+        }
     }
 
     /// The outcomes, in canonical entry order.
@@ -284,12 +313,12 @@ impl FibBuilder {
     ///
     /// Duplicate pushes of the same prefix are collapsed to a single
     /// entry and the *last* push wins, mirroring how a router's RIB
-    /// overwrites a re-advertised route and how `apply_delta` treats a
-    /// `modified` rule. (The wire decoder is stricter: `Fib::from_wire`
-    /// rejects duplicate prefixes outright, because a pulled snapshot
-    /// has no push order to break the tie with.) Collapsing here is
-    /// what upholds the sorted-uniqueness invariant that `entry_for`'s
-    /// binary search and `apply_delta`'s prefix-keyed maps rely on.
+    /// overwrites a re-advertised route. (The wire side is stricter:
+    /// `Fib::from_wire` rejects duplicate prefixes and `apply_delta`
+    /// conflicting ones outright, because a pulled frame has no push
+    /// order to break the tie with.) Collapsing here is what upholds
+    /// the sorted-uniqueness invariant that `entry_for`'s binary
+    /// search and `patched`'s merge walk rely on.
     pub fn finish(mut self) -> Fib {
         // The simulator pushes entries in hosted-prefix order (/24s by
         // ascending address, the default last) — already the canonical
@@ -584,14 +613,14 @@ impl Fib {
     /// Apply a delta, producing the successor table.
     ///
     /// A delta batch is a *set* of per-prefix outcomes, not an ordered
-    /// script: the result is the same however the wire happened to
+    /// script: the result is the same — pool layout included, it is
+    /// [`patched`](Self::patched)'s — however the wire happened to
     /// order `added`/`modified`/`removed`. A prefix listed in both
     /// `removed` and `added` nets out to the added rule (remove, then
     /// re-add). Two rules for the same prefix are accepted only when
     /// they agree after next-hop canonicalization; conflicting
-    /// duplicates are rejected instead of letting push order silently
-    /// pick a winner behind [`FibBuilder::finish`]'s last-push-wins
-    /// dedup.
+    /// duplicates are rejected instead of letting wire order silently
+    /// pick a winner ([`FibPatch::try_from_delta`]).
     ///
     /// Fails when the delta was computed against a different base
     /// (hash mismatch — e.g. the device republished between pull and
@@ -599,55 +628,16 @@ impl Fib {
     /// conflicting rules, or when the result does not hash to the
     /// delta's `new_hash`.
     pub fn apply_delta(&self, delta: &FibDelta) -> Result<Fib, ParseError> {
-        let err = |reason: String| ParseError::new("fib delta", "<apply>", reason);
+        let err = |reason: &str| ParseError::new("fib delta", "<apply>", reason);
         if delta.device != self.device.0 {
-            return Err(err("delta targets a different device".into()));
+            return Err(err("delta targets a different device"));
         }
         if delta.base_hash != self.content_hash() {
-            return Err(err("base hash mismatch: delta is stale".into()));
+            return Err(err("base hash mismatch: delta is stale"));
         }
-        let canon = |r: &DeltaRule| {
-            let mut hops = r.next_hops.clone();
-            hops.sort_unstable();
-            hops.dedup();
-            (hops, r.local)
-        };
-        let mut changed: HashMap<Prefix, (Vec<Ipv4>, bool)> =
-            HashMap::with_capacity(delta.added.len() + delta.modified.len());
-        for r in delta.added.iter().chain(&delta.modified) {
-            let c = canon(r);
-            match changed.entry(r.prefix) {
-                std::collections::hash_map::Entry::Occupied(prev) => {
-                    if *prev.get() != c {
-                        return Err(err(format!(
-                            "conflicting delta rules for {}",
-                            r.prefix
-                        )));
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(c);
-                }
-            }
-        }
-        let removed: std::collections::HashSet<Prefix> = delta.removed.iter().copied().collect();
-        let mut b = FibBuilder::new(self.device);
-        for e in &self.entries {
-            if removed.contains(&e.prefix) || changed.contains_key(&e.prefix) {
-                continue;
-            }
-            b.push(e.prefix, self.next_hops(e).to_vec(), e.local);
-        }
-        // One rule per distinct prefix, so map iteration order cannot
-        // affect the canonicalized `finish` result.
-        for (prefix, (hops, local)) in changed {
-            b.push(prefix, hops, local);
-        }
-        let next = b.finish();
+        let next = self.patched(&FibPatch::try_from_delta(delta)?);
         if next.content_hash() != delta.new_hash {
-            return Err(err(
-                "applied delta does not reproduce the target table".into(),
-            ));
+            return Err(err("applied delta does not reproduce the target table"));
         }
         Ok(next)
     }
@@ -947,7 +937,8 @@ mod tests {
         // Round-trip through the wire format, like the live pipeline.
         let d = netprim::wire::FibDelta::decode(&d.encode()).unwrap();
         let applied = old.apply_delta(&d).unwrap();
-        // Same forwarding content (set-pool indices may differ).
+        // Same forwarding content (`modified_sample` pushes its default
+        // first, so its pool is not in entry first-use order).
         assert_eq!(applied.content_hash(), new.content_hash());
         for (a, b) in applied.entries().iter().zip(new.entries()) {
             assert_eq!(a.prefix, b.prefix);
@@ -1067,7 +1058,10 @@ mod tests {
         assert_eq!(patched.set_pool_len(), 3);
         // The patch is exactly the difference, and the wire delta says
         // the same thing.
-        assert_eq!(patch, FibPatch::from_delta(&Fib::delta(&base, &target)));
+        assert_eq!(
+            patch,
+            FibPatch::try_from_delta(&Fib::delta(&base, &target)).unwrap()
+        );
         // Outcomes that restate the base change nothing; neither does
         // no outcome at all.
         let restated = FibPatch::new(vec![
@@ -1076,6 +1070,71 @@ mod tests {
         ]);
         assert_eq!(base.patched(&restated).content_hash(), base.content_hash());
         assert_eq!(base.patched(&FibPatch::default()), base);
+    }
+
+    #[test]
+    fn try_from_delta_reads_a_delta_as_a_set_of_outcomes() {
+        // What `FibDelta::decode` lets through and `FibPatch::new`
+        // would panic on.
+        let rule = |prefix: &str, next_hops: Vec<Ipv4>| DeltaRule {
+            prefix: p(prefix),
+            next_hops,
+            local: false,
+        };
+        let set = |prefix: &str, next_hops| PatchOp::Set(rule(prefix, next_hops));
+        let two = hops(&[[30, 0, 0, 1], [30, 0, 0, 3]]);
+        let reversed: Vec<Ipv4> = two.iter().rev().copied().collect();
+        // Removed and re-added in one batch: nets to the added rule.
+        let readd = FibDelta {
+            added: vec![rule("10.0.0.0/16", reversed.clone())],
+            removed: vec![p("10.0.0.0/16"), p("10.3.0.0/16")],
+            ..FibDelta::default()
+        };
+        let readd = FibDelta::decode(&readd.encode()).unwrap();
+        assert_eq!(
+            FibPatch::try_from_delta(&readd).unwrap(),
+            FibPatch::new(vec![
+                set("10.0.0.0/16", two.clone()),
+                PatchOp::Withdraw(p("10.3.0.0/16")),
+            ])
+        );
+        // Agreeing duplicates (same set, different address order; a
+        // withdrawal named twice) collapse.
+        let agreeing = FibDelta {
+            added: vec![rule("10.0.1.0/24", two.clone())],
+            modified: vec![rule("10.0.1.0/24", reversed)],
+            removed: vec![p("10.3.0.0/16"), p("10.3.0.0/16")],
+            ..FibDelta::default()
+        };
+        let agreeing = FibDelta::decode(&agreeing.encode()).unwrap();
+        assert_eq!(
+            FibPatch::try_from_delta(&agreeing).unwrap(),
+            FibPatch::new(vec![
+                set("10.0.1.0/24", two.clone()),
+                PatchOp::Withdraw(p("10.3.0.0/16")),
+            ])
+        );
+        // Conflicting duplicates (other hops, other locality) are a
+        // typed error, whatever else names the prefix.
+        for other in [
+            rule("10.0.1.0/24", hops(&[[30, 0, 0, 99]])),
+            DeltaRule {
+                local: true,
+                ..rule("10.0.1.0/24", two.clone())
+            },
+        ] {
+            let conflicting = FibDelta {
+                added: vec![rule("10.0.1.0/24", two.clone())],
+                modified: vec![other],
+                removed: vec![p("10.0.1.0/24")],
+                ..FibDelta::default()
+            };
+            let conflicting = FibDelta::decode(&conflicting.encode()).unwrap();
+            let err = FibPatch::try_from_delta(&conflicting).unwrap_err();
+            assert!(err
+                .to_string()
+                .contains("conflicting delta rules for 10.0.1.0/24"));
+        }
     }
 
     #[test]

@@ -493,7 +493,8 @@ impl Baseline {
                 self.patch_device(d, patched, dev_fallback, &scen_states)
             } else {
                 let fib = self.replay_device(d, dead, &scen_states, patched);
-                FibPatch::from_delta(&Fib::delta(&self.healthy[d as usize], &fib))
+                FibPatch::try_from_delta(&Fib::delta(&self.healthy[d as usize], &fib))
+                    .expect("Fib::delta names each prefix once")
             };
             if !patch.is_empty() {
                 stats.rules_touched += patch.len();
@@ -849,7 +850,7 @@ mod tests {
             }
             assert_eq!(
                 patch,
-                &FibPatch::from_delta(&Fib::delta(healthy, target)),
+                &FibPatch::try_from_delta(&Fib::delta(healthy, target)).unwrap(),
                 "patch diverges from the real diff: {what}"
             );
             assert_eq!(&healthy.patched(patch), target, "patched table: {what}");

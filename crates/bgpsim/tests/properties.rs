@@ -1,7 +1,7 @@
 //! Property-based tests for the BGP simulator: structural invariants
 //! that must hold for every generated topology and fault set.
 
-use bgpsim::{simulate, SimConfig};
+use bgpsim::{simulate, Fib, SimConfig};
 use dctopo::{build_clos, ClosParams, LinkId, LinkState, MetadataService, Role};
 use proptest::prelude::*;
 
@@ -110,4 +110,41 @@ proptest! {
         let b = simulate(&topology, &SimConfig::healthy());
         prop_assert_eq!(a, b);
     }
+}
+
+/// A wire delta applied to a simulator-emitted table is the
+/// simulator's successor under strict `==`, pool ids included — not
+/// merely a table with the same `content_hash`. Needs a delta that
+/// brings in two or more hop sets at once: only then can the order
+/// they enter the pool in differ from the simulator's.
+#[test]
+fn applied_delta_is_the_simulated_successor_pool_layout_included() {
+    let mut topology = build_clos(&ClosParams {
+        clusters: 2,
+        tors_per_cluster: 4,
+        leaves_per_cluster: 4,
+        spines: 4,
+        regional_spines: 2,
+        regional_groups: 1,
+        prefixes_per_tor: 1,
+    });
+    let before = simulate(&topology, &SimConfig::healthy());
+    // One uplink of each of the first three ToRs, a different leaf each.
+    let tors: Vec<_> = topology.devices_with_role(Role::Tor).map(|d| d.id).collect();
+    for (i, &tor) in tors.iter().take(3).enumerate() {
+        let link = topology.links_of(tor).nth(i).unwrap().id;
+        topology.set_link_state(link, LinkState::OperDown);
+    }
+    let after = simulate(&topology, &SimConfig::healthy());
+    let mut most_new_sets = 0;
+    for (old, new) in before.iter().zip(&after) {
+        fn pool(fib: &Fib) -> impl Iterator<Item = &[netprim::Ipv4]> {
+            (0..fib.set_pool_len() as u32).map(|id| fib.set(id))
+        }
+        let new_sets = pool(new).filter(|&s| pool(old).all(|o| o != s)).count();
+        most_new_sets = most_new_sets.max(new_sets);
+        let applied = old.apply_delta(&Fib::delta(old, new)).unwrap();
+        assert_eq!(&applied, new, "device {:?}", old.device());
+    }
+    assert!(most_new_sets >= 2, "some delta must bring in ≥ 2 hop sets, most was {most_new_sets}");
 }

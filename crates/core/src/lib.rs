@@ -32,13 +32,7 @@
 //!    facade is the entry point: cold passes check everything, warm
 //!    passes ([`Validator::run_incremental`]) revalidate only churned
 //!    devices.
-//! 5. **Global baseline** ([`global_baseline`]): an independent
-//!    all-pairs reachability checker over merged FIBs. It serves two
-//!    purposes: the comparison baseline of experiment E8, and the
-//!    verification oracle for Claim 1 ("local contracts imply global
-//!    reachability"), which [`framework`] states and the integration
-//!    tests establish constructively.
-//! 6. **Live monitoring** ([`service`]): the §2.6.1 microservice
+//! 5. **Live monitoring** ([`service`]): the §2.6.1 microservice
 //!    architecture — contract generator, FIB puller, validator workers,
 //!    stream-analytics sink — as one in-process sharded service. The
 //!    device space is partitioned across shard-local stores
@@ -51,29 +45,33 @@
 //!    [`ServiceHandle`] answers verdict and alert queries
 //!    concurrently. A one-shot sweep is the same service driven once:
 //!    `pull_all`, `drain`, read the handle.
-//! 7. **Triage** ([`triage`]): the automated remediation-queue routing
+//! 6. **Triage** ([`triage`]): the automated remediation-queue routing
 //!    of §2.6.4 — classified errors land in per-action queues drained
 //!    high-risk first.
-//! 8. **Ops simulation** ([`burndown`]): the prioritized remediation
+//! 7. **Ops simulation** ([`burndown`]): the prioritized remediation
 //!    process whose output is the paper's Figure 6 burndown graph.
-//! 9. **K-failure robustness sweeps** ([`whatif`]): enumerate failure
+//! 8. **K-failure robustness sweeps** ([`whatif`]): enumerate failure
 //!    scenarios over the fabric — exhaustive at k ≤ 2, sampled beyond,
 //!    optionally pruned by symmetry — and answer with a `Robust(k)`
 //!    certificate or a ddmin-minimal counterexample ([`shrink`]).
-//! 10. **Change pre-checks and rollout planning** ([`rollout`]): the
-//!     §2.7 emulator pre-check ([`Prechecker`]) and a Snowcap-style
-//!     ordering search ([`RolloutPlanner`]) that finds a sequence of
-//!     per-device changes whose every intermediate fixed point
-//!     satisfies the contracts — or a ddmin-minimal unsafe subset when
-//!     none does.
+//! 9. **Change pre-checks and rollout planning** ([`rollout`]): the
+//!    §2.7 emulator pre-check ([`Prechecker`]) and a Snowcap-style
+//!    ordering search ([`RolloutPlanner`]) that finds a sequence of
+//!    per-device changes whose every intermediate fixed point
+//!    satisfies the contracts — or a ddmin-minimal unsafe subset when
+//!    none does.
 //!
-//! Items 9 and 10 are two search policies over one crate-private
+//! Items 8 and 9 are two search policies over one crate-private
 //! state-evaluation core (`explore`): a converged, validated anchor;
 //! a fixed-point restart per fault set that returns, per device whose
 //! FIB changed, the handful of rules that differ, and revalidates each
 //! as `(anchor table, patch)` through [`Engine::validate_patch`] — no
 //! per-state table, hash or memo, so a state costs what its touched
 //! rules cost; and one judge of which violations count.
+//!
+//! What *states* the paper's claims — §2.4.5's obligations, the global
+//! all-pairs checker behind Claim 1 and E8 — is `difftest::reference`,
+//! beside the other oracles, not this library.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,8 +82,6 @@ pub mod clock;
 pub mod contracts;
 pub mod engine;
 mod explore;
-pub mod framework;
-pub mod global_baseline;
 pub mod pipeline;
 pub mod report;
 pub mod rollout;

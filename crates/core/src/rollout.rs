@@ -615,21 +615,7 @@ pub struct RolloutPlanner {
     /// The shared state-evaluation core; its root anchor is production.
     explorer: Explorer,
     metrics: Option<RolloutMetrics>,
-    /// Cross-call memo for [`Self::state_reports`], keyed by the
-    /// canonical change *set* (the changes sorted by target). Changes
-    /// commute (classify rejects duplicate targets), so a subset's
-    /// fixed point — and therefore its report vector — is independent
-    /// of the order the subset was reached in; candidate orderings of
-    /// one rollout revisit the same lattice states over and over, and
-    /// each distinct state is only ever evaluated once per planner.
-    state_memo: RwLock<HashMap<Vec<ConfigChange>, std::sync::Arc<Vec<ValidationReport>>>>,
 }
-
-/// Entries kept in the state-report memo before it is wiped; a plan
-/// over the full 128-change budget visits far fewer distinct states
-/// than this, so the cap only matters to planners embedded in
-/// long-lived services.
-const STATE_MEMO_CAP: usize = 4096;
 
 impl RolloutPlanner {
     pub(crate) fn new(
@@ -641,7 +627,6 @@ impl RolloutPlanner {
             production,
             explorer,
             metrics: registry.map(RolloutMetrics::new),
-            state_memo: RwLock::new(HashMap::new()),
         }
     }
 
@@ -724,19 +709,14 @@ impl RolloutPlanner {
     /// The full per-device report vector after applying `changes` (as
     /// a set — order is irrelevant), computed through the incremental
     /// machinery: general changes converge an anchor, fault changes
-    /// restart from it, only changed devices are revalidated. Results
-    /// are memoized by the canonical change set — stepping many
-    /// candidate orderings of one rollout re-asks the same subset
-    /// states, and each distinct state is evaluated once. The difftest
-    /// oracle byte-compares this against a from-scratch simulate +
-    /// cold validation of the same state.
+    /// restart from it, only changed devices are revalidated.
+    ///
+    /// The oracle hook, computed per call: [`plan`](Self::plan) and
+    /// [`check_order`](Self::check_order) never use it, the difftest
+    /// rollout oracle byte-compares it against a from-scratch simulate
+    /// + cold validation of the same state.
     pub fn state_reports(&self, changes: &[ConfigChange]) -> Result<Vec<ValidationReport>, String> {
         let lattice = self.classify(changes)?;
-        let mut key = changes.to_vec();
-        key.sort_by_key(ConfigChange::target);
-        if let Some(hit) = self.state_memo.read().get(&key) {
-            return Ok((**hit).clone());
-        }
         let root = self.explorer.root();
         let built = (lattice.general_mask != 0).then(|| {
             let net = lattice.applied(&self.production, lattice.general_mask);
@@ -753,14 +733,7 @@ impl RolloutPlanner {
         for (d, r) in changed {
             reports[d.0 as usize] = r;
         }
-        let mut memo = self.state_memo.write();
-        if memo.len() >= STATE_MEMO_CAP {
-            memo.clear();
-        }
-        let cached = memo
-            .entry(key)
-            .or_insert_with(|| std::sync::Arc::new(reports));
-        Ok((**cached).clone())
+        Ok(reports)
     }
 
     /// Search for a safe ordering of `changes`. Deterministic at any

@@ -243,9 +243,7 @@ impl Observer for DatacenterReport {
 /// The parallel path splits the output buffer into per-worker chunks
 /// with `chunks_mut`, so every worker owns a disjoint slice and writes
 /// results without locks or claim counters — device checks are
-/// independent and uniform enough that a static partition beats the
-/// old per-slot mutex vector (which serialized on lock metadata and
-/// put every report behind a lock nobody contended).
+/// independent and uniform enough for a static partition.
 fn validate_jobs(
     engine: &(dyn Engine + Sync),
     threads: usize,
@@ -258,16 +256,16 @@ fn validate_jobs(
         }
     } else {
         let chunk = jobs.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
+        // A panicking worker re-panics here, at scope exit.
+        std::thread::scope(|scope| {
             for (out_chunk, job_chunk) in out.chunks_mut(chunk).zip(jobs.chunks(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (slot, (fib, dc)) in out_chunk.iter_mut().zip(job_chunk) {
                         *slot = engine.validate_device(fib, dc);
                     }
                 });
             }
-        })
-        .expect("validation worker panicked");
+        });
     }
     out
 }

@@ -63,11 +63,11 @@ use crate::report::Risk;
 use crate::runner::EngineChoice;
 use crate::shard::ShardRouter;
 use bgpsim::Fib;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use dctopo::{DeviceId, MetadataService};
 use netprim::ParseError;
 use obskit::{Counter, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -109,7 +109,7 @@ enum Message {
 
 /// Per-shard ingest accounting, shared by producers and the worker.
 struct ShardLane {
-    tx: Sender<Message>,
+    tx: SyncSender<Message>,
     submitted: AtomicU64,
     processed: AtomicU64,
     /// The shard's `rcdc_service_backpressure_total`, resolved at
@@ -163,7 +163,7 @@ impl ValidationService {
         let mut lanes = Vec::with_capacity(shards);
         let mut receivers: Vec<Receiver<Message>> = Vec::with_capacity(shards);
         for stores in router.iter() {
-            let (tx, rx) = channel::bounded(config.ingest_capacity.max(1));
+            let (tx, rx) = sync_channel(config.ingest_capacity.max(1));
             lanes.push(ShardLane {
                 tx,
                 submitted: AtomicU64::new(0),
@@ -387,12 +387,17 @@ fn shard_worker(
         &[],
     );
 
+    let lane = &inner.lanes[shard];
     while let Ok(msg) = rx.recv() {
         let (event, enqueued_at) = match msg {
             Message::Event { event, enqueued_at } => (event, enqueued_at),
             Message::Stop => break,
         };
-        queue_depth.set(rx.len() as i64);
+        // Submitted and not yet processed, less the event in hand (a
+        // std receiver has no `len`; the lane's own counters do).
+        let submitted = lane.submitted.load(Ordering::Acquire);
+        let waiting = submitted - lane.processed.load(Ordering::Acquire) - 1;
+        queue_depth.set(waiting as i64);
         match event {
             IngestEvent::Pull(_) => pulls.inc(),
             IngestEvent::Notify(_) => notifies.inc(),
@@ -401,7 +406,7 @@ fn shard_worker(
             Ok(()) => latency.record((clock.now() - enqueued_at).as_nanos() as u64),
             Err(_) => pull_errors.inc(),
         }
-        inner.lanes[shard].processed.fetch_add(1, Ordering::Release);
+        lane.processed.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -751,11 +756,30 @@ mod tests {
             .shards(1)
             .ingest_capacity(1)
             .build_service(Arc::new(source));
-        for _ in 0..3 {
-            service.pull_all(&ds);
-        }
-        service.drain();
-        let snap = service.handle().snapshot();
+        // A reader samples the dequeue-time depth gauge beside the
+        // sweeps: the lane's `submitted − processed − 1`.
+        let handle = service.handle();
+        let sweeping = std::sync::atomic::AtomicBool::new(true);
+        let depths = thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut depths = Vec::new();
+                while sweeping.load(Ordering::Acquire) {
+                    let snap = handle.snapshot();
+                    depths.extend(snap.gauge("rcdc_service_queue_depth", &[("shard", "0")]));
+                    thread::sleep(Duration::from_micros(500));
+                }
+                depths
+            });
+            for _ in 0..3 {
+                service.pull_all(&ds);
+            }
+            service.drain();
+            sweeping.store(false, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert!(depths.iter().all(|&d| d >= 0), "{depths:?}");
+        assert!(depths.iter().any(|&d| d > 0), "a capacity-1 lane behind slow pulls backs up");
+        let snap = handle.snapshot();
         let stalls = snap.counter("rcdc_service_backpressure_total", &[("shard", "0")]);
         assert!(stalls > Some(0), "capacity-1 lane must report stalls");
         assert_eq!(

@@ -1,12 +1,9 @@
 //! Devices, roles, clusters, and ASN allocation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense numeric identifier of a device within one [`crate::Topology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -17,9 +14,7 @@ impl fmt::Display for DeviceId {
 
 /// Identifier of a cluster — the set of racks behind one leaf layer
 /// (paper §2.1: "the set of racks that are connected together").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
 
 impl fmt::Display for ClusterId {
@@ -30,9 +25,7 @@ impl fmt::Display for ClusterId {
 
 /// A BGP autonomous system number. Azure's scheme uses private ASNs
 /// (§2.1); we keep the same 64512–65534 band for generated topologies.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -44,9 +37,7 @@ impl fmt::Display for Asn {
 /// The fixed role a device plays in the Clos hierarchy. Roles are the
 /// crux of local validation: "each network device plays a fixed role
 /// for a set of address ranges" (§2.4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Role {
     /// Top-of-rack switch (T0): hosts server VLAN prefixes.
     Tor,
@@ -94,7 +85,7 @@ impl fmt::Display for Role {
 }
 
 /// One network device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     /// Dense id within the topology.
     pub id: DeviceId,

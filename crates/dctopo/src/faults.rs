@@ -5,11 +5,10 @@
 //! is exactly how RCDC surfaces them as contract violations (§2.4,
 //! §2.6.2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operational state of a point-to-point link / its BGP session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkState {
     /// Link and BGP session healthy.
     Up,

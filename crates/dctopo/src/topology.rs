@@ -4,18 +4,15 @@
 use crate::device::{Device, DeviceId, Role};
 use crate::faults::LinkState;
 use netprim::{Ipv4, Prefix};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense numeric identifier of a link within one [`Topology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 /// A point-to-point link between two devices, carrying one EBGP
 /// session (§2.1: "EBGP sessions over direct point-to-point links").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Link {
     /// Link id.
     pub id: LinkId,
@@ -59,7 +56,7 @@ impl Link {
 /// Link state is mutable (fault injection); everything else is fixed at
 /// construction, mirroring the paper's split between a fixed
 /// architecture and fluctuating network state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     devices: Vec<Device>,
     links: Vec<Link>,

@@ -41,7 +41,7 @@ use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Topol
 use rcdc::contracts::DeviceContracts;
 use netprim::Prefix;
 use rcdc::contracts::Expectation;
-use rcdc::global_baseline::{forwarding_analysis, PathInfo};
+use crate::reference::global_baseline::{forwarding_analysis, PathInfo};
 use rcdc::shrink::shrink_list;
 use rcdc::{generate_contracts, Contract, ContractKind, Engine, SmtEngine, TrieEngine};
 use simnet::rng::Rng;

@@ -111,7 +111,7 @@ fn check_chain(
             ));
         }
 
-        let patch = FibPatch::from_delta(&delta);
+        let patch = FibPatch::try_from_delta(&delta).expect("apply_delta read it as a patch");
         for ((name, engine), prior) in engines.iter().zip(priors.iter_mut()) {
             let full = engine.validate_device(&new_fib, &dcs);
             let incr = engine.validate_delta(&new_fib, &dcs, &delta, prior);

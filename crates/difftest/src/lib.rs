@@ -30,7 +30,9 @@
 //!   through the wire codec and `apply_delta`.
 //! * [`Oracle::Wire`] — `WireSnapshot`/`FibDelta` round trips, plus
 //!   decode under truncation and byte-level mutation (decode must fail
-//!   cleanly or produce a value that re-encodes to the exact bytes).
+//!   cleanly or produce a value that re-encodes to the exact bytes);
+//!   every delta that decodes reads as a patch or a typed error
+//!   (`FibPatch::try_from_delta`), never a panic.
 //! * [`Oracle::SecGuru`] — SMT contract checking vs the interval
 //!   engine vs exhaustive `Policy::allows` enumeration, and
 //!   `semantic_diff` vs ground-truth policy equivalence.
@@ -58,7 +60,10 @@
 //! The frozen pre-rewrite simulator, pointer trie and per-device
 //! contract generator those oracles (and
 //! `tests/flat_trie_equivalence.rs`) judge against live in
-//! [`mod@reference`] — here, not in the libraries they check.
+//! [`mod@reference`] — here, not in the libraries they check — and so
+//! do the paper-claim oracles: the global baseline the engines oracle,
+//! the root integration tests and `repro -- e8` compare against, and
+//! the §2.4.5 framework `tests/claim1.rs` holds the contracts to.
 //!
 //! Every failure carries the replay seed and a greedily minimized
 //! counterexample. Reproduce with

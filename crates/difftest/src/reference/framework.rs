@@ -20,7 +20,7 @@
 //!   with `C(h, v) > 0` whenever `δ(h, v) > 0` (no dead ends).
 //!
 //! Together with the constructive global oracle in
-//! [`crate::global_baseline`], the integration tests establish Claim 1:
+//! [`super::global_baseline`], the integration tests establish Claim 1:
 //! if the local obligations hold everywhere, all ToR pairs are
 //! reachable over the maximal set of shortest paths.
 
@@ -166,8 +166,8 @@ pub fn check_local_obligations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{fig3_faulted, fig3_healthy};
-    use crate::global_baseline::{forwarding_analysis, PathInfo};
+    use crate::reference::global_baseline::{forwarding_analysis, PathInfo};
+    use crate::reference::tests::{fig3_faulted, fig3_healthy};
 
     #[test]
     fn healthy_network_satisfies_all_obligations() {

@@ -226,7 +226,7 @@ pub fn all_pairs_paths_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{fig3_faulted, fig3_healthy};
+    use crate::reference::tests::{fig3_faulted, fig3_healthy};
 
     #[test]
     fn healthy_fig3_all_tor_pairs_shortest_and_redundant() {

@@ -9,11 +9,12 @@
 //!   in particular every strict truncation of a valid encoding fails.
 //!
 //! Decoded snapshots are additionally pushed through `Fib::from_wire`
-//! to make sure a hostile snapshot can be rejected but never panic the
-//! store.
+//! and decoded deltas through `FibPatch::try_from_delta` — a frame the
+//! codec accepts may name a prefix any number of times — to make sure
+//! hostile input can be rejected but never panic the store.
 
 use crate::Failure;
-use bgpsim::Fib;
+use bgpsim::{Fib, FibPatch, PatchOp};
 use netprim::wire::{DeltaRule, FibDelta, WireEntry, WireSnapshot};
 use netprim::{Ipv4, Prefix};
 use simnet::rng::Rng;
@@ -40,8 +41,15 @@ fn random_snapshot(r: &mut Rng) -> WireSnapshot {
 }
 
 fn random_delta(r: &mut Rng) -> FibDelta {
+    // A third of the prefixes come from a pool of three, so that one
+    // frame names a prefix in several arms, or twice in one.
+    let pool: Vec<Prefix> = (0..3).map(|_| random_prefix(r)).collect();
+    let prefix = |r: &mut Rng| match r.chance(1, 3) {
+        true => pool[r.below(3) as usize],
+        false => random_prefix(r),
+    };
     let rule = |r: &mut Rng| DeltaRule {
-        prefix: random_prefix(r),
+        prefix: prefix(r),
         next_hops: random_hops(r),
         local: r.chance(1, 4),
     };
@@ -51,8 +59,37 @@ fn random_delta(r: &mut Rng) -> FibDelta {
         new_hash: r.next_u64(),
         added: (0..r.range(0, 4)).map(|_| rule(r)).collect(),
         modified: (0..r.range(0, 4)).map(|_| rule(r)).collect(),
-        removed: (0..r.range(0, 4)).map(|_| random_prefix(r)).collect(),
+        removed: (0..r.range(0, 4)).map(|_| prefix(r)).collect(),
     }
+}
+
+/// Any delta the codec accepts reads as a patch or as a typed error,
+/// never a panic: only rules that disagree on one prefix are refused,
+/// and a patch decides each named prefix once — as the first rule
+/// naming it (a re-add wins over its removal), else as a withdrawal.
+fn check_delta_as_patch(d: &FibDelta) -> Option<String> {
+    let canon = |r: &DeltaRule| {
+        let mut hops = r.next_hops.clone();
+        hops.sort_unstable();
+        hops.dedup();
+        (r.prefix, hops, r.local)
+    };
+    let rules: Vec<_> = d.added.iter().chain(&d.modified).map(canon).collect();
+    let conflict = rules.iter().any(|a| rules.iter().any(|b| a.0 == b.0 && a != b));
+    let Ok(patch) = FibPatch::try_from_delta(d) else {
+        return (!conflict).then(|| format!("conflict-free delta refused: {d:?}"));
+    };
+    let mut named: Vec<Prefix> = d.touched_prefixes().collect();
+    named.sort_unstable();
+    named.dedup();
+    let mut decided: Vec<Prefix> = patch.prefixes().collect();
+    decided.sort_unstable();
+    let nets = |op: &PatchOp| match op {
+        PatchOp::Set(r) => rules.iter().find(|x| x.0 == r.prefix) == Some(&canon(r)),
+        PatchOp::Withdraw(p) => rules.iter().all(|x| x.0 != *p),
+    };
+    (conflict || decided != named || !patch.ops().iter().all(nets))
+        .then(|| format!("{d:?} read as {patch:?}"))
 }
 
 /// The canonicity invariant on arbitrary bytes, for one codec.
@@ -140,6 +177,9 @@ fn check_delta(r: &mut Rng) -> Option<String> {
         Ok(back) => return Some(format!("delta round trip changed value: {d:?} -> {back:?}")),
         Err(e) => return Some(format!("delta failed to decode its own encoding: {e}")),
     }
+    if let Some(msg) = check_delta_as_patch(&d) {
+        return Some(msg);
+    }
     for cut in 0..bytes.len() {
         if FibDelta::decode(&bytes[..cut]).is_ok() {
             return Some(format!(
@@ -157,6 +197,9 @@ fn check_delta(r: &mut Rng) -> Option<String> {
             |v: &FibDelta| v.encode().to_vec(),
             "delta",
         ) {
+            return Some(msg);
+        }
+        if let Some(msg) = FibDelta::decode(&m).ok().as_ref().and_then(check_delta_as_patch) {
             return Some(msg);
         }
     }

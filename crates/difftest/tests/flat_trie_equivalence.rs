@@ -340,7 +340,7 @@ proptest! {
             let inc = flat.validate_delta(&new, &dc, &delta, &prior);
             prop_assert_eq!(&inc, &flat.validate_device(&new, &dc));
             prop_assert_eq!(&inc, &reference.validate_delta(&new, &dc, &delta, &prior));
-            let patch = FibPatch::from_delta(&delta);
+            let patch = FibPatch::try_from_delta(&delta).unwrap();
             prop_assert_eq!(&inc, &flat.validate_patch(&old, &patch, &dc, &prior));
         }
 
@@ -354,7 +354,7 @@ proptest! {
         }));
         let (old, new, touched) = small_churn(&base, &splice_specs, &edits, mix);
         prop_assert!(touched.len() * 4 <= new.len(), "generator strayed onto the fallback");
-        let patch = FibPatch::from_delta(&Fib::delta(&old, &new));
+        let patch = FibPatch::try_from_delta(&Fib::delta(&old, &new)).unwrap();
         prop_assert!(patch.len() * 4 <= old.len(), "generator strayed onto the fallback");
         prop_assert_eq!(old.patched(&patch).content_hash(), new.content_hash());
         let dc = build_contracts(&splice_specs);

@@ -10,7 +10,6 @@ use crate::error::ParseError;
 use crate::ip::Ipv4;
 use crate::prefix::Prefix;
 use crate::range::{IpRange, PortRange};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -18,7 +17,7 @@ use std::str::FromStr;
 ///
 /// `Any` is the wildcard (Cisco `ip`, NSG `Any`); the named variants
 /// carry their IANA protocol numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Matches every protocol number.
     Any,
@@ -99,7 +98,7 @@ impl FromStr for Protocol {
 }
 
 /// One concrete packet header: the 5-tuple SecGuru reasons over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HeaderTuple {
     /// Source IP address.
     pub src_ip: Ipv4,
@@ -126,7 +125,7 @@ impl fmt::Display for HeaderTuple {
 /// A rectangular set of headers: the packet filter of one rule or
 /// contract. Each dimension is an independent range; a header is in
 /// the space iff every dimension matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HeaderSpace {
     /// Permissible source addresses.
     pub src: IpRange,

@@ -6,7 +6,6 @@
 //! `u32` newtype makes those conversions free and explicit.
 
 use crate::error::ParseError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -15,10 +14,7 @@ use std::str::FromStr;
 /// Ordering and comparison follow the unsigned integer interpretation,
 /// which is exactly the ordering used in bit-vector contract encodings
 /// (`10.0.0.0 <= x <= 10.255.255.255`, paper §2.5.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {

@@ -9,7 +9,6 @@
 use crate::error::ParseError;
 use crate::ip::Ipv4;
 use crate::range::IpRange;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -17,7 +16,7 @@ use std::str::FromStr;
 ///
 /// Canonical means all host bits are zero; [`Prefix::new`] rejects
 /// non-canonical inputs so two equal address ranges always compare equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Ipv4,
     len: u8,

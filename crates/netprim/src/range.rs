@@ -9,11 +9,10 @@
 use crate::error::ParseError;
 use crate::ip::Ipv4;
 use crate::prefix::Prefix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An inclusive range of IPv4 addresses `[start, end]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IpRange {
     start: Ipv4,
     end: Ipv4,
@@ -146,7 +145,7 @@ impl fmt::Display for IpRange {
 }
 
 /// An inclusive range of transport-layer ports `[start, end]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortRange {
     start: u16,
     end: u16,

@@ -39,7 +39,6 @@
 use crate::error::ParseError;
 use crate::ip::Ipv4;
 use crate::prefix::Prefix;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying a FIB snapshot, version 1.
 pub const MAGIC: &[u8; 4] = b"FIB1";
@@ -69,6 +68,86 @@ pub fn frame_kind(buf: &[u8]) -> Option<FrameKind> {
     }
 }
 
+/// Read cursor over one frame's bytes; integers are big-endian. Every
+/// read is preceded by a [`need`](Self::need) that names what was cut
+/// short, so a decoder never indexes past the buffer.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    /// The frame kind, for error messages.
+    what: &'static str,
+}
+
+impl Cursor<'_> {
+    fn err(&self, reason: &str) -> ParseError {
+        ParseError::new(self.what, "<binary>", reason)
+    }
+
+    /// Fail with `truncated` unless `n` more bytes are there.
+    fn need(&self, n: usize, truncated: &str) -> Result<(), ParseError> {
+        (self.buf.len() >= n).then_some(()).ok_or_else(|| self.err(truncated))
+    }
+
+    /// The next `N` bytes; the caller has `need`ed them.
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.buf.split_at(N);
+        self.buf = rest;
+        head.try_into().expect("split_at(N) yields N bytes")
+    }
+
+    fn u8(&mut self) -> u8 {
+        u8::from_be_bytes(self.take())
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_be_bytes(self.take())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.take())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_be_bytes(self.take())
+    }
+
+    /// A list's `count u32` and a vector to fill: the reservation is
+    /// clamped so that a hostile count cannot allocate ahead of the
+    /// bytes that would have to back it.
+    fn list<T>(&mut self) -> (usize, Vec<T>) {
+        let count = self.u32() as usize;
+        (count, Vec::with_capacity(count.min(1 << 20)))
+    }
+
+    /// `nhop u32 * count`.
+    fn next_hops(&mut self, count: u16) -> Result<Vec<Ipv4>, ParseError> {
+        self.need(usize::from(count) * 4, "truncated next-hop list")?;
+        Ok((0..count).map(|_| Ipv4(self.u32())).collect())
+    }
+
+    /// The prefix an `addr u32 | len u8` pair names, canonical or
+    /// refused as `bad`.
+    fn prefix(&self, addr: u32, len: u8, bad: &str) -> Result<Prefix, ParseError> {
+        Prefix::new(Ipv4(addr), len).map_err(|e| self.err(&format!("{bad}: {e}")))
+    }
+
+    /// Nothing may follow the last field.
+    fn end(&self, trailing: &str) -> Result<(), ParseError> {
+        self.buf.is_empty().then_some(()).ok_or_else(|| self.err(trailing))
+    }
+}
+
+fn put_prefix(buf: &mut Vec<u8>, prefix: Prefix) {
+    buf.extend_from_slice(&prefix.addr().0.to_be_bytes());
+    buf.push(prefix.len());
+}
+
+fn put_next_hops(buf: &mut Vec<u8>, next_hops: &[Ipv4]) {
+    buf.extend_from_slice(&(next_hops.len() as u16).to_be_bytes());
+    for nh in next_hops {
+        buf.extend_from_slice(&nh.0.to_be_bytes());
+    }
+}
+
 /// One routing entry in the transfer format: destination prefix plus
 /// the resolved set of next-hop addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,58 +169,37 @@ pub struct WireSnapshot {
 
 impl WireSnapshot {
     /// Serialize the snapshot into a freshly allocated buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(12 + self.entries.len() * 16);
-        buf.put_slice(MAGIC);
-        buf.put_u32(self.device);
-        buf.put_u32(self.entries.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(12 + self.entries.len() * 16);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&self.device.to_be_bytes());
+        buf.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
         for e in &self.entries {
-            buf.put_u32(e.prefix.addr().0);
-            buf.put_u8(e.prefix.len());
-            buf.put_u16(e.next_hops.len() as u16);
-            for nh in &e.next_hops {
-                buf.put_u32(nh.0);
-            }
+            put_prefix(&mut buf, e.prefix);
+            put_next_hops(&mut buf, &e.next_hops);
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode a snapshot, validating magic, lengths, and prefix
     /// canonicality. Trailing bytes are rejected.
-    pub fn decode(mut buf: &[u8]) -> Result<WireSnapshot, ParseError> {
-        let err = |reason: &str| ParseError::new("fib snapshot", "<binary>", reason);
-        if buf.remaining() < 12 {
-            return Err(err("truncated header"));
+    pub fn decode(buf: &[u8]) -> Result<WireSnapshot, ParseError> {
+        let what = "fib snapshot";
+        let mut cur = Cursor { buf, what };
+        cur.need(12, "truncated header")?;
+        if &cur.take::<4>() != MAGIC {
+            return Err(cur.err("bad magic"));
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(err("bad magic"));
-        }
-        let device = buf.get_u32();
-        let count = buf.get_u32() as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
+        let device = cur.u32();
+        let (count, mut entries) = cur.list();
         for _ in 0..count {
-            if buf.remaining() < 7 {
-                return Err(err("truncated entry header"));
-            }
-            let addr = Ipv4(buf.get_u32());
-            let len = buf.get_u8();
-            let nh_count = buf.get_u16() as usize;
-            if buf.remaining() < nh_count * 4 {
-                return Err(err("truncated next-hop list"));
-            }
-            let prefix = Prefix::new(addr, len)
-                .map_err(|e| err(&format!("bad prefix in entry: {e}")))?;
-            let mut next_hops = Vec::with_capacity(nh_count);
-            for _ in 0..nh_count {
-                next_hops.push(Ipv4(buf.get_u32()));
-            }
+            cur.need(7, "truncated entry header")?;
+            let (addr, len, nh_count) = (cur.u32(), cur.u8(), cur.u16());
+            let next_hops = cur.next_hops(nh_count)?;
+            let prefix = cur.prefix(addr, len, "bad prefix in entry")?;
             entries.push(WireEntry { prefix, next_hops });
         }
-        if buf.has_remaining() {
-            return Err(err("trailing bytes after last entry"));
-        }
+        cur.end("trailing bytes after last entry")?;
         Ok(WireSnapshot { device, entries })
     }
 }
@@ -207,101 +265,66 @@ impl FibDelta {
     }
 
     /// Serialize the delta into a freshly allocated buffer.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let rules = self.added.len() + self.modified.len();
-        let mut buf = BytesMut::with_capacity(36 + rules * 16 + self.removed.len() * 5);
-        buf.put_slice(DELTA_MAGIC);
-        buf.put_u32(self.device);
-        buf.put_u64(self.base_hash);
-        buf.put_u64(self.new_hash);
+        let mut buf = Vec::with_capacity(36 + rules * 16 + self.removed.len() * 5);
+        buf.extend_from_slice(DELTA_MAGIC);
+        buf.extend_from_slice(&self.device.to_be_bytes());
+        buf.extend_from_slice(&self.base_hash.to_be_bytes());
+        buf.extend_from_slice(&self.new_hash.to_be_bytes());
         for rules in [&self.added, &self.modified] {
-            buf.put_u32(rules.len() as u32);
+            buf.extend_from_slice(&(rules.len() as u32).to_be_bytes());
             for r in rules {
-                buf.put_u32(r.prefix.addr().0);
-                buf.put_u8(r.prefix.len());
-                buf.put_u8(u8::from(r.local));
-                buf.put_u16(r.next_hops.len() as u16);
-                for nh in &r.next_hops {
-                    buf.put_u32(nh.0);
-                }
+                put_prefix(&mut buf, r.prefix);
+                buf.push(u8::from(r.local));
+                put_next_hops(&mut buf, &r.next_hops);
             }
         }
-        buf.put_u32(self.removed.len() as u32);
-        for p in &self.removed {
-            buf.put_u32(p.addr().0);
-            buf.put_u8(p.len());
+        buf.extend_from_slice(&(self.removed.len() as u32).to_be_bytes());
+        for &p in &self.removed {
+            put_prefix(&mut buf, p);
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode a delta, validating magic, lengths, and prefix
     /// canonicality. Trailing bytes are rejected.
-    pub fn decode(mut buf: &[u8]) -> Result<FibDelta, ParseError> {
-        let err = |reason: &str| ParseError::new("fib delta", "<binary>", reason);
-        if buf.remaining() < 24 {
-            return Err(err("truncated header"));
+    pub fn decode(buf: &[u8]) -> Result<FibDelta, ParseError> {
+        let what = "fib delta";
+        let mut cur = Cursor { buf, what };
+        cur.need(24, "truncated header")?;
+        if &cur.take::<4>() != DELTA_MAGIC {
+            return Err(cur.err("bad magic"));
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != DELTA_MAGIC {
-            return Err(err("bad magic"));
-        }
-        let device = buf.get_u32();
-        let base_hash = buf.get_u64();
-        let new_hash = buf.get_u64();
-        let mut rule_lists = [Vec::new(), Vec::new()];
-        for rules in &mut rule_lists {
-            if buf.remaining() < 4 {
-                return Err(err("truncated rule count"));
-            }
-            let count = buf.get_u32() as usize;
-            rules.reserve(count.min(1 << 20));
+        let (device, base_hash, new_hash) = (cur.u32(), cur.u64(), cur.u64());
+        let mut rules = || {
+            cur.need(4, "truncated rule count")?;
+            let (count, mut rules) = cur.list();
             for _ in 0..count {
-                if buf.remaining() < 8 {
-                    return Err(err("truncated rule header"));
-                }
-                let addr = Ipv4(buf.get_u32());
-                let len = buf.get_u8();
-                let flags = buf.get_u8();
+                cur.need(8, "truncated rule header")?;
+                let (addr, len, flags) = (cur.u32(), cur.u8(), cur.u8());
                 if flags > 1 {
-                    return Err(err("unknown rule flags"));
+                    return Err(cur.err("unknown rule flags"));
                 }
-                let nh_count = buf.get_u16() as usize;
-                if buf.remaining() < nh_count * 4 {
-                    return Err(err("truncated next-hop list"));
-                }
-                let prefix = Prefix::new(addr, len)
-                    .map_err(|e| err(&format!("bad prefix in rule: {e}")))?;
-                let mut next_hops = Vec::with_capacity(nh_count);
-                for _ in 0..nh_count {
-                    next_hops.push(Ipv4(buf.get_u32()));
-                }
+                let nh_count = cur.u16();
+                let next_hops = cur.next_hops(nh_count)?;
                 rules.push(DeltaRule {
-                    prefix,
+                    prefix: cur.prefix(addr, len, "bad prefix in rule")?,
                     next_hops,
-                    local: flags & 1 == 1,
+                    local: flags == 1,
                 });
             }
-        }
-        let [added, modified] = rule_lists;
-        if buf.remaining() < 4 {
-            return Err(err("truncated removal count"));
-        }
-        let count = buf.get_u32() as usize;
-        let mut removed = Vec::with_capacity(count.min(1 << 20));
+            Ok(rules)
+        };
+        let (added, modified) = (rules()?, rules()?);
+        cur.need(4, "truncated removal count")?;
+        let (count, mut removed) = cur.list();
         for _ in 0..count {
-            if buf.remaining() < 5 {
-                return Err(err("truncated removal"));
-            }
-            let addr = Ipv4(buf.get_u32());
-            let len = buf.get_u8();
-            removed.push(
-                Prefix::new(addr, len).map_err(|e| err(&format!("bad removed prefix: {e}")))?,
-            );
+            cur.need(5, "truncated removal")?;
+            let (addr, len) = (cur.u32(), cur.u8());
+            removed.push(cur.prefix(addr, len, "bad removed prefix")?);
         }
-        if buf.has_remaining() {
-            return Err(err("trailing bytes after last removal"));
-        }
+        cur.end("trailing bytes after last removal")?;
         Ok(FibDelta {
             device,
             base_hash,
@@ -472,13 +495,41 @@ mod tests {
     #[test]
     fn rejects_noncanonical_prefix() {
         // Hand-build: one entry 10.0.0.1/8 (host bits set).
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32(1);
-        buf.put_u32(1);
-        buf.put_u32(Ipv4::new(10, 0, 0, 1).0);
-        buf.put_u8(8);
-        buf.put_u16(0);
-        assert!(WireSnapshot::decode(&buf).is_err());
+        let mut buf = MAGIC.to_vec();
+        buf.extend([0, 0, 0, 1, 0, 0, 0, 1, 10, 0, 0, 1, 8, 0, 0]);
+        let err = WireSnapshot::decode(&buf).unwrap_err();
+        assert!(err.to_string().contains("bad prefix in entry"), "{err}");
+    }
+
+    #[test]
+    fn every_rejection_names_its_cause() {
+        let reason = |bytes: &[u8]| match frame_kind(bytes) {
+            Some(FrameKind::Snapshot) => WireSnapshot::decode(bytes).unwrap_err().to_string(),
+            _ => FibDelta::decode(bytes).unwrap_err().to_string(),
+        };
+        let edited = |mut bytes: Vec<u8>, at: usize, with: &[u8]| {
+            bytes.splice(at..at + with.len(), with.iter().copied());
+            reason(&bytes)
+        };
+        let (s, d) = (snapshot().encode(), delta().encode());
+        assert!(reason(&s[..11]).contains("truncated header"));
+        assert!(reason(&s[..14]).contains("truncated entry header"));
+        assert!(reason(&s[..20]).contains("truncated next-hop list"));
+        assert!(reason(&[&s[..], &[0]].concat()).contains("trailing bytes after last entry"));
+        // A count no bytes back: refused at the first missing entry,
+        // with the reservation clamped rather than 4 Gi entries large.
+        assert!(edited(s[..12].to_vec(), 8, &[0xFF; 4]).contains("truncated entry header"));
+        assert!(edited(d.clone(), 0, b"FIBX").contains("bad magic"));
+        assert!(reason(&d[..23]).contains("truncated header"));
+        assert!(reason(&d[..26]).contains("truncated rule count"));
+        assert!(reason(&d[..30]).contains("truncated rule header"));
+        assert!(reason(&d[..38]).contains("truncated next-hop list"));
+        assert!(reason(&d[..d.len() - 6]).contains("truncated removal count"));
+        assert!(reason(&d[..d.len() - 1]).contains("truncated removal"));
+        assert!(reason(&[&d[..], &[0]].concat()).contains("trailing bytes after last removal"));
+        assert!(edited(d.clone(), 33, &[2]).contains("unknown rule flags"));
+        // First rule's length byte (offset 32): a /1 with host bits set.
+        assert!(edited(d.clone(), 32, &[1]).contains("bad prefix in rule"));
+        assert!(edited(d.clone(), d.len() - 1, &[1]).contains("bad removed prefix"));
     }
 }

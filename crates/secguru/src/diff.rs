@@ -12,13 +12,14 @@
 //! newly-permitted: ¬P_old(x̄) ∧  P_new(x̄)
 //! ```
 //!
-//! An exact interval (box-algebra) implementation backs the SMT path
-//! for differential testing and for enumerating *all* changed regions
-//! rather than one witness.
+//! [`SmtDiff`] asks exactly that. [`semantic_diff`] answers the same
+//! question without the solver, over the interval engine's box
+//! algebra (`Box5`): exact too, differentially tested against the
+//! SMT path, and what the refactoring planner calls per candidate.
 
-use crate::engine::{policy_expr, IntervalEngine, PacketVars};
-use crate::model::{Action, Contract, Policy};
-use netprim::{HeaderSpace, HeaderTuple, PortRange, Protocol};
+use crate::engine::{policy_expr, rule_boxes, subtract_each, Box5, IntervalEngine, PacketVars};
+use crate::model::{Action, Convention, Policy};
+use netprim::HeaderTuple;
 use obskit::{Histogram, Observer, Registry};
 use smtkit::{BoolId, Session, SessionStats, SmtResult};
 
@@ -47,9 +48,11 @@ impl PolicyDiff {
     }
 }
 
-/// SMT-based semantic diff. `old` and `new` may use different
-/// conventions (e.g. comparing a first-applicable rewrite of a
-/// deny-overrides policy).
+/// Interval-engine semantic diff: exact in both directions (`None` is
+/// a proof that no packet changed hands that way), never calls the
+/// solver. `old` and `new` may use different conventions (e.g.
+/// comparing a first-applicable rewrite of a deny-overrides policy).
+/// [`SmtDiff`] is the SMT formulation of the same question.
 pub fn semantic_diff(old: &Policy, new: &Policy) -> PolicyDiff {
     PolicyDiff {
         newly_denied: direction_witness(old, new, ChangeDirection::NewlyDenied),
@@ -59,13 +62,12 @@ pub fn semantic_diff(old: &Policy, new: &Policy) -> PolicyDiff {
 
 /// Find a packet changed in the given direction, if one exists.
 ///
-/// Implemented by reusing the contract checker: "`old` permits x" is
-/// the contract `Permit(everything old permits)`, so a witness for
-/// `P_old ∧ ¬P_new` is exactly a violation of each permitted region of
-/// `old` checked against `new`. To stay exact without enumerating
-/// regions through the SMT layer, the interval engine first computes
-/// the changed boxes, and the SMT engine confirms the witness — the two
-/// must agree (differential tested).
+/// "`grant` permits x" is the contract `Permit(everything grant
+/// permits)`, so a witness for `P_grant ∧ ¬P_check` is exactly a
+/// violation of one permitted region of `grant` checked against
+/// `check`. Both halves are the interval engine's box algebra — the
+/// regions are `Box5`es and `IntervalEngine::check_box` is asked
+/// about each directly — for either convention on either side.
 pub fn direction_witness(
     old: &Policy,
     new: &Policy,
@@ -75,166 +77,31 @@ pub fn direction_witness(
         ChangeDirection::NewlyDenied => (old, new),
         ChangeDirection::NewlyPermitted => (new, old),
     };
-    // Regions `grant` permits, via exact box algebra.
-    let regions = permitted_regions(grant);
     let interval = IntervalEngine::new();
-    for region in regions {
+    permitted_regions(grant).into_iter().find_map(|region| {
         // Does `check` deny any of it?
-        let contract = Contract::new("diff", region, Action::Permit);
-        let outcome = interval.check(check, &contract);
-        if let Some(w) = outcome.witness {
-            debug_assert!(!check.allows(&w));
-            debug_assert!(grant.allows(&w));
-            return Some(w);
-        }
-    }
-    None
+        let (w, _) = interval.check_box(check, region, Action::Permit)?;
+        debug_assert!(!check.allows(&w));
+        debug_assert!(grant.allows(&w));
+        Some(w)
+    })
 }
 
-/// Decompose the permit set of a policy into disjoint header-space
-/// boxes (exact; exponential only in pathological rule structures).
-fn permitted_regions(policy: &Policy) -> Vec<HeaderSpace> {
-    // Work over the interval engine's semantics by evaluating the
-    // policy region by region: start from each permit rule's filter,
-    // subtract the filters that can override it.
+/// Decompose the permit set of a policy into boxes (exact; exponential
+/// only in pathological rule structures): each permit rule's filter
+/// minus the filters that can override it — every earlier rule under
+/// first-applicable, every deny under deny-overrides.
+fn permitted_regions(policy: &Policy) -> Vec<Box5> {
+    let all = rule_boxes(policy, |_| true);
+    let denies = rule_boxes(policy, |r| r.action == Action::Deny);
     let mut out = Vec::new();
-    match policy.convention {
-        crate::model::Convention::FirstApplicable => {
-            for (i, r) in policy.rules().iter().enumerate() {
-                if r.action != Action::Permit {
-                    continue;
-                }
-                // r's filter minus all earlier rules' filters.
-                let mut parts = vec![r.filter];
-                for earlier in &policy.rules()[..i] {
-                    parts = subtract_spaces(parts, &earlier.filter);
-                    if parts.is_empty() {
-                        break;
-                    }
-                }
-                out.extend(parts);
-            }
-        }
-        crate::model::Convention::DenyOverrides => {
-            for r in policy.rules() {
-                if r.action != Action::Permit {
-                    continue;
-                }
-                let mut parts = vec![r.filter];
-                for deny in policy.rules().iter().filter(|r| r.action == Action::Deny) {
-                    parts = subtract_spaces(parts, &deny.filter);
-                    if parts.is_empty() {
-                        break;
-                    }
-                }
-                out.extend(parts);
-            }
-        }
-    }
-    out
-}
-
-/// Subtract one header space from a list of disjoint spaces. The
-/// protocol dimension is widened to ranges internally (same approach as
-/// the interval engine); residual protocol ranges are re-expressed as
-/// per-protocol singletons only when narrow.
-fn subtract_spaces(spaces: Vec<HeaderSpace>, cut: &HeaderSpace) -> Vec<HeaderSpace> {
-    let mut out = Vec::new();
-    for s in spaces {
-        out.extend(subtract_one(&s, cut));
-    }
-    out
-}
-
-fn proto_bounds(p: Protocol) -> (u8, u8) {
-    match p.number() {
-        None => (0, 255),
-        Some(n) => (n, n),
-    }
-}
-
-fn subtract_one(s: &HeaderSpace, cut: &HeaderSpace) -> Vec<HeaderSpace> {
-    // Intersection test first.
-    let Some(_) = s.intersect(cut) else {
-        return vec![*s];
-    };
-    let mut out = Vec::new();
-    let mut rest = *s;
-
-    // src ip
-    for part in rest.src.subtract(cut.src) {
-        out.push(HeaderSpace { src: part, ..rest });
-    }
-    rest.src = match rest.src.intersect(cut.src) {
-        Some(i) => i,
-        None => return out,
-    };
-    // src ports
-    {
-        let (lo, hi) = (rest.src_ports.start(), rest.src_ports.end());
-        let (clo, chi) = (cut.src_ports.start(), cut.src_ports.end());
-        if lo < clo {
-            out.push(HeaderSpace {
-                src_ports: PortRange::new(lo, clo - 1).unwrap(),
-                ..rest
-            });
-        }
-        if chi < hi {
-            out.push(HeaderSpace {
-                src_ports: PortRange::new(chi + 1, hi).unwrap(),
-                ..rest
-            });
-        }
-        rest.src_ports = match rest.src_ports.intersect(cut.src_ports) {
-            Some(i) => i,
-            None => return out,
-        };
-    }
-    // dst ip
-    for part in rest.dst.subtract(cut.dst) {
-        out.push(HeaderSpace { dst: part, ..rest });
-    }
-    rest.dst = match rest.dst.intersect(cut.dst) {
-        Some(i) => i,
-        None => return out,
-    };
-    // dst ports
-    {
-        let (lo, hi) = (rest.dst_ports.start(), rest.dst_ports.end());
-        let (clo, chi) = (cut.dst_ports.start(), cut.dst_ports.end());
-        if lo < clo {
-            out.push(HeaderSpace {
-                dst_ports: PortRange::new(lo, clo - 1).unwrap(),
-                ..rest
-            });
-        }
-        if chi < hi {
-            out.push(HeaderSpace {
-                dst_ports: PortRange::new(chi + 1, hi).unwrap(),
-                ..rest
-            });
-        }
-        rest.dst_ports = match rest.dst_ports.intersect(cut.dst_ports) {
-            Some(i) => i,
-            None => return out,
-        };
-    }
-    // protocol
-    {
-        let (lo, hi) = proto_bounds(rest.protocol);
-        let (clo, chi) = proto_bounds(cut.protocol);
-        // Residual protocol sub-ranges are emitted per value; in
-        // practice rules use Any or a single protocol, so residuals
-        // are empty or tiny unless someone diffs exotic policies.
-        if clo > lo || chi < hi {
-            for v in lo..=hi {
-                if v < clo || v > chi {
-                    out.push(HeaderSpace {
-                        protocol: Protocol::Number(v).canonical(),
-                        ..rest
-                    });
-                }
-            }
+    for (i, r) in policy.rules().iter().enumerate() {
+        if r.action == Action::Permit {
+            let overriders = match policy.convention {
+                Convention::FirstApplicable => &all[..i],
+                Convention::DenyOverrides => &denies[..],
+            };
+            out.extend(subtract_each(vec![all[i]], overriders));
         }
     }
     out
@@ -353,8 +220,9 @@ pub fn smt_confirms_equivalence(old: &Policy, new: &Policy) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Convention, Rule};
+    use crate::model::Rule;
     use crate::parser::{figure8_acl, parse_acl};
+    use netprim::{HeaderSpace, PortRange, Protocol};
 
     fn allows(p: &Policy, w: &HeaderTuple) -> bool {
         p.allows(w)
@@ -543,5 +411,28 @@ mod tests {
         let w = d.newly_denied.unwrap();
         assert_eq!(w.protocol, 47);
         assert!(d.newly_permitted.is_none());
+
+        // The residual-range case: what `carved` permits is X ×
+        // protocols 0–5 and 7–255, two boxes rather than 255 spaces.
+        let carved = parse_acl(
+            "c",
+            "
+            deny tcp any 10.1.0.0/16
+            permit ip any 10.1.0.0/16
+            ",
+        )
+        .unwrap();
+        let empty = Policy::new("empty", Convention::FirstApplicable, vec![]);
+        let d = semantic_diff(&carved, &empty);
+        let w = d.newly_denied.expect("everything carved permits is now denied");
+        assert_ne!(w.protocol, 6);
+        assert!(allows(&carved, &w) && !allows(&empty, &w));
+        assert!(d.newly_permitted.is_none());
+        let open = parse_acl("o", "permit ip any 10.1.0.0/16").unwrap();
+        let d = semantic_diff(&carved, &open);
+        let w = d.newly_permitted.expect("dropping the tcp deny opens tcp");
+        assert_eq!(w.protocol, 6, "only TCP changes hands");
+        assert!(!allows(&carved, &w) && allows(&open, &w));
+        assert!(d.newly_denied.is_none());
     }
 }

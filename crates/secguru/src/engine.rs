@@ -312,11 +312,12 @@ impl Observer for SecGuru {
 // Interval (box-algebra) baseline
 // ---------------------------------------------------------------------------
 
-/// A closed 5-dimensional box over the packet tuple. Exact complement
-/// representation of [`HeaderSpace`] with the protocol widened to a
-/// range so that subtraction stays closed.
+/// A closed 5-dimensional box over the packet tuple: a [`HeaderSpace`]
+/// with the protocol widened to a range, so that subtraction stays
+/// closed. The one box algebra of the interval side — contract checks
+/// and [`crate::diff`]'s permitted regions are both made of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Box5 {
+pub(crate) struct Box5 {
     src: (u32, u32),
     sp: (u16, u16),
     dst: (u32, u32),
@@ -325,7 +326,7 @@ struct Box5 {
 }
 
 impl Box5 {
-    fn from_space(f: &HeaderSpace) -> Box5 {
+    pub(crate) fn from_space(f: &HeaderSpace) -> Box5 {
         Box5 {
             src: (f.src.start().0, f.src.end().0),
             sp: (f.src_ports.start(), f.src_ports.end()),
@@ -373,7 +374,7 @@ impl Box5 {
         let mut rest = *self;
 
         macro_rules! carve {
-            ($field:ident, $ty:ty) => {
+            ($field:ident) => {
                 if rest.$field.0 < mid.$field.0 {
                     let mut b = rest;
                     b.$field = (rest.$field.0, mid.$field.0 - 1);
@@ -387,18 +388,34 @@ impl Box5 {
                 rest.$field = mid.$field;
             };
         }
-        carve!(src, u32);
-        carve!(sp, u16);
-        carve!(dst, u32);
-        carve!(dp, u16);
-        carve!(proto, u8);
+        carve!(src);
+        carve!(sp);
+        carve!(dst);
+        carve!(dp);
+        carve!(proto);
         let _ = rest; // fully carved down to the intersection
         out
     }
 }
 
-fn subtract_all(spaces: Vec<Box5>, cut: &Box5) -> Vec<Box5> {
-    spaces.into_iter().flat_map(|b| b.subtract(cut)).collect()
+/// The boxes of the rules `keep` selects, in rule order.
+pub(crate) fn rule_boxes(policy: &Policy, keep: impl Fn(&Rule) -> bool) -> Vec<Box5> {
+    let kept = policy.rules().iter().filter(|r| keep(r));
+    kept.map(|r| Box5::from_space(&r.filter)).collect()
+}
+
+/// `boxes − ∪cuts`, stopping as soon as nothing is left.
+pub(crate) fn subtract_each<'a>(
+    mut boxes: Vec<Box5>,
+    cuts: impl IntoIterator<Item = &'a Box5>,
+) -> Vec<Box5> {
+    for cut in cuts {
+        if boxes.is_empty() {
+            break;
+        }
+        boxes = boxes.iter().flat_map(|b| b.subtract(cut)).collect();
+    }
+    boxes
 }
 
 /// The interval-analysis engine: exact, allocation-heavy, fast for the
@@ -415,7 +432,21 @@ impl IntervalEngine {
     /// Check one contract against a policy; same verdicts as
     /// [`SecGuru::check`] (differentially tested).
     pub fn check(&self, policy: &Policy, contract: &Contract) -> CheckOutcome {
-        let c0 = Box5::from_space(&contract.filter);
+        match self.check_box(policy, Box5::from_space(&contract.filter), contract.expect) {
+            None => CheckOutcome::pass(contract),
+            Some((w, rule)) => CheckOutcome::fail(contract, w, rule),
+        }
+    }
+
+    /// A packet of `c0` that `policy` does not decide as `expect`, with
+    /// the rule that decided it (`None` = default deny); `None` when
+    /// every packet of the box is decided as expected.
+    pub(crate) fn check_box<'p>(
+        &self,
+        policy: &'p Policy,
+        c0: Box5,
+        expect: Action,
+    ) -> Option<(HeaderTuple, Option<&'p Rule>)> {
         match policy.convention {
             Convention::FirstApplicable => {
                 // Walk rules in order, tracking the part of the contract
@@ -427,86 +458,45 @@ impl IntervalEngine {
                         break;
                     }
                     let rb = Box5::from_space(&r.filter);
-                    if r.action != contract.expect {
+                    if r.action != expect {
                         // Any overlap of undecided space with this rule
                         // is decided wrongly.
-                        if let Some(bad) = undecided
-                            .iter()
-                            .find_map(|u| u.intersect(&rb))
-                        {
-                            let w = bad.sample();
-                            return CheckOutcome::fail(contract, w, Some(r));
+                        if let Some(bad) = undecided.iter().find_map(|u| u.intersect(&rb)) {
+                            return Some((bad.sample(), Some(r)));
                         }
                     }
-                    undecided = subtract_all(undecided, &rb);
+                    undecided = subtract_each(undecided, [&rb]);
                 }
                 // Whatever is still undecided falls to default deny.
-                if contract.expect == Action::Permit {
-                    if let Some(first) = undecided.first() {
-                        let w = first.sample();
-                        return CheckOutcome::fail(contract, w, None);
-                    }
+                match undecided.first() {
+                    Some(first) if expect == Action::Permit => Some((first.sample(), None)),
+                    _ => None,
                 }
-                CheckOutcome::pass(contract)
             }
             Convention::DenyOverrides => {
-                let denies: Vec<Box5> = policy
-                    .rules()
-                    .iter()
-                    .filter(|r| r.action == Action::Deny)
-                    .map(|r| Box5::from_space(&r.filter))
-                    .collect();
-                let permits: Vec<(usize, Box5)> = policy
-                    .rules()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.action == Action::Permit)
-                    .map(|(i, r)| (i, Box5::from_space(&r.filter)))
-                    .collect();
-                match contract.expect {
-                    Action::Deny => {
-                        // Violated iff some packet in C is permitted and
-                        // not denied: ∪(C∩permit_i) − ∪deny.
-                        for (_i, pb) in &permits {
-                            let Some(hit) = c0.intersect(pb) else { continue };
-                            let mut parts = vec![hit];
-                            for d in &denies {
-                                parts = subtract_all(parts, d);
-                                if parts.is_empty() {
-                                    break;
-                                }
-                            }
-                            if let Some(first) = parts.first() {
-                                let w = first.sample();
-                                let rule = policy.deciding_rule(&w);
-                                return CheckOutcome::fail(contract, w, rule);
-                            }
-                        }
-                        CheckOutcome::pass(contract)
-                    }
-                    Action::Permit => {
-                        // Violated iff some packet in C is denied or
-                        // matched by no permit.
-                        for d in &denies {
-                            if c0.intersect(d).is_some() {
-                                let w = c0.intersect(d).unwrap().sample();
-                                let rule = policy.deciding_rule(&w);
-                                return CheckOutcome::fail(contract, w, rule);
-                            }
-                        }
-                        let mut uncovered = vec![c0];
-                        for (_i, pb) in &permits {
-                            uncovered = subtract_all(uncovered, pb);
-                            if uncovered.is_empty() {
-                                break;
-                            }
-                        }
-                        if let Some(first) = uncovered.first() {
-                            let w = first.sample();
-                            return CheckOutcome::fail(contract, w, None);
-                        }
-                        CheckOutcome::pass(contract)
-                    }
+                let denies = rule_boxes(policy, |r| r.action == Action::Deny);
+                let permits = rule_boxes(policy, |r| r.action == Action::Permit);
+                let decided = |b: &Box5| {
+                    let w = b.sample();
+                    (w, policy.deciding_rule(&w))
+                };
+                match expect {
+                    // Violated iff some packet in C is permitted and
+                    // not denied: ∪(C∩permit_i) − ∪deny.
+                    Action::Deny => permits
+                        .iter()
+                        .filter_map(|pb| c0.intersect(pb))
+                        .find_map(|hit| subtract_each(vec![hit], &denies).first().map(decided)),
+                    // Violated iff some packet in C is denied or
+                    // matched by no permit.
+                    Action::Permit => denies
+                        .iter()
+                        .find_map(|d| c0.intersect(d))
+                        .map(|hit| decided(&hit))
+                        .or_else(|| {
+                            let uncovered = subtract_each(vec![c0], &permits);
+                            uncovered.first().map(|first| (first.sample(), None))
+                        }),
                 }
             }
         }

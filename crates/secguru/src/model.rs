@@ -6,11 +6,10 @@
 //! firewall templates of §3.5 use deny-overrides (Definition 3.2).
 
 use netprim::{HeaderSpace, HeaderTuple};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Rule action: admit or block matching packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Admit matching packets.
     Permit,
@@ -38,7 +37,7 @@ impl fmt::Display for Action {
 }
 
 /// One policy rule: a packet filter plus an action.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Human-readable name (NSG rule name, or `line<N>` for ACLs).
     pub name: String,
@@ -59,7 +58,7 @@ impl Rule {
 }
 
 /// The rule-combination convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Convention {
     /// First matching rule decides; default deny (Definition 3.1).
     FirstApplicable,
@@ -69,7 +68,7 @@ pub enum Convention {
 }
 
 /// A complete policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Policy {
     /// Policy name (ACL name or NSG name).
     pub name: String,
@@ -179,7 +178,7 @@ impl Policy {
 /// A contract: a packet filter plus the expectation of whether those
 /// packets "must be permitted or denied" (§3.2). Contracts are "a set
 /// of regression tests for the ACL" (§3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Contract {
     /// Contract name, used in reports.
     pub name: String,

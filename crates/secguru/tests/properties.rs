@@ -2,10 +2,13 @@
 //! reports cite: `Policy::first_match` and `Policy::deciding_rule`
 //! must always name a rule consistent with the reference semantics
 //! `Policy::allows`, under both rule-combination conventions — a
-//! report blaming the wrong rule is as bad as a wrong verdict.
+//! report blaming the wrong rule is as bad as a wrong verdict. And for
+//! the two semantic differs (interval boxes, SMT): they must agree on
+//! whether traffic changed hands, each with a witness that did.
 
 use netprim::{HeaderSpace, HeaderTuple, IpRange, Ipv4, PortRange, Protocol};
 use proptest::prelude::*;
+use secguru::diff::{semantic_diff, SmtDiff};
 use secguru::{Action, Convention, Policy, Rule};
 
 /// A deliberately small universe (16 addresses, 4 ports, 3 protocol
@@ -165,6 +168,28 @@ proptest! {
                 let pruned = p.without_rule(&name);
                 prop_assert!(pruned.deciding_rule(&h).is_none_or(|r| r.name != name));
                 check_consistency(&pruned, &h)?;
+            }
+        }
+    }
+
+    #[test]
+    fn interval_diff_agrees_with_smt_diff(old in arb_rules(), new in arb_rules()) {
+        const CONVENTIONS: [Convention; 2] =
+            [Convention::FirstApplicable, Convention::DenyOverrides];
+        for old_conv in CONVENTIONS {
+            for new_conv in CONVENTIONS {
+                let old = Policy::new("old", old_conv, old.clone());
+                let new = Policy::new("new", new_conv, new.clone());
+                let interval = semantic_diff(&old, &new);
+                let smt = SmtDiff::new(&old, &new).diff();
+                prop_assert_eq!(interval.newly_denied.is_some(), smt.newly_denied.is_some());
+                prop_assert_eq!(interval.newly_permitted.is_some(), smt.newly_permitted.is_some());
+                for w in [interval.newly_denied, smt.newly_denied].into_iter().flatten() {
+                    prop_assert!(old.allows(&w) && !new.allows(&w), "{} not newly denied", w);
+                }
+                for w in [interval.newly_permitted, smt.newly_permitted].into_iter().flatten() {
+                    prop_assert!(!old.allows(&w) && new.allows(&w), "{} not newly permitted", w);
+                }
             }
         }
     }

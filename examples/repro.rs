@@ -20,13 +20,13 @@
 use bgpsim::{simulate, Fib, FibBuilder, SimConfig};
 use dctopo::generator::figure3;
 use dctopo::{build_clos, ClosParams, DeviceId, LinkState, MetadataService, Role};
+use difftest::reference::global_baseline::all_pairs_paths_naive;
 use netprim::{Ipv4, Prefix};
 use rcdc::burndown::{simulate_burndown, BurndownParams};
 use rcdc::contracts::{
     generate_contracts, ContractGenerator, ContractKind, DeviceContracts, Expectation,
 };
 use rcdc::engine::{smt::SmtEngine, trie::TrieEngine, Engine};
-use rcdc::global_baseline::all_pairs_paths_naive;
 use rcdc::pipeline::SimulatedSource;
 use rcdc::Validator;
 use secguru::engine::{IntervalEngine, SecGuru};

@@ -12,11 +12,11 @@
 //! paths; conversely, any loss of shortest-path redundancy must surface
 //! as some local violation.
 
+use difftest::reference::framework::check_local_obligations;
+use difftest::reference::global_baseline::{forwarding_analysis, PathInfo};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rcdc::framework::check_local_obligations;
-use rcdc::global_baseline::{forwarding_analysis, PathInfo};
 use validatedc::prelude::*;
 
 /// Expected shortest-path count between two ToRs in a healthy Clos:

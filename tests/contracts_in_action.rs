@@ -112,18 +112,18 @@ fn traffic_follows_the_longer_route_through_regional_spines() {
     let fx = faulted_fixture();
     let f = &fx.f;
     let analysis =
-        rcdc::global_baseline::forwarding_analysis(&fx.fibs, &fx.meta, f.prefixes[1]);
+        difftest::reference::global_baseline::forwarding_analysis(&fx.fibs, &fx.meta, f.prefixes[1]);
     match analysis.from_device(f.tors[0]) {
-        rcdc::global_baseline::PathInfo::Reaches { min_len, .. } => {
+        difftest::reference::global_baseline::PathInfo::Reaches { min_len, .. } => {
             assert_eq!(min_len, 6, "2 + 4 extra hops via the regional spine");
         }
         other => panic!("{other:?}"),
     }
     // And the reverse direction, ToR2 -> Prefix_A.
     let analysis =
-        rcdc::global_baseline::forwarding_analysis(&fx.fibs, &fx.meta, f.prefixes[0]);
+        difftest::reference::global_baseline::forwarding_analysis(&fx.fibs, &fx.meta, f.prefixes[0]);
     match analysis.from_device(f.tors[1]) {
-        rcdc::global_baseline::PathInfo::Reaches { min_len, .. } => {
+        difftest::reference::global_baseline::PathInfo::Reaches { min_len, .. } => {
             assert_eq!(min_len, 6);
         }
         other => panic!("{other:?}"),
@@ -172,13 +172,13 @@ fn healthy_figure3_has_zero_violations_and_maximal_paths() {
     assert!(report.is_clean());
     // Redundant shortest paths: 4 per ToR pair (Intent 3).
     for (pi, &prefix) in f.prefixes.iter().enumerate() {
-        let analysis = rcdc::global_baseline::forwarding_analysis(&fibs, &meta, prefix);
+        let analysis = difftest::reference::global_baseline::forwarding_analysis(&fibs, &meta, prefix);
         for (ti, &tor) in f.tors.iter().enumerate() {
             if ti == pi {
                 continue;
             }
             match analysis.from_device(tor) {
-                rcdc::global_baseline::PathInfo::Reaches { paths, .. } => {
+                difftest::reference::global_baseline::PathInfo::Reaches { paths, .. } => {
                     assert_eq!(paths, 4)
                 }
                 other => panic!("{other:?}"),

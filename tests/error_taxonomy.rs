@@ -128,10 +128,10 @@ fn migration_asn_collision() {
     // "There were no reachability issues": defaults climb to the spine
     // tier, which still holds the specifics, so traffic is delivered —
     // the latent risk only materializes under additional link failures.
-    match rcdc::global_baseline::forwarding_analysis(&fibs, &meta, f.prefixes[2])
+    match difftest::reference::global_baseline::forwarding_analysis(&fibs, &meta, f.prefixes[2])
         .from_device(f.tors[0])
     {
-        rcdc::global_baseline::PathInfo::Reaches { min_len, .. } => {
+        difftest::reference::global_baseline::PathInfo::Reaches { min_len, .. } => {
             assert_eq!(min_len, 4, "delivered via default routes")
         }
         other => panic!("{other:?}"),
