@@ -51,25 +51,11 @@ impl Default for SimOptions {
 impl SimOptions {
     /// Options with `threads` defaulted to the detected core count —
     /// the service-path default, where the fixed point competes with
-    /// nothing else. `RCDC_SIM_THREADS` overrides the detection
-    /// (including back down to `1`); the output is bit-identical at
-    /// any thread count, so the override is purely a resource knob.
+    /// nothing else. The output is bit-identical at any thread count.
     pub fn auto() -> SimOptions {
-        Self::auto_from(|k| std::env::var(k).ok())
-    }
-
-    /// [`auto`](Self::auto) over an injectable environment lookup, so
-    /// tests exercise the parsing without touching process globals.
-    /// A set-but-invalid `RCDC_SIM_THREADS` falls back to detection —
-    /// simulation must not fail over a tuning knob.
-    pub fn auto_from(get: impl Fn(&str) -> Option<String>) -> SimOptions {
-        let detected = std::thread::available_parallelism()
+        let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let threads = get("RCDC_SIM_THREADS")
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(detected);
         SimOptions { threads }
     }
 }
@@ -1006,24 +992,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_options_default_to_detected_cores_with_env_override() {
+    fn auto_options_default_to_detected_cores() {
         let detected = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        // Unset: detection wins.
-        assert_eq!(SimOptions::auto_from(|_| None).threads, detected);
-        // Explicit override, including back down to serial.
-        let fixed = |v: &'static str| SimOptions::auto_from(move |k| {
-            assert_eq!(k, "RCDC_SIM_THREADS");
-            Some(v.to_string())
-        });
-        assert_eq!(fixed("3").threads, 3);
-        assert_eq!(fixed(" 1 ").threads, 1);
-        // Invalid or zero values fall back to detection — the service
-        // must not fail over a tuning knob.
-        assert_eq!(fixed("lots").threads, detected);
-        assert_eq!(fixed("0").threads, detected);
-        assert_eq!(fixed("").threads, detected);
+        assert_eq!(SimOptions::auto().threads, detected);
     }
 
     #[test]

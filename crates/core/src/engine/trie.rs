@@ -6,9 +6,9 @@
 //! exactly a DFS preorder of the rule containment forest: two prefixes
 //! are either nested or disjoint, so every rule's descendants form a
 //! contiguous run right after it. The trie is therefore one `Vec` of
-//! nodes in that order — each carrying its prefix, FIB entry index,
-//! parent link and exclusive subtree end as `u32` indices into the
-//! arena — built in O(n) with a stack, no per-bit pointer chasing.
+//! nodes in that order — each carrying its prefix, FIB entry index and
+//! exclusive subtree end as `u32` indices into the arena — built in
+//! O(n) with a stack, no per-bit pointer chasing.
 //!
 //! **Batched traversal.** Instead of one candidate walk per contract,
 //! the specific contracts are sorted into the same `(address, length)`
@@ -66,19 +66,11 @@ use netprim::{HopSet, IpRange, Ipv4, Prefix};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// Sentinel for "no node" in the flat arena.
-const NONE: u32 = u32::MAX;
-
 /// One rule in the flat trie arena.
 struct FlatNode {
     prefix: Prefix,
     /// Index into the FIB entry array.
     entry: u32,
-    /// Arena index of the nearest enclosing rule (`NONE` at top level).
-    /// The sweep carries its own ancestor stack; the link is kept for
-    /// layout invariants (asserted in tests) and future traversals.
-    #[allow(dead_code)]
-    parent: u32,
     /// Exclusive arena end of this rule's descendant run.
     subtree_end: u32,
 }
@@ -111,7 +103,6 @@ impl FlatTrie {
             nodes.push(FlatNode {
                 prefix: p,
                 entry: ei,
-                parent: open.last().copied().unwrap_or(NONE),
                 subtree_end: 0, // patched when closed
             });
             open.push(idx);
@@ -1378,7 +1369,7 @@ mod tests {
         let hops = vec![Ipv4::new(30, 0, 0, 1)];
         let mut b = FibBuilder::new(dctopo::DeviceId(0));
         // Inserted shuffled; the arena must come out in (addr, len)
-        // DFS preorder with correct parent/subtree links.
+        // DFS preorder with correct subtree links.
         for p in [
             "10.0.1.0/24",
             "0.0.0.0/0",
@@ -1408,8 +1399,6 @@ mod tests {
         assert_eq!(trie.nodes[0].subtree_end, 6);
         assert_eq!(trie.children(0).collect::<Vec<_>>(), [1, 5]);
         assert_eq!(trie.children(2).collect::<Vec<_>>(), [3, 4]);
-        assert_eq!(trie.nodes[3].parent, 2);
-        assert_eq!(trie.nodes[5].parent, 0);
         // Each node's FIB entry link round-trips.
         for n in &trie.nodes {
             assert_eq!(fib.entries()[n.entry as usize].prefix, n.prefix);

@@ -51,9 +51,9 @@
 //! 7. **Ops simulation** ([`burndown`]): the prioritized remediation
 //!    process whose output is the paper's Figure 6 burndown graph.
 //! 8. **K-failure robustness sweeps** ([`whatif`]): enumerate failure
-//!    scenarios over the fabric — exhaustive at k ≤ 2, sampled beyond,
-//!    optionally pruned by symmetry — and answer with a `Robust(k)`
-//!    certificate or a ddmin-minimal counterexample ([`shrink`]).
+//!    scenarios over the fabric — exhaustive at k ≤ 2, sampled beyond
+//!    — and answer with a `Robust(k)` certificate or a ddmin-minimal
+//!    counterexample ([`shrink`]).
 //! 9. **Change pre-checks and rollout planning** ([`rollout`]): the
 //!    §2.7 emulator pre-check ([`Prechecker`]) and a Snowcap-style
 //!    ordering search ([`RolloutPlanner`]) that finds a sequence of

@@ -114,46 +114,6 @@ impl ValidatorBuilder {
         self
     }
 
-    /// Apply engine/thread/shard settings from the process
-    /// environment: `RCDC_ENGINE` (an [`EngineChoice`] name),
-    /// `RCDC_THREADS`, `RCDC_SHARDS`, `RCDC_INGEST_CAPACITY`. Unset
-    /// variables keep the builder's current values; a set-but-invalid
-    /// value is an error naming the variable — benches and CI fail
-    /// loudly instead of silently running a misconfigured pass.
-    pub fn from_env(self) -> Result<Self, String> {
-        self.from_env_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`from_env`](Self::from_env) over an injectable lookup, so
-    /// tests exercise parsing without touching process globals.
-    pub fn from_env_lookup(mut self, get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        if let Some(v) = get("RCDC_ENGINE") {
-            self.engine = v
-                .parse::<EngineChoice>()
-                .map_err(|e| format!("RCDC_ENGINE: {e}"))?;
-        }
-        let count = |key: &str| -> Result<Option<usize>, String> {
-            match get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .trim()
-                    .parse::<usize>()
-                    .map(Some)
-                    .map_err(|_| format!("{key}: expected a non-negative integer, got {v:?}")),
-            }
-        };
-        if let Some(n) = count("RCDC_THREADS")? {
-            self.threads = n;
-        }
-        if let Some(n) = count("RCDC_SHARDS")? {
-            self.shards = n.max(1);
-        }
-        if let Some(n) = count("RCDC_INGEST_CAPACITY")? {
-            self.ingest_capacity = n.max(1);
-        }
-        Ok(self)
-    }
-
     /// Export pass metrics into `registry` (the `rcdc_pass_*`
     /// families). The registry is cheap to clone and shared — handles
     /// are resolved once at [`build`](Self::build), so the per-pass
@@ -384,60 +344,6 @@ mod tests {
         assert_eq!(v.engine_choice(), EngineChoice::Smt);
         assert_eq!(v.contract_epoch(), 1);
         assert!(v.run(&fibs).is_clean());
-    }
-
-    #[test]
-    fn from_env_applies_engine_threads_and_shards() {
-        let (_f, _fibs, _contracts, meta) = fig3_healthy();
-        let env = |k: &str| -> Option<String> {
-            match k {
-                "RCDC_ENGINE" => Some("smt".into()),
-                "RCDC_THREADS" => Some("6".into()),
-                "RCDC_SHARDS" => Some("4".into()),
-                "RCDC_INGEST_CAPACITY" => Some("32".into()),
-                _ => None,
-            }
-        };
-        let b = Validator::new(&meta).from_env_lookup(env).unwrap();
-        assert_eq!(b.engine, EngineChoice::Smt);
-        assert_eq!(b.threads, 6);
-        assert_eq!(b.shards, 4);
-        assert_eq!(b.ingest_capacity, 32);
-        // Unset vars keep builder values.
-        let b = Validator::new(&meta)
-            .engine(EngineChoice::TrieSemantic)
-            .threads(2)
-            .from_env_lookup(|_| None)
-            .unwrap();
-        assert_eq!(b.engine, EngineChoice::TrieSemantic);
-        assert_eq!(b.threads, 2);
-        assert_eq!(b.shards, 1);
-    }
-
-    #[test]
-    fn from_env_rejects_bad_values_naming_the_variable() {
-        let (_f, _fibs, _contracts, meta) = fig3_healthy();
-        let err = Validator::new(&meta)
-            .from_env_lookup(|k| (k == "RCDC_ENGINE").then(|| "warp-drive".into()))
-            .err().expect("must fail");
-        assert!(err.contains("RCDC_ENGINE"), "{err}");
-        let err = Validator::new(&meta)
-            .from_env_lookup(|k| (k == "RCDC_THREADS").then(|| "many".into()))
-            .err().expect("must fail");
-        assert!(err.contains("RCDC_THREADS") && err.contains("many"), "{err}");
-        let err = Validator::new(&meta)
-            .from_env_lookup(|k| (k == "RCDC_SHARDS").then(|| "-3".into()))
-            .err().expect("must fail");
-        assert!(err.contains("RCDC_SHARDS"), "{err}");
-        let err = Validator::new(&meta)
-            .from_env_lookup(|k| (k == "RCDC_INGEST_CAPACITY").then(|| "1e4".into()))
-            .err().expect("must fail");
-        assert!(err.contains("RCDC_INGEST_CAPACITY"), "{err}");
-        // Zero shards/capacity are clamped, not errors.
-        let b = Validator::new(&meta)
-            .from_env_lookup(|k| (k == "RCDC_SHARDS").then(|| "0".into()))
-            .unwrap();
-        assert_eq!(b.shards, 1);
     }
 
     #[test]

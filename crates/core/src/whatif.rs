@@ -13,15 +13,13 @@
 //! devices whose FIBs change come back, each judged as its healthy
 //! table plus the rules that differ, against its healthy report — and
 //! judged against the sweep's [`FailCondition`]. What this
-//! module owns is the *search policy*: which scenarios to visit, in
-//! which order, and which to skip.
+//! module owns is the *search policy*: which scenarios to visit and in
+//! which order.
 //!
 //! Scenarios of size 1 and 2 are enumerated exhaustively, larger sizes
-//! are sampled (seeded, deterministic); opt-in symmetry pruning
-//! collapses scenarios with identical Weisfeiler-Leman signatures —
-//! structurally interchangeable failures on a generated Clos. The
-//! sweep returns a [`RobustnessVerdict`]: a `Robust(k)` certificate,
-//! or a counterexample minimized by ddmin ([`crate::shrink`]) so that
+//! are sampled (seeded, deterministic). The sweep returns a
+//! [`RobustnessVerdict`]: a `Robust(k)` certificate, or a
+//! counterexample minimized by ddmin ([`crate::shrink`]) so that
 //! removing any single failure from the reported set makes the
 //! contracts pass again.
 
@@ -88,10 +86,6 @@ pub struct SweepOptions {
     pub k: usize,
     /// Include device failures in the universe (links always are).
     pub include_devices: bool,
-    /// Prune scenarios whose Weisfeiler-Leman signature was already
-    /// checked. Heuristic (structurally interchangeable scenarios get
-    /// one representative); off by default.
-    pub symmetry: bool,
     /// Cap scenarios per size level. `None` keeps sizes 1–2
     /// exhaustive and samples 256 per level beyond.
     pub sample: Option<usize>,
@@ -112,7 +106,6 @@ impl Default for SweepOptions {
         SweepOptions {
             k: 1,
             include_devices: false,
-            symmetry: false,
             sample: None,
             seed: 0,
             threads: 0,
@@ -167,8 +160,6 @@ pub struct SweepReport {
     pub condition: FailCondition,
     /// Scenarios evaluated (including the healthy baseline).
     pub scenarios_checked: usize,
-    /// Scenarios skipped by symmetry pruning.
-    pub scenarios_pruned: usize,
     /// Every failing scenario, in enumeration order (exhaustive mode
     /// only; otherwise just the first).
     pub failing: Vec<Vec<FailureElement>>,
@@ -333,7 +324,6 @@ impl WhatIfSweeper {
         let scope = self.scope(opts.condition);
         let threads = self.explorer.threads_or(opts.threads);
         let mut totals = Totals::default();
-        let mut pruned = 0usize;
         let mut failing: Vec<Vec<FailureElement>> = Vec::new();
 
         // Level 0: the healthy fabric itself (k=0 ≡ a plain sweep).
@@ -345,19 +335,12 @@ impl WhatIfSweeper {
 
         if failing.is_empty() || opts.exhaustive {
             let universe = self.universe(opts.include_devices);
-            let colors = opts.symmetry.then(|| wl_colors(self.baseline().topology()));
             for size in 1..=opts.k {
-                let mut scenarios: Vec<Vec<FailureElement>> =
+                let scenarios: Vec<Vec<FailureElement>> =
                     level_combos(universe.len(), size, opts)
                         .iter()
                         .map(|c| c.iter().map(|&i| universe[i as usize]).collect())
                         .collect();
-                if let Some(colors) = &colors {
-                    let enumerated = scenarios.len();
-                    let mut seen: HashSet<Vec<u64>> = HashSet::new();
-                    scenarios.retain(|s| seen.insert(self.scenario_signature(s, colors)));
-                    pruned += enumerated - scenarios.len();
-                }
                 let level = self.run_level(&scenarios, &scope, threads, opts.exhaustive);
                 totals.merge(&level.totals);
                 failing.extend(level.failing.iter().map(|&i| scenarios[i].clone()));
@@ -388,7 +371,6 @@ impl WhatIfSweeper {
             k: opts.k,
             condition: opts.condition,
             scenarios_checked: totals.states,
-            scenarios_pruned: pruned,
             failing,
             devices_revalidated: totals.revalidated,
             verdicts_reused: totals.reused,
@@ -449,69 +431,6 @@ impl WhatIfSweeper {
         merged.failing.sort_unstable();
         merged
     }
-
-    /// A canonical structural signature for a scenario: per-element
-    /// Weisfeiler-Leman endpoint colors plus pairwise relations
-    /// (shared endpoints, cluster co-membership). Scenarios with equal
-    /// signatures are structurally interchangeable on a generated
-    /// fabric, so one representative decides for the class.
-    fn scenario_signature(&self, elems: &[FailureElement], colors: &[u64]) -> Vec<u64> {
-        let t = self.baseline().topology();
-        let endpoints = |e: &FailureElement| -> Vec<DeviceId> {
-            match e {
-                FailureElement::Link(l) => {
-                    let link = t.link(*l);
-                    vec![link.lo, link.hi]
-                }
-                FailureElement::Device(d) => vec![*d],
-            }
-        };
-        let elem_sig = |e: &FailureElement| -> u64 {
-            match e {
-                FailureElement::Link(l) => {
-                    let link = t.link(*l);
-                    let (a, b) = (colors[link.lo.0 as usize], colors[link.hi.0 as usize]);
-                    fnv(&[0, a.min(b), a.max(b)])
-                }
-                FailureElement::Device(d) => fnv(&[1, colors[d.0 as usize]]),
-            }
-        };
-        let mut sigs: Vec<u64> = elems.iter().map(elem_sig).collect();
-        let mut pairs: Vec<u64> = Vec::new();
-        for i in 0..elems.len() {
-            for j in (i + 1)..elems.len() {
-                let (si, sj) = (sigs[i], sigs[j]);
-                let ei = endpoints(&elems[i]);
-                let ej = endpoints(&elems[j]);
-                let mut shared: Vec<u64> = ei
-                    .iter()
-                    .filter(|d| ej.contains(d))
-                    .map(|d| colors[d.0 as usize])
-                    .collect();
-                shared.sort_unstable();
-                let mut same_cluster = 0u64;
-                for a in &ei {
-                    for b in &ej {
-                        let (ca, cb) = (t.device(*a).cluster, t.device(*b).cluster);
-                        if ca.is_some() && ca == cb {
-                            same_cluster += 1;
-                        }
-                    }
-                }
-                let mut key = vec![si.min(sj), si.max(sj), shared.len() as u64, same_cluster];
-                key.extend(shared);
-                pairs.push(fnv(&key));
-            }
-        }
-        sigs.sort_unstable();
-        pairs.sort_unstable();
-        let mut sig = Vec::with_capacity(sigs.len() + pairs.len() + 2);
-        sig.push(elems.len() as u64);
-        sig.extend(sigs);
-        sig.push(u64::MAX);
-        sig.extend(pairs);
-        sig
-    }
 }
 
 /// One size level's outcome: the work done and the failing scenario
@@ -520,58 +439,6 @@ impl WhatIfSweeper {
 struct LevelResult {
     totals: Totals,
     failing: Vec<usize>,
-}
-
-/// FNV-1a over 64-bit words (stability matters, not diffusion).
-fn fnv(words: &[u64]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        for shift in [0u32, 32] {
-            h ^= u64::from((w >> shift) as u32);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
-/// Weisfeiler-Leman color refinement over the topology graph: start
-/// from (role, hosted-prefix count, degree) and hash each device with
-/// its sorted neighborhood for three rounds — plenty to separate the
-/// tiers and planes of a Clos while leaving symmetric positions equal.
-fn wl_colors(t: &Topology) -> Vec<u64> {
-    let mut colors: Vec<u64> = t
-        .devices()
-        .iter()
-        .map(|d| {
-            fnv(&[
-                d.role as u64,
-                t.hosted_prefixes(d.id).len() as u64,
-                t.links_of(d.id).count() as u64,
-            ])
-        })
-        .collect();
-    for _ in 0..3 {
-        let next: Vec<u64> = t
-            .devices()
-            .iter()
-            .map(|d| {
-                let mut neigh: Vec<u64> = t
-                    .links_of(d.id)
-                    .map(|l| {
-                        let peer = if l.lo == d.id { l.hi } else { l.lo };
-                        fnv(&[u64::from(l.state.session_up()), colors[peer.0 as usize]])
-                    })
-                    .collect();
-                neigh.sort_unstable();
-                let mut key = vec![colors[d.id.0 as usize]];
-                key.extend(neigh);
-                fnv(&key)
-            })
-            .collect();
-        colors = next;
-    }
-    colors
 }
 
 /// Is `C(n, size)` strictly greater than `cap`?
@@ -813,31 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_pruning_keeps_the_verdict() {
-        let (_f, sweeper) = fig3_sweeper();
-        for condition in [FailCondition::AnyViolation, FailCondition::Blackhole] {
-            let base = SweepOptions {
-                k: 2,
-                condition,
-                exhaustive: true,
-                ..SweepOptions::default()
-            };
-            let full = sweeper.sweep(&base);
-            let pruned = sweeper.sweep(&SweepOptions {
-                symmetry: true,
-                ..base
-            });
-            assert!(pruned.scenarios_pruned > 0, "pruning must trigger");
-            assert_eq!(full.is_robust(), pruned.is_robust(), "{condition}");
-            // Every failing scenario the pruned sweep reports must
-            // also fail in the full sweep.
-            for s in &pruned.failing {
-                assert!(full.failing.contains(s), "{s:?}");
-            }
-        }
-    }
-
-    #[test]
     fn verdict_memo_and_cache_keys_are_sound_across_fault_contexts() {
         // Satellite check: the pipeline's verdict key is (fib_hash, epoch).
         // Two different fault scenarios can produce the *same* FIB
@@ -892,10 +734,9 @@ mod tests {
     }
 
     /// The counters a sweep reports, as one comparable tuple.
-    fn counters(r: &SweepReport) -> (usize, usize, usize, usize, RestartStats) {
+    fn counters(r: &SweepReport) -> (usize, usize, usize, RestartStats) {
         (
             r.scenarios_checked,
-            r.scenarios_pruned,
             r.devices_revalidated,
             r.verdicts_reused,
             r.restart,
@@ -931,7 +772,7 @@ mod tests {
         // walks the 5-prefix work list (2645 - 5).
         assert_eq!(
             counters(&exhaustive),
-            (529, 0, 5748, 0, restart(2640, 1120, 1504, 5748, 11332))
+            (529, 5748, 0, restart(2640, 1120, 1504, 5748, 11332))
         );
         let topology = dctopo::build_clos(&dctopo::ClosParams {
             clusters: 2,
@@ -956,7 +797,7 @@ mod tests {
         // Same two reasons: 224 + 21 memo hits = 245, 225 - 9.
         assert_eq!(
             counters(&sampled),
-            (25, 0, 245, 0, restart(216, 174, 42, 245, 585))
+            (25, 245, 0, restart(216, 174, 42, 245, 585))
         );
     }
 

@@ -44,6 +44,7 @@ pub mod cli;
 pub mod metrics;
 pub mod render;
 pub mod serve;
+mod verbs;
 
 pub use bgpsim;
 pub use dctopo;

@@ -1,16 +1,18 @@
-//! Support for the CLI `serve` subcommand: a mutable snapshot source
-//! the churn driver rewrites while the sharded validation service
+//! The CLI `serve` subcommand: a mutable snapshot source, and the
+//! churn driver that rewrites it while the sharded validation service
 //! keeps pulling from it.
-//!
-//! Shared between the `validatedc` binary and the integration tests so
-//! the exact churn mechanics the CLI exercises are what the tests
-//! validate.
 
 use bgpsim::{Fib, FibBuilder};
 use dctopo::DeviceId;
 use netprim::wire::WireSnapshot;
+use obskit::MetricsSnapshot;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rcdc::pipeline::SnapshotSource;
-use std::sync::RwLock;
+use rcdc::report::Risk;
+use rcdc::service::IngestEvent;
+use rcdc::validator::ValidatorBuilder;
+use std::sync::{Arc, RwLock};
 
 /// A [`SnapshotSource`] over tables the driver mutates between pulls —
 /// the live network under route churn, as seen by the service's shard
@@ -67,6 +69,77 @@ pub fn drop_route(fib: &Fib, index: usize) -> Fib {
         b.push(e.prefix, fib.next_hops(e).to_vec(), e.local);
     }
     b.finish()
+}
+
+/// What a [`churn_run`] observed, round by round.
+pub struct ServeReport {
+    /// Devices in the fleet.
+    pub devices: usize,
+    /// Shards the service runs.
+    pub shards: usize,
+    /// Dirty devices after the cold sweep.
+    pub cold_dirty: usize,
+    /// Churn events injected per round.
+    pub churn: usize,
+    /// Per churn round: dirty devices and high-risk alerts once drained.
+    pub rounds: Vec<(usize, usize)>,
+    /// Dirty devices after every table was healed (0 = reconverged).
+    pub restore_dirty: usize,
+    /// The service's fleet-wide metrics at the end of the run.
+    pub snapshot: MetricsSnapshot,
+}
+
+/// Run the always-on service `builder` describes over the fleet
+/// `fibs`: a cold sweep, `rounds` rounds of `churn` seeded events each
+/// (one in four heals a device, the rest withdraw a route), then a
+/// restore round that heals every table.
+pub fn churn_run(
+    builder: ValidatorBuilder,
+    fibs: &[Fib],
+    rounds: usize,
+    churn: usize,
+    seed: u64,
+) -> ServeReport {
+    let devices: Vec<DeviceId> = (0..fibs.len() as u32).map(DeviceId).collect();
+    let source = Arc::new(ChurningSource::new(fibs.to_vec()));
+    let service = builder.build_service(source.clone());
+    let handle = service.handle();
+    service.pull_all(&devices);
+    service.drain();
+    let cold_dirty = handle.dirty_count();
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut per_round = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        for _ in 0..churn {
+            let device = devices[rng.gen_range(0..devices.len())];
+            let table = if rng.gen_bool(0.25) {
+                fibs[device.0 as usize].clone() // heal
+            } else {
+                drop_route(&source.get(device), rng.gen_range(0..64))
+            };
+            source.set(table);
+            service.submit(IngestEvent::Pull(device));
+        }
+        service.drain();
+        per_round.push((handle.dirty_count(), handle.alerts(Risk::High).len()));
+    }
+
+    // Restore round: heal every table; the service must reconverge.
+    for fib in fibs {
+        source.set(fib.clone());
+    }
+    service.pull_all(&devices);
+    service.drain();
+    ServeReport {
+        devices: devices.len(),
+        shards: service.shard_count(),
+        cold_dirty,
+        churn,
+        rounds: per_round,
+        restore_dirty: handle.dirty_count(),
+        snapshot: handle.snapshot(),
+    }
 }
 
 #[cfg(test)]

@@ -14,10 +14,6 @@
 //! * **k=0 ≡ plain validation** — sweeping nothing is exactly a cold
 //!   validator pass over the baseline FIBs; a failing baseline yields
 //!   the empty counterexample.
-//! * **Symmetry pruning is sound for the verdict** — pruning may skip
-//!   structurally interchangeable scenarios but never flips
-//!   `is_robust`, and everything it reports failing also fails the
-//!   unpruned sweep.
 //!
 //! The brute-force cross-check (incremental evaluation vs full
 //! re-simulation plus cold validation) lives in the difftest `whatif`
@@ -182,27 +178,6 @@ proptest! {
                     c.scenario[skip]
                 );
             }
-        }
-    }
-
-    #[test]
-    fn symmetry_pruning_never_flips_the_verdict(
-        k in 1usize..3,
-        cond_i in 0usize..3,
-        faults in fault_strategy(),
-    ) {
-        let sweeper = fig3_sweeper(&build_config(&faults));
-        let base = SweepOptions {
-            k,
-            exhaustive: true,
-            condition: condition(cond_i),
-            ..SweepOptions::default()
-        };
-        let full = sweeper.sweep(&base);
-        let pruned = sweeper.sweep(&SweepOptions { symmetry: true, ..base });
-        prop_assert_eq!(full.is_robust(), pruned.is_robust());
-        for s in &pruned.failing {
-            prop_assert!(full.failing.contains(s), "pruned sweep invented {s:?}");
         }
     }
 }
