@@ -35,7 +35,9 @@
 //!   (`FibPatch::try_from_delta`), never a panic.
 //! * [`Oracle::SecGuru`] — SMT contract checking vs the interval
 //!   engine vs exhaustive `Policy::allows` enumeration, and
-//!   `semantic_diff` vs ground-truth policy equivalence.
+//!   `semantic_diff` and `SmtDiff` witnesses, per direction, vs the
+//!   same enumeration of the unsliced policies (the gate for the
+//!   change slice).
 //! * [`Oracle::Session`] — random assert/push/pop/`check_assuming`
 //!   scripts against one long-lived [`smtkit::Session`] vs a fresh
 //!   solver rebuilt per query vs brute-force enumeration, with model

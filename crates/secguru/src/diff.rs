@@ -16,12 +16,15 @@
 //! question without the solver, over the interval engine's box
 //! algebra (`Box5`): exact too, differentially tested against the
 //! SMT path, and what the refactoring planner calls per candidate.
+//! Both ask it of the pair's [`change_slice`], not of the whole
+//! policies: §3.3's edits are small against a large known-good ACL.
 
 use crate::engine::{policy_expr, rule_boxes, subtract_each, Box5, IntervalEngine, PacketVars};
-use crate::model::{Action, Convention, Policy};
+use crate::model::{Action, Convention, Policy, Rule};
 use netprim::HeaderTuple;
 use obskit::{Histogram, Observer, Registry};
 use smtkit::{BoolId, Session, SessionStats, SmtResult};
+use std::collections::HashMap;
 
 /// One direction of behavioral change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,15 +51,104 @@ impl PolicyDiff {
     }
 }
 
+/// The pair a diff of `(old, new)` can depend on.
+///
+/// *K* is a longest common subsequence of the two rule lists under
+/// `(filter, action)` equality (order ignored under deny-overrides;
+/// empty when the conventions differ), *U* the union of the filters of
+/// the rules outside *K*; a rule stays iff it is outside *K* or meets
+/// *U*. Off *U* no changed rule matches, so both policies — and both
+/// slices — decide x on the same *K*-subsequence and agree; on *U*
+/// every rule matching x is kept, so each slice decides x as its policy
+/// does. Hence `old(x) ≠ new(x)` ⇔ the slices differ on x, the same
+/// way: every sliced witness is a witness of the full pair.
+pub(crate) fn change_slice(old: &Policy, new: &Policy) -> (Policy, Policy) {
+    let sides = [old, new];
+    let mut in_k = sides.map(|p| vec![false; p.len()]);
+    if old.convention == new.convention {
+        // `(key id, rule index)` per rule, so matching compares
+        // integers; sorted under deny-overrides, where a longest common
+        // subsequence is then the multiset intersection.
+        let mut ids = HashMap::new();
+        let [a, b] = sides.map(|p| {
+            let key = |(i, r): (usize, &Rule)| {
+                let fresh = ids.len();
+                (*ids.entry((r.filter, r.action)).or_insert(fresh), i)
+            };
+            let mut keys: Vec<(usize, usize)> = p.rules().iter().enumerate().map(key).collect();
+            if p.convention == Convention::DenyOverrides {
+                keys.sort_unstable();
+            }
+            keys
+        });
+        for (i, j) in longest_common_subsequence(&a, &b) {
+            in_k[0][a[i].1] = true;
+            in_k[1][b[j].1] = true;
+        }
+    }
+    let boxes = sides.map(|p| rule_boxes(p, |_| true));
+    let outside = |s: usize| boxes[s].iter().zip(&in_k[s]).filter(|(_, &k)| !k);
+    let changed: Vec<&Box5> = (0..2).flat_map(outside).map(|(b, _)| b).collect();
+    let [old, new] = [0, 1].map(|s| {
+        let meets = |b: &Box5| changed.iter().any(|c| b.intersect(c).is_some());
+        let kept = (0..sides[s].len()).filter(|&i| !in_k[s][i] || meets(&boxes[s][i]));
+        let rules = kept.map(|i| sides[s].rules()[i].clone()).collect();
+        Policy::new(sides[s].name.clone(), sides[s].convention, rules)
+    });
+    (old, new)
+}
+
+/// Positions `(i, j)` of a longest common subsequence of `a` and `b`
+/// under equality of the `.0` keys: the common prefix and suffix, and
+/// the textbook table over the middle — unless that would take more
+/// than `CELLS`, when the middle counts as wholly changed (any common
+/// subsequence is sound).
+fn longest_common_subsequence(a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    const CELLS: usize = 1 << 22; // 16 MiB of `u32`
+    let same = |i: usize, j: usize| a[i].0 == b[j].0;
+    let (la, lb) = (a.len(), b.len());
+    let pre = (0..la.min(lb)).take_while(|&i| same(i, i)).count();
+    let (n, m) = (la - pre, lb - pre);
+    let suf = (1..=n.min(m)).take_while(|&d| same(la - d, lb - d)).count();
+    let (n, m) = (n - suf, m - suf);
+    let mut out: Vec<(usize, usize)> = (0..pre).map(|i| (i, i)).collect();
+    if n.saturating_mul(m) <= CELLS {
+        // len[at(i, j)]: LCS length of the middles from i and j on.
+        let at = |i: usize, j: usize| i * (m + 1) + j;
+        let mut len = vec![0u32; (n + 1) * (m + 1)];
+        for (i, j) in (0..n).rev().flat_map(|i| (0..m).rev().map(move |j| (i, j))) {
+            len[at(i, j)] = if same(pre + i, pre + j) {
+                len[at(i + 1, j + 1)] + 1
+            } else {
+                len[at(i + 1, j)].max(len[at(i, j + 1)])
+            };
+        }
+        let (mut i, mut j) = (0, 0);
+        while i < n && j < m {
+            if same(pre + i, pre + j) {
+                out.push((pre + i, pre + j));
+                (i, j) = (i + 1, j + 1);
+            } else if len[at(i + 1, j)] >= len[at(i, j + 1)] {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+    }
+    out.extend((1..=suf).rev().map(|d| (la - d, lb - d)));
+    out
+}
+
 /// Interval-engine semantic diff: exact in both directions (`None` is
 /// a proof that no packet changed hands that way), never calls the
 /// solver. `old` and `new` may use different conventions (e.g.
 /// comparing a first-applicable rewrite of a deny-overrides policy).
 /// [`SmtDiff`] is the SMT formulation of the same question.
 pub fn semantic_diff(old: &Policy, new: &Policy) -> PolicyDiff {
+    let (old, new) = change_slice(old, new);
     PolicyDiff {
-        newly_denied: direction_witness(old, new, ChangeDirection::NewlyDenied),
-        newly_permitted: direction_witness(old, new, ChangeDirection::NewlyPermitted),
+        newly_denied: direction_witness(&old, &new, ChangeDirection::NewlyDenied),
+        newly_permitted: direction_witness(&old, &new, ChangeDirection::NewlyPermitted),
     }
 }
 
@@ -68,7 +160,7 @@ pub fn semantic_diff(old: &Policy, new: &Policy) -> PolicyDiff {
 /// `check`. Both halves are the interval engine's box algebra — the
 /// regions are `Box5`es and `IntervalEngine::check_box` is asked
 /// about each directly — for either convention on either side.
-pub fn direction_witness(
+fn direction_witness(
     old: &Policy,
     new: &Policy,
     direction: ChangeDirection,
@@ -107,8 +199,8 @@ fn permitted_regions(policy: &Policy) -> Vec<Box5> {
     out
 }
 
-/// SMT policy differ: both policies encoded once over one shared
-/// packet tuple in a single incremental session. Each direction of
+/// SMT policy differ: the pair's [`change_slice`] encoded once over one
+/// shared packet tuple in a single incremental session. Each direction of
 /// change is then one assumption-based satisfiability query, and any
 /// number of follow-up queries (restricted diffs, equivalence
 /// re-checks after edits to the question) reuse the same bit-blasted
@@ -124,11 +216,12 @@ pub struct SmtDiff {
 impl SmtDiff {
     /// Encode the policy pair for diffing.
     pub fn new(old: &Policy, new: &Policy) -> SmtDiff {
+        let (old, new) = change_slice(old, new);
         let mut session = Session::new();
         let a = session.arena_mut();
         let vars = PacketVars::new(a);
-        let old_expr = policy_expr(old, &vars, a);
-        let new_expr = policy_expr(new, &vars, a);
+        let old_expr = policy_expr(&old, &vars, a);
+        let new_expr = policy_expr(&new, &vars, a);
         SmtDiff {
             session,
             vars,
@@ -203,24 +296,9 @@ impl Observer for SmtDiff {
     }
 }
 
-/// Cross-check the diff verdict with the SMT engine: decide the
-/// "policies are equivalent" obligation exactly with [`SmtDiff`] and
-/// confirm it agrees with the interval result. Used by tests and
-/// available for paranoid callers.
-pub fn smt_confirms_equivalence(old: &Policy, new: &Policy) -> bool {
-    let smt_equivalent = SmtDiff::new(old, new).is_equivalent();
-    let interval_equivalent = semantic_diff(old, new).is_equivalent();
-    debug_assert_eq!(
-        smt_equivalent, interval_equivalent,
-        "SMT and interval diff must agree"
-    );
-    smt_equivalent && interval_equivalent
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Rule;
     use crate::parser::{figure8_acl, parse_acl};
     use netprim::{HeaderSpace, PortRange, Protocol};
 
@@ -228,12 +306,137 @@ mod tests {
         p.allows(w)
     }
 
+    fn src_rule(name: &str, priority: u32, src: &str, action: Action) -> Rule {
+        Rule {
+            name: name.into(),
+            priority,
+            filter: HeaderSpace::from_src(src.parse().unwrap()),
+            action,
+        }
+    }
+
+    fn fa(rules: Vec<Rule>) -> Policy {
+        Policy::new("p", Convention::FirstApplicable, rules)
+    }
+
+    fn names(p: &Policy) -> Vec<&str> {
+        p.rules().iter().map(|r| r.name.as_str()).collect()
+    }
+
+    #[test]
+    fn kept_deny_shadowing_a_removed_permit_stays_in_the_slice() {
+        let old = fa(vec![
+            src_rule("deny-10", 1, "10.0.0.0/8", Action::Deny),
+            src_rule("permit-10-1", 2, "10.1.0.0/16", Action::Permit),
+            src_rule("permit-11", 3, "11.0.0.0/8", Action::Permit),
+        ]);
+        let new = old.without_rule("permit-10-1");
+        // Without the kept deny the removed permit would look live.
+        let (so, sn) = change_slice(&old, &new);
+        assert_eq!(names(&so), ["deny-10", "permit-10-1"]);
+        assert_eq!(names(&sn), ["deny-10"]);
+        assert!(semantic_diff(&old, &new).is_equivalent());
+        assert!(SmtDiff::new(&old, &new).is_equivalent());
+    }
+
+    #[test]
+    fn removed_deny_before_a_kept_permit_is_witnessed_through_the_permit() {
+        let old = fa(vec![
+            src_rule("deny-10-1", 1, "10.1.0.0/16", Action::Deny),
+            src_rule("permit-10", 2, "10.0.0.0/8", Action::Permit),
+            src_rule("permit-11", 3, "11.0.0.0/8", Action::Permit),
+        ]);
+        let new = old.without_rule("deny-10-1");
+        for d in [semantic_diff(&old, &new), SmtDiff::new(&old, &new).diff()] {
+            let w = d.newly_permitted.expect("10.1/16 opened");
+            assert!(!allows(&old, &w) && allows(&new, &w));
+            assert_eq!(new.deciding_rule(&w).unwrap().name, "permit-10");
+            assert!(d.newly_denied.is_none());
+        }
+    }
+
+    #[test]
+    fn kept_rule_disjoint_from_the_change_is_not_in_the_slice() {
+        let old = fa(vec![
+            src_rule("deny-10-1", 1, "10.1.0.0/16", Action::Deny),
+            src_rule("permit-10", 2, "10.0.0.0/8", Action::Permit),
+            src_rule("permit-11", 3, "11.0.0.0/8", Action::Permit),
+        ]);
+        let (so, sn) = change_slice(&old, &old.without_rule("deny-10-1"));
+        assert_eq!(names(&so), ["deny-10-1", "permit-10"]);
+        assert_eq!(names(&sn), ["permit-10"]);
+        // Nothing changed: nothing to ask about.
+        let (so, sn) = change_slice(&old, &old);
+        assert!(so.is_empty() && sn.is_empty());
+    }
+
+    #[test]
+    fn moving_one_rule_costs_a_slice_that_does_not_grow_with_the_acl() {
+        let sizes = [300, 1200].map(|services| {
+            let old = crate::refactor::synthesize_legacy_acl(services, 20);
+            let rule = |name: &str| old.rules().iter().find(|r| r.name == name).unwrap();
+            // svc-100 moves behind svc-200: a hundred rules (and the
+            // zero-day denies between them) change position relative
+            // to it, one rule is outside the common subsequence.
+            let moved = Rule {
+                priority: rule("svc-200").priority,
+                ..rule("svc-100").clone()
+            };
+            let new = old.without_rule("svc-100").with_rules([moved]);
+            assert_ne!(names(&old), names(&new));
+            let (so, sn) = change_slice(&old, &new);
+            assert!(names(&so).contains(&"svc-100") && names(&sn).contains(&"svc-100"));
+            assert!(semantic_diff(&old, &new).is_equivalent());
+            (so.len(), sn.len())
+        });
+        // The moved rule, the six source denies and the /16 permit.
+        assert_eq!(sizes, [(8, 8), (8, 8)]);
+    }
+
+    #[test]
+    fn lcs_matches_common_ends_for_free_and_gives_up_on_a_huge_middle() {
+        // `middle` shared keys between two end keys.
+        let around = |first: usize, middle: usize, last: usize| {
+            let keys = [first].into_iter().chain(1..=middle).chain([last]);
+            keys.enumerate().map(|(i, k)| (k, i)).collect::<Vec<_>>()
+        };
+        type Keys = Vec<(usize, usize)>;
+        let lcs = |a: Keys, b: Keys| longest_common_subsequence(&a, &b).len();
+        // Swapped ends: the table finds the middle.
+        assert_eq!(lcs(around(5000, 1000, 6000), around(6000, 1000, 5000)), 1000);
+        // Equal lists need no table, however long.
+        assert_eq!(lcs(around(5000, 3000, 6000), around(5000, 3000, 6000)), 3002);
+        // A 2 102 × 2 102 table is over the cap: nothing is matched,
+        // which is sound — the whole middle counts as changed.
+        assert_eq!(lcs(around(5000, 2100, 6000), around(6000, 2100, 5000)), 0);
+    }
+
+    #[test]
+    fn mixed_conventions_slice_to_the_identity_and_deny_overrides_ignores_order() {
+        let rules = |first: u32, second: u32| {
+            vec![
+                src_rule("permit-10", first, "10.0.0.0/8", Action::Permit),
+                src_rule("deny-10-1", second, "10.1.0.0/16", Action::Deny),
+            ]
+        };
+        let first = fa(rules(2, 1));
+        let dov = Policy::new("do", Convention::DenyOverrides, rules(1, 2));
+        assert_eq!(change_slice(&first, &dov), (first.clone(), dov.clone()));
+        assert!(semantic_diff(&first, &dov).is_equivalent());
+        let reordered = Policy::new("do", Convention::DenyOverrides, rules(2, 1));
+        let (so, sn) = change_slice(&dov, &reordered);
+        assert!(so.is_empty() && sn.is_empty());
+        // Under first-applicable the same swap is a change.
+        let (so, sn) = change_slice(&first, &fa(rules(1, 2)));
+        assert_eq!((so.len(), sn.len()), (2, 2));
+    }
+
     #[test]
     fn identical_policies_are_equivalent() {
         let p = figure8_acl();
         let d = semantic_diff(&p, &p);
         assert!(d.is_equivalent());
-        assert!(smt_confirms_equivalence(&p, &p));
+        assert!(SmtDiff::new(&p, &p).is_equivalent());
     }
 
     #[test]
@@ -311,7 +514,7 @@ mod tests {
         .unwrap();
         let new = old.without_rule("line3"); // the shadowed /16 deny
         assert!(semantic_diff(&old, &new).is_equivalent());
-        assert!(smt_confirms_equivalence(&old, &new));
+        assert!(SmtDiff::new(&old, &new).is_equivalent());
     }
 
     #[test]

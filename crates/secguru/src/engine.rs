@@ -349,7 +349,7 @@ impl Box5 {
         }
     }
 
-    fn intersect(&self, o: &Box5) -> Option<Box5> {
+    pub(crate) fn intersect(&self, o: &Box5) -> Option<Box5> {
         fn dim<T: Ord + Copy>(a: (T, T), b: (T, T)) -> Option<(T, T)> {
             let lo = a.0.max(b.0);
             let hi = a.1.min(b.1);

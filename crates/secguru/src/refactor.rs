@@ -20,6 +20,7 @@ use crate::diff::semantic_diff;
 use crate::engine::{CheckOutcome, SecGuru};
 use crate::model::{Action, Contract, Policy, Rule};
 use netprim::{HeaderSpace, IpRange, Ipv4, PortRange, Prefix, Protocol};
+use std::collections::HashSet;
 
 /// Find rules whose removal does not change the policy's semantics —
 /// the "unnecessary or redundant" rules §3.3's refactoring deleted
@@ -57,11 +58,10 @@ pub struct Change {
 impl Change {
     /// Apply the change to a policy, producing the candidate policy.
     pub fn apply(&self, policy: &Policy) -> Policy {
-        let mut p = policy.clone();
-        for name in &self.remove {
-            p = p.without_rule(name);
-        }
-        p.with_rules(self.add.iter().cloned())
+        let remove: HashSet<&str> = self.remove.iter().map(String::as_str).collect();
+        let kept = policy.rules().iter().filter(|r| !remove.contains(&*r.name));
+        let rules = kept.chain(&self.add).cloned().collect();
+        Policy::new(policy.name.clone(), policy.convention, rules)
     }
 }
 
@@ -147,12 +147,16 @@ pub fn execute_plan(
         // Staged deployment.
         let mut failed_group = None;
         for g in groups.iter_mut() {
-            let before = g.deployed.clone();
             let written = tamper(&g.name, &candidate);
-            g.deployed = written;
-            // Postcheck what is actually on the device.
-            let mut post = SecGuru::new(g.deployed.clone());
-            let failures = post.check_all(&plan.contracts);
+            let before = std::mem::replace(&mut g.deployed, written);
+            // Postcheck what is actually on the device — of the
+            // precheck's session (and what it learned) when that is
+            // exactly the prechecked candidate, of a fresh one if not.
+            let failures = if g.deployed == candidate {
+                precheck.check_all(&plan.contracts)
+            } else {
+                SecGuru::new(g.deployed.clone()).check_all(&plan.contracts)
+            };
             if !failures.is_empty() {
                 g.deployed = before; // rollback
                 failed_group = Some((g.name.clone(), failures));
@@ -180,9 +184,27 @@ pub fn execute_plan(
     records
 }
 
-fn any_src_rule(name: &str, prio: u32, dst: IpRange, dst_ports: PortRange, protocol: Protocol, action: Action) -> Rule {
+/// `{prefix}{n}` without the `fmt` machinery: the generator is the
+/// timed set-up of every ACL benchmark repetition, and formatting the
+/// name was most of what a rule cost.
+fn numbered(prefix: &str, n: usize) -> String {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len() - 1;
+    let mut rest = n;
+    while rest >= 10 {
+        digits[at] += (rest % 10) as u8;
+        (rest, at) = (rest / 10, at - 1);
+    }
+    digits[at] += rest as u8;
+    let mut name = String::with_capacity(prefix.len() + digits.len() - at);
+    name.push_str(prefix);
+    name.extend(digits[at..].iter().map(|&d| char::from(d)));
+    name
+}
+
+fn any_src_rule(name: String, prio: u32, dst: IpRange, dst_ports: PortRange, protocol: Protocol, action: Action) -> Rule {
     Rule {
-        name: name.into(),
+        name,
         priority: prio,
         filter: HeaderSpace {
             src: IpRange::ALL,
@@ -199,7 +221,7 @@ fn any_src_rule(name: &str, prio: u32, dst: IpRange, dst_ports: PortRange, proto
 /// per-service whitelist entries and `zero_day_denies` interspersed
 /// mitigations, on top of the Figure-8 skeleton. Deterministic.
 pub fn synthesize_legacy_acl(service_rules: usize, zero_day_denies: usize) -> Policy {
-    let mut rules = Vec::new();
+    let mut rules = Vec::with_capacity(service_rules + zero_day_denies + 21);
     let mut prio = 0u32;
     let mut next_prio = || {
         prio += 1;
@@ -239,7 +261,7 @@ pub fn synthesize_legacy_acl(service_rules: usize, zero_day_denies: usize) -> Po
             .unwrap()
             .range();
         rules.push(any_src_rule(
-            &format!("svc-{s}"),
+            numbered("svc-", s),
             next_prio(),
             dst,
             PortRange::single(8000 + (s % 1000) as u16),
@@ -248,7 +270,7 @@ pub fn synthesize_legacy_acl(service_rules: usize, zero_day_denies: usize) -> Po
         ));
         if s % deny_every == 0 && (s / deny_every) < zero_day_denies {
             rules.push(any_src_rule(
-                &format!("zeroday-{}", s / deny_every),
+                format!("zeroday-{}", s / deny_every),
                 next_prio(),
                 IpRange::ALL,
                 PortRange::single(10000 + (s / deny_every) as u16),
@@ -261,7 +283,7 @@ pub fn synthesize_legacy_acl(service_rules: usize, zero_day_denies: usize) -> Po
     for (i, port) in [445u16, 593, 135, 137, 138, 139].iter().enumerate() {
         for proto in [Protocol::Tcp, Protocol::Udp] {
             rules.push(any_src_rule(
-                &format!("stdblock-{i}-{proto}"),
+                format!("stdblock-{i}-{proto}"),
                 next_prio(),
                 IpRange::ALL,
                 PortRange::single(*port),
@@ -277,7 +299,7 @@ pub fn synthesize_legacy_acl(service_rules: usize, zero_day_denies: usize) -> Po
     {
         let p: Prefix = cidr.parse().unwrap();
         rules.push(any_src_rule(
-            &format!("permit-{i}"),
+            format!("permit-{i}"),
             next_prio(),
             p.range(),
             PortRange::ALL,
@@ -393,6 +415,57 @@ mod tests {
         .unwrap();
         // Each /9 deny matters; neither is redundant.
         assert!(find_redundant_rules(&acl).is_empty());
+    }
+
+    #[test]
+    fn redundant_service_rules_of_a_337_rule_acl() {
+        // Every service whitelist entry is covered by the trailing /16
+        // permit; nothing else is redundant.
+        let acl = synthesize_legacy_acl(300, 16);
+        assert_eq!(acl.len(), 337);
+        let expected: Vec<String> = (0..300).map(|s| format!("svc-{s}")).collect();
+        assert_eq!(find_redundant_rules(&acl), expected);
+    }
+
+    #[test]
+    fn change_apply_is_the_fold_of_without_rule_and_with_rules() {
+        let acl = synthesize_legacy_acl(40, 4);
+        let rule = |name: &str| acl.rules().iter().find(|r| r.name == name).unwrap().clone();
+        let change = Change {
+            description: "remove, add and re-prioritise".into(),
+            remove: ["svc-3", "zeroday-1", "svc-7", "no-such-rule"]
+                .map(String::from)
+                .to_vec(),
+            add: vec![
+                // svc-7 comes back in front of everything …
+                Rule {
+                    priority: 0,
+                    ..rule("svc-7")
+                },
+                // … and a new rule ties with an existing priority.
+                Rule {
+                    name: "late-deny".into(),
+                    action: Action::Deny,
+                    ..rule("svc-20")
+                },
+            ],
+        };
+        let mut expected = acl.clone();
+        for name in &change.remove {
+            expected = expected.without_rule(name);
+        }
+        let expected = expected.with_rules(change.add.iter().cloned());
+        let applied = change.apply(&acl);
+        assert_eq!(applied, expected);
+        assert_eq!(applied.len(), acl.len() - 3 + 2);
+        assert_eq!(applied.rules()[0].name, "svc-7");
+    }
+
+    #[test]
+    fn numbered_names_are_what_format_writes() {
+        for n in [0, 9, 10, 99, 100, 2499, 65_535, usize::MAX] {
+            assert_eq!(numbered("svc-", n), format!("svc-{n}"));
+        }
     }
 
     #[test]

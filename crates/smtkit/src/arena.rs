@@ -601,8 +601,24 @@ impl TermArena {
 
     /// `lo <= t <= hi` — the range predicate of a routing rule or ACL
     /// filter (paper §2.5.1 eq. (1)).
+    ///
+    /// Nearly every range those encode is a CIDR prefix or a single
+    /// port: an aligned power-of-two block `[lo, lo + 2^k − 1]`, i.e.
+    /// the equality `t[w−1:k] == lo >> k` — one AND gate, not two
+    /// comparator chains (the whole width is `true`, `k = 0` `t == lo`).
     pub fn in_range(&mut self, t: TermId, lo: u64, hi: u64) -> BoolId {
         let w = self.width(t);
+        assert!(lo.max(hi) <= mask(w), "range bound wider than {w} bits");
+        let span = hi.wrapping_sub(lo); // 2^k − 1 for a block of 2^k
+        if lo <= hi && span & span.wrapping_add(1) == 0 && lo & span == 0 {
+            let k = span.count_ones();
+            if k == w {
+                return self.tru();
+            }
+            let prefix = self.extract(t, w - 1, k);
+            let want = self.constant(w - k, lo >> k);
+            return self.eq(prefix, want);
+        }
         let lo_t = self.constant(w, lo);
         let hi_t = self.constant(w, hi);
         let a = self.ule(lo_t, t);
@@ -886,6 +902,50 @@ mod tests {
         assert_eq!(a.eq(c3, c5), a.fls());
         // Full-width range is vacuous.
         assert_eq!(a.in_range(x, 0, 0xff), a.tru());
+    }
+
+    /// `Ule` nodes reachable from `root`.
+    fn ule_nodes(a: &TermArena, root: BoolId) -> usize {
+        let (mut stack, mut seen, mut n) = (vec![Work::B(root)], Vec::new(), 0);
+        while let Some(w) = stack.pop() {
+            if let Work::B(b) = w {
+                if seen.contains(&b.index()) {
+                    continue;
+                }
+                seen.push(b.index());
+                n += usize::from(matches!(a.bool_node(b), BoolNode::Ule(..)));
+            }
+            a.children(w, &mut stack);
+        }
+        n
+    }
+
+    #[test]
+    fn prefix_and_single_value_ranges_are_equalities() {
+        let mut a = TermArena::new();
+        let ip = a.var("ip", 32);
+        let port = a.var("port", 16);
+        // 10.1.2.0/24: the top 24 bits are fixed.
+        let slash24 = a.in_range(ip, 0x0a01_0200, 0x0a01_02ff);
+        let top = a.extract(ip, 31, 8);
+        let want = a.constant(24, 0x0a_0102);
+        assert_eq!(slash24, a.eq(top, want));
+        assert_eq!(ule_nodes(&a, slash24), 0);
+        // /0 is vacuous, on the widest variable too.
+        assert_eq!(a.in_range(ip, 0, 0xffff_ffff), a.tru());
+        let wide = a.var("wide", 64);
+        assert_eq!(a.in_range(wide, 0, u64::MAX), a.tru());
+        // A single port is `port == 443`.
+        let single = a.in_range(port, 443, 443);
+        let c443 = a.constant(16, 443);
+        assert_eq!(single, a.eq(port, c443));
+        assert_eq!(ule_nodes(&a, single), 0);
+        // Not a block (1000 values, unaligned): the two comparators.
+        let span = a.in_range(port, 8000, 8999);
+        assert_eq!(ule_nodes(&a, span), 2);
+        // A power-of-two length that is not aligned is not a prefix.
+        let unaligned = a.in_range(port, 1, 2);
+        assert_eq!(ule_nodes(&a, unaligned), 2);
     }
 
     #[test]

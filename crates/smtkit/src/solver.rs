@@ -476,6 +476,38 @@ mod tests {
     }
 
     #[test]
+    fn in_range_is_exact_for_every_range_at_width_6() {
+        for lo in 0..64u64 {
+            for hi in 0..64u64 {
+                let mut s = Session::new();
+                let a = s.arena_mut();
+                let x = a.var("x", 6);
+                let q = a.in_range(x, lo, hi);
+                for v in 0..64u64 {
+                    let got = a.eval_bool(q, &|_| v, &|_| false);
+                    assert_eq!(got, lo <= v && v <= hi, "[{lo}, {hi}] at {v}");
+                }
+                // The solver agrees with the comparator definition,
+                // built here from `ule` so the prefix rewrite is not
+                // checked against itself.
+                let (lo_t, hi_t) = (a.constant(6, lo), a.constant(6, hi));
+                let (ge, le) = (a.ule(lo_t, x), a.ule(x, hi_t));
+                let by_ule = a.and(ge, le);
+                let differs = a.xor(q, by_ule);
+                assert_eq!(s.check_assuming(&[differs]), SmtResult::Unsat, "[{lo}, {hi}]");
+                match s.check_assuming(&[q]) {
+                    // The whole width folds to `true` and never lowers `x`.
+                    SmtResult::Sat => {
+                        let v = s.model().value("x").unwrap_or(lo);
+                        assert!(lo <= v && v <= hi, "model {v} outside [{lo}, {hi}]");
+                    }
+                    SmtResult::Unsat => assert!(lo > hi, "[{lo}, {hi}] has members"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn assumptions_do_not_persist() {
         let mut s = Session::new();
         let a = s.arena_mut();
