@@ -8,7 +8,8 @@
 //! sets — this is what keeps the 10⁴-router experiment within memory.
 
 use dctopo::DeviceId;
-use netprim::wire::{DeltaRule, FibDelta, WireEntry, WireSnapshot};
+use netprim::wire::{canonical_order, DeltaRule, FibDelta, WireEntry, WireSnapshot};
+pub use netprim::wire::{FibPatch, PatchOp};
 use netprim::{HopSet, Ipv4, ParseError, Prefix};
 use std::collections::HashMap;
 
@@ -30,143 +31,6 @@ pub struct Fib {
     device: DeviceId,
     entries: Vec<FibEntry>,
     sets: Vec<Vec<Ipv4>>,
-}
-
-/// The canonical entry order — descending prefix length, then ascending
-/// address — that [`Fib`] stores its entries in and [`FibPatch`] its
-/// outcomes.
-fn canonical_order(a: Prefix, b: Prefix) -> std::cmp::Ordering {
-    b.len().cmp(&a.len()).then(a.addr().cmp(&b.addr()))
-}
-
-/// Outcomes with canonical next hops (sorted, duplicate-free), stably
-/// sorted into canonical entry order.
-fn canonical_ops(mut ops: Vec<PatchOp>) -> Vec<PatchOp> {
-    for op in &mut ops {
-        if let PatchOp::Set(r) = op {
-            r.next_hops.sort_unstable();
-            r.next_hops.dedup();
-        }
-    }
-    ops.sort_by(|a, b| canonical_order(a.prefix(), b.prefix()));
-    ops
-}
-
-/// One prefix's outcome in a [`FibPatch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PatchOp {
-    /// The prefix now holds this rule: added, or replacing the base's.
-    Set(DeltaRule),
-    /// The base's rule for this prefix is withdrawn.
-    Withdraw(Prefix),
-}
-
-impl PatchOp {
-    /// The prefix whose rule this outcome decides.
-    pub fn prefix(&self) -> Prefix {
-        match self {
-            PatchOp::Set(r) => r.prefix,
-            PatchOp::Withdraw(p) => *p,
-        }
-    }
-}
-
-/// What turns a base table into its successor: one [`PatchOp`] per
-/// prefix whose rule differs, in canonical entry order, each prefix at
-/// most once, next hops canonical (sorted, duplicate-free).
-///
-/// The unit a restarted fixed point and the verification engines
-/// exchange: a failure scenario re-hops a handful of a device's rules,
-/// and `(base table, patch)` says so without building the successor.
-/// [`Fib::patched`] builds it when somebody needs the table itself.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FibPatch {
-    ops: Vec<PatchOp>,
-}
-
-impl FibPatch {
-    /// A patch from outcomes in any order; next hops are canonicalized
-    /// the way [`FibBuilder::intern`] does.
-    ///
-    /// # Panics
-    ///
-    /// When two outcomes name the same prefix.
-    pub fn new(ops: Vec<PatchOp>) -> FibPatch {
-        let ops = canonical_ops(ops);
-        if let Some(w) = ops.windows(2).find(|w| w[0].prefix() == w[1].prefix()) {
-            panic!("patch names {} twice", w[0].prefix());
-        }
-        FibPatch { ops }
-    }
-
-    /// Outcomes already in canonical order with canonical next hops
-    /// (what the restart patcher emits by construction).
-    pub(crate) fn from_canonical(ops: Vec<PatchOp>) -> FibPatch {
-        debug_assert!(ops
-            .windows(2)
-            .all(|w| canonical_order(w[0].prefix(), w[1].prefix()).is_lt()));
-        debug_assert!(ops.iter().all(|op| match op {
-            PatchOp::Set(r) => r.next_hops.windows(2).all(|w| w[0] < w[1]),
-            PatchOp::Withdraw(_) => true,
-        }));
-        FibPatch { ops }
-    }
-
-    /// The patch a wire delta describes, read as [`Fib::apply_delta`]
-    /// documents it — a *set* of per-prefix outcomes: added and
-    /// modified rules set, removed prefixes withdrawn; rules for one
-    /// prefix that agree after next-hop canonicalization collapse, a
-    /// prefix both removed and set nets to the rule (remove, then
-    /// re-add). Conflicting rules for one prefix are an error, not a
-    /// winner picked by wire order.
-    pub fn try_from_delta(delta: &FibDelta) -> Result<FibPatch, ParseError> {
-        // Rules before withdrawals, so that after the stable sort a
-        // prefix's first outcome is the one it nets to.
-        let rules = delta.added.iter().chain(&delta.modified);
-        let mut ops = canonical_ops(
-            rules
-                .map(|r| PatchOp::Set(r.clone()))
-                .chain(delta.removed.iter().map(|&p| PatchOp::Withdraw(p)))
-                .collect(),
-        );
-        let mut conflict = None;
-        ops.dedup_by(|later, first| {
-            let same = later.prefix() == first.prefix();
-            if same && matches!(later, PatchOp::Set(_)) && later != first {
-                conflict = Some(first.prefix());
-            }
-            same
-        });
-        match conflict {
-            Some(prefix) => Err(ParseError::new(
-                "fib delta",
-                "<apply>",
-                format!("conflicting delta rules for {prefix}"),
-            )),
-            None => Ok(FibPatch { ops }),
-        }
-    }
-
-    /// The outcomes, in canonical entry order.
-    pub fn ops(&self) -> &[PatchOp] {
-        &self.ops
-    }
-
-    /// The prefixes whose rules the patch decides, in canonical entry
-    /// order.
-    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.ops.iter().map(PatchOp::prefix)
-    }
-
-    /// Number of rules set or withdrawn.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when the successor is the base itself.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 /// Incremental FIB construction with next-hop-set interning.
@@ -314,9 +178,9 @@ impl FibBuilder {
     /// Duplicate pushes of the same prefix are collapsed to a single
     /// entry and the *last* push wins, mirroring how a router's RIB
     /// overwrites a re-advertised route. (The wire side is stricter:
-    /// `Fib::from_wire` rejects duplicate prefixes and `apply_delta`
-    /// conflicting ones outright, because a pulled frame has no push
-    /// order to break the tie with.) Collapsing here is what upholds
+    /// `Fib::from_wire` and `FibDelta::decode` reject a prefix named
+    /// twice outright, because a pulled frame has no push order to
+    /// break the tie with.) Collapsing here is what upholds
     /// the sorted-uniqueness invariant that `entry_for`'s binary
     /// search and `patched`'s merge walk rely on.
     pub fn finish(mut self) -> Fib {
@@ -511,12 +375,10 @@ impl Fib {
         h
     }
 
-    /// Compute the [`FibDelta`] turning `old` into `new`.
-    ///
-    /// A merge walk over the shared canonical entry order; rules whose
-    /// next hops or locality changed land in `modified`, rules on one
-    /// side only in `added`/`removed`. The delta is anchored to both
-    /// tables' [`content_hash`](Self::content_hash)es.
+    /// Compute the [`FibDelta`] turning `old` into `new`: a merge walk
+    /// over the shared canonical entry order, emitting one op per
+    /// prefix whose rule differs, anchored to both tables'
+    /// [`content_hash`](Self::content_hash)es.
     ///
     /// Panics when the two tables belong to different devices.
     pub fn delta(old: &Fib, new: &Fib) -> FibDelta {
@@ -524,43 +386,43 @@ impl Fib {
             old.device, new.device,
             "delta requires snapshots of the same device"
         );
-        let mut delta = FibDelta {
-            device: old.device.0,
-            base_hash: old.content_hash(),
-            new_hash: new.content_hash(),
-            ..FibDelta::default()
+        let set = |e: &FibEntry| {
+            PatchOp::Set(DeltaRule {
+                prefix: e.prefix,
+                next_hops: new.next_hops(e).to_vec(),
+                local: e.local,
+            })
         };
-        let rule = |fib: &Fib, e: &FibEntry| DeltaRule {
-            prefix: e.prefix,
-            next_hops: fib.next_hops(e).to_vec(),
-            local: e.local,
-        };
+        let mut ops = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < old.entries.len() && j < new.entries.len() {
             let (a, b) = (&old.entries[i], &new.entries[j]);
             match canonical_order(a.prefix, b.prefix) {
                 std::cmp::Ordering::Equal => {
                     if a.local != b.local || old.next_hops(a) != new.next_hops(b) {
-                        delta.modified.push(rule(new, b));
+                        ops.push(set(b));
                     }
                     i += 1;
                     j += 1;
                 }
                 std::cmp::Ordering::Less => {
-                    delta.removed.push(a.prefix);
+                    ops.push(PatchOp::Withdraw(a.prefix));
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    delta.added.push(rule(new, b));
+                    ops.push(set(b));
                     j += 1;
                 }
             }
         }
-        delta.removed.extend(old.entries[i..].iter().map(|e| e.prefix));
-        delta
-            .added
-            .extend(new.entries[j..].iter().map(|e| rule(new, e)));
-        delta
+        ops.extend(old.entries[i..].iter().map(|e| PatchOp::Withdraw(e.prefix)));
+        ops.extend(new.entries[j..].iter().map(set));
+        FibDelta {
+            device: old.device.0,
+            base_hash: old.content_hash(),
+            new_hash: new.content_hash(),
+            patch: FibPatch::from_canonical(ops).expect("a merge walk of canonical tables"),
+        }
     }
 
     /// The successor table a patch describes.
@@ -586,7 +448,7 @@ impl Fib {
             novel: Vec::new(),
         };
         let mut at = 0usize;
-        for op in &patch.ops {
+        for op in patch.ops() {
             let prefix = op.prefix();
             let until = at
                 + self.entries[at..]
@@ -610,23 +472,13 @@ impl Fib {
         }
     }
 
-    /// Apply a delta, producing the successor table.
+    /// Apply a delta, producing the successor table — pool layout
+    /// included, it is [`patched`](Self::patched)'s.
     ///
-    /// A delta batch is a *set* of per-prefix outcomes, not an ordered
-    /// script: the result is the same — pool layout included, it is
-    /// [`patched`](Self::patched)'s — however the wire happened to
-    /// order `added`/`modified`/`removed`. A prefix listed in both
-    /// `removed` and `added` nets out to the added rule (remove, then
-    /// re-add). Two rules for the same prefix are accepted only when
-    /// they agree after next-hop canonicalization; conflicting
-    /// duplicates are rejected instead of letting wire order silently
-    /// pick a winner ([`FibPatch::try_from_delta`]).
-    ///
-    /// Fails when the delta was computed against a different base
-    /// (hash mismatch — e.g. the device republished between pull and
-    /// apply), when it targets another device, when it carries
-    /// conflicting rules, or when the result does not hash to the
-    /// delta's `new_hash`.
+    /// Fails when the delta targets another device, when it was
+    /// computed against a different base (hash mismatch — e.g. the
+    /// device republished between pull and apply), or when the result
+    /// does not hash to the delta's `new_hash`.
     pub fn apply_delta(&self, delta: &FibDelta) -> Result<Fib, ParseError> {
         let err = |reason: &str| ParseError::new("fib delta", "<apply>", reason);
         if delta.device != self.device.0 {
@@ -635,7 +487,7 @@ impl Fib {
         if delta.base_hash != self.content_hash() {
             return Err(err("base hash mismatch: delta is stale"));
         }
-        let next = self.patched(&FibPatch::try_from_delta(delta)?);
+        let next = self.patched(&delta.patch);
         if next.content_hash() != delta.new_hash {
             return Err(err("applied delta does not reproduce the target table"));
         }
@@ -916,17 +768,26 @@ mod tests {
         assert_eq!(d.device, 9);
         assert_eq!(d.base_hash, old.content_hash());
         assert_eq!(d.new_hash, new.content_hash());
+        // One op per prefix that differs, in entry order: the modified
+        // rule with its new hops, the removal, the addition.
         assert_eq!(
-            d.added.iter().map(|r| r.prefix).collect::<Vec<_>>(),
-            vec![p("10.2.0.0/16")]
+            d.patch.ops(),
+            [
+                PatchOp::Set(DeltaRule {
+                    prefix: p("10.0.1.0/24"),
+                    next_hops: hops(&[[30, 0, 0, 1]]),
+                    local: false,
+                }),
+                PatchOp::Withdraw(p("10.0.0.0/16")),
+                PatchOp::Set(DeltaRule {
+                    prefix: p("10.2.0.0/16"),
+                    next_hops: hops(&[[30, 0, 0, 7]]),
+                    local: false,
+                }),
+            ]
         );
-        assert_eq!(
-            d.modified.iter().map(|r| r.prefix).collect::<Vec<_>>(),
-            vec![p("10.0.1.0/24")]
-        );
-        assert_eq!(d.removed, vec![p("10.0.0.0/16")]);
         // Self-delta is empty.
-        assert!(Fib::delta(&old, &old).is_empty());
+        assert!(Fib::delta(&old, &old).patch.is_empty());
     }
 
     #[test]
@@ -964,66 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_readd_after_remove_is_order_insensitive() {
-        // Regression: a delta that removes a prefix and re-adds it in
-        // the same batch (device withdrew then re-advertised between
-        // pulls, coalesced by the collector) must apply identically
-        // however the wire ordered the arms — the re-added rule wins,
-        // not whichever arm the apply loop happened to visit last.
-        let old = sample();
-        let readd = p("10.0.0.0/16");
-        let mut b = FibBuilder::new(DeviceId(9));
-        for e in old.entries() {
-            if e.prefix == readd {
-                continue;
-            }
-            b.push(e.prefix, old.next_hops(e).to_vec(), e.local);
-        }
-        b.push(readd, hops(&[[30, 0, 0, 8]]), false);
-        let new = b.finish();
-        let mut d = Fib::delta(&old, &new);
-        // The merge walk classifies this as `modified`; rewrite it as
-        // the remove + re-add shape the collector coalesces to.
-        assert_eq!(
-            d.modified.iter().map(|r| r.prefix).collect::<Vec<_>>(),
-            vec![readd]
-        );
-        let rule = d.modified.pop().unwrap();
-        d.removed.push(readd);
-        d.added.push(rule);
-        // Replay through the wire codec, as difftest would.
-        let d = netprim::wire::FibDelta::decode(&d.encode()).unwrap();
-        let applied = old.apply_delta(&d).unwrap();
-        assert_eq!(applied.content_hash(), new.content_hash());
-        assert_eq!(applied.len(), new.len());
-        let e = applied.entry_for(readd).unwrap();
-        assert_eq!(applied.next_hops(e), &[Ipv4::new(30, 0, 0, 8)]);
-    }
-
-    #[test]
-    fn apply_delta_rejects_conflicting_duplicate_rules() {
-        let old = sample();
-        let new = modified_sample();
-        let mut d = Fib::delta(&old, &new);
-        // Duplicate the modified rule with different hops: no push
-        // order may silently decide which one wins.
-        let mut dup = d.modified[0].clone();
-        dup.next_hops = hops(&[[30, 0, 0, 99]]);
-        d.added.push(dup);
-        let err = old.apply_delta(&d).unwrap_err();
-        assert!(err.to_string().contains("conflicting delta rules"));
-
-        // An agreeing duplicate (same set, different address order) is
-        // harmless and still reproduces the target.
-        let mut d = Fib::delta(&old, &new);
-        let mut dup = d.modified[0].clone();
-        dup.next_hops.reverse();
-        d.added.push(dup);
-        let applied = old.apply_delta(&d).unwrap();
-        assert_eq!(applied.content_hash(), new.content_hash());
-    }
-
-    #[test]
     fn hand_built_patch_round_trips_against_a_builder_built_table() {
         // One patch that brings in a novel hop set, re-uses one the
         // base already pools, and withdraws a rule — given out of
@@ -1056,12 +857,8 @@ mod tests {
         let patched = base.patched(&patch);
         assert_eq!(patched, target, "entries and pool layout");
         assert_eq!(patched.set_pool_len(), 3);
-        // The patch is exactly the difference, and the wire delta says
-        // the same thing.
-        assert_eq!(
-            patch,
-            FibPatch::try_from_delta(&Fib::delta(&base, &target)).unwrap()
-        );
+        // The patch is exactly the difference.
+        assert_eq!(patch, Fib::delta(&base, &target).patch);
         // Outcomes that restate the base change nothing; neither does
         // no outcome at all.
         let restated = FibPatch::new(vec![
@@ -1070,71 +867,6 @@ mod tests {
         ]);
         assert_eq!(base.patched(&restated).content_hash(), base.content_hash());
         assert_eq!(base.patched(&FibPatch::default()), base);
-    }
-
-    #[test]
-    fn try_from_delta_reads_a_delta_as_a_set_of_outcomes() {
-        // What `FibDelta::decode` lets through and `FibPatch::new`
-        // would panic on.
-        let rule = |prefix: &str, next_hops: Vec<Ipv4>| DeltaRule {
-            prefix: p(prefix),
-            next_hops,
-            local: false,
-        };
-        let set = |prefix: &str, next_hops| PatchOp::Set(rule(prefix, next_hops));
-        let two = hops(&[[30, 0, 0, 1], [30, 0, 0, 3]]);
-        let reversed: Vec<Ipv4> = two.iter().rev().copied().collect();
-        // Removed and re-added in one batch: nets to the added rule.
-        let readd = FibDelta {
-            added: vec![rule("10.0.0.0/16", reversed.clone())],
-            removed: vec![p("10.0.0.0/16"), p("10.3.0.0/16")],
-            ..FibDelta::default()
-        };
-        let readd = FibDelta::decode(&readd.encode()).unwrap();
-        assert_eq!(
-            FibPatch::try_from_delta(&readd).unwrap(),
-            FibPatch::new(vec![
-                set("10.0.0.0/16", two.clone()),
-                PatchOp::Withdraw(p("10.3.0.0/16")),
-            ])
-        );
-        // Agreeing duplicates (same set, different address order; a
-        // withdrawal named twice) collapse.
-        let agreeing = FibDelta {
-            added: vec![rule("10.0.1.0/24", two.clone())],
-            modified: vec![rule("10.0.1.0/24", reversed)],
-            removed: vec![p("10.3.0.0/16"), p("10.3.0.0/16")],
-            ..FibDelta::default()
-        };
-        let agreeing = FibDelta::decode(&agreeing.encode()).unwrap();
-        assert_eq!(
-            FibPatch::try_from_delta(&agreeing).unwrap(),
-            FibPatch::new(vec![
-                set("10.0.1.0/24", two.clone()),
-                PatchOp::Withdraw(p("10.3.0.0/16")),
-            ])
-        );
-        // Conflicting duplicates (other hops, other locality) are a
-        // typed error, whatever else names the prefix.
-        for other in [
-            rule("10.0.1.0/24", hops(&[[30, 0, 0, 99]])),
-            DeltaRule {
-                local: true,
-                ..rule("10.0.1.0/24", two.clone())
-            },
-        ] {
-            let conflicting = FibDelta {
-                added: vec![rule("10.0.1.0/24", two.clone())],
-                modified: vec![other],
-                removed: vec![p("10.0.1.0/24")],
-                ..FibDelta::default()
-            };
-            let conflicting = FibDelta::decode(&conflicting.encode()).unwrap();
-            let err = FibPatch::try_from_delta(&conflicting).unwrap_err();
-            assert!(err
-                .to_string()
-                .contains("conflicting delta rules for 10.0.1.0/24"));
-        }
     }
 
     #[test]
@@ -1213,8 +945,7 @@ mod tests {
         b.push(p("10.0.0.0/24"), hops(&[[30, 0, 0, 9]]), false);
         let new = b.finish();
         let d = Fib::delta(&old, &new);
-        assert_eq!(d.modified.len(), 1);
-        assert!(!d.modified[0].local);
+        assert!(matches!(d.patch.ops(), [PatchOp::Set(r)] if !r.local));
         assert_eq!(old.apply_delta(&d).unwrap(), new);
     }
 }

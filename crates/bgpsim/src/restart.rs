@@ -493,8 +493,7 @@ impl Baseline {
                 self.patch_device(d, patched, dev_fallback, &scen_states)
             } else {
                 let fib = self.replay_device(d, dead, &scen_states, patched);
-                FibPatch::try_from_delta(&Fib::delta(&self.healthy[d as usize], &fib))
-                    .expect("Fib::delta names each prefix once")
+                Fib::delta(&self.healthy[d as usize], &fib).patch
             };
             if !patch.is_empty() {
                 stats.rules_touched += patch.len();
@@ -573,7 +572,7 @@ impl Baseline {
                 None => PatchOp::Withdraw(prefix),
             });
         }
-        FibPatch::from_canonical(ops)
+        FibPatch::from_canonical(ops).expect("ascending work indices are canonical entry order")
     }
 
     /// Rebuild one device's table by replaying the canonical emission
@@ -850,7 +849,7 @@ mod tests {
             }
             assert_eq!(
                 patch,
-                &FibPatch::try_from_delta(&Fib::delta(healthy, target)).unwrap(),
+                &Fib::delta(healthy, target).patch,
                 "patch diverges from the real diff: {what}"
             );
             assert_eq!(&healthy.patched(patch), target, "patched table: {what}");

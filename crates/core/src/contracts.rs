@@ -339,10 +339,10 @@ impl DeviceContracts {
     /// prefix overlaps its own; a default contract reads nothing but
     /// the `0.0.0.0/0` rule. `touched` may come in any order and repeat
     /// prefixes.
-    pub fn affected(&self, touched: &[Prefix]) -> Vec<u32> {
+    pub fn affected(&self, touched: impl IntoIterator<Item = Prefix>) -> Vec<u32> {
         let ix = &*self.class;
         let mut out: Vec<u32> = Vec::new();
-        for &p in touched {
+        for p in touched {
             if p.is_default() {
                 out.extend_from_slice(&ix.defaults);
             }
@@ -687,8 +687,7 @@ mod tests {
             contract("10.0.1.0/24", Specific), // 5: twin of 0
         ]);
         let affected = |touched: &[&str]| {
-            let touched: Vec<Prefix> = touched.iter().map(|p| p.parse().unwrap()).collect();
-            dc.affected(&touched)
+            dc.affected(touched.iter().map(|p| p.parse().unwrap()))
         };
         assert_eq!(affected(&[]), []);
         // A rule inside the /25: the /25 and everything containing it.
@@ -728,9 +727,13 @@ mod tests {
         // A cold sweep and a delta call read it; neither builds or
         // attaches anything — a device is its class handle, a hop set
         // per group and a skip list, before and after.
+        let delta = netprim::wire::FibDelta {
+            patch: bgpsim::FibPatch::new(vec![bgpsim::PatchOp::Withdraw(f.prefixes[1])]),
+            ..Default::default()
+        };
         for (fib, dc) in fibs.iter().zip(&contracts) {
             let report = TrieEngine::new().validate_device(fib, dc);
-            TrieEngine::new().validate_touched(fib, dc, &[f.prefixes[1]], &report);
+            TrieEngine::new().validate_delta(fib, dc, &delta, &report);
         }
         assert_eq!(Arc::strong_count(shared), holders);
         assert_eq!(class_of(f.tors[0]), Arc::as_ptr(shared));
@@ -797,14 +800,14 @@ mod tests {
             // and nothing else.
             let mut touched = all.clone();
             touched.push(Prefix::DEFAULT);
-            let affected = dc.affected(&touched);
+            let affected = dc.affected(touched);
             assert!(affected.windows(2).all(|w| w[0] < w[1]));
             assert!(affected.iter().all(|i| !dc.skip.contains(i)));
             let walked: Vec<Contract> = dc.contracts().collect();
             let reached: Vec<Contract> = affected.iter().map(|&i| dc.contract(i)).collect();
             assert_eq!(reached, walked);
             for &p in own {
-                assert_eq!(dc.affected(&[p]), []);
+                assert_eq!(dc.affected([p]), []);
                 assert_eq!(dc.holders(p, ContractKind::Specific), []);
             }
             let other = all.iter().find(|p| !own.contains(p)).unwrap();

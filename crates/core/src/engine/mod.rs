@@ -19,14 +19,13 @@
 //!
 //! An engine is asked one of two questions. *What does this table
 //! violate?* is [`Engine::validate_device`]. *What does it violate now
-//! that these rules changed, given what it violated before?* comes in
-//! three shapes of the same answer: [`Engine::validate_touched`] (the
-//! new table and the prefixes that differ — the primitive),
-//! [`Engine::validate_delta`] (the new table and a wire delta) and
-//! [`Engine::validate_patch`] (the *old* table and a
-//! [`bgpsim::FibPatch`] — for callers with no other use for the new
-//! one). Only the first must be implemented; the trie engine serves
-//! all three from one locate → judge → splice body.
+//! that these rules changed, given what it violated before?* names the
+//! change as a [`bgpsim::FibPatch`] and is asked from either side of
+//! it: [`Engine::validate_delta`] by a caller holding the *new* table
+//! (the patch inside a wire [`FibDelta`]), [`Engine::validate_patch`]
+//! by one holding the *old* table and no other use for the new one.
+//! Both default to a full validation; the trie engine serves both from
+//! one locate → judge → splice body.
 
 pub mod smt;
 pub mod trie;
@@ -35,7 +34,6 @@ use crate::contracts::DeviceContracts;
 use crate::report::ValidationReport;
 use bgpsim::{Fib, FibPatch};
 use netprim::wire::FibDelta;
-use netprim::Prefix;
 
 /// A verification engine validating one device at a time — the unit of
 /// parallelism in local validation (§2.4).
@@ -43,32 +41,18 @@ pub trait Engine {
     /// Validate a device's FIB against its contract set.
     fn validate_device(&self, fib: &Fib, contracts: &DeviceContracts) -> ValidationReport;
 
-    /// Revalidate after an incremental FIB change — the primitive of
-    /// the delta path.
+    /// Revalidate after an incremental FIB change, seen from the new
+    /// side — the monitoring pipeline's question (§2.6.1).
     ///
-    /// `fib` is the *new* table, `touched` the prefixes whose rules
-    /// differ from the table `prior` was computed against (any order,
-    /// repeats allowed), and `prior` the report of the old table under
-    /// the *same* contract set (epoch checks are the caller's job — see
+    /// `fib` is the *new* table, `delta.patch` what turned the table
+    /// `prior` was computed against into it (only its prefixes are
+    /// read), and `prior` the report of the old table under the *same*
+    /// contract set (epoch checks are the caller's job — see
     /// `rcdc::pipeline`). The result must be identical to
     /// `validate_device(fib, contracts)`; engines without an
     /// incremental path inherit this default, which simply revalidates
     /// in full. A wrapper must forward this method, or it silently
     /// turns every revalidation into a full one.
-    fn validate_touched(
-        &self,
-        fib: &Fib,
-        contracts: &DeviceContracts,
-        touched: &[Prefix],
-        prior: &ValidationReport,
-    ) -> ValidationReport {
-        let _ = (touched, prior);
-        self.validate_device(fib, contracts)
-    }
-
-    /// [`validate_touched`](Self::validate_touched) for a caller that
-    /// holds the change as a wire [`FibDelta`]: the rule payloads are
-    /// never read, only which prefixes they sit at.
     fn validate_delta(
         &self,
         fib: &Fib,
@@ -76,19 +60,19 @@ pub trait Engine {
         delta: &FibDelta,
         prior: &ValidationReport,
     ) -> ValidationReport {
-        let touched: Vec<Prefix> = delta.touched_prefixes().collect();
-        self.validate_touched(fib, contracts, &touched, prior)
+        let _ = (delta, prior);
+        self.validate_device(fib, contracts)
     }
 
-    /// [`validate_touched`](Self::validate_touched) for a caller that
-    /// holds the new table only as `base` plus the `patch` that turns
-    /// `base` into it (`prior` is `base`'s report): a what-if explorer
-    /// pricing a restarted state, which re-hops a handful of rules per
-    /// device and has no other use for the table. The result must be
-    /// identical to `validate_device(&base.patched(patch), contracts)`.
-    /// This default builds the table; an engine that can judge the pair
-    /// directly does so instead. A wrapper must forward this method
-    /// too, or every state an explorer evaluates builds its tables.
+    /// The same question from the old side: `base` is the table `prior`
+    /// judged and `patch` what turns it into the new one — a what-if
+    /// explorer pricing a restarted state, which re-hops a handful of
+    /// rules per device and has no other use for the table. The result
+    /// must be identical to
+    /// `validate_device(&base.patched(patch), contracts)`, which is
+    /// this default; an engine that can judge the pair directly does so
+    /// instead. A wrapper must forward this method too, or every state
+    /// an explorer evaluates builds its tables.
     fn validate_patch(
         &self,
         base: &Fib,
@@ -96,8 +80,8 @@ pub trait Engine {
         contracts: &DeviceContracts,
         prior: &ValidationReport,
     ) -> ValidationReport {
-        let touched: Vec<Prefix> = patch.prefixes().collect();
-        self.validate_touched(&base.patched(patch), contracts, &touched, prior)
+        let _ = prior;
+        self.validate_device(&base.patched(patch), contracts)
     }
 
     /// Engine name for logs and benchmark labels.
@@ -111,14 +95,14 @@ impl Engine for Box<dyn Engine + Sync> {
         (**self).validate_device(fib, contracts)
     }
 
-    fn validate_touched(
+    fn validate_delta(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        touched: &[Prefix],
+        delta: &FibDelta,
         prior: &ValidationReport,
     ) -> ValidationReport {
-        (**self).validate_touched(fib, contracts, touched, prior)
+        (**self).validate_delta(fib, contracts, delta, prior)
     }
 
     fn validate_patch(
@@ -194,16 +178,16 @@ impl<E: Engine> Engine for ObservedEngine<E> {
         report
     }
 
-    fn validate_touched(
+    fn validate_delta(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        touched: &[Prefix],
+        delta: &FibDelta,
         prior: &ValidationReport,
     ) -> ValidationReport {
         self.delta_checks.inc();
         let timer = self.delta_latency.start_timer();
-        let report = self.inner.validate_touched(fib, contracts, touched, prior);
+        let report = self.inner.validate_delta(fib, contracts, delta, prior);
         timer.stop();
         report
     }
@@ -232,6 +216,7 @@ pub(crate) mod testutil {
     use bgpsim::{simulate, Fib, FibPatch, SimConfig};
     use dctopo::generator::Figure3;
     use dctopo::MetadataService;
+    use netprim::wire::FibDelta;
     use netprim::Prefix;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -244,7 +229,7 @@ pub(crate) mod testutil {
     #[derive(Default)]
     pub struct Calls {
         pub device: AtomicUsize,
-        pub touched: AtomicUsize,
+        pub delta: AtomicUsize,
         pub patch: AtomicUsize,
     }
 
@@ -258,15 +243,15 @@ pub(crate) mod testutil {
             self.0.validate_device(fib, contracts)
         }
 
-        fn validate_touched(
+        fn validate_delta(
             &self,
             fib: &Fib,
             contracts: &DeviceContracts,
-            touched: &[Prefix],
+            delta: &FibDelta,
             prior: &ValidationReport,
         ) -> ValidationReport {
-            self.1.touched.fetch_add(1, Ordering::Relaxed);
-            self.0.validate_touched(fib, contracts, touched, prior)
+            self.1.delta.fetch_add(1, Ordering::Relaxed);
+            self.0.validate_delta(fib, contracts, delta, prior)
         }
 
         fn validate_patch(
@@ -331,9 +316,9 @@ mod tests {
 
     #[test]
     fn wrappers_forward_the_delta_primitive() {
-        // `validate_touched` and `validate_patch` have correct-but-slow
+        // `validate_delta` and `validate_patch` have correct-but-slow
         // defaults, so a wrapper that forgot to forward one would pass
-        // every equivalence suite while validating in full — or
+        // every equivalence suite while validating in full — and
         // building every table — each time.
         let (f, fibs, contracts, _meta) = fig3_healthy();
         let tor = f.tors[0].0 as usize;
@@ -345,11 +330,12 @@ mod tests {
         let engine = ObservedEngine::new(boxed, &registry);
 
         let prior = ValidationReport::default();
-        engine.validate_touched(fib, dc, &[f.prefixes[1]], &prior);
+        let delta = Fib::delta(&testutil::without(fib, f.prefixes[1]), fib);
+        engine.validate_delta(fib, dc, &delta, &prior);
         engine.validate_delta(fib, dc, &Fib::delta(fib, fib), &prior);
         engine.validate_patch(fib, &FibPatch::default(), dc, &prior);
 
-        assert_eq!(calls.touched.load(Ordering::Relaxed), 2);
+        assert_eq!(calls.delta.load(Ordering::Relaxed), 2);
         assert_eq!(calls.patch.load(Ordering::Relaxed), 1);
         assert_eq!(calls.device.load(Ordering::Relaxed), 0);
         let checks = |op| {

@@ -48,20 +48,21 @@
 //! the touched prefixes can affect, judge those, carry the rest of the
 //! prior report over. What it judges against is a `View` — a base
 //! table seen through a [`FibPatch`], rules named by `u32` handles —
-//! so the same body serves [`Engine::validate_touched`] (the table as
-//! it stands: the empty patch) and [`Engine::validate_patch`] (a
-//! what-if state: the anchor's table plus the ~3 rules the fault
-//! moved). When the re-judged contracts are few, candidates come from
-//! binary searches over the base's sorted entries, corrected by the
-//! patch, and the patched table is never built; the batched sweep
-//! needs the arena, so it — and a patch that rewrites a large share of
-//! the table — builds the table first and proceeds as if handed it.
+//! so the same body serves [`Engine::validate_delta`] (the new table
+//! as it stands: the patch names where it changed, the view's is
+//! empty) and [`Engine::validate_patch`] (a what-if state: the
+//! anchor's table plus the ~3 rules the fault moved). When the
+//! re-judged contracts are few, candidates come from binary searches
+//! over the base's sorted entries, corrected by the patch, and the
+//! patched table is never built; the batched sweep needs the arena, so
+//! it — and a patch that rewrites a large share of the table — builds
+//! the table first and proceeds as if handed it.
 
 use crate::contracts::{preorder_key, Contract, ContractKind, DeviceContracts, Expectation};
 use crate::engine::Engine;
 use crate::report::{ValidationReport, Violation, ViolationReason};
 use bgpsim::{Fib, FibPatch, PatchOp};
-use netprim::wire::DeltaRule;
+use netprim::wire::{DeltaRule, FibDelta};
 use netprim::{HopSet, IpRange, Ipv4, Prefix};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -878,40 +879,40 @@ impl TrieEngine {
 
     /// The incremental path (§2.6.1's continuous monitoring workload,
     /// and every state a what-if explorer prices): locate the contracts
-    /// whose prefix space the change touched, judge only those against
-    /// `base` seen through `patch`, and splice their verdicts into
-    /// `prior` by contract index. `touched` names the prefixes at which
-    /// that table differs from the one `prior` judged — the patch's own
-    /// prefixes when there is one. Verdicts are emitted in contract
-    /// order either way, so the result is identical — violation for
-    /// violation — to a full pass over the patched table. (Same-prefix
-    /// contracts are affected together, so the sweep-local
-    /// `MissingRoute` dedup sees the same neighbors.)
+    /// whose prefix space `patch` touched, judge only those, and splice
+    /// their verdicts into `prior` by contract index. `base` is the
+    /// table `prior` judged, read through the patch — or, when
+    /// `applied`, the table the patch already led to, read as it
+    /// stands. Verdicts are emitted in contract order either way, so
+    /// the result is identical — violation for violation — to a full
+    /// pass over the patched table. (Same-prefix contracts are affected
+    /// together, so the sweep-local `MissingRoute` dedup sees the same
+    /// neighbors.)
     fn revalidate(
         &self,
         base: &Fib,
-        patch: Option<&FibPatch>,
-        touched: &[Prefix],
+        patch: &FibPatch,
+        applied: bool,
         contracts: &DeviceContracts,
         prior: &ValidationReport,
     ) -> ValidationReport {
         let view = &View {
             base,
-            patch: patch.map_or(&[], FibPatch::ops),
+            patch: if applied { &[] } else { patch.ops() },
         };
         // Whoever needs the patched table itself builds it here.
-        let table = || match patch {
-            None => Cow::Borrowed(base),
-            Some(patch) => Cow::Owned(base.patched(patch)),
+        let table = || match applied {
+            true => Cow::Borrowed(base),
+            false => Cow::Owned(base.patched(patch)),
         };
         // A churn that rewrote a large share of the table re-checks
         // most contracts anyway; skip the bookkeeping and go full. The
         // same fallback covers a prior report from a different contract
         // set (republished contracts change the count).
-        if touched.len() * 4 > base.len() || prior.contracts_checked != contracts.len() {
+        if patch.len() * 4 > base.len() || prior.contracts_checked != contracts.len() {
             return self.validate_device(&table(), contracts);
         }
-        let mut affected = contracts.affected(touched);
+        let mut affected = contracts.affected(patch.prefixes());
         if affected.is_empty() {
             return prior.clone();
         }
@@ -978,15 +979,16 @@ impl Engine for TrieEngine {
         Self::finish(tagged, contracts)
     }
 
-    /// The empty-patch case of `TrieEngine::revalidate`.
-    fn validate_touched(
+    /// `TrieEngine::revalidate` over the new table: the patch says
+    /// where to look, the table what is there.
+    fn validate_delta(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        touched: &[Prefix],
+        delta: &FibDelta,
         prior: &ValidationReport,
     ) -> ValidationReport {
-        self.revalidate(fib, None, touched, contracts, prior)
+        self.revalidate(fib, &delta.patch, true, contracts, prior)
     }
 
     /// `TrieEngine::revalidate` over `(base, patch)`: the
@@ -999,8 +1001,7 @@ impl Engine for TrieEngine {
         contracts: &DeviceContracts,
         prior: &ValidationReport,
     ) -> ValidationReport {
-        let touched: Vec<Prefix> = patch.prefixes().collect();
-        self.revalidate(base, Some(patch), &touched, contracts, prior)
+        self.revalidate(base, patch, false, contracts, prior)
     }
 
     fn name(&self) -> &'static str {
@@ -1268,7 +1269,7 @@ mod tests {
         for (fib, dc) in fibs.iter().zip(&contracts) {
             let prior = eng.validate_device(fib, dc);
             let delta = Fib::delta(fib, fib);
-            assert!(delta.is_empty());
+            assert!(delta.patch.is_empty());
             let r = eng.validate_delta(fib, dc, &delta, &prior);
             assert_eq!(r, prior);
         }
@@ -1292,7 +1293,7 @@ mod tests {
         }
         let new = b.finish();
         let delta = Fib::delta(old, &new);
-        assert_eq!(delta.rule_count(), 1);
+        assert_eq!(delta.patch.len(), 1);
         let eng = TrieEngine::new();
         let prior = eng.validate_device(old, dc);
         let r = eng.validate_delta(&new, dc, &delta, &prior);
@@ -1310,7 +1311,7 @@ mod tests {
         let old = &fibs[tor.0 as usize];
         let new = Fib::empty(tor);
         let delta = Fib::delta(old, &new);
-        assert!(delta.rule_count() * 4 > new.len().max(1));
+        assert!(delta.patch.len() * 4 > new.len().max(1));
         let eng = TrieEngine::new();
         let prior = eng.validate_device(old, &contracts[tor.0 as usize]);
         let r = eng.validate_delta(&new, &contracts[tor.0 as usize], &delta, &prior);

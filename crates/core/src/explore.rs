@@ -548,7 +548,7 @@ mod tests {
             calls.patch.load(Ordering::Relaxed),
             report.devices_revalidated + reported
         );
-        assert_eq!(calls.touched.load(Ordering::Relaxed), 0);
+        assert_eq!(calls.delta.load(Ordering::Relaxed), 0);
         assert_eq!(calls.device.load(Ordering::Relaxed), anchored);
     }
 

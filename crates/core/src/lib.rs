@@ -14,15 +14,13 @@
 //!    against its contracts, with two interchangeable backends — the
 //!    bit-vector SMT encoding of §2.5.1 and the specialized hash-trie
 //!    algorithm of §2.5.2 ("much faster" for the common workload, a
-//!    claim benchmark E1 reproduces). After a small change,
-//!    [`Engine::validate_touched`] re-checks only the contracts the
-//!    changed prefixes can affect — [`DeviceContracts::affected`], the
-//!    one affectedness test, answered from the contract set's own
-//!    preorder index — and splices them into the prior report;
-//!    [`Engine::validate_delta`] is the same call for a caller holding
-//!    a wire delta, [`Engine::validate_patch`] for one holding the old
-//!    table and the rules that changed, which the trie engine judges
-//!    without building the new table.
+//!    claim benchmark E1 reproduces). After a small change — one
+//!    [`bgpsim::FibPatch`] — an engine re-checks only the contracts the
+//!    patched prefixes can affect ([`DeviceContracts::affected`], the
+//!    one affectedness test) and splices them into the prior report:
+//!    [`Engine::validate_delta`] for a caller holding the new table,
+//!    [`Engine::validate_patch`] for one holding the old, which the
+//!    trie engine judges without building the new table.
 //! 3. **Reports, severity, classification** ([`report`], [`classify`]):
 //!    violations are ranked by risk (§2.6.4) and correlated with
 //!    operational metadata to recover the §2.6.2 root causes.

@@ -19,10 +19,9 @@
 //! content hash and contract epoch are the ones the record's verdict
 //! was judged under costs one hash, not a validation pass. A churned
 //! table takes the incremental path against the record's own parked
-//! table: [`crate::Engine::validate_delta`] reads off which prefixes
-//! the two tables differ at and hands them to the engine's
-//! [`validate_touched`](crate::Engine::validate_touched), which
-//! re-checks only the contracts those prefixes can affect. Republishing
+//! table: [`crate::Engine::validate_delta`] takes the new table and
+//! the [`bgpsim::Fib::delta`] between the two, and re-checks only the
+//! contracts the patched prefixes can affect. Republishing
 //! a device's contracts bumps its epoch, which retires the verdict held
 //! for it: the next event validates in full.
 //!

@@ -19,7 +19,7 @@ use crate::gen::{
     random_prefix, render_case, ContractSpec, FibSpec,
 };
 use crate::Failure;
-use bgpsim::{Fib, FibPatch};
+use bgpsim::Fib;
 use netprim::wire::FibDelta;
 use netprim::{Ipv4, Prefix};
 use rcdc::shrink::shrink_list;
@@ -111,7 +111,6 @@ fn check_chain(
             ));
         }
 
-        let patch = FibPatch::try_from_delta(&delta).expect("apply_delta read it as a patch");
         for ((name, engine), prior) in engines.iter().zip(priors.iter_mut()) {
             let full = engine.validate_device(&new_fib, &dcs);
             let incr = engine.validate_delta(&new_fib, &dcs, &delta, prior);
@@ -122,7 +121,7 @@ fn check_chain(
                     incr.violations, full.violations
                 ));
             }
-            let patched = engine.validate_patch(&fib, &patch, &dcs, prior);
+            let patched = engine.validate_patch(&fib, &delta.patch, &dcs, prior);
             if patched != full {
                 return Some(format!(
                     "step {step_no}: {name} (base, patch) report differs from full \

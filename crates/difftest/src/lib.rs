@@ -31,8 +31,8 @@
 //! * [`Oracle::Wire`] — `WireSnapshot`/`FibDelta` round trips, plus
 //!   decode under truncation and byte-level mutation (decode must fail
 //!   cleanly or produce a value that re-encodes to the exact bytes);
-//!   every delta that decodes reads as a patch or a typed error
-//!   (`FibPatch::try_from_delta`), never a panic.
+//!   every delta that decodes is a canonical patch and applies to a
+//!   base re-anchored to it, never a panic.
 //! * [`Oracle::SecGuru`] — SMT contract checking vs the interval
 //!   engine vs exhaustive `Policy::allows` enumeration, and
 //!   `semantic_diff` and `SmtDiff` witnesses, per direction, vs the

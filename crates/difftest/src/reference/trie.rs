@@ -10,6 +10,7 @@
 //! performance work goes in [`rcdc::engine::trie`].
 
 use bgpsim::{Fib, FibEntry};
+use netprim::wire::FibDelta;
 use netprim::{IpRange, Prefix};
 use rcdc::contracts::{Contract, ContractKind, DeviceContracts, Expectation};
 use rcdc::report::{ValidationReport, Violation, ViolationReason};
@@ -301,13 +302,14 @@ impl Engine for ReferenceTrieEngine {
         }
     }
 
-    fn validate_touched(
+    fn validate_delta(
         &self,
         fib: &Fib,
         contracts: &DeviceContracts,
-        touched: &[Prefix],
+        delta: &FibDelta,
         prior: &ValidationReport,
     ) -> ValidationReport {
+        let touched: Vec<Prefix> = delta.patch.prefixes().collect();
         if touched.len() * 4 > fib.len() || prior.contracts_checked != contracts.len() {
             return self.validate_device(fib, contracts);
         }
@@ -326,7 +328,7 @@ impl Engine for ReferenceTrieEngine {
         let mut violations = Vec::new();
         for c in contracts.contracts() {
             let c = &c;
-            if Self::contract_affected(c, touched) || holders[&(c.prefix, c.kind)] > 1 {
+            if Self::contract_affected(c, &touched) || holders[&(c.prefix, c.kind)] > 1 {
                 match c.kind {
                     ContractKind::Default => Self::check_default(fib, c, &mut violations),
                     ContractKind::Specific => {

@@ -8,13 +8,15 @@
 //!   value whose re-encoding is byte-for-byte the input (canonicity) —
 //!   in particular every strict truncation of a valid encoding fails.
 //!
-//! Decoded snapshots are additionally pushed through `Fib::from_wire`
-//! and decoded deltas through `FibPatch::try_from_delta` — a frame the
-//! codec accepts may name a prefix any number of times — to make sure
-//! hostile input can be rejected but never panic the store.
+//! Decoded snapshots are additionally pushed through `Fib::from_wire`,
+//! and every delta that decodes — a valid patch by construction — is
+//! checked to be one and applied to a base table it is re-anchored to,
+//! to make sure hostile input can be rejected but never panic the
+//! store.
 
 use crate::Failure;
-use bgpsim::{Fib, FibPatch, PatchOp};
+use bgpsim::{Fib, FibBuilder, FibPatch, PatchOp};
+use dctopo::DeviceId;
 use netprim::wire::{DeltaRule, FibDelta, WireEntry, WireSnapshot};
 use netprim::{Ipv4, Prefix};
 use simnet::rng::Rng;
@@ -41,55 +43,73 @@ fn random_snapshot(r: &mut Rng) -> WireSnapshot {
 }
 
 fn random_delta(r: &mut Rng) -> FibDelta {
-    // A third of the prefixes come from a pool of three, so that one
-    // frame names a prefix in several arms, or twice in one.
-    let pool: Vec<Prefix> = (0..3).map(|_| random_prefix(r)).collect();
-    let prefix = |r: &mut Rng| match r.chance(1, 3) {
-        true => pool[r.below(3) as usize],
-        false => random_prefix(r),
-    };
-    let rule = |r: &mut Rng| DeltaRule {
-        prefix: prefix(r),
-        next_hops: random_hops(r),
-        local: r.chance(1, 4),
-    };
+    // Half the prefixes share one length, so that a flipped address bit
+    // reorders neighbours; built through `FibPatch::new`, the generator
+    // cannot emit what the decoder refuses.
+    let len = r.range(8, 32) as u8;
+    let mut ops: Vec<PatchOp> = Vec::new();
+    for _ in 0..r.range(0, 10) {
+        let prefix = match r.chance(1, 2) {
+            true => Prefix::containing(Ipv4(r.next_u64() as u32), len).expect("len <= 32"),
+            false => random_prefix(r),
+        };
+        if ops.iter().any(|op| op.prefix() == prefix) {
+            continue;
+        }
+        ops.push(match r.chance(1, 4) {
+            true => PatchOp::Withdraw(prefix),
+            false => PatchOp::Set(DeltaRule {
+                prefix,
+                next_hops: random_hops(r),
+                local: r.chance(1, 4),
+            }),
+        });
+    }
     FibDelta {
         device: r.below(1 << 16) as u32,
         base_hash: r.next_u64(),
         new_hash: r.next_u64(),
-        added: (0..r.range(0, 4)).map(|_| rule(r)).collect(),
-        modified: (0..r.range(0, 4)).map(|_| rule(r)).collect(),
-        removed: (0..r.range(0, 4)).map(|_| prefix(r)).collect(),
+        patch: FibPatch::new(ops),
     }
 }
 
-/// Any delta the codec accepts reads as a patch or as a typed error,
-/// never a panic: only rules that disagree on one prefix are refused,
-/// and a patch decides each named prefix once — as the first rule
-/// naming it (a re-add wins over its removal), else as a withdrawal.
-fn check_delta_as_patch(d: &FibDelta) -> Option<String> {
-    let canon = |r: &DeltaRule| {
-        let mut hops = r.next_hops.clone();
-        hops.sort_unstable();
-        hops.dedup();
-        (r.prefix, hops, r.local)
+/// Any delta the codec accepts carries a patch in canonical form, and
+/// applies — once re-anchored to a base holding rules at some of its
+/// prefixes — to a canonical table that says what the patch says.
+fn check_decoded_delta(r: &mut Rng, mut d: FibDelta) -> Option<String> {
+    if FibPatch::new(d.patch.ops().to_vec()) != d.patch {
+        return Some(format!("decoded patch is not in canonical form: {:?}", d.patch));
+    }
+    let mut base = FibBuilder::new(DeviceId(d.device));
+    for _ in 0..r.range(0, 6) {
+        base.push(random_prefix(r), random_hops(r), false);
+    }
+    for p in d.patch.prefixes() {
+        if r.chance(1, 2) {
+            base.push(p, random_hops(r), false);
+        }
+    }
+    let base = base.finish();
+    let next = base.patched(&d.patch);
+    let sorted = next.entries().windows(2).all(|w| {
+        netprim::wire::canonical_order(w[0].prefix, w[1].prefix).is_lt()
+    });
+    let says = |op: &PatchOp| match (op, next.entry_for(op.prefix())) {
+        (PatchOp::Set(rule), Some(e)) => {
+            e.local == rule.local && next.next_hops(e) == rule.next_hops.as_slice()
+        }
+        (PatchOp::Withdraw(_), None) => true,
+        _ => false,
     };
-    let rules: Vec<_> = d.added.iter().chain(&d.modified).map(canon).collect();
-    let conflict = rules.iter().any(|a| rules.iter().any(|b| a.0 == b.0 && a != b));
-    let Ok(patch) = FibPatch::try_from_delta(d) else {
-        return (!conflict).then(|| format!("conflict-free delta refused: {d:?}"));
-    };
-    let mut named: Vec<Prefix> = d.touched_prefixes().collect();
-    named.sort_unstable();
-    named.dedup();
-    let mut decided: Vec<Prefix> = patch.prefixes().collect();
-    decided.sort_unstable();
-    let nets = |op: &PatchOp| match op {
-        PatchOp::Set(r) => rules.iter().find(|x| x.0 == r.prefix) == Some(&canon(r)),
-        PatchOp::Withdraw(p) => rules.iter().all(|x| x.0 != *p),
-    };
-    (conflict || decided != named || !patch.ops().iter().all(nets))
-        .then(|| format!("{d:?} read as {patch:?}"))
+    if !sorted || !d.patch.ops().iter().all(says) {
+        return Some(format!("{:?} patched {base:?} into {next:?}", d.patch));
+    }
+    // Anchored to neither table the delta is refused; to both, applied.
+    if base.apply_delta(&d).is_ok() {
+        return Some(format!("{d:?} applied to a base it does not name"));
+    }
+    (d.base_hash, d.new_hash) = (base.content_hash(), next.content_hash());
+    (base.apply_delta(&d).ok() != Some(next)).then(|| format!("{d:?} did not apply to {base:?}"))
 }
 
 /// The canonicity invariant on arbitrary bytes, for one codec.
@@ -177,7 +197,7 @@ fn check_delta(r: &mut Rng) -> Option<String> {
         Ok(back) => return Some(format!("delta round trip changed value: {d:?} -> {back:?}")),
         Err(e) => return Some(format!("delta failed to decode its own encoding: {e}")),
     }
-    if let Some(msg) = check_delta_as_patch(&d) {
+    if let Some(msg) = check_decoded_delta(r, d) {
         return Some(msg);
     }
     for cut in 0..bytes.len() {
@@ -199,7 +219,7 @@ fn check_delta(r: &mut Rng) -> Option<String> {
         ) {
             return Some(msg);
         }
-        if let Some(msg) = FibDelta::decode(&m).ok().as_ref().and_then(check_delta_as_patch) {
+        if let Some(msg) = FibDelta::decode(&m).ok().and_then(|d| check_decoded_delta(r, d)) {
             return Some(msg);
         }
     }

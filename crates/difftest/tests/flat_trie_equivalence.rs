@@ -15,12 +15,14 @@
 //! against a dirty prior, aimed at the rules the contracts read —
 //! because independently drawn tables differ almost everywhere and only
 //! ever reach the large-churn fallback. Every small-churn case enters
-//! the one incremental judge all three ways: the new table with its
-//! touched prefixes, the old table with the patch, and a full pass.
+//! the one incremental judge from both sides of the patch — the new
+//! table with the delta, the old table with the patch — beside a full
+//! pass.
 
-use bgpsim::{Fib, FibBuilder, FibPatch};
+use bgpsim::{Fib, FibBuilder};
 use dctopo::DeviceId;
 use difftest::reference::trie::ReferenceTrieEngine;
+use netprim::wire::FibDelta;
 use netprim::{Ipv4, Prefix};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -208,14 +210,13 @@ fn spec_prefix(offset: u32, len: u8) -> Prefix {
 
 /// `base` plus the exact rules of the contracts `mix` selects as a
 /// table, that table after as many of `edits` as keep the change small
-/// enough for the engines' delta path, and the prefixes the two differ
-/// at — out of order, one of them twice.
+/// enough for the engines' delta path, and the delta between the two.
 fn small_churn(
     base: &[Spec],
     contracts: &[Spec],
     edits: &[Edit],
     mix: usize,
-) -> (Fib, Fib, Vec<Prefix>) {
+) -> (Fib, Fib, FibDelta) {
     let mut rules = base.to_vec();
     // Exact rules there to be withdrawn, satisfying their contract
     // until they are.
@@ -225,7 +226,7 @@ fn small_churn(
         }
     }
     let old = build_fib(&rules);
-    let (mut new, mut touched) = (old.clone(), Vec::new());
+    let (mut new, mut delta) = (old.clone(), Fib::delta(&old, &old));
     for edit in edits {
         match edit {
             Edit::Drop(i) => drop(rules.remove(i % rules.len())),
@@ -255,20 +256,15 @@ fn small_churn(
             break;
         }
         let next = build_fib(&rules);
-        let differ: Vec<Prefix> = Fib::delta(&old, &next).touched_prefixes().collect();
-        // One slot stays free for the repeat; the patch is measured
-        // against the old table, the touched list against the new.
-        if (differ.len() + 1) * 4 > next.len().min(old.len()) {
+        let differ = Fib::delta(&old, &next);
+        // The patch is measured against the table it is read beside:
+        // the old one from the old side, the new one from the new.
+        if differ.patch.len() * 4 > next.len().min(old.len()) {
             break;
         }
-        (new, touched) = (next, differ);
+        (new, delta) = (next, differ);
     }
-    if !touched.is_empty() {
-        let n = touched.len();
-        touched.rotate_left(mix % n);
-        touched.push(touched[mix / n % n]);
-    }
-    (old, new, touched)
+    (old, new, delta)
 }
 
 fn violated_keys(r: &ValidationReport) -> Vec<(Prefix, ContractKind)> {
@@ -315,8 +311,8 @@ proptest! {
     /// matches the reference engine's delta path: through a random
     /// delta between unrelated tables (the large-churn fallback), and
     /// through small churn against a dirty prior (locate, judge,
-    /// splice) — the latter given as the new table with its touched
-    /// prefixes *and* as the old table with the patch.
+    /// splice) — the latter asked from the new side of the patch *and*
+    /// from the old.
     #[test]
     fn incremental_matches_full_and_reference(
         old_rules in vec(rule_strategy(), 0..14),
@@ -340,8 +336,7 @@ proptest! {
             let inc = flat.validate_delta(&new, &dc, &delta, &prior);
             prop_assert_eq!(&inc, &flat.validate_device(&new, &dc));
             prop_assert_eq!(&inc, &reference.validate_delta(&new, &dc, &delta, &prior));
-            let patch = FibPatch::try_from_delta(&delta).unwrap();
-            prop_assert_eq!(&inc, &flat.validate_patch(&old, &patch, &dc, &prior));
+            prop_assert_eq!(&inc, &flat.validate_patch(&old, &delta.patch, &dc, &prior));
         }
 
         // Rules in other /24s than the one every contract reads: they
@@ -352,11 +347,11 @@ proptest! {
         base.extend((0..filler).map(|i| {
             (256 + i * 37 % 3840, 24 + (i % 9) as u8, vec![Ipv4(0x1e00_0001 + i % 3)], false)
         }));
-        let (old, new, touched) = small_churn(&base, &splice_specs, &edits, mix);
-        prop_assert!(touched.len() * 4 <= new.len(), "generator strayed onto the fallback");
-        let patch = FibPatch::try_from_delta(&Fib::delta(&old, &new)).unwrap();
-        prop_assert!(patch.len() * 4 <= old.len(), "generator strayed onto the fallback");
-        prop_assert_eq!(old.patched(&patch).content_hash(), new.content_hash());
+        let (old, new, delta) = small_churn(&base, &splice_specs, &edits, mix);
+        let patch = &delta.patch;
+        let least = new.len().min(old.len());
+        prop_assert!(patch.len() * 4 <= least, "generator strayed onto the fallback");
+        prop_assert_eq!(old.patched(patch).content_hash(), new.content_hash());
         let dc = build_contracts(&splice_specs);
         for (flat, reference) in [
             (TrieEngine::new(), ReferenceTrieEngine::new()),
@@ -365,10 +360,9 @@ proptest! {
             let prior = flat.validate_device(&old, &dc);
             prop_assert!(!prior.is_clean());
             let full = flat.validate_device(&new, &dc);
-            prop_assert_eq!(&flat.validate_patch(&old, &patch, &dc, &prior), &full);
-            prop_assert_eq!(&flat.validate_touched(&new, &dc, &touched, &prior), &full);
-            prop_assert_eq!(&reference.validate_touched(&new, &dc, &touched, &prior), &full);
-            prop_assert_eq!(&reference.validate_patch(&old, &patch, &dc, &prior), &full);
+            prop_assert_eq!(&flat.validate_patch(&old, patch, &dc, &prior), &full);
+            prop_assert_eq!(&flat.validate_delta(&new, &dc, &delta, &prior), &full);
+            prop_assert_eq!(&reference.validate_delta(&new, &dc, &delta, &prior), &full);
         }
     }
 

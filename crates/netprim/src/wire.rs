@@ -14,31 +14,33 @@
 //! entry   : addr u32 | len u8 | nhops u16 | nhop u32 * nhops
 //! ```
 //!
-//! Incremental pulls ship a [`FibDelta`] instead of a full snapshot:
-//! only the rules that changed between two table versions, anchored to
-//! the content hashes of both versions so a stale or misapplied delta
-//! is detected at application time:
+//! Incremental pulls ship a [`FibDelta`] instead: the [`FibPatch`] that
+//! turns one table version into the next, anchored to the content
+//! hashes of both so a stale or misapplied delta is detected when
+//! applied:
 //!
 //! ```text
 //! magic   : b"FIBD"
 //! device  : u32
 //! base    : u64   (content hash of the table the delta applies to)
 //! target  : u64   (content hash of the table after application)
-//! n_add   : u32 | rule * n_add      (rules absent from base)
-//! n_mod   : u32 | rule * n_mod      (rules present in both, changed)
-//! n_rm    : u32 | (addr u32 | len u8) * n_rm
-//! rule    : addr u32 | len u8 | flags u8 | nhops u16 | nhop u32 * nhops
+//! count   : u32   (number of ops)
+//! op      : addr u32 | len u8 | flags u8 | nhops u16 | nhop u32 * nhops
 //! ```
 //!
-//! `flags` bit 0 marks a locally originated rule (full snapshots infer
-//! locality from an empty next-hop list; deltas carry it explicitly so
-//! applying a delta reproduces the target table bit-for-bit).
+//! `flags` 0 sets a forwarded rule, 1 a locally originated one
+//! (snapshots infer locality from an empty next-hop list; a delta must
+//! reproduce its target bit-for-bit), 2 withdraws the prefix's rule and
+//! ends the op there. Ops come in [`canonical_order`], each prefix
+//! once, next hops strictly ascending: [`FibDelta::decode`] refuses
+//! anything else, so a decoded delta is a valid patch.
 //!
 //! All integers are big-endian.
 
 use crate::error::ParseError;
 use crate::ip::Ipv4;
 use crate::prefix::Prefix;
+use std::cmp::Ordering;
 
 /// Magic bytes identifying a FIB snapshot, version 1.
 pub const MAGIC: &[u8; 4] = b"FIB1";
@@ -204,11 +206,16 @@ impl WireSnapshot {
     }
 }
 
-/// One changed rule inside a [`FibDelta`]: the rule's new contents.
+/// The canonical entry order — descending prefix length, then ascending
+/// address — of a table's entries and a patch's outcomes.
+pub fn canonical_order(a: Prefix, b: Prefix) -> Ordering {
+    b.len().cmp(&a.len()).then(a.addr().cmp(&b.addr()))
+}
+
+/// A rule's contents inside a [`PatchOp::Set`].
 ///
-/// Unlike [`WireEntry`], locality is carried explicitly (the `flags`
-/// byte on the wire) so delta application is lossless even for locally
-/// originated rules that happen to have next hops recorded.
+/// Unlike [`WireEntry`], locality is carried explicitly, so a patch is
+/// lossless even for locally originated rules that record next hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRule {
     /// Destination prefix of the rule.
@@ -219,13 +226,111 @@ pub struct DeltaRule {
     pub local: bool,
 }
 
-/// The difference between two FIB snapshots of one device.
+/// One prefix's outcome in a [`FibPatch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PatchOp {
+    /// The prefix now holds this rule: added, or replacing the base's.
+    Set(DeltaRule),
+    /// The base's rule for this prefix is withdrawn.
+    Withdraw(Prefix),
+}
+
+impl PatchOp {
+    /// The prefix whose rule this outcome decides.
+    pub fn prefix(&self) -> Prefix {
+        match self {
+            PatchOp::Set(r) => r.prefix,
+            PatchOp::Withdraw(p) => *p,
+        }
+    }
+}
+
+/// What turns a base table into its successor: one [`PatchOp`] per
+/// prefix whose rule differs, in [`canonical_order`], each prefix at
+/// most once, next hops canonical (strictly ascending). Both
+/// constructors enforce that, so every patch there is satisfies it.
 ///
-/// Anchored by content hashes on both sides: `base_hash` names the
-/// table the delta applies to and `new_hash` the table that applying it
-/// must produce, so stale deltas are rejected instead of silently
-/// corrupting the store (§2.6.1's pipeline pulls continuously; a device
-/// can republish between pull and apply).
+/// The one description of a change to a table: a restarted fixed point
+/// hands it to the verification engines as `(base table, patch)`
+/// without building the successor, and a [`FibDelta`] carries it
+/// between two content hashes.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FibPatch {
+    ops: Vec<PatchOp>,
+}
+
+impl FibPatch {
+    /// A patch from outcomes in any order; next hops are sorted and
+    /// deduplicated the way a table's interner does.
+    ///
+    /// # Panics
+    ///
+    /// When two outcomes name the same prefix.
+    pub fn new(mut ops: Vec<PatchOp>) -> FibPatch {
+        for op in &mut ops {
+            if let PatchOp::Set(r) = op {
+                r.next_hops.sort_unstable();
+                r.next_hops.dedup();
+            }
+        }
+        ops.sort_by(|a, b| canonical_order(a.prefix(), b.prefix()));
+        FibPatch::from_canonical(ops).unwrap_or_else(|e| panic!("{}", e.reason))
+    }
+
+    /// A patch from outcomes already in canonical form — what a merge
+    /// walk of two tables emits, and what a `FIBD` frame must carry.
+    /// The error names the first outcome that is not.
+    pub fn from_canonical(ops: Vec<PatchOp>) -> Result<FibPatch, ParseError> {
+        let err = |reason: String| Err(ParseError::new("fib patch", "<ops>", reason));
+        for w in ops.windows(2) {
+            match canonical_order(w[0].prefix(), w[1].prefix()) {
+                Ordering::Less => {}
+                Ordering::Equal => return err(format!("prefix {} named twice", w[1].prefix())),
+                Ordering::Greater => return err(format!("prefix {} out of order", w[1].prefix())),
+            }
+        }
+        for op in &ops {
+            if let PatchOp::Set(r) = op {
+                if !r.next_hops.windows(2).all(|w| w[0] < w[1]) {
+                    return err(format!("next hops of {} not strictly ascending", r.prefix));
+                }
+            }
+        }
+        Ok(FibPatch { ops })
+    }
+
+    /// The outcomes, in canonical entry order.
+    pub fn ops(&self) -> &[PatchOp] {
+        &self.ops
+    }
+
+    /// The prefixes whose rules the patch decides, in canonical entry
+    /// order.
+    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.ops.iter().map(PatchOp::prefix)
+    }
+
+    /// Number of rules set or withdrawn.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when the successor is the base itself.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+}
+
+/// The `flags` byte of a withdrawal; 0 and 1 are a set rule's locality.
+const WITHDRAW: u8 = 2;
+
+/// The difference between two FIB snapshots of one device: a patch
+/// between two content hashes.
+///
+/// `base_hash` names the table the patch applies to and `new_hash` the
+/// table that applying it must produce, so stale deltas are rejected
+/// instead of silently corrupting the store (§2.6.1's pipeline pulls
+/// continuously; a device can republish between pull and apply).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FibDelta {
     /// Numeric id of the source device.
@@ -234,104 +339,68 @@ pub struct FibDelta {
     pub base_hash: u64,
     /// Content hash of the table after application.
     pub new_hash: u64,
-    /// Rules present only in the new table.
-    pub added: Vec<DeltaRule>,
-    /// Rules present in both tables whose next hops or locality changed.
-    pub modified: Vec<DeltaRule>,
-    /// Prefixes whose rules exist only in the base table.
-    pub removed: Vec<Prefix>,
+    /// What turns the base table into the new one.
+    pub patch: FibPatch,
 }
 
 impl FibDelta {
-    /// True when the two tables are identical.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.modified.is_empty() && self.removed.is_empty()
-    }
-
-    /// Total number of changed rules.
-    pub fn rule_count(&self) -> usize {
-        self.added.len() + self.modified.len() + self.removed.len()
-    }
-
-    /// Every prefix the delta touches (added, modified, or removed) —
-    /// the input to contract-affectedness tests in incremental
-    /// revalidation.
-    pub fn touched_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.added
-            .iter()
-            .chain(&self.modified)
-            .map(|r| r.prefix)
-            .chain(self.removed.iter().copied())
-    }
-
     /// Serialize the delta into a freshly allocated buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let rules = self.added.len() + self.modified.len();
-        let mut buf = Vec::with_capacity(36 + rules * 16 + self.removed.len() * 5);
+        let mut buf = Vec::with_capacity(28 + self.patch.len() * 16);
         buf.extend_from_slice(DELTA_MAGIC);
         buf.extend_from_slice(&self.device.to_be_bytes());
         buf.extend_from_slice(&self.base_hash.to_be_bytes());
         buf.extend_from_slice(&self.new_hash.to_be_bytes());
-        for rules in [&self.added, &self.modified] {
-            buf.extend_from_slice(&(rules.len() as u32).to_be_bytes());
-            for r in rules {
-                put_prefix(&mut buf, r.prefix);
-                buf.push(u8::from(r.local));
-                put_next_hops(&mut buf, &r.next_hops);
+        buf.extend_from_slice(&(self.patch.len() as u32).to_be_bytes());
+        for op in self.patch.ops() {
+            put_prefix(&mut buf, op.prefix());
+            match op {
+                PatchOp::Set(r) => {
+                    buf.push(u8::from(r.local));
+                    put_next_hops(&mut buf, &r.next_hops);
+                }
+                PatchOp::Withdraw(_) => buf.push(WITHDRAW),
             }
-        }
-        buf.extend_from_slice(&(self.removed.len() as u32).to_be_bytes());
-        for &p in &self.removed {
-            put_prefix(&mut buf, p);
         }
         buf
     }
 
-    /// Decode a delta, validating magic, lengths, and prefix
-    /// canonicality. Trailing bytes are rejected.
+    /// Decode a delta, validating magic, lengths, prefix canonicality
+    /// and the patch's canonical form. Trailing bytes are rejected.
     pub fn decode(buf: &[u8]) -> Result<FibDelta, ParseError> {
         let what = "fib delta";
         let mut cur = Cursor { buf, what };
-        cur.need(24, "truncated header")?;
+        cur.need(28, "truncated header")?;
         if &cur.take::<4>() != DELTA_MAGIC {
             return Err(cur.err("bad magic"));
         }
         let (device, base_hash, new_hash) = (cur.u32(), cur.u64(), cur.u64());
-        let mut rules = || {
-            cur.need(4, "truncated rule count")?;
-            let (count, mut rules) = cur.list();
-            for _ in 0..count {
-                cur.need(8, "truncated rule header")?;
-                let (addr, len, flags) = (cur.u32(), cur.u8(), cur.u8());
-                if flags > 1 {
-                    return Err(cur.err("unknown rule flags"));
-                }
-                let nh_count = cur.u16();
-                let next_hops = cur.next_hops(nh_count)?;
-                rules.push(DeltaRule {
-                    prefix: cur.prefix(addr, len, "bad prefix in rule")?,
-                    next_hops,
-                    local: flags == 1,
-                });
-            }
-            Ok(rules)
-        };
-        let (added, modified) = (rules()?, rules()?);
-        cur.need(4, "truncated removal count")?;
-        let (count, mut removed) = cur.list();
+        let (count, mut ops) = cur.list();
         for _ in 0..count {
-            cur.need(5, "truncated removal")?;
-            let (addr, len) = (cur.u32(), cur.u8());
-            removed.push(cur.prefix(addr, len, "bad removed prefix")?);
+            cur.need(6, "truncated op header")?;
+            let (addr, len, flags) = (cur.u32(), cur.u8(), cur.u8());
+            let prefix = cur.prefix(addr, len, "bad prefix in op")?;
+            ops.push(match flags {
+                WITHDRAW => PatchOp::Withdraw(prefix),
+                0 | 1 => {
+                    cur.need(2, "truncated next-hop count")?;
+                    let nh_count = cur.u16();
+                    PatchOp::Set(DeltaRule {
+                        prefix,
+                        next_hops: cur.next_hops(nh_count)?,
+                        local: flags == 1,
+                    })
+                }
+                _ => return Err(cur.err("unknown op flags")),
+            });
         }
-        cur.end("trailing bytes after last removal")?;
+        cur.end("trailing bytes after last op")?;
+        let patch = FibPatch::from_canonical(ops).map_err(|e| cur.err(&e.reason))?;
         Ok(FibDelta {
             device,
             base_hash,
             new_hash,
-            added,
-            modified,
-            removed,
+            patch,
         })
     }
 }
@@ -403,28 +472,28 @@ mod tests {
     }
 
     fn delta() -> FibDelta {
+        let set = |prefix: &str, next_hops, local| {
+            PatchOp::Set(DeltaRule {
+                prefix: prefix.parse().unwrap(),
+                next_hops,
+                local,
+            })
+        };
         FibDelta {
             device: 42,
             base_hash: 0xDEAD_BEEF_0BAD_F00D,
             new_hash: 0x1234_5678_9ABC_DEF0,
-            added: vec![DeltaRule {
-                prefix: "10.3.129.224/28".parse().unwrap(),
-                next_hops: vec![Ipv4::new(10, 10, 192, 12), Ipv4::new(10, 10, 192, 16)],
-                local: false,
-            }],
-            modified: vec![
-                DeltaRule {
-                    prefix: "0.0.0.0/0".parse().unwrap(),
-                    next_hops: vec![Ipv4::new(30, 10, 192, 12)],
-                    local: false,
-                },
-                DeltaRule {
-                    prefix: "10.4.0.0/16".parse().unwrap(),
-                    next_hops: vec![],
-                    local: true,
-                },
-            ],
-            removed: vec!["10.9.0.0/16".parse().unwrap()],
+            // Given out of order, hops unsorted: `new` canonicalizes.
+            patch: FibPatch::new(vec![
+                set("0.0.0.0/0", vec![Ipv4::new(30, 10, 192, 12)], false),
+                PatchOp::Withdraw("10.9.0.0/16".parse().unwrap()),
+                set("10.4.0.0/16", vec![], true),
+                set(
+                    "10.3.129.224/28",
+                    vec![Ipv4::new(10, 10, 192, 16), Ipv4::new(10, 10, 192, 12)],
+                    false,
+                ),
+            ]),
         }
     }
 
@@ -432,9 +501,9 @@ mod tests {
     fn delta_round_trip() {
         let d = delta();
         assert_eq!(FibDelta::decode(&d.encode()).unwrap(), d);
-        assert_eq!(d.rule_count(), 4);
-        assert_eq!(d.touched_prefixes().count(), 4);
-        assert!(!d.is_empty());
+        let order: Vec<String> = d.patch.prefixes().map(|p| p.to_string()).collect();
+        assert_eq!(order, ["10.3.129.224/28", "10.4.0.0/16", "10.9.0.0/16", "0.0.0.0/0"]);
+        assert_eq!(d.patch.len(), 4);
     }
 
     #[test]
@@ -446,7 +515,7 @@ mod tests {
             ..FibDelta::default()
         };
         assert_eq!(FibDelta::decode(&d.encode()).unwrap(), d);
-        assert!(d.is_empty());
+        assert!(d.patch.is_empty());
     }
 
     #[test]
@@ -475,8 +544,8 @@ mod tests {
     #[test]
     fn delta_rejects_unknown_flags() {
         let mut bytes = delta().encode().to_vec();
-        // First rule's flags byte: magic(4) + device(4) + hashes(16) +
-        // add count(4) + addr(4) + len(1) = offset 33.
+        // First op's flags byte: magic(4) + device(4) + hashes(16) +
+        // count(4) + addr(4) + len(1) = offset 33.
         bytes[33] = 0x80;
         assert!(FibDelta::decode(&bytes).is_err());
     }
@@ -520,16 +589,26 @@ mod tests {
         // with the reservation clamped rather than 4 Gi entries large.
         assert!(edited(s[..12].to_vec(), 8, &[0xFF; 4]).contains("truncated entry header"));
         assert!(edited(d.clone(), 0, b"FIBX").contains("bad magic"));
-        assert!(reason(&d[..23]).contains("truncated header"));
-        assert!(reason(&d[..26]).contains("truncated rule count"));
-        assert!(reason(&d[..30]).contains("truncated rule header"));
+        assert!(reason(&d[..27]).contains("truncated header"));
+        assert!(reason(&d[..30]).contains("truncated op header"));
+        assert!(reason(&d[..35]).contains("truncated next-hop count"));
         assert!(reason(&d[..38]).contains("truncated next-hop list"));
-        assert!(reason(&d[..d.len() - 6]).contains("truncated removal count"));
-        assert!(reason(&d[..d.len() - 1]).contains("truncated removal"));
-        assert!(reason(&[&d[..], &[0]].concat()).contains("trailing bytes after last removal"));
-        assert!(edited(d.clone(), 33, &[2]).contains("unknown rule flags"));
-        // First rule's length byte (offset 32): a /1 with host bits set.
-        assert!(edited(d.clone(), 32, &[1]).contains("bad prefix in rule"));
-        assert!(edited(d.clone(), d.len() - 1, &[1]).contains("bad removed prefix"));
+        assert!(reason(&[&d[..], &[0]].concat()).contains("trailing bytes after last op"));
+        assert!(edited(d.clone(), 33, &[3]).contains("unknown op flags"));
+        // First op's length byte (offset 32): a /1 with host bits set.
+        assert!(edited(d.clone(), 32, &[1]).contains("bad prefix in op"));
+        // The second op (offset 44) is 10.4.0.0/16, the third the
+        // withdrawal of 10.9.0.0/16: move the second past it, onto it.
+        assert!(edited(d.clone(), 45, &[10]).contains("prefix 10.9.0.0/16 out of order"));
+        assert!(edited(d.clone(), 45, &[9]).contains("prefix 10.9.0.0/16 named twice"));
+        // The first op's second hop (offset 40) made equal to its first.
+        assert!(edited(d.clone(), 43, &[12])
+            .contains("next hops of 10.3.129.224/28 not strictly ascending"));
+        // The three-list layout this format replaced: its added rules
+        // read as set ops, and its other two counts are left over.
+        let mut old = d[..24].to_vec();
+        old.extend([0, 0, 0, 1, 10, 4, 0, 0, 16, 0, 0, 0]);
+        old.extend([0; 8]);
+        assert!(reason(&old).contains("trailing bytes after last op"));
     }
 }

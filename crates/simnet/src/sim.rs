@@ -468,7 +468,7 @@ impl<'e> Sim<'e> {
                     detail: format!(
                         "device {device}: validate_delta over net churn ({} rules) diverges \
                          from validate_device",
-                        delta.rule_count()
+                        delta.patch.len()
                     ),
                 });
             }

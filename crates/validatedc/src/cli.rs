@@ -186,6 +186,8 @@ pub fn help() -> String {
 /// A verb's arguments, checked against its declaration.
 #[derive(Default)]
 pub(crate) struct Args<'a> {
+    /// The verb's name, for error messages.
+    pub verb: &'static str,
     given: Vec<(&'static str, &'a str)>,
     /// The positional arguments, exactly as many as the verb declares.
     pub positional: Vec<&'a str>,
@@ -197,7 +199,10 @@ impl<'a> Args<'a> {
     /// positional count are errors naming the verb and the token.
     pub fn parse(verb: &Verb, args: &'a [String]) -> Result<Args<'a>, String> {
         let name = verb.name;
-        let mut parsed = Args::default();
+        let mut parsed = Args {
+            verb: name,
+            ..Args::default()
+        };
         let mut tokens = args.iter().map(String::as_str);
         while let Some(token) = tokens.next() {
             if !token.starts_with("--") {
@@ -273,12 +278,20 @@ pub(crate) struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn new(args: Args<'a>, out: &'a mut dyn Write, err: &'a mut dyn Write) -> Result<Self, String> {
+        // `build_clos` asserts what it is handed; zero is refused here.
+        let dimension = |flag: &str, default: u32| match args.parsed(flag)? {
+            Some(0) => Err(format!(
+                "{}: {flag} 0: a fabric dimension must be at least 1",
+                args.verb
+            )),
+            given => Ok(given.unwrap_or(default)),
+        };
         Ok(Run {
             params: ClosParams {
-                clusters: args.parsed("--clusters")?.unwrap_or(4),
-                tors_per_cluster: args.parsed("--tors")?.unwrap_or(8),
-                leaves_per_cluster: args.parsed("--leaves")?.unwrap_or(4),
-                spines: args.parsed("--spines")?.unwrap_or(8),
+                clusters: dimension("--clusters", 4)?,
+                tors_per_cluster: dimension("--tors", 8)?,
+                leaves_per_cluster: dimension("--leaves", 4)?,
+                spines: dimension("--spines", 8)?,
                 regional_spines: 4,
                 regional_groups: 2,
                 prefixes_per_tor: 1,

@@ -5,7 +5,7 @@
 use crate::cli::Run;
 use crate::prelude::*;
 use crate::{metrics, render, serve as churn};
-use secguru::diff::{semantic_diff, SmtDiff};
+use secguru::diff::SmtDiff;
 use secguru::nsg_gate::{NsgApi, UpdateResult, VnetMetadata};
 
 pub(crate) fn validate(run: &mut Run<'_>) -> Result<bool, String> {
@@ -32,10 +32,15 @@ pub(crate) fn validate(run: &mut Run<'_>) -> Result<bool, String> {
 
 pub(crate) fn whatif(run: &mut Run<'_>) -> Result<bool, String> {
     let args = &run.args;
+    let sample = args.parsed("--sample")?;
+    if sample == Some(0) {
+        // The healthy fabric alone would read as `Robust(k)`.
+        return Err("whatif: --sample 0 checks no failure scenario".to_string());
+    }
     let options = SweepOptions {
         k: args.parsed("--k")?.unwrap_or(1),
         include_devices: args.flag("--devices"),
-        sample: args.parsed("--sample")?,
+        sample,
         seed: run.seed,
         threads: run.threads,
         exhaustive: args.flag("--exhaustive"),
@@ -206,18 +211,14 @@ pub(crate) fn check_nsg(run: &mut Run<'_>) -> Result<bool, String> {
 pub(crate) fn diff_acl(run: &mut Run<'_>) -> Result<bool, String> {
     let old = read_policy(run.args.positional[0], parse_acl)?;
     let new = read_policy(run.args.positional[1], parse_acl)?;
-    // The instrumented path diffs with the SMT engine (whose query
-    // latencies and solver counters the registry captures); the
-    // default path uses the interval baseline. Both are exact.
-    let diff = match run.registry() {
-        Some(registry) => {
-            let mut smt = SmtDiff::new(&old, &new).metrics(registry);
-            let diff = smt.diff();
-            run.export(|registry| registry.observe_and_snapshot(&[&smt]));
-            diff
-        }
-        None => semantic_diff(&old, &new),
-    };
+    // §3.2's formulation; under `--metrics` the registry captures its
+    // query latencies and solver counters.
+    let mut smt = SmtDiff::new(&old, &new);
+    if let Some(registry) = run.registry() {
+        smt = smt.metrics(registry);
+    }
+    let diff = smt.diff();
+    run.export(|registry| registry.observe_and_snapshot(&[&smt]));
     run.say(&render::render_diff(&diff));
     Ok(diff.is_equivalent())
 }

@@ -92,7 +92,7 @@ fn assert_incremental_matches_full(
                 "incremental != full on device {:?} ({} engine, delta {} rules)",
                 new.device(),
                 engine.name(),
-                delta.rule_count()
+                delta.patch.len()
             );
         }
     }
@@ -211,7 +211,7 @@ fn incremental_equals_full_on_default_clos_churn() {
 
         let prior = trie.validate_device(fib, dc);
         let delta = Fib::delta(fib, &churned);
-        assert!(!delta.is_empty());
+        assert!(!delta.patch.is_empty());
         let incremental = trie.validate_delta(&churned, dc, &delta, &prior);
         let full = trie.validate_device(&churned, dc);
         assert_eq!(incremental, full, "device {:?}", fib.device());
