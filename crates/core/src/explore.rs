@@ -8,10 +8,11 @@
 //!
 //! * an [`Anchor`] is a converged routing fixed point with every
 //!   device validated — [`Explorer::converge`] is the only place one is
-//!   built, and the only place a table is hashed: the root's verdict is
-//!   reused for every table whose content hash did not move and the
-//!   caller's `(device, fib hash)` [`VerdictMemo`] for the rest, where
-//!   a hit saves a whole-table validation;
+//!   built. Its tables go through the explorer's one verdict-reuse
+//!   policy (`reuse_verdicts`, also behind the planner's final-state
+//!   pass): the root's verdict for every table whose content hash did
+//!   not move, the caller's `(device, fib hash)` [`VerdictMemo`] for the
+//!   rest, where a hit saves a whole-table validation;
 //! * [`Explorer::restart`] prices a fault set from an anchor: the
 //!   fixed point is restarted ([`Baseline::restart`]), only the devices
 //!   whose FIBs changed come back, each as the *patch* — the handful of
@@ -25,8 +26,7 @@
 //!   into the fabric-wide count by subtracting the anchor's share and
 //!   adding the new one;
 //! * [`cold`] is the from-scratch reference path (simulate, validate
-//!   everything) behind the §2.7 pre-checker and the planner's
-//!   final-state pass.
+//!   everything) behind the §2.7 pre-checker.
 //!
 //! The explorers are search policies over this module: they lower
 //! their own vocabulary (failure elements, configuration changes) to a
@@ -36,9 +36,9 @@
 use crate::contracts::DeviceContracts;
 use crate::engine::Engine;
 use crate::report::{risk_of, Risk, ValidationReport, Violation, ViolationReason};
-use crate::runner::{run_pass, validate_fleet, DatacenterReport};
+use crate::runner::{run_pass, validate_jobs, DatacenterReport};
 use bgpsim::restart::{Baseline, FaultSpec, RestartStats};
-use bgpsim::{simulate, SimConfig};
+use bgpsim::{simulate, Fib, SimConfig};
 use dctopo::{DeviceId, MetadataService, Topology};
 use obskit::{Counter, Histogram, Registry};
 use parking_lot::RwLock;
@@ -301,9 +301,47 @@ impl Totals {
     }
 }
 
-/// Converge a network and validate every device, reusing `root`'s
-/// verdict wherever a table's content hash matches the root's and
-/// `memo`'s wherever it holds one; fresh verdicts are added to `memo`.
+/// The explorer's one verdict-reuse policy: hash each table, take
+/// `root`'s verdict where the hash matches and `memo`'s where it holds
+/// one, validate the rest and add their verdicts to `memo`. Returns
+/// every device's report and table hash, and how many devices the
+/// engine validated.
+fn reuse_verdicts(
+    engine: &(dyn Engine + Sync),
+    threads: usize,
+    contracts: &[DeviceContracts],
+    root: Option<&Anchor>,
+    memo: Option<&VerdictMemo>,
+    fibs: &[Fib],
+) -> (Vec<ValidationReport>, Vec<u64>, usize) {
+    let hashes: Vec<u64> = fibs.iter().map(Fib::content_hash).collect();
+    let mut reports = vec![ValidationReport::default(); fibs.len()];
+    let mut todo: Vec<usize> = Vec::new();
+    for (du, &h) in hashes.iter().enumerate() {
+        let known = match root {
+            Some(root) if root.hashes[du] == h => Some(root.reports[du].clone()),
+            _ => memo.and_then(|m| m.read().get(&(du as u32, h)).cloned()),
+        };
+        match known {
+            Some(report) => reports[du] = report,
+            None => todo.push(du),
+        }
+    }
+    let jobs: Vec<(&Fib, &DeviceContracts)> =
+        todo.iter().map(|&du| (&fibs[du], &contracts[du])).collect();
+    let fresh = validate_jobs(engine, threads, &jobs);
+    let mut memo = memo.map(|m| m.write());
+    for (&du, report) in todo.iter().zip(fresh) {
+        if let Some(memo) = memo.as_mut() {
+            memo.insert((du as u32, hashes[du]), report.clone());
+        }
+        reports[du] = report;
+    }
+    (reports, hashes, todo.len())
+}
+
+/// Converge a network into an [`Anchor`], its tables judged by
+/// [`reuse_verdicts`].
 fn converge_anchor(
     engine: &(dyn Engine + Sync),
     threads: usize,
@@ -314,27 +352,13 @@ fn converge_anchor(
     config: &SimConfig,
 ) -> Anchor {
     let baseline = Baseline::converge(topology, config);
-    let fleet = validate_fleet(
-        engine,
-        threads,
-        baseline.healthy_fibs(),
-        contracts,
-        |du, h| match root {
-            Some(root) if root.hashes[du] == h => Some(root.reports[du].clone()),
-            _ => memo.and_then(|m| m.read().get(&(du as u32, h)).cloned()),
-        },
-    );
-    if let Some(memo) = memo {
-        let mut memo = memo.write();
-        for &du in &fleet.validated {
-            memo.insert((du as u32, fleet.fib_hashes[du]), fleet.reports[du].clone());
-        }
-    }
+    let (reports, hashes, revalidated) =
+        reuse_verdicts(engine, threads, contracts, root, memo, baseline.healthy_fibs());
     Anchor {
         baseline,
-        reports: fleet.reports,
-        hashes: fleet.fib_hashes,
-        revalidated: fleet.validated.len(),
+        reports,
+        hashes,
+        revalidated,
     }
 }
 
@@ -348,15 +372,7 @@ pub(crate) fn cold(
     topology: &Topology,
     config: &SimConfig,
 ) -> DatacenterReport {
-    run_pass(
-        engine,
-        threads,
-        &simulate(topology, config),
-        contracts,
-        1,
-        None,
-        None,
-    )
+    run_pass(engine, threads, &simulate(topology, config), contracts, None)
 }
 
 /// The state-evaluation core: a validated root [`Anchor`] plus what it
@@ -412,11 +428,6 @@ impl Explorer {
         &self.contracts
     }
 
-    /// The verification engine.
-    pub(crate) fn engine(&self) -> &(dyn Engine + Sync) {
-        self.engine.as_ref()
-    }
-
     /// `requested` worker threads, or the configured count when 0.
     pub(crate) fn threads_or(&self, requested: usize) -> usize {
         if requested > 0 {
@@ -464,6 +475,20 @@ impl Explorer {
             m.reused.add((anchor.reports.len() - anchor.revalidated) as u64);
         }
         anchor
+    }
+
+    /// Judge another set of tables over the same devices by
+    /// [`reuse_verdicts`] against the root and `memo`, on `threads`
+    /// workers. Nothing is counted as explored work.
+    pub(crate) fn validate(
+        &self,
+        fibs: &[Fib],
+        threads: usize,
+        memo: &VerdictMemo,
+    ) -> Vec<ValidationReport> {
+        let engine = self.engine.as_ref();
+        let root = Some(&self.root);
+        reuse_verdicts(engine, threads, &self.contracts, root, Some(memo), fibs).0
     }
 
     /// Evaluate `fault` from `anchor`: restart the fixed point and

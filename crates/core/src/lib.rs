@@ -27,9 +27,7 @@
 //! 4. **Datacenter runner** ([`runner`], [`validator`]): validates
 //!    every device independently — the embarrassingly parallel
 //!    structure that local validation buys (§2.4). The [`Validator`]
-//!    facade is the entry point: cold passes check everything, warm
-//!    passes ([`Validator::run_incremental`]) revalidate only churned
-//!    devices.
+//!    facade is the entry point; a batch pass checks every device.
 //! 5. **Live monitoring** ([`service`]): the §2.6.1 microservice
 //!    architecture — contract generator, FIB puller, validator workers,
 //!    stream-analytics sink — as one in-process sharded service. The

@@ -56,7 +56,7 @@ use crate::report::{ValidationReport, Violation};
 use crate::runner::{DatacenterReport, EngineChoice};
 use crate::shrink::shrink_list;
 use bgpsim::restart::{FaultSpec, RestartStats};
-use bgpsim::{DeviceOverride, SimConfig};
+use bgpsim::{simulate, DeviceOverride, SimConfig};
 use dctopo::{DeviceId, LinkId, LinkState, Topology};
 use obskit::Registry;
 use parking_lot::RwLock;
@@ -860,18 +860,18 @@ impl<'a> Search<'a> {
     ) -> Result<Search<'a>, String> {
         let threads = p.explorer.threads_or(opts.threads);
         let root = p.explorer.root();
-        // The final state, computed once from scratch: it defines the
-        // allowed set (with `accept_final`) and pre-seeds the full
-        // mask's eval and the verdict memo.
+        // The final state, simulated once: it defines the allowed set
+        // (with `accept_final`) and pre-seeds the full mask's eval, and
+        // its tables that differ from production's seed the verdict
+        // memo — deep search states share most tables with it.
         let canon_full = lattice.canon(lattice.full);
-        let final_pass = (canon_full != 0).then(|| {
+        let memo: VerdictMemo = RwLock::new(HashMap::new());
+        let final_reports = (canon_full != 0).then(|| {
             let net = lattice.applied(&p.production, lattice.full);
-            let (engine, contracts) = (p.explorer.engine(), p.explorer.contracts());
-            explore::cold(engine, threads, contracts, &net.topology, &net.config)
+            p.explorer
+                .validate(&simulate(&net.topology, &net.config), threads, &memo)
         });
-        let finals: &[ValidationReport] = final_pass
-            .as_ref()
-            .map_or(root.reports.as_slice(), |dr| dr.reports.as_slice());
+        let finals = final_reports.as_deref().unwrap_or(&root.reports);
         let accepted: &[ValidationReport] = if opts.accept_final { finals } else { &[] };
         let allowed: HashSet<Violation> = root
             .reports
@@ -880,16 +880,6 @@ impl<'a> Search<'a> {
             .flat_map(|r| r.violations.iter().cloned())
             .collect();
         let judge = p.explorer.judge(opts.condition, allowed)?;
-        // Seed the memo with the final state's verdicts: deep search
-        // states share most tables with it.
-        let mut memo = HashMap::new();
-        if let Some(dr) = &final_pass {
-            for (du, (&h, r)) in dr.fib_hashes.iter().zip(&dr.reports).enumerate() {
-                if h != root.hashes[du] {
-                    memo.insert((du as u32, h), r.clone());
-                }
-            }
-        }
         let root_tally = Tally::of(&judge, &root.reports);
         let final_transient: usize = finals.iter().map(|r| judge.count(r)).sum();
         let evals = HashMap::from([(0, root_tally.total), (canon_full, final_transient)]);
@@ -898,7 +888,7 @@ impl<'a> Search<'a> {
             lattice,
             judge,
             threads,
-            memo: RwLock::new(memo),
+            memo,
             max_backtracks: opts.max_backtracks,
             evals,
             anchors: HashMap::new(),

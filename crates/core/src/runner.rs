@@ -6,13 +6,9 @@
 //! behind the paper's "10⁴ routers in less than 3 minutes on a single
 //! CPU" claim, experiment E2) or across worker threads.
 //!
-//! Passes come in two temperatures. A **cold** pass validates every
-//! device. A **warm** pass (see [`crate::Validator::run_incremental`])
-//! is seeded with the previous pass's [`DatacenterReport`]: devices
-//! whose FIB content hash is unchanged carry their verdict over at the
-//! cost of one hash comparison, and only churned devices are
-//! revalidated — the steady-state workload of §2.6.1's continuous
-//! monitoring, where most snapshots between sweeps are identical.
+//! A pass is a cold sweep: every device is validated. Reusing a verdict
+//! for an unchanged table is the live service's job
+//! ([`crate::pipeline::DeviceStore::judge`]).
 
 use crate::contracts::DeviceContracts;
 use crate::engine::{smt::SmtEngine, trie::TrieEngine, Engine};
@@ -97,14 +93,11 @@ impl std::str::FromStr for EngineChoice {
 /// [`crate::Validator`] via
 /// [`ValidatorBuilder::metrics`](crate::ValidatorBuilder::metrics).
 ///
-/// Recording one pass is a handful of atomic ops — cheap enough that
-/// instrumented warm passes stay within noise of uninstrumented ones
-/// (EXPERIMENTS.md E15 holds this under 2%).
+/// Recording one pass is a handful of atomic ops.
 #[derive(Clone)]
 pub struct PassMetrics {
     pass_latency: Histogram,
     devices_validated: Counter,
-    devices_reused: Counter,
     violations: Counter,
 }
 
@@ -119,12 +112,7 @@ impl PassMetrics {
             ),
             devices_validated: registry.counter(
                 "rcdc_pass_devices_validated_total",
-                "devices actually validated (not carried over) across passes",
-                &[],
-            ),
-            devices_reused: registry.counter(
-                "rcdc_pass_devices_reused_total",
-                "device verdicts carried over from a warm-start report",
+                "devices validated across passes",
                 &[],
             ),
             violations: registry.counter(
@@ -138,34 +126,18 @@ impl PassMetrics {
     /// Record one completed pass.
     pub(crate) fn record(&self, report: &DatacenterReport) {
         self.pass_latency.record_duration(report.elapsed);
-        self.devices_validated
-            .add((report.reports.len() - report.reused) as u64);
-        self.devices_reused.add(report.reused as u64);
+        self.devices_validated.add(report.reports.len() as u64);
         self.violations.add(report.total_violations() as u64);
     }
 }
 
 /// Aggregate result of a datacenter validation pass.
-///
-/// Besides the per-device verdicts, the report records each FIB's
-/// content hash and the contract epoch it was validated under, which
-/// is exactly the state a later warm pass needs to decide what to skip
-/// (`(fib_hash, contract_epoch)` is the verdict key throughout the
-/// codebase — see `rcdc::pipeline::Verdict`).
 #[derive(Debug, Clone)]
 pub struct DatacenterReport {
     /// Per-device reports, indexed by device id.
     pub reports: Vec<ValidationReport>,
     /// Wall-clock duration of the pass.
     pub elapsed: Duration,
-    /// Per-device FIB content hashes, indexed like `reports`.
-    pub fib_hashes: Vec<u64>,
-    /// Contract epoch the pass validated against (republishing
-    /// contracts bumps it).
-    pub contract_epoch: u64,
-    /// Devices whose verdict was carried over from the warm-start
-    /// report instead of revalidated (0 on a cold pass).
-    pub reused: usize,
 }
 
 impl DatacenterReport {
@@ -203,8 +175,8 @@ impl DatacenterReport {
 
 impl Observer for DatacenterReport {
     /// Publish this pass's point-in-time gauges: device/violation
-    /// counts, reuse, elapsed time, and the summed solver-session
-    /// counters as the `rcdc_solver_*` family.
+    /// counts, elapsed time, and the summed solver-session counters as
+    /// the `rcdc_solver_*` family.
     fn observe(&self, registry: &Registry) {
         let gauge = |name, help, v: i64| registry.gauge(name, help, &[]).set(v);
         gauge(
@@ -223,11 +195,6 @@ impl Observer for DatacenterReport {
             self.total_violations() as i64,
         );
         gauge(
-            "rcdc_pass_reused",
-            "verdicts carried over from warm start in the last pass",
-            self.reused as i64,
-        );
-        gauge(
             "rcdc_pass_elapsed_ns",
             "wall-clock duration of the last pass in nanoseconds",
             i64::try_from(self.elapsed.as_nanos()).unwrap_or(i64::MAX),
@@ -244,7 +211,7 @@ impl Observer for DatacenterReport {
 /// with `chunks_mut`, so every worker owns a disjoint slice and writes
 /// results without locks or claim counters — device checks are
 /// independent and uniform enough for a static partition.
-fn validate_jobs(
+pub(crate) fn validate_jobs(
     engine: &(dyn Engine + Sync),
     threads: usize,
     jobs: &[(&Fib, &DeviceContracts)],
@@ -270,81 +237,21 @@ fn validate_jobs(
     out
 }
 
-/// Every device's verdict and table hash, and which of them the
-/// engine was asked for.
-pub(crate) struct FleetVerdicts {
-    /// Per-device reports, indexed by device id.
-    pub(crate) reports: Vec<ValidationReport>,
-    /// Per-device FIB content hashes, indexed like `reports`.
-    pub(crate) fib_hashes: Vec<u64>,
-    /// Devices the engine validated, ascending; the rest were `known`.
-    pub(crate) validated: Vec<usize>,
-}
-
-/// The one verdict-reuse partition of the batch side: hash every
-/// table, take the verdict `known(device, hash)` already holds for it
-/// or queue the device, validate the queue, scatter the results back.
-/// What counts as known — a warm-start report, an anchor's root, a
-/// cross-anchor memo, nothing — is the caller's policy.
-pub(crate) fn validate_fleet(
-    engine: &(dyn Engine + Sync),
-    threads: usize,
-    fibs: &[Fib],
-    contracts: &[DeviceContracts],
-    known: impl Fn(usize, u64) -> Option<ValidationReport>,
-) -> FleetVerdicts {
-    assert_eq!(fibs.len(), contracts.len(), "fibs and contracts must align");
-    let fib_hashes: Vec<u64> = fibs.iter().map(Fib::content_hash).collect();
-    let mut reports = vec![ValidationReport::default(); fibs.len()];
-    let mut validated: Vec<usize> = Vec::new();
-    for (i, &hash) in fib_hashes.iter().enumerate() {
-        match known(i, hash) {
-            Some(report) => reports[i] = report,
-            None => validated.push(i),
-        }
-    }
-    let jobs: Vec<(&Fib, &DeviceContracts)> = validated
-        .iter()
-        .map(|&i| (&fibs[i], &contracts[i]))
-        .collect();
-    for (&i, report) in validated.iter().zip(validate_jobs(engine, threads, &jobs)) {
-        reports[i] = report;
-    }
-    FleetVerdicts {
-        reports,
-        fib_hashes,
-        validated,
-    }
-}
-
-/// One validation pass, cold or warm. Shared implementation behind the
-/// [`crate::Validator`] facade.
+/// One cold validation pass: every device, timed. Shared
+/// implementation behind the [`crate::Validator`] facade.
 pub(crate) fn run_pass(
     engine: &(dyn Engine + Sync),
     threads: usize,
     fibs: &[Fib],
     contracts: &[DeviceContracts],
-    contract_epoch: u64,
-    warm: Option<&DatacenterReport>,
     metrics: Option<&PassMetrics>,
 ) -> DatacenterReport {
+    assert_eq!(fibs.len(), contracts.len(), "fibs and contracts must align");
     let start = Instant::now();
-    let n = fibs.len();
-    // A warm-start report is only usable if it covers the same device
-    // range and the same contract epoch; otherwise run cold.
-    let warm = warm.filter(|w| {
-        w.contract_epoch == contract_epoch && w.fib_hashes.len() == n && w.reports.len() == n
-    });
-    let fleet = validate_fleet(engine, threads, fibs, contracts, |i, hash| {
-        warm.filter(|w| w.fib_hashes[i] == hash)
-            .map(|w| w.reports[i].clone())
-    });
+    let jobs: Vec<(&Fib, &DeviceContracts)> = fibs.iter().zip(contracts).collect();
     let report = DatacenterReport {
-        reused: n - fleet.validated.len(),
-        reports: fleet.reports,
+        reports: validate_jobs(engine, threads, &jobs),
         elapsed: start.elapsed(),
-        fib_hashes: fleet.fib_hashes,
-        contract_epoch,
     };
     if let Some(m) = metrics {
         m.record(&report);
@@ -367,8 +274,6 @@ mod tests {
             assert!(r.is_clean(), "{engine:?}");
             assert_eq!(r.total_violations(), 0);
             assert!(r.contracts_checked() > 0);
-            assert_eq!(r.fib_hashes.len(), fibs.len());
-            assert_eq!(r.reused, 0);
         }
     }
 
@@ -457,12 +362,13 @@ mod tests {
             .metrics(&registry)
             .build();
         let first = v.run(&fibs);
-        let second = v.run_incremental(&fibs, &first);
-        assert_eq!(second.reused, fibs.len());
+        let second = v.run(&fibs);
         let snap = registry.snapshot();
         let counter = |name| snap.counter(name, &[]).unwrap();
-        assert_eq!(counter("rcdc_pass_devices_validated_total"), fibs.len() as u64);
-        assert_eq!(counter("rcdc_pass_devices_reused_total"), fibs.len() as u64);
+        assert_eq!(
+            counter("rcdc_pass_devices_validated_total"),
+            2 * fibs.len() as u64
+        );
         assert_eq!(
             counter("rcdc_pass_violations_total"),
             (first.total_violations() + second.total_violations()) as u64
@@ -485,7 +391,6 @@ mod tests {
             gauge("rcdc_pass_violations"),
             report.total_violations() as i64
         );
-        assert_eq!(gauge("rcdc_pass_reused"), 0);
         // Trie pass: solver gauges bridged, all zero.
         assert_eq!(snap.gauge("rcdc_solver_queries", &[]), Some(0));
     }

@@ -1,9 +1,9 @@
 //! The unified entry point for datacenter validation.
 //!
-//! [`Validator`] bundles what the scattered free functions used to
-//! take separately — contracts, engine backend, thread count — behind
-//! one builder, and owns the contract epoch that anchors incremental
-//! revalidation:
+//! [`Validator`] bundles contracts, engine backend and thread count
+//! behind one builder. A batch [`run`](Validator::run) is a cold
+//! sweep; the same builder starts the live service, which is where
+//! verdicts for unchanged tables are reused:
 //!
 //! ```
 //! use rcdc::{Validator, EngineChoice};
@@ -17,19 +17,10 @@
 //!     .engine(EngineChoice::Trie)
 //!     .threads(8)
 //!     .build();
-//! let cold = validator.run(&fibs);
-//! assert!(cold.is_clean());
-//!
-//! // Steady state: unchanged devices cost one hash comparison each.
-//! let warm = validator.run_incremental(&fibs, &cold);
-//! assert_eq!(warm.reused, fibs.len());
-//! assert_eq!(warm.reports, cold.reports);
+//! let report = validator.run(&fibs);
+//! assert!(report.is_clean());
+//! assert_eq!(report.reports.len(), fibs.len());
 //! ```
-//!
-//! Reports from [`run_incremental`](Validator::run_incremental) are
-//! identical — violation for violation — to a cold pass over the same
-//! inputs; the warm start only changes how much work it takes to
-//! produce them.
 
 use crate::contracts::{generate_contracts, DeviceContracts};
 use crate::engine::Engine;
@@ -50,7 +41,6 @@ pub struct Validator {
     engine: Box<dyn Engine + Sync>,
     choice: EngineChoice,
     threads: usize,
-    epoch: u64,
     metrics: Option<PassMetrics>,
 }
 
@@ -135,7 +125,7 @@ impl ValidatorBuilder {
     }
 
     /// Finish: instantiate the engine (observed when a metrics
-    /// registry is attached) and fix the initial contract epoch.
+    /// registry is attached).
     pub fn build(self) -> Validator {
         let engine = self.observed_engine();
         Validator {
@@ -143,7 +133,6 @@ impl ValidatorBuilder {
             engine,
             choice: self.engine,
             threads: self.threads,
-            epoch: 1,
             metrics: self.registry.as_ref().map(PassMetrics::new),
         }
     }
@@ -274,51 +263,20 @@ impl Validator {
         }
     }
 
-    /// One pass under the current contracts, cold or warm-started.
-    fn pass(&self, fibs: &[Fib], warm: Option<&DatacenterReport>) -> DatacenterReport {
+    /// Cold pass: validate every device.
+    pub fn run(&self, fibs: &[Fib]) -> DatacenterReport {
         run_pass(
             self.engine.as_ref(),
             self.threads,
             fibs,
             &self.contracts,
-            self.epoch,
-            warm,
             self.metrics.as_ref(),
         )
-    }
-
-    /// Cold pass: validate every device.
-    pub fn run(&self, fibs: &[Fib]) -> DatacenterReport {
-        self.pass(fibs, None)
-    }
-
-    /// Warm pass: carry verdicts over from `warm` for every device
-    /// whose FIB content hash is unchanged and revalidate the rest.
-    ///
-    /// The result is identical to [`run`](Self::run) on the same
-    /// `fibs`. A `warm` report from different contracts (another
-    /// epoch — e.g. taken before [`republish`](Self::republish)) or a
-    /// different device range is ignored and the pass runs cold.
-    pub fn run_incremental(&self, fibs: &[Fib], warm: &DatacenterReport) -> DatacenterReport {
-        self.pass(fibs, Some(warm))
-    }
-
-    /// Replace the contract set, bumping the epoch: reports produced
-    /// under the old contracts stop being valid warm starts.
-    pub fn republish(&mut self, contracts: Vec<DeviceContracts>) {
-        self.contracts = contracts;
-        self.epoch += 1;
     }
 
     /// The contracts being validated against, indexed by device id.
     pub fn contracts(&self) -> &[DeviceContracts] {
         &self.contracts
-    }
-
-    /// Current contract epoch (starts at 1; [`republish`](Self::republish)
-    /// increments it).
-    pub fn contract_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The configured engine backend.
@@ -330,8 +288,8 @@ impl Validator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{fig3_faulted, fig3_healthy};
-    use bgpsim::{simulate, FibBuilder, SimConfig};
+    use crate::engine::testutil::fig3_healthy;
+    use bgpsim::{simulate, SimConfig};
     use dctopo::{build_clos, ClosParams};
 
     #[test]
@@ -342,7 +300,6 @@ mod tests {
             .threads(4)
             .build();
         assert_eq!(v.engine_choice(), EngineChoice::Smt);
-        assert_eq!(v.contract_epoch(), 1);
         assert!(v.run(&fibs).is_clean());
     }
 
@@ -364,65 +321,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unchanged_fibs_are_fully_reused() {
-        let (_f, fibs, _contracts, meta) = fig3_faulted();
-        let v = Validator::new(&meta).build();
-        let cold = v.run(&fibs);
-        let warm = v.run_incremental(&fibs, &cold);
-        assert_eq!(warm.reused, fibs.len());
-        assert_eq!(warm.reports, cold.reports);
-        assert_eq!(warm.fib_hashes, cold.fib_hashes);
-    }
-
-    #[test]
-    fn churned_device_is_revalidated_exactly() {
-        let (f, fibs, _contracts, meta) = fig3_healthy();
-        let v = Validator::new(&meta).build();
-        let cold = v.run(&fibs);
-        // Drop one specific from one ToR.
-        let tor = f.tors[0];
-        let mut churned = fibs.clone();
-        let old = &fibs[tor.0 as usize];
-        let mut b = FibBuilder::new(tor);
-        for e in old.entries() {
-            if e.prefix == f.prefixes[1] {
-                continue;
-            }
-            b.push(e.prefix, old.next_hops(e).to_vec(), e.local);
-        }
-        churned[tor.0 as usize] = b.finish();
-        let warm = v.run_incremental(&churned, &cold);
-        assert_eq!(warm.reused, fibs.len() - 1);
-        // Byte-equal to a cold pass over the churned network.
-        let cold2 = v.run(&churned);
-        assert_eq!(warm.reports, cold2.reports);
-        assert_eq!(warm.dirty_devices(), 1);
-    }
-
-    #[test]
-    fn republish_invalidates_warm_start() {
-        let (_f, fibs, contracts, meta) = fig3_healthy();
-        let mut v = Validator::new(&meta).build();
-        let cold = v.run(&fibs);
-        v.republish(contracts);
-        assert_eq!(v.contract_epoch(), 2);
-        // Epoch mismatch: nothing is reused, but the pass still runs.
-        let r = v.run_incremental(&fibs, &cold);
-        assert_eq!(r.reused, 0);
-        assert_eq!(r.reports, cold.reports);
-        assert_eq!(r.contract_epoch, 2);
-    }
-
-    #[test]
-    fn mismatched_warm_report_is_ignored() {
-        let (_f, fibs, _contracts, meta) = fig3_healthy();
-        let v = Validator::new(&meta).build();
-        let cold = v.run(&fibs);
-        let mut truncated = cold.clone();
-        truncated.fib_hashes.pop();
-        let r = v.run_incremental(&fibs, &truncated);
-        assert_eq!(r.reused, 0);
-        assert_eq!(r.reports, cold.reports);
-    }
 }

@@ -62,25 +62,54 @@ impl ClosParams {
             + self.regional_spines
     }
 
-    fn validate(&self) {
-        assert!(self.clusters >= 1 && self.tors_per_cluster >= 1);
-        assert!(self.leaves_per_cluster >= 1 && self.spines >= 1);
-        assert!(self.regional_spines >= 1 && self.regional_groups >= 1);
-        assert!(self.prefixes_per_tor >= 1);
-        assert!(
-            self.spines.is_multiple_of(self.leaves_per_cluster),
-            "spines must divide evenly into {} planes",
-            self.leaves_per_cluster
-        );
-        assert!(
-            self.regional_spines.is_multiple_of(self.regional_groups),
-            "regional spines must divide evenly into groups"
-        );
-        assert!(self.clusters <= 400, "leaf ASN band supports <= 400 clusters");
-        assert!(self.tors_per_cluster <= 256, "ToR ASN band supports <= 256 ToRs/cluster");
+    /// Check the shape against the generator's rules. The error names
+    /// the rule that failed.
+    pub fn validate(&self) -> Result<(), String> {
+        let dimensions = [
+            self.clusters,
+            self.tors_per_cluster,
+            self.leaves_per_cluster,
+            self.spines,
+            self.regional_spines,
+            self.regional_groups,
+            self.prefixes_per_tor,
+        ];
+        if dimensions.contains(&0) {
+            return Err("every fabric dimension must be at least 1".to_string());
+        }
+        if !self.spines.is_multiple_of(self.leaves_per_cluster) {
+            return Err(format!(
+                "{} spines must divide evenly into {} planes, one per leaf",
+                self.spines, self.leaves_per_cluster
+            ));
+        }
+        if !self.regional_spines.is_multiple_of(self.regional_groups) {
+            return Err(format!(
+                "{} regional spines must divide evenly into {} groups",
+                self.regional_spines, self.regional_groups
+            ));
+        }
+        if self.clusters > 400 {
+            return Err(format!(
+                "{} clusters: the leaf ASN band supports at most 400",
+                self.clusters
+            ));
+        }
+        if self.tors_per_cluster > 256 {
+            return Err(format!(
+                "{} ToRs per cluster: the ToR ASN band supports at most 256",
+                self.tors_per_cluster
+            ));
+        }
         let total_prefixes =
             self.clusters as u64 * self.tors_per_cluster as u64 * self.prefixes_per_tor as u64;
-        assert!(total_prefixes <= 1 << 16, "prefix pool (10.0.0.0/8 in /24s) exhausted");
+        if total_prefixes > 1 << 16 {
+            return Err(format!(
+                "{total_prefixes} hosted prefixes: the prefix pool (10.0.0.0/8 in /24s) \
+                 holds at most 65536"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -98,8 +127,15 @@ pub fn tor_asn(index_in_cluster: u32) -> Asn {
 pub const REGIONAL_ASN: Asn = Asn(64900);
 
 /// Generate a Clos topology. All links start [`LinkState::Up`].
+///
+/// # Panics
+///
+/// With [`ClosParams::validate`]'s message when `p` breaks one of the
+/// generator's rules; callers taking shapes from input check it first.
 pub fn build_clos(p: &ClosParams) -> Topology {
-    p.validate();
+    if let Err(broken) = p.validate() {
+        panic!("{broken}");
+    }
     let mut devices = Vec::with_capacity(p.device_count() as usize);
     let mut push = |name: String, role: Role, asn: Asn, cluster: Option<ClusterId>| {
         let id = DeviceId(devices.len() as u32);
@@ -456,6 +492,27 @@ mod tests {
             leaves_per_cluster: 4,
             ..ClosParams::default()
         });
+    }
+
+    #[test]
+    fn each_rejected_shape_names_its_rule() {
+        let d = ClosParams::default();
+        assert_eq!(d.validate(), Ok(()));
+        let cases = [
+            (ClosParams { prefixes_per_tor: 0, ..d }, "must be at least 1"),
+            (ClosParams { spines: 6, ..d }, "6 spines must divide evenly into 4 planes"),
+            (ClosParams { regional_groups: 3, ..d }, "4 regional spines must divide evenly"),
+            (ClosParams { clusters: 401, ..d }, "401 clusters: the leaf ASN band"),
+            (ClosParams { tors_per_cluster: 257, ..d }, "257 ToRs per cluster: the ToR ASN band"),
+            (
+                ClosParams { clusters: 300, tors_per_cluster: 256, ..d },
+                "76800 hosted prefixes: the prefix pool",
+            ),
+        ];
+        for (p, cause) in cases {
+            let err = p.validate().unwrap_err();
+            assert!(err.contains(cause), "{p:?}: {err}");
+        }
     }
 
     #[test]

@@ -278,24 +278,19 @@ pub(crate) struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn new(args: Args<'a>, out: &'a mut dyn Write, err: &'a mut dyn Write) -> Result<Self, String> {
-        // `build_clos` asserts what it is handed; zero is refused here.
-        let dimension = |flag: &str, default: u32| match args.parsed(flag)? {
-            Some(0) => Err(format!(
-                "{}: {flag} 0: a fabric dimension must be at least 1",
-                args.verb
-            )),
-            given => Ok(given.unwrap_or(default)),
+        let params = ClosParams {
+            clusters: args.parsed("--clusters")?.unwrap_or(4),
+            tors_per_cluster: args.parsed("--tors")?.unwrap_or(8),
+            leaves_per_cluster: args.parsed("--leaves")?.unwrap_or(4),
+            spines: args.parsed("--spines")?.unwrap_or(8),
+            regional_spines: 4,
+            regional_groups: 2,
+            prefixes_per_tor: 1,
         };
+        // `build_clos` panics on a shape it refuses; refuse it here.
+        params.validate().map_err(|e| format!("{}: {e}", args.verb))?;
         Ok(Run {
-            params: ClosParams {
-                clusters: dimension("--clusters", 4)?,
-                tors_per_cluster: dimension("--tors", 8)?,
-                leaves_per_cluster: dimension("--leaves", 4)?,
-                spines: dimension("--spines", 8)?,
-                regional_spines: 4,
-                regional_groups: 2,
-                prefixes_per_tor: 1,
-            },
+            params,
             seed: args.parsed("--seed")?.unwrap_or(7),
             threads: args.parsed("--threads")?.unwrap_or(0),
             engine: args.parsed("--engine")?.unwrap_or(EngineChoice::Trie),

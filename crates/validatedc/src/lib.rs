@@ -31,10 +31,6 @@
 //! let validator = Validator::new(&meta).engine(EngineChoice::Trie).build();
 //! let report = validator.run(&fibs);
 //! assert!(report.is_clean());
-//!
-//! // Steady state: warm passes reuse verdicts for unchanged devices.
-//! let warm = validator.run_incremental(&fibs, &report);
-//! assert_eq!(warm.reused, fibs.len());
 //! ```
 
 #![forbid(unsafe_code)]

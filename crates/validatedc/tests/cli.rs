@@ -237,6 +237,15 @@ fn acl_and_nsg_checks_exit_0_clean_and_2_on_findings() {
 
 #[test]
 fn a_bad_command_line_is_exit_1_naming_the_token() {
+    let refused = |line: &[&str], token: &str| {
+        let (code, out, err) = run(line);
+        assert_eq!(code, 1, "{line:?}");
+        assert!(out.is_empty(), "{line:?} wrote to stdout: {out}");
+        assert!(
+            err.starts_with("error: ") && err.contains(token),
+            "{line:?}: {err}"
+        );
+    };
     let cases: [(&[&str], &str); 12] = [
         (&["validate", "--thread", "4"], "--thread"),
         (&["whatif", "--k"], "--k"),
@@ -245,22 +254,28 @@ fn a_bad_command_line_is_exit_1_naming_the_token() {
         (&["diff-acl", "only-one.acl"], "only-one.acl"),
         (&["validate", "--engine", "z3"], "z3"),
         (&["check-acl", "no-such-file.acl"], "no-such-file.acl"),
-        // A zero dimension used to die in `build_clos`'s assert, and
-        // `--sample 0` to certify `Robust(k)` off the healthy fabric.
-        (&["validate", "--clusters", "0"], "validate: --clusters 0"),
-        (&["whatif", "--tors", "0"], "whatif: --tors 0"),
-        (&["plan", "--leaves", "0"], "plan: --leaves 0"),
-        (&["serve", "--spines", "0"], "serve: --spines 0"),
+        // `--sample 0` and every fabric `ClosParams::validate` refuses
+        // are errors naming the rule they break, never a panic.
         (&["whatif", "--sample", "0"], "whatif: --sample 0"),
+        (&["validate", "--spines", "6"], "validate: 6 spines must divide evenly"),
+        (&["validate", "--clusters", "401"], "validate: 401 clusters"),
+        (&["validate", "--tors", "257"], "validate: 257 ToRs per cluster"),
+        (
+            &["validate", "--clusters", "300", "--tors", "256"],
+            "validate: 76800 hosted prefixes",
+        ),
     ];
     for (line, token) in cases {
-        let (code, out, err) = run(line);
-        assert_eq!(code, 1, "{line:?}");
-        assert!(out.is_empty(), "{line:?} wrote to stdout: {out}");
-        assert!(
-            err.starts_with("error: ") && err.contains(token),
-            "{line:?}: {err}"
-        );
+        refused(line, token);
+    }
+    let zero = "every fabric dimension must be at least 1";
+    for (verb, flag) in [
+        ("validate", "--clusters"),
+        ("whatif", "--tors"),
+        ("plan", "--leaves"),
+        ("serve", "--spines"),
+    ] {
+        refused(&[verb, flag, "0"], &format!("{verb}: {zero}"));
     }
 }
 

@@ -51,17 +51,10 @@ fn main() {
     }
     println!("\ninjected: 2 uplink failures on {}", meta.device(tor).name);
 
-    // 6. Revalidate with a warm start. Contracts are unchanged — they
-    //    come from expected topology — but reality drifted, so only the
-    //    churned devices are actually re-checked.
+    // 6. Revalidate. Contracts are unchanged — they come from expected
+    //    topology — but reality drifted.
     let fibs = simulate(&topology, &SimConfig::healthy());
-    let cold = report;
-    let report = validator.run_incremental(&fibs, &cold);
-    println!(
-        "warm:     {} of {} verdicts reused",
-        report.reused,
-        fibs.len()
-    );
+    let report = validator.run(&fibs);
     println!(
         "validate: {} violations on {} devices",
         report.total_violations(),

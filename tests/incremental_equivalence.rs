@@ -9,9 +9,12 @@
 //!
 //! The same churn also exercises the delta codec end-to-end:
 //! `Fib::delta` → wire encode/decode → `Fib::apply_delta` must
-//! reproduce the target snapshot exactly.
+//! reproduce the target snapshot exactly — and the live service's
+//! verdict reuse, which must equal a cold pass.
 
 use proptest::prelude::*;
+use rcdc::pipeline::{DeviceStore, ValidateMode};
+use rcdc::VirtualClock;
 use validatedc::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -156,9 +159,12 @@ proptest! {
         }
     }
 
-    /// The Validator warm path produces byte-equal datacenter reports.
+    /// Verdict reuse (`DeviceStore::judge`) is a cold pass: a store
+    /// that judged the old tables answers each new one from its cache
+    /// exactly when the content hash held, as a delta otherwise, and
+    /// every report equals a cold `Validator::run` over the new tables.
     #[test]
-    fn warm_pass_equals_cold_pass_under_random_churn(
+    fn device_store_verdicts_equal_a_cold_pass_under_random_churn(
         old_mutations in mutation_strategy(),
         new_mutations in mutation_strategy(),
     ) {
@@ -169,13 +175,26 @@ proptest! {
         let mut new_fibs = healthy;
         apply_mutations(&f, &mut new_fibs, &new_mutations);
         let meta = MetadataService::from_topology(&f.topology);
+        let cold = Validator::new(&meta).build().run(&new_fibs);
 
-        let v = Validator::new(&meta).build();
-        let prior = v.run(&old_fibs);
-        let warm = v.run_incremental(&new_fibs, &prior);
-        let cold = v.run(&new_fibs);
-        prop_assert_eq!(&warm.reports, &cold.reports);
-        prop_assert_eq!(&warm.fib_hashes, &cold.fib_hashes);
+        let (store, engine, clock) = (DeviceStore::default(), TrieEngine::new(), VirtualClock::new());
+        for (fib, contracts) in old_fibs.iter().zip(generate_contracts(&meta)) {
+            store.publish(fib.device(), contracts);
+        }
+        for fib in &old_fibs {
+            store.judge(fib.device(), Some(fib.clone()), &engine, &clock);
+        }
+        for ((old, new), expected) in old_fibs.iter().zip(&new_fibs).zip(&cold.reports) {
+            let result = store.judge(new.device(), Some(new.clone()), &engine, &clock);
+            let result = result.expect("every device has published contracts");
+            prop_assert_eq!(&*result.report, expected);
+            let mode = if old.content_hash() == new.content_hash() {
+                ValidateMode::CacheHit
+            } else {
+                ValidateMode::Incremental
+            };
+            prop_assert_eq!(result.mode, mode, "device {:?}", new.device());
+        }
     }
 }
 
