@@ -8,7 +8,7 @@
 //! sets — this is what keeps the 10⁴-router experiment within memory.
 
 use dctopo::DeviceId;
-use netprim::wire::{canonical_order, DeltaRule, FibDelta, WireEntry, WireSnapshot};
+use netprim::wire::{canonical_order, DeltaRule, FibDelta, TableHasher, WireSnapshot};
 pub use netprim::wire::{FibPatch, PatchOp};
 use netprim::{HopSet, Ipv4, ParseError, Prefix};
 use std::collections::HashMap;
@@ -302,45 +302,59 @@ impl Fib {
             .ok()
     }
 
-    /// Serialize for the puller→validator transfer (§2.6.1).
+    /// The table's `FIB1` image, for the puller→validator transfer
+    /// (§2.6.1). A table's entries are in canonical order and its hop
+    /// sets strictly ascending, so the image is canonical.
     pub fn to_wire(&self) -> WireSnapshot {
-        WireSnapshot {
-            device: self.device.0,
-            entries: self
-                .entries
-                .iter()
-                .map(|e| WireEntry {
-                    prefix: e.prefix,
-                    next_hops: self.next_hops(e).to_vec(),
-                })
-                .collect(),
-        }
+        let entries = self.entries.iter().map(|e| (e.prefix, self.next_hops(e)));
+        WireSnapshot::write(self.device.0, entries)
     }
 
-    /// Reconstruct from the wire format. Locality cannot be carried on
-    /// the wire (real FIB pulls don't carry it either); entries with no
-    /// next hops are treated as local.
+    /// Decode a `FIB1` image: one pass of [`WireSnapshot::read`], so an
+    /// image decodes exactly when it hashes, and the table's
+    /// [`content_hash`](Self::content_hash) is the image's. The image
+    /// must be canonical — entries in canonical order, each prefix once
+    /// (a pull has no push order to break a tie with), next hops
+    /// strictly ascending — and the error names the first entry that is
+    /// not. Locality is not carried on the wire (real FIB pulls don't
+    /// carry it either): an entry with no next hops is local.
     ///
-    /// A snapshot listing the same prefix twice is rejected: unlike
-    /// [`FibBuilder`] pushes there is no meaningful "later wins" order
-    /// on the wire, and silently picking one arm would let a corrupted
-    /// pull masquerade as a clean table.
+    /// Hop sets are pooled in first-use order, so the table is `==`,
+    /// pool layout included, to a [`FibBuilder`] fed the same entries.
     pub fn from_wire(w: &WireSnapshot) -> Result<Fib, ParseError> {
-        let mut seen =
-            std::collections::HashSet::with_capacity(w.entries.len());
-        let mut b = FibBuilder::new(DeviceId(w.device));
-        for e in &w.entries {
-            if !seen.insert(e.prefix) {
-                return Err(ParseError::new(
-                    "fib snapshot",
-                    "<decode>",
-                    format!("duplicate prefix {} in snapshot", e.prefix),
-                ));
-            }
-            let local = e.next_hops.is_empty();
-            b.push(e.prefix, e.next_hops.clone(), local);
-        }
-        Ok(b.finish())
+        // Entries take at least 7 bytes: a hostile count cannot reserve
+        // ahead of the image.
+        let mut entries = Vec::with_capacity(w.declared_entries().min(w.as_bytes().len() / 7));
+        let mut sets: Vec<Vec<Ipv4>> = Vec::new();
+        // Canonical hop lists are equal exactly when their bytes are.
+        let mut pool: HashMap<&[u8], u32> = HashMap::new();
+        // Runs of entries share a hop set; the previous one skips the
+        // probe.
+        let mut last: Option<(&[u8], u32)> = None;
+        w.read(|e| {
+            let hops = e.hop_bytes();
+            let set = match last {
+                Some((bytes, set)) if bytes == hops => set,
+                _ => {
+                    let set = *pool.entry(hops).or_insert_with(|| {
+                        sets.push(e.next_hops().collect());
+                        (sets.len() - 1) as u32
+                    });
+                    last = Some((hops, set));
+                    set
+                }
+            };
+            entries.push(FibEntry {
+                prefix: e.prefix,
+                set,
+                local: e.is_local(),
+            });
+        })?;
+        Ok(Fib {
+            device: DeviceId(w.device()),
+            entries,
+            sets,
+        })
     }
 
     /// Total number of distinct next-hop sets (compactness statistic).
@@ -354,37 +368,41 @@ impl Fib {
     /// hops) in the canonical sort order, so two `Fib`s built by any
     /// route — simulation, wire decode, delta application — hash equal
     /// iff they forward identically. This is the identity the
-    /// incremental pipeline keys on: an unchanged snapshot costs one
-    /// hash comparison instead of a validation pass.
+    /// incremental pipeline keys on. The words are [`TableHasher`]'s,
+    /// which a pulled image folds too: [`WireSnapshot::content_hash`]
+    /// is this hash of the table the image decodes to, taken before
+    /// decoding it.
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a over 64-bit words; stability across runs is what
-        // matters (hashes travel inside [`FibDelta`]s), not diffusion.
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| h = (h ^ word).wrapping_mul(PRIME);
-        mix(u64::from(self.device.0));
-        mix(self.entries.len() as u64);
+        let mut h = TableHasher::new(self.device.0, self.entries.len());
         for e in &self.entries {
-            mix((u64::from(e.prefix.addr().0) << 8) | u64::from(e.prefix.len()));
-            let hops = &self.sets[e.set as usize];
-            mix((u64::from(e.local) << 32) | hops.len() as u64);
-            for nh in hops {
-                mix(u64::from(nh.0));
-            }
+            h.entry(e.prefix, e.local, self.next_hops(e).iter().copied());
         }
-        h
+        h.finish()
     }
 
-    /// Compute the [`FibDelta`] turning `old` into `new`: a merge walk
-    /// over the shared canonical entry order, emitting one op per
-    /// prefix whose rule differs, anchored to both tables'
+    /// Compute the [`FibDelta`] turning `old` into `new`: their
+    /// [`diff`](Self::diff), anchored to both tables'
     /// [`content_hash`](Self::content_hash)es.
     ///
     /// Panics when the two tables belong to different devices.
     pub fn delta(old: &Fib, new: &Fib) -> FibDelta {
+        FibDelta {
+            device: old.device.0,
+            base_hash: old.content_hash(),
+            new_hash: new.content_hash(),
+            patch: Fib::diff(old, new),
+        }
+    }
+
+    /// The [`FibPatch`] turning `old` into `new`: a merge walk over the
+    /// shared canonical entry order, emitting one op per prefix whose
+    /// rule differs.
+    ///
+    /// Panics when the two tables belong to different devices.
+    pub fn diff(old: &Fib, new: &Fib) -> FibPatch {
         assert_eq!(
             old.device, new.device,
-            "delta requires snapshots of the same device"
+            "a diff compares snapshots of the same device"
         );
         let set = |e: &FibEntry| {
             PatchOp::Set(DeltaRule {
@@ -417,12 +435,7 @@ impl Fib {
         }
         ops.extend(old.entries[i..].iter().map(|e| PatchOp::Withdraw(e.prefix)));
         ops.extend(new.entries[j..].iter().map(set));
-        FibDelta {
-            device: old.device.0,
-            base_hash: old.content_hash(),
-            new_hash: new.content_hash(),
-            patch: FibPatch::from_canonical(ops).expect("a merge walk of canonical tables"),
-        }
+        FibPatch::from_canonical(ops).expect("a merge walk of canonical tables")
     }
 
     /// The successor table a patch describes.
@@ -654,15 +667,16 @@ mod tests {
 
     #[test]
     fn from_wire_rejects_duplicate_prefixes() {
-        let mut w = sample().to_wire();
-        let dup = w.entries[0].clone();
-        w.entries.push(dup);
+        // The sample's first entry listed again right after itself: a
+        // valid header, a prefix named twice.
+        let f = sample();
+        let first = f.entries()[0];
+        let rules = f.entries()[..1].iter().chain(f.entries());
+        let w = WireSnapshot::write(9, rules.map(|e| (e.prefix, f.next_hops(e))));
         let err = Fib::from_wire(&w).unwrap_err();
-        assert!(err.to_string().contains("duplicate prefix"));
-        // The encoded form round-trips through the codec but is still
-        // rejected at the Fib layer.
-        let w2 = WireSnapshot::decode(&w.encode()).unwrap();
-        assert!(Fib::from_wire(&w2).is_err());
+        assert!(err.to_string().contains(&format!("prefix {} named twice", first.prefix)));
+        // The image hash refuses exactly what the decode refuses.
+        assert_eq!(w.content_hash().unwrap_err(), err);
     }
 
     #[test]
@@ -700,6 +714,19 @@ mod tests {
             assert_eq!(f.next_hops(a), back.next_hops(b));
             assert_eq!(a.local, b.local);
         }
+        // One hash, from the bytes or from the table; and the decode
+        // re-encodes to the very image.
+        assert_eq!(w.content_hash(), Ok(f.content_hash()));
+        assert_eq!(back.to_wire(), w);
+        // The decode pools hop sets in first-use order, as a builder
+        // fed the entries in canonical order does; `sample` pushed its
+        // default first, so its own pool is laid out otherwise.
+        let mut b = FibBuilder::new(DeviceId(9));
+        for e in f.entries() {
+            b.push(e.prefix, f.next_hops(e).to_vec(), e.local);
+        }
+        assert_eq!(back, b.finish());
+        assert_ne!(back, f);
     }
 
     #[test]

@@ -493,7 +493,7 @@ impl Baseline {
                 self.patch_device(d, patched, dev_fallback, &scen_states)
             } else {
                 let fib = self.replay_device(d, dead, &scen_states, patched);
-                Fib::delta(&self.healthy[d as usize], &fib).patch
+                Fib::diff(&self.healthy[d as usize], &fib)
             };
             if !patch.is_empty() {
                 stats.rules_touched += patch.len();
@@ -849,7 +849,7 @@ mod tests {
             }
             assert_eq!(
                 patch,
-                &Fib::delta(healthy, target).patch,
+                &Fib::diff(healthy, target),
                 "patch diverges from the real diff: {what}"
             );
             assert_eq!(&healthy.patched(patch), target, "patched table: {what}");

@@ -34,7 +34,7 @@
 //!    device space is partitioned across shard-local stores
 //!    ([`shard`]), each one record per device behind one lock:
 //!    contracts, parked table, verdict. Each shard's worker is the
-//!    pull → decode → judge loop over its store, whose
+//!    pull → ingest → judge loop over its store, whose
 //!    [`judge`](pipeline::DeviceStore::judge) method is the
 //!    pipeline's one step (cache hit / incremental / full), fed by a
 //!    bounded ingest queue with back-pressure, while a

@@ -8,21 +8,23 @@
 //! their epoch, its parked table with the table's content hash, and
 //! the [`Verdict`] judged for that table, beside the dirty index that
 //! alerting and the triage process (see [`crate::classify`]) read. The
-//! loop that drives it — pull, decode, judge — is the shard worker of
+//! loop that drives it — pull, ingest, judge — is the shard worker of
 //! [`crate::service`], and nowhere else; tables come from a
 //! [`SnapshotSource`] ([`SimulatedSource`] optionally charges the
 //! 200–800 ms device latency §2.6.1 measured).
 //!
 //! The pipeline's one step is [`DeviceStore::judge`]. The steady-state
 //! workload is dominated by *unchanged* snapshots — a healthy device
-//! republishes the same table sweep after sweep — so a table whose
-//! content hash and contract epoch are the ones the record's verdict
-//! was judged under costs one hash, not a validation pass. A churned
-//! table takes the incremental path against the record's own parked
-//! table: [`crate::Engine::validate_delta`] takes the new table and
-//! the [`bgpsim::Fib::delta`] between the two, and re-checks only the
-//! contracts the patched prefixes can affect. Republishing
-//! a device's contracts bumps its epoch, which retires the verdict held
+//! republishes the same table sweep after sweep — so a pull enters
+//! through [`DeviceStore::ingest`], which hashes the pulled `FIB1`
+//! bytes before decoding anything: an image whose hash is the parked
+//! table's *is* that table, and under an unchanged contract epoch its
+//! verdict stands at the cost of that one hash. Any other image is
+//! decoded once and takes the incremental path against the record's
+//! own parked table: [`crate::Engine::validate_delta`] takes the new
+//! table and the [`bgpsim::Fib::diff`] between the two, and re-checks
+//! only the contracts the patched prefixes can affect. Republishing a
+//! device's contracts bumps its epoch, which retires the verdict held
 //! for it: the next event validates in full.
 //!
 //! The pipeline is horizontally scalable: one instance is "configured
@@ -35,7 +37,8 @@ use crate::engine::Engine;
 use crate::report::{risk_of, Risk, ValidationReport};
 use bgpsim::Fib;
 use dctopo::{DeviceId, MetadataService};
-use netprim::wire::WireSnapshot;
+use netprim::wire::{FibDelta, WireSnapshot};
+use netprim::ParseError;
 use obskit::{Counter, Histogram, MetricsSnapshot, Observer, Registry};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -197,8 +200,8 @@ struct Records {
 ///
 /// An event takes the lock twice — a read that clones the record (a
 /// few `Arc`s and the verdict key) and a write that swaps the new
-/// table and verdict in and updates the dirty index — and decodes,
-/// hashes, diffs and validates under neither, so queries
+/// table and verdict in and updates the dirty index — and hashes,
+/// decodes, diffs and validates under neither, so queries
 /// ([`record`](Self::record), [`dirty_devices`](Self::dirty_devices),
 /// [`alerts`](Self::alerts)) are served concurrently with in-flight
 /// sweeps. Because table, verdict and index entry are written in one
@@ -240,8 +243,9 @@ impl DeviceStore {
 
     /// Process one event for `device` — the step a [`crate::service`]
     /// shard worker executes, and the `simnet` fault-injection harness
-    /// with it. `pulled` is the freshly decoded table of a pull, `None`
-    /// to re-judge the parked one.
+    /// with it. `pulled` is a freshly decoded table, `None` to re-judge
+    /// the parked one; a pulled image goes through
+    /// [`ingest`](Self::ingest) instead.
     ///
     /// The record's verdict stands when it was judged for a table of
     /// this content hash under the current contract epoch; a different
@@ -259,7 +263,6 @@ impl DeviceStore {
         clock: &dyn Clock,
     ) -> Option<PipelineResult> {
         let prior = self.record(device).unwrap_or_default();
-        let t0 = clock.now();
         let pulled = pulled.map(|fib| {
             assert_eq!(
                 fib.device(),
@@ -269,6 +272,58 @@ impl DeviceStore {
             let hash = fib.content_hash();
             (Arc::new(fib), hash)
         });
+        self.decide(device, prior, pulled, engine, clock)
+    }
+
+    /// [`judge`](Self::judge) a pulled `FIB1` image, hash first.
+    ///
+    /// The image is hashed from its bytes, outside any lock. When the
+    /// hash is the parked table's, the parked table *is* this table and
+    /// is judged again without a decode: a hit under the current epoch,
+    /// a full validation after a republish. Otherwise the image is
+    /// decoded once and judged as a pulled table under the hash already
+    /// taken. An image of another device, or one that does not decode,
+    /// is an error, returned before the store is touched.
+    pub fn ingest(
+        &self,
+        device: DeviceId,
+        image: &WireSnapshot,
+        engine: &dyn Engine,
+        clock: &dyn Clock,
+    ) -> Result<Option<PipelineResult>, ParseError> {
+        if image.device() != device.0 {
+            return Err(ParseError::new(
+                "fib snapshot",
+                "<pull>",
+                format!(
+                    "pull of device {} answered for device {}",
+                    device.0,
+                    image.device()
+                ),
+            ));
+        }
+        let hash = image.content_hash()?;
+        let prior = self.record(device).unwrap_or_default();
+        let table = match &prior.table {
+            Some((parked, parked_hash)) if *parked_hash == hash => parked.clone(),
+            _ => Arc::new(Fib::from_wire(image)?),
+        };
+        Ok(self.decide(device, prior, Some((table, hash)), engine, clock))
+    }
+
+    /// The step behind [`judge`](Self::judge) and
+    /// [`ingest`](Self::ingest): `prior` is the record as read once at
+    /// the start of the event, `pulled` the table the event brought
+    /// with its content hash.
+    fn decide(
+        &self,
+        device: DeviceId,
+        prior: DeviceRecord,
+        pulled: Option<(Arc<Fib>, u64)>,
+        engine: &dyn Engine,
+        clock: &dyn Clock,
+    ) -> Option<PipelineResult> {
+        let t0 = clock.now();
         let Some((contracts, contract_epoch)) = prior.contracts else {
             if pulled.is_some() {
                 self.records
@@ -288,8 +343,14 @@ impl DeviceStore {
             Some((verdict, _)) if verdict.fib_hash == fib_hash => {
                 (verdict.report, ValidateMode::CacheHit)
             }
-            Some((verdict, (parked, _))) => {
-                let delta = Fib::delta(&parked, &table);
+            Some((verdict, (parked, parked_hash))) => {
+                // Both hashes are known: only the walk is left to do.
+                let delta = FibDelta {
+                    device: device.0,
+                    base_hash: parked_hash,
+                    new_hash: fib_hash,
+                    patch: Fib::diff(&parked, &table),
+                };
                 let report = engine.validate_delta(&table, &contracts, &delta, &verdict.report);
                 (Arc::new(report), ValidateMode::Incremental)
             }
@@ -598,9 +659,9 @@ mod tests {
         let wire = SimulatedSource::new(fibs.clone()).pull(tor);
         let store = DeviceStore::default();
         // No contracts published: the table is parked, nothing judged.
-        let pulled = Fib::from_wire(&wire).unwrap();
         assert!(store
-            .judge(tor, Some(pulled), &TrieEngine::new(), &RealClock::new())
+            .ingest(tor, &wire, &TrieEngine::new(), &RealClock::new())
+            .unwrap()
             .is_none());
         // Wire format round-trips entries and hop sets exactly, and the
         // hash beside the table is the table's.

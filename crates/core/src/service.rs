@@ -1,6 +1,6 @@
 //! The long-running sharded validation service: the §2.6.1 pipeline
 //! as an always-on system. Its shard worker is the only
-//! pull → decode → judge loop in the repository; a one-shot
+//! pull → ingest → judge loop in the repository; a one-shot
 //! sweep is the same service driven once
 //! ([`pull_all`](ValidationService::pull_all) +
 //! [`drain`](ValidationService::drain)), with
@@ -26,8 +26,8 @@
 //! [`verdict`](ServiceHandle::verdict), [`alerts`](ServiceHandle::alerts),
 //! [`snapshot`](ServiceHandle::snapshot) and
 //! [`solver_totals`](ServiceHandle::solver_totals) directly from the
-//! shard stores, concurrently with in-flight sweeps: a worker decodes,
-//! hashes and validates outside its store's lock and holds it only to
+//! shard stores, concurrently with in-flight sweeps: a worker hashes,
+//! decodes and validates outside its store's lock and holds it only to
 //! clone a record out or swap one in. A verdict is cloned under that
 //! one shard-local read lock, so the `(fib_hash, contract_epoch,
 //! report)` triple a reader observes is always internally consistent.
@@ -62,7 +62,6 @@ use crate::pipeline::{DeviceStore, SnapshotSource, Verdict};
 use crate::report::Risk;
 use crate::runner::EngineChoice;
 use crate::shard::ShardRouter;
-use bgpsim::Fib;
 use dctopo::{DeviceId, MetadataService};
 use netprim::ParseError;
 use obskit::{Counter, MetricsSnapshot};
@@ -316,9 +315,10 @@ impl ServiceHandle {
 }
 
 /// One ingest event on its owning shard: a [`Pull`](IngestEvent::Pull)
-/// fetches and decodes the device's snapshot first; then
-/// [`DeviceStore::judge`] — the pipeline's one step — decides hit /
-/// incremental / full and writes table and verdict back.
+/// hands the device's pulled image to [`DeviceStore::ingest`], a
+/// [`Notify`](IngestEvent::Notify) re-judges the parked table with
+/// [`DeviceStore::judge`] — the pipeline's one step, which decides hit
+/// / incremental / full and writes table and verdict back.
 ///
 /// A snapshot that does not decode, or that is another device's, is an
 /// error, returned before the store is touched.
@@ -330,24 +330,10 @@ fn step(
     clock: &dyn Clock,
 ) -> Result<(), ParseError> {
     let device = event.device();
-    let pulled = match event {
-        IngestEvent::Pull(_) => {
-            let wire = source.pull(device);
-            if wire.device != device.0 {
-                return Err(ParseError::new(
-                    "fib snapshot",
-                    "<pull>",
-                    format!(
-                        "pull of device {} answered for device {}",
-                        device.0, wire.device
-                    ),
-                ));
-            }
-            Some(Fib::from_wire(&wire)?)
-        }
-        IngestEvent::Notify(_) => None,
+    match event {
+        IngestEvent::Pull(_) => store.ingest(device, &source.pull(device), engine, clock)?,
+        IngestEvent::Notify(_) => store.judge(device, None, engine, clock),
     };
-    store.judge(device, pulled, engine, clock);
     Ok(())
 }
 
@@ -413,9 +399,11 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::RealClock;
     use crate::engine::testutil::{fig3_faulted, fig3_healthy, without};
     use crate::pipeline::{SimulatedSource, ValidateMode};
     use crate::{TrieEngine, Validator};
+    use bgpsim::Fib;
     use netprim::wire::WireSnapshot;
     use parking_lot::RwLock;
 
@@ -613,6 +601,43 @@ mod tests {
     }
 
     #[test]
+    fn an_unchanged_repull_is_decided_on_its_bytes() {
+        let (f, fibs, contracts, meta) = fig3_healthy();
+        let tor = f.tors[0];
+        let table = &fibs[tor.0 as usize];
+        // Hashes anchor deltas and key verdicts: the Figure-3 ToR-1
+        // table hashes as it always has.
+        assert_eq!(table.content_hash(), 0x7de4_ca1d_3707_a07e);
+        let source = WireSource::new(&fibs);
+        let service = Validator::new(&meta).build_service(source.clone());
+        let store = &service.router().stores(tor).devices;
+        let pull = |image: Option<WireSnapshot>| {
+            if let Some(image) = image {
+                source.set(tor, image);
+            }
+            service.submit(IngestEvent::Pull(tor));
+            service.drain();
+            let v = store.record(tor).unwrap().verdict.unwrap();
+            (v.mode, v.fib_hash)
+        };
+        let parked = || store.record(tor).unwrap().table.unwrap().0;
+        let (healthy, flipped) = (table.to_wire(), without(table, f.prefixes[1]));
+        let hash = table.content_hash();
+        assert_eq!(pull(None), (ValidateMode::Full, hash));
+        let before = parked();
+        assert_eq!(pull(None), (ValidateMode::CacheHit, hash));
+        assert!(Arc::ptr_eq(&before, &parked()), "a hit decodes nothing");
+        let flip = (ValidateMode::Incremental, flipped.content_hash());
+        assert_eq!(pull(Some(flipped.to_wire())), flip);
+        assert_eq!(pull(Some(healthy)), (ValidateMode::Incremental, hash));
+        // A republish retires the verdict: the same bytes are judged in
+        // full, and only then stand again.
+        store.publish(tor, contracts[tor.0 as usize].clone());
+        assert_eq!(pull(None), (ValidateMode::Full, hash));
+        assert_eq!(pull(None), (ValidateMode::CacheHit, hash));
+    }
+
+    #[test]
     fn bad_pull_is_counted_and_dropped_without_killing_the_shard() {
         let (f, fibs, _contracts, meta) = fig3_healthy();
         let ds = devices(fibs.len());
@@ -623,47 +648,67 @@ mod tests {
         sweep(&service, &ds);
         let handle = service.handle();
         let (bad, other) = (f.tors[0], f.tors[1]);
+        let store = &service.router().stores(bad).devices;
         let prior = handle.verdict(bad).unwrap();
-        let errors = || {
-            let shard = service.router().shard_of(bad).to_string();
-            handle
-                .snapshot()
-                .counter("rcdc_service_pull_errors_total", &[("shard", &shard)])
-        };
+        let shard = service.router().shard_of(bad).to_string();
+        let counter = |name| handle.snapshot().counter(name, &[("shard", &shard)]);
+        let errors = || counter("rcdc_service_pull_errors_total");
         assert_eq!(errors(), Some(0), "exported before the first error");
+        let hits = counter("rcdc_verdict_cache_hits_total");
 
-        // A snapshot listing one prefix twice does not decode.
-        let mut corrupt = fibs[bad.0 as usize].to_wire();
-        corrupt.entries.push(corrupt.entries[0].clone());
-        source.set(bad, corrupt);
-        sweep(&service, &ds);
-        assert_eq!(errors(), Some(1));
-        for &d in &ds {
-            assert!(handle.verdict(d).is_some(), "{d:?} lost its verdict");
+        // The bad device's own table re-encoded three ways no device
+        // sends: its first entry named twice, its first two entries out
+        // of order, and the unchanged image under another device's id.
+        let table = &fibs[bad.0 as usize];
+        let rules = || table.entries().iter().map(|e| (e.prefix, table.next_hops(e)));
+        let first = table.entries()[0].prefix;
+        let swapped = rules().skip(1).take(1).chain(rules().take(1)).chain(rules().skip(2));
+        let mut foreign = table.to_wire().as_bytes().to_vec();
+        foreign[4..8].copy_from_slice(&other.0.to_be_bytes());
+        let images = [
+            (
+                WireSnapshot::write(bad.0, rules().take(1).chain(rules())),
+                format!("prefix {first} named twice"),
+            ),
+            (
+                WireSnapshot::write(bad.0, swapped),
+                format!("prefix {first} out of order"),
+            ),
+            (
+                WireSnapshot::from_bytes(foreign).unwrap(),
+                format!("pull of device {} answered for device {}", bad.0, other.0),
+            ),
+        ];
+        for (n, (image, cause)) in images.into_iter().enumerate() {
+            let (engine, clock) = (TrieEngine::new(), RealClock::new());
+            let err = store.ingest(bad, &image, &engine, &clock).unwrap_err();
+            assert!(err.to_string().contains(&cause), "{err}");
+            source.set(bad, image);
+            service.submit(IngestEvent::Pull(bad));
+            service.drain();
+            assert_eq!(errors(), Some(n as u64 + 1));
         }
-
-        // Another device's snapshot must not be parked under that
+        // None of them was a hit, and nothing was parked under either
         // device's key.
-        source.set(
-            bad,
-            without(&fibs[other.0 as usize], f.prefixes[0]).to_wire(),
-        );
-        service.submit(IngestEvent::Pull(bad));
-        service.drain();
-        assert_eq!(errors(), Some(2));
+        assert_eq!(counter("rcdc_verdict_cache_hits_total"), hits);
         let parked = |d: DeviceId| {
             let record = service.router().stores(d).devices.record(d).unwrap();
             record.table.unwrap().0.content_hash()
         };
         assert_eq!(parked(other), fibs[other.0 as usize].content_hash());
 
-        // Through both, the bad device keeps serving its prior verdict.
+        // Through all three, the bad device keeps serving its prior
+        // verdict, and the rest of the fleet sweeps on.
         assert_eq!(parked(bad), prior.fib_hash);
         let served = handle.verdict(bad).unwrap();
         assert_eq!(
-            (served.fib_hash, served.report),
-            (prior.fib_hash, prior.report)
+            (served.fib_hash, served.mode, served.report),
+            (prior.fib_hash, prior.mode, prior.report)
         );
+        sweep(&service, &ds);
+        for &d in &ds {
+            assert!(handle.verdict(d).is_some(), "{d:?} lost its verdict");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The deterministic simulation (`simnet`) covers scheduling-order
 //! bugs; these tests cover the orthogonal risk — data races, lost
 //! updates and torn reads under real OS-thread concurrency. N writer
-//! threads drive [`DeviceStore::judge`] over the same devices — more
-//! than one driver per device, which the API permits — while reader
+//! threads drive [`DeviceStore::judge`] and [`DeviceStore::ingest`] over
+//! the same devices — more than one driver per device, which the API
+//! permits — while reader
 //! threads continuously run the query API (`record`, `dirty_devices`,
 //! `alerts`, `mode_counts`) and audit the store inside one read: a
 //! device is in the dirty index iff its record's report has
@@ -14,6 +15,7 @@
 
 use bgpsim::{simulate, Fib, FibBuilder, SimConfig};
 use dctopo::{DeviceId, MetadataService};
+use netprim::wire::WireSnapshot;
 use rcdc::pipeline::DeviceStore;
 use rcdc::report::Risk;
 use rcdc::{generate_contracts, DeviceContracts, Engine, RealClock, TrieEngine, ValidationReport};
@@ -25,11 +27,12 @@ const DEVICES: u32 = 16;
 
 /// The Figure-3 fabric: per device its contracts, its healthy table
 /// (clean) and that table without its first non-local route (dirty),
-/// and the report each of the two validates to.
+/// their images, and the report each of the two validates to.
 struct Fleet {
     meta: MetadataService,
     contracts: Vec<DeviceContracts>,
     tables: Vec<[Fib; 2]>,
+    images: Vec<[WireSnapshot; 2]>,
     reports: Vec<[ValidationReport; 2]>,
 }
 
@@ -48,6 +51,7 @@ fn fleet() -> Fleet {
             [fib, b.finish()]
         })
         .collect();
+    let images = tables.iter().map(|pair| pair.each_ref().map(Fib::to_wire)).collect();
     let engine = TrieEngine::new();
     let reports = tables
         .iter()
@@ -58,6 +62,7 @@ fn fleet() -> Fleet {
         meta,
         contracts,
         tables,
+        images,
         reports,
     }
 }
@@ -87,8 +92,14 @@ fn analytics_survives_concurrent_ingest_and_queries() {
                         // Alternate clean/dirty so the dirty set
                         // churns while readers walk it.
                         let (d, variant) = (device.0 as usize, (w + round) % 2);
-                        let table = fleet.tables[d][variant].clone();
-                        let result = store.judge(device, Some(table), &engine, &clock);
+                        // Half the writers bring tables, half images.
+                        let result = if w % 2 == 0 {
+                            let table = fleet.tables[d][variant].clone();
+                            store.judge(device, Some(table), &engine, &clock)
+                        } else {
+                            let image = &fleet.images[d][variant];
+                            store.ingest(device, image, &engine, &clock).expect("a table's image")
+                        };
                         let result = result.expect("contracts are published");
                         // However many drivers share the device, each
                         // is handed the verdict of the table it brought.

@@ -28,11 +28,13 @@
 //! * [`Oracle::Incremental`] — `Engine::validate_delta` over random
 //!   churn chains against full revalidation, with every delta pushed
 //!   through the wire codec and `apply_delta`.
-//! * [`Oracle::Wire`] — `WireSnapshot`/`FibDelta` round trips, plus
-//!   decode under truncation and byte-level mutation (decode must fail
-//!   cleanly or produce a value that re-encodes to the exact bytes);
-//!   every delta that decodes is a canonical patch and applies to a
-//!   base re-anchored to it, never a panic.
+//! * [`Oracle::Wire`] — `FIB1` images and `FibDelta`s under round
+//!   trips, truncation and byte-level mutation (decode must fail
+//!   cleanly or produce a value that re-encodes to the exact bytes); an
+//!   image hashes exactly when it decodes, to its table's hash, and
+//!   decodes to what a builder makes of its entries; every delta that
+//!   decodes is a canonical patch and applies to a base re-anchored to
+//!   it, never a panic.
 //! * [`Oracle::SecGuru`] — SMT contract checking vs the interval
 //!   engine vs exhaustive `Policy::allows` enumeration, and
 //!   `semantic_diff` and `SmtDiff` witnesses, per direction, vs the

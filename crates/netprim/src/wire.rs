@@ -1,11 +1,11 @@
 //! Compact binary codec for pulled routing tables.
 //!
 //! RCDC's routing-table puller fetches FIBs from every device and parks
-//! them in a store before validation (paper §2.6.1). This module defines
-//! the transfer format used between the puller and the validator in our
-//! reproduction: a length-prefixed list of `(prefix, next-hops)` entries.
-//!
-//! The format is deliberately simple and versioned:
+//! them in a store before validation (paper §2.6.1). A pull answers
+//! with a [`WireSnapshot`], which *is* the table's `FIB1` image, shared:
+//! handing one on costs a reference count, and an unchanged re-pull is
+//! told by hashing its bytes ([`WireSnapshot::content_hash`]) before any
+//! table is built.
 //!
 //! ```text
 //! magic   : b"FIB1"
@@ -13,6 +13,14 @@
 //! count   : u32   (number of entries)
 //! entry   : addr u32 | len u8 | nhops u16 | nhop u32 * nhops
 //! ```
+//!
+//! An image is canonical under the same rules as a delta's ops below:
+//! entries in [`canonical_order`], each prefix once, next hops strictly
+//! ascending. An entry with no next hops is locally originated (a pull
+//! carries no other locality). The one reader,
+//! [`WireSnapshot::read`], refuses anything else, and the table hash
+//! and the decode are both built on it, so an image hashes exactly
+//! when it decodes, to the hash of the table it decodes to.
 //!
 //! Incremental pulls ship a [`FibDelta`] instead: the [`FibPatch`] that
 //! turns one table version into the next, anchored to the content
@@ -28,12 +36,12 @@
 //! op      : addr u32 | len u8 | flags u8 | nhops u16 | nhop u32 * nhops
 //! ```
 //!
-//! `flags` 0 sets a forwarded rule, 1 a locally originated one
-//! (snapshots infer locality from an empty next-hop list; a delta must
-//! reproduce its target bit-for-bit), 2 withdraws the prefix's rule and
-//! ends the op there. Ops come in [`canonical_order`], each prefix
-//! once, next hops strictly ascending: [`FibDelta::decode`] refuses
-//! anything else, so a decoded delta is a valid patch.
+//! `flags` 0 sets a forwarded rule, 1 a locally originated one (a delta
+//! must reproduce its target bit-for-bit, so it carries locality), 2
+//! withdraws the prefix's rule and ends the op there. Ops come in
+//! [`canonical_order`], each prefix once, next hops strictly ascending:
+//! [`FibDelta::decode`] refuses anything else, so a decoded delta is a
+//! valid patch.
 //!
 //! All integers are big-endian.
 
@@ -41,6 +49,8 @@ use crate::error::ParseError;
 use crate::ip::Ipv4;
 use crate::prefix::Prefix;
 use std::cmp::Ordering;
+use std::fmt;
+use std::sync::Arc;
 
 /// Magic bytes identifying a FIB snapshot, version 1.
 pub const MAGIC: &[u8; 4] = b"FIB1";
@@ -79,7 +89,7 @@ struct Cursor<'a> {
     what: &'static str,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     fn err(&self, reason: &str) -> ParseError {
         ParseError::new(self.what, "<binary>", reason)
     }
@@ -87,6 +97,14 @@ impl Cursor<'_> {
     /// Fail with `truncated` unless `n` more bytes are there.
     fn need(&self, n: usize, truncated: &str) -> Result<(), ParseError> {
         (self.buf.len() >= n).then_some(()).ok_or_else(|| self.err(truncated))
+    }
+
+    /// The next `n` bytes, or `truncated`.
+    fn bytes(&mut self, n: usize, truncated: &str) -> Result<&'a [u8], ParseError> {
+        self.need(n, truncated)?;
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
     }
 
     /// The next `N` bytes; the caller has `need`ed them.
@@ -122,8 +140,8 @@ impl Cursor<'_> {
 
     /// `nhop u32 * count`.
     fn next_hops(&mut self, count: u16) -> Result<Vec<Ipv4>, ParseError> {
-        self.need(usize::from(count) * 4, "truncated next-hop list")?;
-        Ok((0..count).map(|_| Ipv4(self.u32())).collect())
+        let hops = self.bytes(usize::from(count) * 4, "truncated next-hop list")?;
+        Ok(hops_of(hops).collect())
     }
 
     /// The prefix an `addr u32 | len u8` pair names, canonical or
@@ -138,6 +156,13 @@ impl Cursor<'_> {
     }
 }
 
+/// The addresses of an encoded next-hop list.
+fn hops_of(bytes: &[u8]) -> impl ExactSizeIterator<Item = Ipv4> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|w| Ipv4(u32::from_be_bytes([w[0], w[1], w[2], w[3]])))
+}
+
 fn put_prefix(buf: &mut Vec<u8>, prefix: Prefix) {
     buf.extend_from_slice(&prefix.addr().0.to_be_bytes());
     buf.push(prefix.len());
@@ -150,59 +175,197 @@ fn put_next_hops(buf: &mut Vec<u8>, next_hops: &[Ipv4]) {
     }
 }
 
-/// One routing entry in the transfer format: destination prefix plus
-/// the resolved set of next-hop addresses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireEntry {
-    /// Destination prefix.
-    pub prefix: Prefix,
-    /// Next-hop addresses, in device order.
-    pub next_hops: Vec<Ipv4>,
+/// The rule of canonical form that table images and patches share:
+/// `next` comes strictly after `prev`.
+fn check_order(prev: Prefix, next: Prefix) -> Result<(), String> {
+    match canonical_order(prev, next) {
+        Ordering::Less => Ok(()),
+        Ordering::Equal => Err(format!("prefix {next} named twice")),
+        Ordering::Greater => Err(format!("prefix {next} out of order")),
+    }
 }
 
-/// A full FIB snapshot pulled from one device.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The one table hash: FNV-1a over 64-bit words — the device, the entry
+/// count, then per entry in canonical order its prefix, its locality
+/// with its hop count, and its hops. Stability across runs is what
+/// matters (hashes travel inside [`FibDelta`]s), not diffusion.
+pub struct TableHasher(u64);
+
+impl TableHasher {
+    /// Start the hash of `device`'s table of `entries` entries.
+    pub fn new(device: u32, entries: usize) -> TableHasher {
+        let mut h = TableHasher(0xcbf2_9ce4_8422_2325);
+        h.mix(u64::from(device));
+        h.mix(entries as u64);
+        h
+    }
+
+    fn mix(&mut self, word: u64) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        self.0 = (self.0 ^ word).wrapping_mul(PRIME);
+    }
+
+    /// Fold in the next entry.
+    pub fn entry(
+        &mut self,
+        prefix: Prefix,
+        local: bool,
+        next_hops: impl ExactSizeIterator<Item = Ipv4>,
+    ) {
+        self.mix((u64::from(prefix.addr().0) << 8) | u64::from(prefix.len()));
+        self.mix((u64::from(local) << 32) | next_hops.len() as u64);
+        for nh in next_hops {
+            self.mix(u64::from(nh.0));
+        }
+    }
+
+    /// The hash of the entries folded in.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// One entry of a snapshot image as [`WireSnapshot::read`] yields it,
+/// borrowed from the image.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotEntry<'a> {
+    /// Destination prefix.
+    pub prefix: Prefix,
+    /// `nhop u32 * nhops`, strictly ascending.
+    hops: &'a [u8],
+}
+
+impl<'a> SnapshotEntry<'a> {
+    /// The next-hop addresses, strictly ascending.
+    pub fn next_hops(&self) -> impl ExactSizeIterator<Item = Ipv4> + 'a {
+        hops_of(self.hops)
+    }
+
+    /// The encoded next-hop list. Lists are canonical, so two entries
+    /// have equal hop sets exactly when these bytes are equal.
+    pub fn hop_bytes(&self) -> &'a [u8] {
+        self.hops
+    }
+
+    /// Locally originated: a rule with no next hops delivers below.
+    pub fn is_local(&self) -> bool {
+        self.hops.is_empty()
+    }
+}
+
+/// Bytes of a snapshot's `magic | device | count` header.
+const HEADER: usize = 12;
+
+const SNAPSHOT: &str = "fib snapshot";
+
+/// A full FIB snapshot pulled from one device: its `FIB1` image with a
+/// checked header. Cloning shares the image.
+#[derive(Clone, PartialEq, Eq)]
 pub struct WireSnapshot {
-    /// Numeric id of the source device.
-    pub device: u32,
-    /// Routing entries; order is preserved by the codec.
-    pub entries: Vec<WireEntry>,
+    image: Arc<[u8]>,
 }
 
 impl WireSnapshot {
-    /// Serialize the snapshot into a freshly allocated buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(12 + self.entries.len() * 16);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&self.device.to_be_bytes());
-        buf.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
-        for e in &self.entries {
-            put_prefix(&mut buf, e.prefix);
-            put_next_hops(&mut buf, &e.next_hops);
-        }
-        buf
-    }
-
-    /// Decode a snapshot, validating magic, lengths, and prefix
-    /// canonicality. Trailing bytes are rejected.
-    pub fn decode(buf: &[u8]) -> Result<WireSnapshot, ParseError> {
-        let what = "fib snapshot";
-        let mut cur = Cursor { buf, what };
-        cur.need(12, "truncated header")?;
-        if &cur.take::<4>() != MAGIC {
+    /// Take a received image. Magic and header length are checked here;
+    /// the entries are checked by [`read`](Self::read), which hashing
+    /// and decoding go through.
+    pub fn from_bytes(image: impl Into<Arc<[u8]>>) -> Result<WireSnapshot, ParseError> {
+        let image = image.into();
+        let cur = Cursor {
+            buf: &image,
+            what: SNAPSHOT,
+        };
+        cur.need(HEADER, "truncated header")?;
+        if &image[..4] != MAGIC {
             return Err(cur.err("bad magic"));
         }
-        let device = cur.u32();
-        let (count, mut entries) = cur.list();
-        for _ in 0..count {
+        Ok(WireSnapshot { image })
+    }
+
+    /// Write `device`'s image of `entries`, as given. Entries out of
+    /// canonical form write an image that [`read`](Self::read) refuses.
+    pub fn write<'a>(
+        device: u32,
+        entries: impl IntoIterator<Item = (Prefix, &'a [Ipv4])>,
+    ) -> WireSnapshot {
+        let entries = entries.into_iter();
+        let mut buf = Vec::with_capacity(HEADER + entries.size_hint().0 * 15);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&device.to_be_bytes());
+        buf.extend_from_slice(&[0; 4]);
+        let mut count = 0u32;
+        for (prefix, next_hops) in entries {
+            put_prefix(&mut buf, prefix);
+            put_next_hops(&mut buf, next_hops);
+            count += 1;
+        }
+        buf[8..HEADER].copy_from_slice(&count.to_be_bytes());
+        WireSnapshot { image: buf.into() }
+    }
+
+    /// The image.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.image
+    }
+
+    /// Numeric id of the source device, as the header states it.
+    pub fn device(&self) -> u32 {
+        u32::from_be_bytes([self.image[4], self.image[5], self.image[6], self.image[7]])
+    }
+
+    /// The number of entries the header declares; an image whose
+    /// entries [`read`](Self::read) accepts has exactly this many.
+    pub fn declared_entries(&self) -> usize {
+        u32::from_be_bytes([self.image[8], self.image[9], self.image[10], self.image[11]]) as usize
+    }
+
+    /// The one reader: hand every entry to `visit`, in image order,
+    /// after checking it is where canonical form says it must be. The
+    /// error names the first thing that is not: a truncated entry or
+    /// hop list, a bad prefix, a prefix out of order or named twice,
+    /// next hops not strictly ascending, or trailing bytes. On an error
+    /// some entries may already have been visited.
+    pub fn read<'a>(&'a self, mut visit: impl FnMut(SnapshotEntry<'a>)) -> Result<(), ParseError> {
+        let mut cur = Cursor {
+            buf: &self.image[HEADER..],
+            what: SNAPSHOT,
+        };
+        let mut prev: Option<Prefix> = None;
+        for _ in 0..self.declared_entries() {
             cur.need(7, "truncated entry header")?;
             let (addr, len, nh_count) = (cur.u32(), cur.u8(), cur.u16());
-            let next_hops = cur.next_hops(nh_count)?;
+            let hops = cur.bytes(usize::from(nh_count) * 4, "truncated next-hop list")?;
             let prefix = cur.prefix(addr, len, "bad prefix in entry")?;
-            entries.push(WireEntry { prefix, next_hops });
+            if let Some(prev) = prev {
+                check_order(prev, prefix).map_err(|reason| cur.err(&reason))?;
+            }
+            // Big-endian words order as their bytes do.
+            let words = hops.chunks_exact(4);
+            if !words.clone().zip(words.skip(1)).all(|(a, b)| a < b) {
+                return Err(cur.err(&format!("next hops of {prefix} not strictly ascending")));
+            }
+            prev = Some(prefix);
+            visit(SnapshotEntry { prefix, hops });
         }
-        cur.end("trailing bytes after last entry")?;
-        Ok(WireSnapshot { device, entries })
+        cur.end("trailing bytes after last entry")
+    }
+
+    /// The content hash of the table the image decodes to, taken from
+    /// the bytes alone: `Ok` exactly when the image decodes.
+    pub fn content_hash(&self) -> Result<u64, ParseError> {
+        let mut h = TableHasher::new(self.device(), self.declared_entries());
+        self.read(|e| h.entry(e.prefix, e.is_local(), e.next_hops()))?;
+        Ok(h.finish())
+    }
+}
+
+impl fmt::Debug for WireSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WireSnapshot")
+            .field("device", &self.device())
+            .field("entries", &self.declared_entries())
+            .field("bytes", &self.image.len())
+            .finish()
     }
 }
 
@@ -214,8 +377,8 @@ pub fn canonical_order(a: Prefix, b: Prefix) -> Ordering {
 
 /// A rule's contents inside a [`PatchOp::Set`].
 ///
-/// Unlike [`WireEntry`], locality is carried explicitly, so a patch is
-/// lossless even for locally originated rules that record next hops.
+/// Unlike a snapshot entry, locality is carried explicitly, so a patch
+/// is lossless even for locally originated rules that record next hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRule {
     /// Destination prefix of the rule.
@@ -283,10 +446,8 @@ impl FibPatch {
     pub fn from_canonical(ops: Vec<PatchOp>) -> Result<FibPatch, ParseError> {
         let err = |reason: String| Err(ParseError::new("fib patch", "<ops>", reason));
         for w in ops.windows(2) {
-            match canonical_order(w[0].prefix(), w[1].prefix()) {
-                Ordering::Less => {}
-                Ordering::Equal => return err(format!("prefix {} named twice", w[1].prefix())),
-                Ordering::Greater => return err(format!("prefix {} out of order", w[1].prefix())),
+            if let Err(reason) = check_order(w[0].prefix(), w[1].prefix()) {
+                return err(reason);
             }
         }
         for op in &ops {
@@ -409,66 +570,81 @@ impl FibDelta {
 mod tests {
     use super::*;
 
+    /// `(prefix, next hops)` pairs, as a table lists them.
+    type Entries = Vec<(Prefix, Vec<Ipv4>)>;
+
+    fn write(device: u32, entries: &Entries) -> WireSnapshot {
+        WireSnapshot::write(device, entries.iter().map(|(p, h)| (*p, h.as_slice())))
+    }
+
+    /// Every entry the reader yields, or its refusal.
+    fn entries(s: &WireSnapshot) -> Result<Entries, ParseError> {
+        let mut out = Vec::new();
+        s.read(|e| out.push((e.prefix, e.next_hops().collect())))?;
+        Ok(out)
+    }
+
+    /// Read `bytes` as a snapshot, header and entries.
+    fn read(bytes: &[u8]) -> Result<Entries, ParseError> {
+        entries(&WireSnapshot::from_bytes(bytes)?)
+    }
+
+    fn table() -> Entries {
+        vec![
+            (
+                "10.3.129.224/28".parse().unwrap(),
+                vec![Ipv4::new(10, 10, 192, 12)],
+            ),
+            ("10.4.0.0/16".parse().unwrap(), vec![]),
+            (
+                "0.0.0.0/0".parse().unwrap(),
+                vec![Ipv4::new(30, 10, 192, 12), Ipv4::new(30, 10, 192, 16)],
+            ),
+        ]
+    }
+
     fn snapshot() -> WireSnapshot {
-        WireSnapshot {
-            device: 42,
-            entries: vec![
-                WireEntry {
-                    prefix: "0.0.0.0/0".parse().unwrap(),
-                    next_hops: vec![Ipv4::new(30, 10, 192, 12), Ipv4::new(30, 10, 192, 16)],
-                },
-                WireEntry {
-                    prefix: "10.3.129.224/28".parse().unwrap(),
-                    next_hops: vec![Ipv4::new(10, 10, 192, 12)],
-                },
-                WireEntry {
-                    prefix: "10.4.0.0/16".parse().unwrap(),
-                    next_hops: vec![],
-                },
-            ],
-        }
+        write(42, &table())
     }
 
     #[test]
     fn round_trip() {
         let s = snapshot();
-        let bytes = s.encode();
-        let back = WireSnapshot::decode(&bytes).unwrap();
-        assert_eq!(s, back);
+        assert_eq!((s.device(), s.declared_entries()), (42, 3));
+        assert_eq!(entries(&s).unwrap(), table());
+        let back = WireSnapshot::from_bytes(s.as_bytes()).unwrap();
+        assert_eq!(back, s);
+        // Sharing, not copying: a clone is the same image.
+        assert_eq!(s.clone().as_bytes().as_ptr(), s.as_bytes().as_ptr());
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
-        let s = WireSnapshot {
-            device: 0,
-            entries: vec![],
-        };
-        assert_eq!(WireSnapshot::decode(&s.encode()).unwrap(), s);
+        let s = write(0, &Vec::new());
+        assert_eq!(read(s.as_bytes()).unwrap(), Vec::new());
+        assert_eq!(s.as_bytes().len(), HEADER);
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = snapshot().encode().to_vec();
+        let mut bytes = snapshot().as_bytes().to_vec();
         bytes[0] = b'X';
-        assert!(WireSnapshot::decode(&bytes).is_err());
+        assert!(read(&bytes).is_err());
     }
 
     #[test]
     fn rejects_truncation_everywhere() {
-        let bytes = snapshot().encode().to_vec();
+        let bytes = snapshot().as_bytes().to_vec();
         for cut in 0..bytes.len() {
-            assert!(
-                WireSnapshot::decode(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
+            assert!(read(&bytes[..cut]).is_err(), "truncation at {cut} must fail");
         }
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = snapshot().encode().to_vec();
+        let mut bytes = snapshot().as_bytes().to_vec();
         bytes.push(0);
-        assert!(WireSnapshot::decode(&bytes).is_err());
+        assert!(read(&bytes).is_err());
     }
 
     fn delta() -> FibDelta {
@@ -538,7 +714,7 @@ mod tests {
         bytes.push(0);
         assert!(FibDelta::decode(&bytes).is_err());
         // A snapshot is not a delta.
-        assert!(FibDelta::decode(&snapshot().encode()).is_err());
+        assert!(FibDelta::decode(snapshot().as_bytes()).is_err());
     }
 
     #[test]
@@ -552,7 +728,7 @@ mod tests {
 
     #[test]
     fn frame_kind_peeks_magic() {
-        assert_eq!(frame_kind(&snapshot().encode()), Some(FrameKind::Snapshot));
+        assert_eq!(frame_kind(snapshot().as_bytes()), Some(FrameKind::Snapshot));
         assert_eq!(frame_kind(&delta().encode()), Some(FrameKind::Delta));
         assert_eq!(frame_kind(b"FIB"), None); // truncated magic
         assert_eq!(frame_kind(b""), None);
@@ -566,28 +742,37 @@ mod tests {
         // Hand-build: one entry 10.0.0.1/8 (host bits set).
         let mut buf = MAGIC.to_vec();
         buf.extend([0, 0, 0, 1, 0, 0, 0, 1, 10, 0, 0, 1, 8, 0, 0]);
-        let err = WireSnapshot::decode(&buf).unwrap_err();
+        let err = read(&buf).unwrap_err();
         assert!(err.to_string().contains("bad prefix in entry"), "{err}");
     }
 
     #[test]
     fn every_rejection_names_its_cause() {
         let reason = |bytes: &[u8]| match frame_kind(bytes) {
-            Some(FrameKind::Snapshot) => WireSnapshot::decode(bytes).unwrap_err().to_string(),
+            Some(FrameKind::Snapshot) => read(bytes).unwrap_err().to_string(),
             _ => FibDelta::decode(bytes).unwrap_err().to_string(),
         };
         let edited = |mut bytes: Vec<u8>, at: usize, with: &[u8]| {
             bytes.splice(at..at + with.len(), with.iter().copied());
             reason(&bytes)
         };
-        let (s, d) = (snapshot().encode(), delta().encode());
+        let (s, d) = (snapshot().as_bytes().to_vec(), delta().encode());
         assert!(reason(&s[..11]).contains("truncated header"));
         assert!(reason(&s[..14]).contains("truncated entry header"));
         assert!(reason(&s[..20]).contains("truncated next-hop list"));
         assert!(reason(&[&s[..], &[0]].concat()).contains("trailing bytes after last entry"));
-        // A count no bytes back: refused at the first missing entry,
-        // with the reservation clamped rather than 4 Gi entries large.
+        // A count no bytes back: refused at the first missing entry.
         assert!(edited(s[..12].to_vec(), 8, &[0xFF; 4]).contains("truncated entry header"));
+        // The snapshot's canonical form, entry by entry: the second
+        // entry (offset 23, length byte 27) is 10.4.0.0/16, the third
+        // (offset 30) the default route with its two hops.
+        assert!(edited(s.clone(), 27, &[8]).contains("bad prefix in entry"));
+        assert!(edited(s.clone(), 27, &[30]).contains("prefix 10.4.0.0/30 out of order"));
+        let twice = write(42, &vec![table()[1].clone(), table()[1].clone()]);
+        assert!(reason(twice.as_bytes()).contains("prefix 10.4.0.0/16 named twice"));
+        // The default's second hop (offset 41) made equal to its first.
+        assert!(edited(s.clone(), 44, &[12])
+            .contains("next hops of 0.0.0.0/0 not strictly ascending"));
         assert!(edited(d.clone(), 0, b"FIBX").contains("bad magic"));
         assert!(reason(&d[..27]).contains("truncated header"));
         assert!(reason(&d[..30]).contains("truncated op header"));
@@ -610,5 +795,20 @@ mod tests {
         old.extend([0, 0, 0, 1, 10, 4, 0, 0, 16, 0, 0, 0]);
         old.extend([0; 8]);
         assert!(reason(&old).contains("trailing bytes after last op"));
+    }
+
+    #[test]
+    fn the_image_hash_is_the_table_hash_of_its_entries() {
+        let s = snapshot();
+        let mut h = TableHasher::new(42, 3);
+        for (prefix, hops) in table() {
+            h.entry(prefix, hops.is_empty(), hops.into_iter());
+        }
+        assert_eq!(s.content_hash(), Ok(h.finish()));
+        // The device word is hashed; a refused image has no hash.
+        assert_ne!(write(43, &table()).content_hash(), s.content_hash());
+        let mut reversed = table();
+        reversed.reverse();
+        assert!(write(42, &reversed).content_hash().is_err());
     }
 }

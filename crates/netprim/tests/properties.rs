@@ -136,19 +136,24 @@ proptest! {
         ),
         device in any::<u32>(),
     ) {
-        use netprim::wire::{WireEntry, WireSnapshot};
-        let snapshot = WireSnapshot {
-            device,
-            entries: entries
-                .into_iter()
-                .map(|(prefix, hops)| WireEntry {
-                    prefix,
-                    next_hops: hops.into_iter().map(Ipv4).collect(),
-                })
-                .collect(),
-        };
-        let bytes = snapshot.encode();
-        let back = WireSnapshot::decode(&bytes).unwrap();
-        prop_assert_eq!(snapshot, back);
+        use netprim::wire::{canonical_order, WireSnapshot};
+        // A table's entries: canonical order, each prefix once, hops
+        // strictly ascending.
+        let mut table: Vec<(Prefix, Vec<Ipv4>)> = entries
+            .into_iter()
+            .map(|(prefix, mut hops)| {
+                hops.sort_unstable();
+                hops.dedup();
+                (prefix, hops.into_iter().map(Ipv4).collect())
+            })
+            .collect();
+        table.sort_by(|a, b| canonical_order(a.0, b.0));
+        table.dedup_by_key(|e| e.0);
+        let snapshot = WireSnapshot::write(device, table.iter().map(|(p, h)| (*p, h.as_slice())));
+        let back = WireSnapshot::from_bytes(snapshot.as_bytes()).unwrap();
+        let mut read = Vec::new();
+        back.read(|e| read.push((e.prefix, e.next_hops().collect::<Vec<_>>()))).unwrap();
+        prop_assert_eq!((back.device(), read), (device, table));
+        prop_assert!(back.content_hash().is_ok());
     }
 }

@@ -6,9 +6,11 @@
 //! and a single-threaded event scheduler. Snapshots
 //! travel as real wire frames (`FIB1` full snapshots or hash-anchored
 //! `FIBD` deltas); the injected faults of the script act on those
-//! frames, and the receiver recovers from undecodable or stale deltas
-//! by falling back to the full snapshot, exactly as §2.6.1's puller
-//! would re-pull.
+//! frames. A `FIB1` frame enters the store the way a service pull does,
+//! through [`rcdc::pipeline::DeviceStore::ingest`] (hash first, decode
+//! on a miss); a delta is applied to the parked base. The receiver
+//! recovers from an unusable frame by falling back to the full
+//! snapshot, exactly as §2.6.1's puller would re-pull.
 //!
 //! After the script drains, a clean settle sweep pulls every device
 //! once more and the convergence invariants are checked:
@@ -35,6 +37,7 @@ use rcdc::shard::ShardRouter;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The static world a simulation runs in: the Figure-3 fabric, its
@@ -119,6 +122,13 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
+/// A frame the receiver could use: an image for the store to hash and
+/// decode itself, or the table a delta rebuilt from the parked base.
+enum Received {
+    Image(WireSnapshot),
+    Table(Fib),
+}
+
 /// A task in the virtual-time scheduler.
 enum Task {
     Script(Action),
@@ -166,8 +176,9 @@ struct Sim<'e> {
     truth: Vec<Fib>,
     /// Capture history per device (for stale re-deliveries).
     history: Vec<Vec<Fib>>,
-    /// The puller's record of the last table each receiver acked.
-    acked: Vec<Option<Fib>>,
+    /// The puller's record of the last table each receiver acked: the
+    /// table its store parked.
+    acked: Vec<Option<Arc<Fib>>>,
     /// The device stores, partitioned across shards exactly as the
     /// live [`rcdc::service::ValidationService`] partitions them. The
     /// scheduler stays single-threaded — sharding is a partition of
@@ -297,7 +308,7 @@ impl<'e> Sim<'e> {
         let mut frame: Vec<u8> = match &self.acked[device] {
             // An acked base exists: ship the (possibly empty) delta.
             Some(base) => Fib::delta(base, &payload).encode().to_vec(),
-            None => payload.to_wire().encode().to_vec(),
+            None => payload.to_wire().as_bytes().to_vec(),
         };
         if let DeliveryFault::CorruptDelta { byte } = fault {
             // Only delta frames are corrupted: they are hash-anchored,
@@ -328,10 +339,11 @@ impl<'e> Sim<'e> {
         );
     }
 
-    /// The receiver side: decode the frame, apply deltas against the
-    /// parked base, fall back to the full snapshot when anything about
-    /// the frame is unusable, and judge the result on its owning shard
-    /// — the same step the service's shard workers run.
+    /// The receiver side: hand a snapshot frame to the store as its
+    /// image, apply a delta against the parked base, fall back to the
+    /// full snapshot when anything about the frame is unusable, and
+    /// judge on the device's owning shard — the same step the service's
+    /// shard workers run.
     fn deliver(&mut self, device: usize, frame: &[u8], payload: Fib) {
         self.out.deliveries += 1;
         self.registry
@@ -345,18 +357,37 @@ impl<'e> Sim<'e> {
         let shard = self.router.shard_of(id);
         let store = &self.router.shard(shard).devices;
         let record = store.record(id).unwrap_or_default();
-        let decoded: Option<Fib> = match frame_kind(frame) {
-            Some(FrameKind::Snapshot) => WireSnapshot::decode(frame)
-                .and_then(|w| Fib::from_wire(&w))
-                .ok(),
-            Some(FrameKind::Delta) => FibDelta::decode(frame).ok().and_then(|d| {
-                let (base, _) = record.table.as_ref()?;
-                base.apply_delta(&d).ok()
-            }),
+        let received = match frame_kind(frame) {
+            Some(FrameKind::Snapshot) => WireSnapshot::from_bytes(frame).ok().map(Received::Image),
+            Some(FrameKind::Delta) => FibDelta::decode(frame)
+                .ok()
+                .and_then(|d| {
+                    let (base, _) = record.table.as_ref()?;
+                    base.apply_delta(&d).ok()
+                })
+                .map(Received::Table),
             None => None,
         };
-        let stored = match decoded {
-            Some(fib) => fib,
+        if self.flaws.stale_epoch_cache {
+            // Emulated bug: a verdict whose FIB hash matches stands,
+            // whatever contract epoch it was judged under.
+            let hash = match &received {
+                Some(Received::Image(image)) => image.content_hash().ok(),
+                Some(Received::Table(fib)) => Some(fib.content_hash()),
+                None => Some(payload.content_hash()),
+            };
+            if record.verdict.zip(hash).is_some_and(|(v, hash)| v.fib_hash == hash) {
+                self.acked[device] = record.table.map(|(table, _)| table);
+                return;
+            }
+        }
+        let judged = match received {
+            Some(Received::Image(image)) => store.ingest(id, &image, &self.engine, &self.clock).ok(),
+            Some(Received::Table(fib)) => Some(store.judge(id, Some(fib), &self.engine, &self.clock)),
+            None => None,
+        };
+        let result = match judged {
+            Some(result) => result,
             None => {
                 // Full-snapshot fallback: re-pull the table behind the
                 // unusable frame.
@@ -368,19 +399,11 @@ impl<'e> Sim<'e> {
                         &[],
                     )
                     .inc();
-                payload
+                store.judge(id, Some(payload), &self.engine, &self.clock)
             }
         };
-        self.acked[device] = Some(stored.clone());
-        if self.flaws.stale_epoch_cache {
-            // Emulated bug: a verdict whose FIB hash matches stands,
-            // whatever contract epoch it was judged under.
-            let hash = stored.content_hash();
-            if record.verdict.is_some_and(|v| v.fib_hash == hash) {
-                return;
-            }
-        }
-        if let Some(result) = store.judge(id, Some(stored), &self.engine, &self.clock) {
+        self.acked[device] = store.record(id).and_then(|r| r.table).map(|(table, _)| table);
+        if let Some(result) = result {
             self.out.completed += 1;
             self.completed_per_shard[shard] += 1;
             match result.mode {

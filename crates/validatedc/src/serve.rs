@@ -16,34 +16,40 @@ use std::sync::{Arc, RwLock};
 
 /// A [`SnapshotSource`] over tables the driver mutates between pulls —
 /// the live network under route churn, as seen by the service's shard
-/// workers.
+/// workers. Each table is kept beside its image, encoded once when it
+/// is set: a pull hands out the shared image.
 pub struct ChurningSource {
-    fibs: RwLock<Vec<Fib>>,
+    tables: RwLock<Vec<(Fib, WireSnapshot)>>,
 }
 
 impl ChurningSource {
     /// Wrap the fleet's initial converged tables.
     pub fn new(fibs: Vec<Fib>) -> Self {
+        let tables = fibs.into_iter().map(|fib| {
+            let image = fib.to_wire();
+            (fib, image)
+        });
         ChurningSource {
-            fibs: RwLock::new(fibs),
+            tables: RwLock::new(tables.collect()),
         }
     }
 
     /// Replace one device's table (the next pull observes it).
     pub fn set(&self, fib: Fib) {
         let device = fib.device().0 as usize;
-        self.fibs.write().unwrap()[device] = fib;
+        let image = fib.to_wire();
+        self.tables.write().unwrap()[device] = (fib, image);
     }
 
     /// The device's current table.
     pub fn get(&self, device: DeviceId) -> Fib {
-        self.fibs.read().unwrap()[device.0 as usize].clone()
+        self.tables.read().unwrap()[device.0 as usize].0.clone()
     }
 }
 
 impl SnapshotSource for ChurningSource {
     fn pull(&self, device: DeviceId) -> WireSnapshot {
-        self.fibs.read().unwrap()[device.0 as usize].to_wire()
+        self.tables.read().unwrap()[device.0 as usize].1.clone()
     }
 }
 
